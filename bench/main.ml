@@ -134,7 +134,7 @@ let ladder_tests ns =
    NFA over the ladder alphabet whose determinization walks Θ(n)
    subsets of Θ(n) members each — the determinize-heavy axis the packed
    kernels target. [Afsa.copy] inside the closure makes every run pay
-   its own index/pack build, so both kernel modes are timed cold. *)
+   its own index/pack build, so the kernel is timed cold. *)
 let determinize_tests ns =
   List.map
     (fun n ->

@@ -306,7 +306,7 @@ let dot () dir =
       ("fig18_buyer_once_public", gen P.buyer_once);
     ]
   in
-  C.Journal.Dir.mkdir_p dir;
+  C.Wal.Dir.mkdir_p dir;
   List.iter
     (fun (name, a) ->
       let path = Filename.concat dir (name ^ ".dot") in
@@ -699,7 +699,7 @@ let evolve_run () scenario journal crash_after budgets =
               2)
     | Some dir -> (
         match
-          match C.Journal.Dir.validate_root (Filename.dirname dir) with
+          match C.Wal.Dir.validate_root (Filename.dirname dir) with
           | Error e -> Error e
           | Ok () ->
               C.Journal.Evolve.run ~config ?crash_after ~dir t ~owner:"A"
@@ -890,7 +890,7 @@ let migrate_run () scenario instances batch seed max_len batch_fuel memo
         in
         finish rep
   | Some dir -> (
-      match C.Journal.Dir.validate_root (Filename.dirname dir) with
+      match C.Wal.Dir.validate_root (Filename.dirname dir) with
       | Error e ->
           Fmt.epr "%s@." e;
           2
@@ -1067,7 +1067,7 @@ let consistent_cmd =
 (* chorev save — write the scenario processes as .sexp files, so the
    file-based commands have inputs to start from *)
 let save_cmd_run () dir =
-  C.Journal.Dir.mkdir_p dir;
+  C.Wal.Dir.mkdir_p dir;
   List.iter
     (fun p ->
       let path = Filename.concat dir (C.Bpel.Process.name p ^ ".sexp") in

@@ -230,6 +230,116 @@ let is_empty_ref a =
   let _, nonempty, _ = analyze_ref a in
   not nonempty
 
+(* The map-shaped ε-elimination and subset construction that ran next
+   to the packed kernels until those became the only implementation,
+   kept verbatim as their oracles: same budget ticks (one per state,
+   one per discovered subset) in the same order as {!Epsilon} and
+   {!Determinize}. *)
+
+let resolve_budget = function
+  | Some b -> b
+  | None -> Chorev_guard.Budget.ambient ()
+
+let eliminate_ref ?budget a =
+  let budget = resolve_budget budget in
+  if not (Afsa.has_eps a) then a
+  else
+    let states = Afsa.states a in
+    let cl_tbl = Afsa.eps_closures a in
+    let closure_of q = Hashtbl.find cl_tbl q in
+    let edges =
+      List.concat_map
+        (fun q ->
+          Chorev_guard.Budget.tick budget;
+          ISet.fold
+            (fun p acc ->
+              List.fold_left
+                (fun acc (sym, ts) ->
+                  match sym with
+                  | Sym.Eps -> acc
+                  | Sym.L _ ->
+                      List.fold_left (fun acc t -> (q, sym, t) :: acc) acc ts)
+                acc (Afsa.out_rows a p))
+            (closure_of q) [])
+        states
+    in
+    let finals =
+      List.filter (fun q -> ISet.exists (Afsa.is_final a) (closure_of q)) states
+    in
+    let ann =
+      List.filter_map
+        (fun q ->
+          let f =
+            ISet.fold
+              (fun p acc -> F.and_ (Afsa.annotation a p) acc)
+              (closure_of q) F.True
+          in
+          let f = Chorev_formula.Simplify.simplify f in
+          if F.equal f F.True then None else Some (q, f))
+        states
+    in
+    Afsa.make ~alphabet:(Afsa.alphabet a) ~start:(Afsa.start a) ~finals ~edges
+      ~ann ()
+    |> Afsa.trim_unreachable
+
+module SMap = Map.Make (ISet)
+
+let determinize_ref ?budget a =
+  let budget = resolve_budget budget in
+  let a = eliminate_ref ~budget a in
+  if Afsa.is_deterministic a then fst (Afsa.renumber a)
+  else
+    let start_set = ISet.singleton (Afsa.start a) in
+    let next_id = ref 0 in
+    let ids = ref SMap.empty in
+    let edges = ref [] in
+    let finals = ref [] in
+    let anns = ref [] in
+    let rec visit set =
+      match SMap.find_opt set !ids with
+      | Some id -> id
+      | None ->
+          (* one fuel unit per discovered subset — the exponential axis *)
+          Chorev_guard.Budget.tick budget;
+          let id = !next_id in
+          incr next_id;
+          ids := SMap.add set id !ids;
+          if ISet.exists (Afsa.is_final a) set then finals := id :: !finals;
+          let ann =
+            ISet.fold (fun q acc -> F.or_ (Afsa.annotation a q) acc) set F.False
+          in
+          let ann = Chorev_formula.Simplify.simplify ann in
+          if not (F.equal ann F.True) then anns := (id, ann) :: !anns;
+          (* group successors by symbol (via the shared index) *)
+          let by_sym =
+            ISet.fold
+              (fun q acc ->
+                List.fold_left
+                  (fun acc (sym, ts) ->
+                    match sym with
+                    | Sym.Eps -> acc
+                    | Sym.L _ ->
+                        let cur =
+                          Option.value ~default:ISet.empty
+                            (Sym.Map.find_opt sym acc)
+                        in
+                        Sym.Map.add sym
+                          (List.fold_left (fun cur t -> ISet.add t cur) cur ts)
+                          acc)
+                  acc (Afsa.out_rows a q))
+              set Sym.Map.empty
+          in
+          Sym.Map.iter
+            (fun sym tgt_set ->
+              let tid = visit tgt_set in
+              edges := (id, sym, tid) :: !edges)
+            by_sym;
+          id
+    in
+    let s0 = visit start_set in
+    Afsa.make ~alphabet:(Afsa.alphabet a) ~start:s0 ~finals:!finals
+      ~edges:!edges ~ann:!anns ()
+
 (* The pre-PR3 minimization: list/Hashtbl Hopcroft (linked-list
    predecessor arrays, List.filter splits, string class keys), the
    unconditional determinize-and-renumber front end, and the separate

@@ -46,3 +46,23 @@ val minimize_ref : Afsa.t -> Afsa.t
     verbatim as the oracle for the refinable-partition implementation:
     [Minimize.minimize a] must be structurally equal to
     [minimize_ref a] on every input. *)
+
+(** {1 Map-shaped kernel references}
+
+    The map-based ε-elimination and subset construction that ran next
+    to the packed kernels until those became the only implementation,
+    kept as their oracles. Same discovery order and budget ticks as the
+    kernels, so results are structurally equal and fuel-bounded
+    outcomes identical. *)
+
+val eliminate_ref : ?budget:Chorev_guard.Budget.t -> Afsa.t -> Afsa.t
+(** The map-shaped ε-elimination (closures from {!Afsa.eps_closures},
+    rows from {!Afsa.out_rows}): the oracle for {!Epsilon.eliminate},
+    which must be structurally equal to it and tick the same fuel —
+    one unit per state. *)
+
+val determinize_ref : ?budget:Chorev_guard.Budget.t -> Afsa.t -> Afsa.t
+(** The map-shaped subset construction ([ISet.t]-keyed subsets) over
+    {!eliminate_ref}: the oracle for {!Determinize.determinize}, which
+    must be structurally equal to it and tick the same fuel — one unit
+    per state of the ε-elimination plus one per discovered subset. *)

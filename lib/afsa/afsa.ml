@@ -13,8 +13,9 @@ module ISet = Set.Make (Int)
 module IMap = Map.Make (Int)
 
 (* The packed (CSR) compilation of an automaton — flat int arrays the
-   hot kernels (determinize, ε-elimination, product, emptiness) run
-   over instead of the functional maps in [delta]. Defined before
+   algebra's kernels (product, determinize, ε-elimination, emptiness,
+   completion) run over instead of the functional maps in [delta];
+   each of them has this one implementation. Defined before
    [index] so the cache slot can hold one; the compiler itself
    ([Packed.get]) lives below, after the automaton type. *)
 module Packed0 = struct
@@ -23,7 +24,7 @@ module Packed0 = struct
     state_ids : int array;  (* dense → original id, strictly ascending *)
     start : int;  (* dense index of the start state *)
     finals : Bitset.t;  (* over dense indexes *)
-    syms : Sym.t array;  (* proper symbols, ascending ([Sym.Map] order) *)
+    syms : Sym.t array;  (* the alphabet, ascending ([Sym.Map] order) *)
     row_off : int array;  (* n+1: proper out-row extents per dense state *)
     row_sym : int array;  (* per edge: symbol id; rows sorted by (sym, tgt) *)
     row_tgt : int array;  (* per edge: dense target *)
@@ -44,9 +45,9 @@ end
    in the automaton (see {!index}). Purely derived data: every
    constructor / modifier invalidates the cache, so the maps in [delta]
    remain the single source of truth. Laziness is per component —
-   grouped rows materialize per *state* on demand (a product over a
-   huge completed automaton only ever touches the reachable fringe),
-   and the predecessor table is built in one O(|Δ|) pass the first time
+   grouped rows materialize per *state* on demand (a walk over a huge
+   automaton only ever touches the reachable fringe), and the
+   predecessor table is built in one O(|Δ|) pass the first time
    a backward traversal asks for it. *)
 type index = {
   rows : (int, (Sym.t * int list) list) Hashtbl.t;
@@ -54,7 +55,7 @@ type index = {
   mutable preds_tbl : (int, int list) Hashtbl.t option;
       (* distinct predecessor states (any symbol), whole-automaton *)
   mutable packed : Packed0.t option;
-      (* CSR compilation, built once per automaton on first hot-kernel
+      (* CSR compilation, built once per automaton on first kernel
          entry; invalidated with the rest of the index *)
   mutable eps_cl : (int, ISet.t) Hashtbl.t option;
       (* all ε-closures (original ids), SCC-shared; computed once *)
@@ -477,61 +478,38 @@ module Packed = struct
 
   let c_builds = Chorev_obs.Metrics.counter "afsa.pack.builds"
 
-  (* The escape hatch: CHOREV_NO_PACK=1 (any value other than "" / "0")
-     keeps every kernel on the original map-shaped implementation, so
-     the map kernels stay available as a debug/oracle mode. Tests flip
-     the same switch programmatically for the differential suites. *)
-  let enabled_ref =
-    ref
-      (match Sys.getenv_opt "CHOREV_NO_PACK" with
-      | None | Some "" | Some "0" -> true
-      | Some _ -> false)
-
-  let enabled () = !enabled_ref
-  let set_enabled b = enabled_ref := b
-
-  let with_enabled b f =
-    let old = !enabled_ref in
-    enabled_ref := b;
-    Fun.protect ~finally:(fun () -> enabled_ref := old) f
-
-  (* Original state id → dense index, by binary search over the sorted
-     [state_ids]; -1 when the id is not a state of the automaton. *)
-  let dense_of p q =
-    let lo = ref 0 and hi = ref (p.n - 1) in
-    let res = ref (-1) in
-    while !lo <= !hi do
-      let mid = (!lo + !hi) / 2 in
-      let v = Array.unsafe_get p.state_ids mid in
-      if v = q then begin
-        res := mid;
-        lo := !hi + 1
-      end
-      else if v < q then lo := mid + 1
-      else hi := mid - 1
-    done;
-    !res
+  (* The index [i] in [0, n) with [cmp i = 0], for [cmp] ascending in
+     [i]. *)
+  let bsearch cmp n =
+    let rec go lo hi =
+      if lo > hi then invalid_arg "Afsa.Packed: lookup of an absent key";
+      let mid = (lo + hi) / 2 in
+      let c = cmp mid in
+      if c = 0 then mid else if c < 0 then go (mid + 1) hi else go lo (mid - 1)
+    in
+    go 0 (n - 1)
 
   let build a =
     Chorev_obs.Metrics.incr c_builds;
     let state_ids = Array.of_list (ISet.elements a.states) in
     let n = Array.length state_ids in
-    let dense_tbl = Hashtbl.create (2 * n) in
-    Array.iteri (fun i q -> Hashtbl.replace dense_tbl q i) state_ids;
-    let dense q = Hashtbl.find dense_tbl q in
-    (* proper symbol table, ascending in [Sym.Map]'s order *)
-    let symset =
-      IMap.fold
-        (fun _ row acc ->
-          Sym.Map.fold
-            (fun sym _ acc ->
-              match sym with Sym.Eps -> acc | Sym.L _ -> Sym.Set.add sym acc)
-            row acc)
-        a.delta Sym.Set.empty
+    (* every kernel input is packed, most of them figure-sized, so the
+       lookups below avoid hashing: original id → dense index is an
+       offset when the ids are contiguous (any renumbered automaton)
+       and a binary search otherwise; symbol ids binary-search [syms] *)
+    let base = if n = 0 then 0 else state_ids.(0) in
+    let dense =
+      if n = 0 || state_ids.(n - 1) - base = n - 1 then fun q -> q - base
+      else fun q -> bsearch (fun i -> Int.compare state_ids.(i) q) n
     in
-    let syms = Array.of_list (Sym.Set.elements symset) in
-    let sym_id = Hashtbl.create (2 * Array.length syms) in
-    Array.iteri (fun i s -> Hashtbl.replace sym_id s i) syms;
+    (* the alphabet covers every edge label (all modifiers keep it so),
+       and [Label.Set] ascends in [Sym.Map]'s order *)
+    let syms =
+      Array.of_list (List.map Sym.label (Label.Set.elements a.alphabet))
+    in
+    let sym_id sym =
+      bsearch (fun i -> Sym.compare syms.(i) sym) (Array.length syms)
+    in
     (* degree pass *)
     let deg = Array.make (n + 1) 0 and edeg = Array.make (n + 1) 0 in
     IMap.iter
@@ -556,8 +534,8 @@ module Packed = struct
     and eps_tgt = Array.make (max 1 neps) 0 in
     (* fill pass: [IMap] / [Sym.Map] / [ISet] iterate ascending, so each
        proper row comes out sorted by (symbol id, dense target) and each
-       ε-row by dense target — the order every packed kernel (and the
-       fingerprint fast path) relies on *)
+       ε-row by dense target — the order every packed kernel relies
+       on *)
     let rcur = Array.copy row_off and ecur = Array.copy eps_off in
     IMap.iter
       (fun s row ->
@@ -572,7 +550,7 @@ module Packed = struct
                     ecur.(i) <- ecur.(i) + 1)
                   tgts
             | Sym.L _ ->
-                let sid = Hashtbl.find sym_id sym in
+                let sid = sym_id sym in
                 ISet.iter
                   (fun t ->
                     row_sym.(rcur.(i)) <- sid;
@@ -618,27 +596,6 @@ module Packed = struct
         let p = build a in
         ix.packed <- Some p;
         p
-
-  let peek a = Option.bind a.idx (fun ix -> ix.packed)
-
-  (* Compiling a pack costs an O(E log E) edge sort plus a dozen array
-     allocations. For tiny automata built fresh and consumed once —
-     figure-sized scenarios, registry queries — the map kernels win
-     outright. Both kernel families are observationally identical
-     (same automata, same budget ticks), so dispatch is free to choose
-     per call: reuse a pack that already exists, otherwise only pay
-     for one past the size where the flat kernels repay the build. *)
-  let cutoff_ref = ref 32
-
-  let with_cutoff c f =
-    let old = !cutoff_ref in
-    cutoff_ref := c;
-    Fun.protect ~finally:(fun () -> cutoff_ref := old) f
-
-  let worth a =
-    match peek a with
-    | Some _ -> true
-    | None -> num_states a > !cutoff_ref
 
   (** Distinct-predecessor CSR over any symbol (proper and ε), built on
       first use: [(off, src)] with [src.(off.(q) .. off.(q+1)-1)] the
@@ -825,8 +782,9 @@ end
    function: states in the same ε-SCC share one closure set
    (physically), and each SCC's closure is the union of its members
    with the closures of its successor SCCs, computed in reverse
-   topological order — O(V + E) overall. Generic over the successor
-   view so the packed CSR and the map index feed the same pass. *)
+   topological order — O(V + E) overall. [succs] is the map index's
+   ε-successor view ({!eps_succs}); the packed kernels use their own
+   int-only pass, {!Packed.eps_closure_csr}. *)
 let closures_over ~succs states =
   let index_t = Hashtbl.create 64 in
   let lowlink = Hashtbl.create 64 in
@@ -901,31 +859,7 @@ let eps_closures a =
   match ix.eps_cl with
   | Some t -> t
   | None ->
-      let t =
-        (* walk an existing pack's ε-CSR, but never *build* one here:
-           the closure pass is O(V+E) over either representation, so a
-           build would only pay off for kernels that come after — and
-           those trigger their own build through [worth]. *)
-        match if Packed.enabled () then Packed.peek a else None with
-        | Some p ->
-            begin
-          let succs q =
-            let i = Packed.dense_of p q in
-            if i < 0 then []
-            else
-              let rec go e acc =
-                if e < p.Packed.eps_off.(i) then acc
-                else go (e - 1) (p.Packed.state_ids.(p.Packed.eps_tgt.(e)) :: acc)
-              in
-              go (p.Packed.eps_off.(i + 1) - 1) []
-          in
-          closures_over ~succs (Array.to_list p.Packed.state_ids)
-            end
-        | None ->
-            closures_over
-              ~succs:(fun q -> eps_succs a q)
-              (ISet.elements a.states)
-      in
+      let t = closures_over ~succs:(eps_succs a) (ISet.elements a.states) in
       ix.eps_cl <- Some t;
       t
 

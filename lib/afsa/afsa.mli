@@ -16,7 +16,7 @@ type index
 
 type t = {
   states : ISet.t;
-  alphabet : Label.Set.t;
+  alphabet : Label.Set.t;  (** contains every edge label *)
   delta : ISet.t Sym.Map.t IMap.t;  (** state → symbol → targets *)
   start : int;
   finals : ISet.t;
@@ -87,11 +87,11 @@ val is_deterministic : t -> bool
     automaton; every constructor and modifier invalidates the cache, so
     the indexes are always consistent with the transition relation.
     Laziness is per component: grouped rows materialize per state on
-    demand (a product over a huge completed automaton only pays for the
-    states it actually reaches), and the predecessor table is one
-    O(|Δ|) pass on first backward traversal. The algebra's hot paths
-    (product, emptiness, ε-elimination, minimization) use these instead
-    of re-deriving edge lists. *)
+    demand (a walk over a huge automaton only pays for the states it
+    actually reaches), and the predecessor table is one O(|Δ|) pass on
+    first backward traversal. Minimization, reachability/trimming and
+    the {!Ablation} references use these instead of re-deriving edge
+    lists; the other kernels run over {!Packed}. *)
 
 val index : t -> index
 (** The cached (initially empty) index. *)
@@ -112,8 +112,11 @@ val preds : t -> int -> int list
 
 (** {1 Packed (CSR) form}
 
-    The flat compilation of an automaton the hot kernels run over:
-    dense state numbering, proper out-edges as one CSR sorted by
+    The flat compilation of an automaton that every algebra kernel —
+    the products, determinization, ε-elimination, emptiness and
+    completion — runs over; each operation has this one
+    implementation (the map-shaped references live in {!Ablation}).
+    Dense state numbering, proper out-edges as one CSR sorted by
     (symbol id, target) per row, a separate ε-adjacency CSR, finals and
     annotation-nontrivial flags as bitsets. Compiled once per automaton
     and cached on the lazy index slot, so every structural modifier
@@ -127,7 +130,7 @@ module Packed : sig
     state_ids : int array;  (** dense → original id, strictly ascending *)
     start : int;  (** dense index of the start state *)
     finals : Bitset.t;  (** over dense indexes *)
-    syms : Sym.t array;  (** proper symbols, ascending ([Sym.Map] order) *)
+    syms : Sym.t array;  (** the alphabet, ascending ([Sym.Map] order) *)
     row_off : int array;  (** n+1: proper out-row extents per dense state *)
     row_sym : int array;  (** per edge: symbol id; rows sorted by (sym, tgt) *)
     row_tgt : int array;  (** per edge: dense target *)
@@ -139,35 +142,8 @@ module Packed : sig
     mutable eps_cl_csr : (int array * int array) option;
   }
 
-  val enabled : unit -> bool
-  (** Whether the packed kernels are in use. Defaults to [true]; the
-      [CHOREV_NO_PACK] environment variable (set to anything but [""] or
-      ["0"]) flips every kernel back to the original map-shaped
-      implementation as a debug/oracle mode. *)
-
-  val set_enabled : bool -> unit
-  val with_enabled : bool -> (unit -> 'a) -> 'a
-
-  val dense_of : t -> int -> int
-  (** Original state id → dense index; [-1] when not a state. *)
-
   val get : afsa -> t
   (** The packed form, compiled on first use and cached on the index. *)
-
-  val peek : afsa -> t option
-  (** The cached packed form, if any — never triggers a build. *)
-
-  val worth : afsa -> bool
-  (** Whether a packed kernel should run on [a]: true when a pack is
-      already cached, or when the automaton is large enough that the
-      flat kernels repay the O(E log E) build. Both kernel families
-      are observationally identical, so dispatch is per-call. *)
-
-  val with_cutoff : int -> (unit -> 'a) -> 'a
-  (** Run [f] with the small-automaton cutoff of {!worth} set to [c]
-      (default 32); [0] forces the packed kernels on every input —
-      the differential suite uses this to exercise them on automata
-      of every size. *)
 
   val preds_csr : t -> int array * int array
   (** Distinct-predecessor CSR [(off, src)] over proper and ε edges,

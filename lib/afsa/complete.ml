@@ -18,52 +18,25 @@ let complete ?budget ?(over = []) a =
   if Afsa.has_eps a then
     invalid_arg "Complete.complete: automaton has ε-transitions";
   let alpha = Afsa.alphabet a in
-  let needs q =
+  (* presence scan over the packed form, whose symbol ids number
+     [alpha] in order: mark the symbol ids of each state's CSR row in a
+     stamp array, then sweep [alpha] — (state ascending, alphabet
+     order) pairs, one tick per state *)
+  let module P = Afsa.Packed in
+  let p = P.get a in
+  let mark = Array.make (max 1 (Array.length p.P.syms)) (-1) in
+  let missing = ref [] in
+  for i = 0 to p.P.n - 1 do
     Chorev_guard.Budget.tick budget;
-    let out = Afsa.out_symbols a q in
-    List.filter (fun l -> not (Label.Set.mem l out)) alpha
-  in
-  let missing =
-    if Afsa.Packed.enabled () && Afsa.Packed.worth a then begin
-      (* packed presence scan: mark the symbol ids of each state's CSR
-         row in a stamp array, then sweep [alpha] in list order — the
-         same (state ascending, alphabet order) pair sequence the map
-         path produces, with one tick per state *)
-      let module P = Afsa.Packed in
-      let p = P.get a in
-      let ns = Array.length p.P.syms in
-      let sid_of = Hashtbl.create (2 * ns) in
-      Array.iteri
-        (fun s sym ->
-          match sym with
-          | Sym.L l -> Hashtbl.replace sid_of l s
-          | Sym.Eps -> ())
-        p.P.syms;
-      let alpha_sid =
-        List.map
-          (fun l -> Option.value ~default:(-1) (Hashtbl.find_opt sid_of l))
-          alpha
-      in
-      let mark = Array.make (max 1 ns) (-1) in
-      let acc = ref [] in
-      for i = 0 to p.P.n - 1 do
-        Chorev_guard.Budget.tick budget;
-        for e = p.P.row_off.(i) to p.P.row_off.(i + 1) - 1 do
-          mark.(p.P.row_sym.(e)) <- i
-        done;
-        let q = p.P.state_ids.(i) in
-        List.iter2
-          (fun l sid ->
-            if sid < 0 || mark.(sid) <> i then acc := (q, l) :: !acc)
-          alpha alpha_sid
-      done;
-      List.rev !acc
-    end
-    else
-      List.concat_map
-        (fun q -> List.map (fun l -> (q, l)) (needs q))
-        (Afsa.states a)
-  in
+    for e = p.P.row_off.(i) to p.P.row_off.(i + 1) - 1 do
+      mark.(p.P.row_sym.(e)) <- i
+    done;
+    let q = p.P.state_ids.(i) in
+    List.iteri
+      (fun sid l -> if mark.(sid) <> i then missing := (q, l) :: !missing)
+      alpha
+  done;
+  let missing = List.rev !missing in
   if missing = [] then a
   else
     let sink = 1 + List.fold_left max 0 (Afsa.states a) in

@@ -10,19 +10,10 @@
 
 module F = Chorev_formula.Syntax
 module Budget = Chorev_guard.Budget
-module ISet = Afsa.ISet
 
-module SetKey = struct
-  type t = ISet.t
-
-  let compare = ISet.compare
-end
-
-module SMap = Map.Make (SetKey)
-
-(* Subsets in the packed kernel are sorted arrays of dense state
-   indexes, hashed FNV-style into a flat Hashtbl — no [ISet.compare]
-   over balanced trees per visit. *)
+(* Subsets are sorted arrays of dense state indexes, hashed FNV-style
+   into a flat Hashtbl — no [ISet.compare] over balanced trees per
+   visit. *)
 module SubsetKey = struct
   type t = int array
 
@@ -45,17 +36,18 @@ module SubsetTbl = Hashtbl.Make (SubsetKey)
 
 let int_cmp (x : int) (y : int) = if x < y then -1 else if x > y then 1 else 0
 
-(* Packed subset construction. Mirrors the map kernel event for event:
-   one budget tick per newly discovered subset, DFS preorder, successor
-   symbols visited ascending and member rows merged target-ascending —
-   so the output automaton (state numbering, edges, annotation formula
-   structure) and every fuel-bounded outcome are identical. Member
-   out-rows are merged into reusable per-symbol target buckets; each
-   bucket is then canonicalized to a sorted distinct subset either by
-   an int sort (small buckets) or by a stamp-marked counting scan over
-   the dense state space (large buckets) — never a [Sym.Map]-of-[ISet]
+(* Subset construction over the packed form: one budget tick per newly
+   discovered subset, DFS preorder, successor symbols visited ascending
+   and member rows merged target-ascending — the same event order as
+   the map-based [Ablation.determinize_ref], so the output automaton
+   (state numbering, edges, annotation formula structure) and every
+   fuel-bounded outcome are identical to it. Member out-rows are merged
+   into reusable per-symbol target buckets; each bucket is then
+   canonicalized to a sorted distinct subset either by an int sort
+   (small buckets) or by a stamp-marked counting scan over the dense
+   state space (large buckets) — never a [Sym.Map]-of-[ISet]
    accumulation, and no global sort of all merged edges. *)
-let determinize_packed ~budget a =
+let subsets ~budget a =
   let module P = Afsa.Packed in
   let p = P.get a in
   let nsym = Array.length p.P.syms in
@@ -177,58 +169,4 @@ let determinize ?budget a =
   in
   let a = Epsilon.eliminate ~budget a in
   if Afsa.is_deterministic a then fst (Afsa.renumber a)
-  else if Afsa.Packed.enabled () && Afsa.Packed.worth a then
-    determinize_packed ~budget a
-  else
-    let start_set = ISet.singleton (Afsa.start a) in
-    let next_id = ref 0 in
-    let ids = ref SMap.empty in
-    let edges = ref [] in
-    let finals = ref [] in
-    let anns = ref [] in
-    let rec visit set =
-      match SMap.find_opt set !ids with
-      | Some id -> id
-      | None ->
-          (* one fuel unit per discovered subset — the exponential axis *)
-          Budget.tick budget;
-          let id = !next_id in
-          incr next_id;
-          ids := SMap.add set id !ids;
-          if ISet.exists (Afsa.is_final a) set then finals := id :: !finals;
-          let ann =
-            ISet.fold (fun q acc -> F.or_ (Afsa.annotation a q) acc) set F.False
-          in
-          let ann = Chorev_formula.Simplify.simplify ann in
-          if not (F.equal ann F.True) then anns := (id, ann) :: !anns;
-          (* group successors by symbol (via the shared index) *)
-          let by_sym =
-            ISet.fold
-              (fun q acc ->
-                List.fold_left
-                  (fun acc (sym, ts) ->
-                    match sym with
-                    | Sym.Eps -> acc
-                    | Sym.L _ ->
-                        let cur =
-                          Option.value ~default:ISet.empty
-                            (Sym.Map.find_opt sym acc)
-                        in
-                        Sym.Map.add sym
-                          (List.fold_left
-                             (fun cur t -> ISet.add t cur)
-                             cur ts)
-                          acc)
-                  acc (Afsa.out_rows a q))
-              set Sym.Map.empty
-          in
-          Sym.Map.iter
-            (fun sym tgt_set ->
-              let tid = visit tgt_set in
-              edges := (id, sym, tid) :: !edges)
-            by_sym;
-          id
-    in
-    let s0 = visit start_set in
-    Afsa.make ~alphabet:(Afsa.alphabet a) ~start:s0 ~finals:!finals
-      ~edges:!edges ~ann:!anns ()
+  else subsets ~budget a

@@ -30,11 +30,13 @@
     The automaton is non-empty iff sat(q0) — equivalently, iff "the
     annotation of the start state is true" in the paper's phrasing.
 
-    Implementation notes: the reverse-edge table is the automaton's
-    shared {!Afsa.preds} index, built once per [analyze] call (not once
-    per fixpoint iteration), and each annotated state gets a
-    variable → targets table computed once up front, so an iteration is
-    O(V + E) with no per-iteration allocation of edge lists. *)
+    Implementation notes: the loop runs over the packed form
+    ({!Afsa.Packed}). The reverse-edge table is its predecessor CSR,
+    built once per automaton (not once per fixpoint iteration), and
+    each annotated state gets a variable → targets table computed once
+    up front, so an iteration is O(V + E) over bitsets with no
+    per-iteration allocation. {!Ablation.analyze_ref} keeps the seed's
+    list-based fixpoint as the differential oracle. *)
 
 module F = Chorev_formula.Syntax
 module Budget = Chorev_guard.Budget
@@ -55,39 +57,23 @@ type result = {
       (** set when a non-positive annotation was encountered *)
 }
 
-(* States that can reach a final state of [sat] moving through [sat]
-   states only: backward closure from F ∩ sat inside sat, over the
-   shared predecessor index. *)
-let reach_final_through budget a sat =
-  let seen = Hashtbl.create 64 in
-  let acc = ref ISet.empty in
-  let stack = ref (List.filter (fun f -> ISet.mem f sat) (Afsa.finals a)) in
-  List.iter (fun q -> Hashtbl.replace seen q ()) !stack;
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | q :: rest ->
-        Budget.tick budget;
-        stack := rest;
-        acc := ISet.add q !acc;
-        List.iter
-          (fun p ->
-            if ISet.mem p sat && not (Hashtbl.mem seen p) then begin
-              Hashtbl.replace seen p ();
-              stack := p :: !stack
-            end)
-          (Afsa.preds a q)
-  done;
-  !acc
-
-(* Packed kernel: the greatest-fixpoint loop over bitsets and the
-   packed predecessor CSR — [sat]/[reach]/[seen] are flat bitsets over
-   dense indexes, the backward closure is an int-array stack, and an
-   iteration allocates nothing. Tick totals match the map kernel
-   exactly: one per fixpoint pass plus one per state popped in the
-   backward closure (a canonical set either way), so fuel-bounded
-   outcomes are identical. *)
-let analyze_packed ~budget ~warning a =
+(* The greatest-fixpoint loop over bitsets and the packed predecessor
+   CSR — [sat]/[reach]/[seen] are flat bitsets over dense indexes, the
+   backward closure is an int-array stack, and an iteration allocates
+   nothing. Budget: one tick per fixpoint pass plus one per state
+   popped in the backward closure. *)
+let analyze ?budget a =
+  let budget =
+    match budget with Some b -> b | None -> Budget.ambient ()
+  in
+  let warning =
+    if List.for_all (fun (_, f) -> F.is_positive f) (Afsa.annotations a) then
+      None
+    else
+      Some
+        "annotation contains negation: emptiness fixpoint is an \
+         approximation only"
+  in
   let module P = Afsa.Packed in
   let p = P.get a in
   let n = p.P.n in
@@ -186,65 +172,6 @@ let analyze_packed ~budget ~warning a =
     iterations = !iterations;
     warning;
   }
-
-let analyze ?budget a =
-  let budget =
-    match budget with Some b -> b | None -> Budget.ambient ()
-  in
-  let warning =
-    if List.for_all (fun (_, f) -> F.is_positive f) (Afsa.annotations a) then
-      None
-    else
-      Some
-        "annotation contains negation: emptiness fixpoint is an \
-         approximation only"
-  in
-  if Afsa.Packed.enabled () && Afsa.Packed.worth a then
-    analyze_packed ~budget ~warning a
-  else
-  (* For each annotated state, the targets of each variable's edges,
-     computed once: σ_q(v) then costs one lookup + membership checks. *)
-  let ann_tbl : (int, F.t * (string, int list) Hashtbl.t) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  List.iter
-    (fun (q, f) ->
-      let vt = Hashtbl.create 8 in
-      List.iter
-        (fun (sym, ts) ->
-          match sym with
-          | Sym.Eps -> ()
-          | Sym.L l ->
-              let v = Label.to_string l in
-              Hashtbl.replace vt v
-                (ts @ Option.value ~default:[] (Hashtbl.find_opt vt v)))
-        (Afsa.out_rows a q);
-      Hashtbl.replace ann_tbl q (f, vt))
-    (Afsa.annotations a);
-  let holds sat q =
-    match Hashtbl.find_opt ann_tbl q with
-    | None -> true (* default annotation [True] *)
-    | Some (f, vt) ->
-        let assign v =
-          (* σ_q(v): some v-labeled edge to a sat state. *)
-          match Hashtbl.find_opt vt v with
-          | None -> false
-          | Some ts -> List.exists (fun t -> ISet.mem t sat) ts
-        in
-        Chorev_formula.Eval.eval ~assign f
-  in
-  let rec fix n sat =
-    Budget.tick budget;
-    let reach = reach_final_through budget a sat in
-    (* [reach ⊆ sat] by construction, so filtering [reach] by [holds]
-       equals the seed's [filter (reach ∧ holds) sat]. *)
-    let sat' = ISet.filter (fun q -> holds sat q) reach in
-    if ISet.equal sat' sat then (sat, n) else fix (n + 1) sat'
-  in
-  let sat, iterations = fix 1 a.Afsa.states in
-  Chorev_obs.Metrics.incr c_runs;
-  Chorev_obs.Metrics.add c_iterations iterations;
-  { sat; nonempty = ISet.mem (Afsa.start a) sat; iterations; warning }
 
 (** An aFSA is empty when no message sequence satisfying all mandatory
     annotations leads from the start state to a final state. *)

@@ -7,10 +7,10 @@
     is already an obligation at [q].
 
     All closure queries route through {!Afsa.eps_closures}: one
-    SCC-memoized O(V+E) pass per automaton, cached on the index slot,
-    shared with ε-elimination. There is no per-call list-append walk
-    left — the old [eps_succs a q @ rest] closure was O(V·E) per
-    query. *)
+    SCC-memoized O(V+E) pass per automaton, cached on the index slot.
+    There is no per-call list-append walk left — the old
+    [eps_succs a q @ rest] closure was O(V·E) per query. ε-elimination
+    runs over the packed form's own ε-closure CSR. *)
 
 module F = Chorev_formula.Syntax
 module Budget = Chorev_guard.Budget
@@ -37,92 +37,41 @@ let closure a set =
     [q], the new outgoing edges are the proper edges of all states in
     the ε-closure of [q]; [q] is final if its closure meets a final
     state; its annotation is the conjunction of the closure's
-    annotations. Unreachable states are dropped. ε-closures are
-    computed once per automaton (shared within ε-SCCs), not re-explored
-    per state; when the packed form is enabled the proper out-edges are
-    swept from the CSR rows instead of materializing [out_rows]. *)
+    annotations. Unreachable states are dropped. One fused sweep per
+    state over the packed form's ε-closure CSR ({!Afsa.Packed}): the
+    closure rows come out sorted ascending (dense ascending ==
+    original-id ascending), so the finals test, the [F.and_] fold and
+    the budget tick (one per state) happen in the same order as the
+    map-based [Ablation.eliminate_ref]. *)
 let eliminate ?budget a =
   let budget =
     match budget with Some b -> b | None -> Budget.ambient ()
   in
   if not (Afsa.has_eps a) then a
   else
-    let edges, finals, ann =
-      if Afsa.Packed.enabled () && Afsa.Packed.worth a then begin
-        (* One fused sweep per state over the dense ε-closure CSR: the
-           closure rows come out sorted ascending (dense ascending ==
-           original-id ascending), so the finals test, the F.and_ fold
-           and the budget tick all happen in exactly the order the map
-           branch below uses. *)
-        let module P = Afsa.Packed in
-        let p = P.get a in
-        let cl_off, cl_tgt = P.eps_closure_csr p in
-        let edges = ref [] and finals = ref [] and ann = ref [] in
-        for i = 0 to p.P.n - 1 do
-          Budget.tick budget;
-          let q = p.P.state_ids.(i) in
-          let fin = ref false and f = ref F.True in
-          for k = cl_off.(i) to cl_off.(i + 1) - 1 do
-            let m = cl_tgt.(k) in
-            if Bitset.mem p.P.finals m then fin := true;
-            f := F.and_ p.P.ann.(m) !f;
-            for e = p.P.row_off.(m) to p.P.row_off.(m + 1) - 1 do
-              edges :=
-                ( q,
-                  p.P.syms.(p.P.row_sym.(e)),
-                  p.P.state_ids.(p.P.row_tgt.(e)) )
-                :: !edges
-            done
-          done;
-          if !fin then finals := q :: !finals;
-          let f = Chorev_formula.Simplify.simplify !f in
-          if not (F.equal f F.True) then ann := (q, f) :: !ann
-        done;
-        (!edges, !finals, !ann)
-      end
-      else begin
-        let states = Afsa.states a in
-        let cl_tbl = Afsa.eps_closures a in
-        let closure_of q = Hashtbl.find cl_tbl q in
-        let edges =
-          List.concat_map
-            (fun q ->
-              Budget.tick budget;
-              ISet.fold
-                (fun p acc ->
-                  List.fold_left
-                    (fun acc (sym, ts) ->
-                      match sym with
-                      | Sym.Eps -> acc
-                      | Sym.L _ ->
-                          List.fold_left
-                            (fun acc t -> (q, sym, t) :: acc)
-                            acc ts)
-                    acc (Afsa.out_rows a p))
-                (closure_of q) [])
-            states
-        in
-        let finals =
-          List.filter
-            (fun q -> ISet.exists (Afsa.is_final a) (closure_of q))
-            states
-        in
-        let ann =
-          List.filter_map
-            (fun q ->
-              let f =
-                ISet.fold
-                  (fun p acc -> F.and_ (Afsa.annotation a p) acc)
-                  (closure_of q) F.True
-              in
-              let f = Chorev_formula.Simplify.simplify f in
-              if F.equal f F.True then None else Some (q, f))
-            states
-        in
-        (edges, finals, ann)
-      end
-    in
+    let module P = Afsa.Packed in
+    let p = P.get a in
+    let cl_off, cl_tgt = P.eps_closure_csr p in
+    let edges = ref [] and finals = ref [] and ann = ref [] in
+    for i = 0 to p.P.n - 1 do
+      Budget.tick budget;
+      let q = p.P.state_ids.(i) in
+      let fin = ref false and f = ref F.True in
+      for k = cl_off.(i) to cl_off.(i + 1) - 1 do
+        let m = cl_tgt.(k) in
+        if Bitset.mem p.P.finals m then fin := true;
+        f := F.and_ p.P.ann.(m) !f;
+        for e = p.P.row_off.(m) to p.P.row_off.(m + 1) - 1 do
+          edges :=
+            (q, p.P.syms.(p.P.row_sym.(e)), p.P.state_ids.(p.P.row_tgt.(e)))
+            :: !edges
+        done
+      done;
+      if !fin then finals := q :: !finals;
+      let f = Chorev_formula.Simplify.simplify !f in
+      if not (F.equal f F.True) then ann := (q, f) :: !ann
+    done;
     Afsa.make
       ~alphabet:(Afsa.alphabet a)
-      ~start:(Afsa.start a) ~finals ~edges ~ann ()
+      ~start:(Afsa.start a) ~finals:!finals ~edges:!edges ~ann:!ann ()
     |> Afsa.trim_unreachable

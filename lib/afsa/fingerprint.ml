@@ -55,53 +55,9 @@ let add_sym buf = function
       Buffer.add_char buf 'l';
       add_str buf (Label.to_string l)
 
-(* Packed fast path: when the CSR form is already compiled (never built
-   just for a digest), render straight from the flat arrays. The CSR
-   rows are sorted exactly like the ordered-map iteration below — ε
-   before proper symbols, targets ascending — so the byte stream, and
-   therefore the digest, is identical. *)
-let serialize_packed (a : Afsa.t) p =
-  let module P = Afsa.Packed in
-  let buf = Buffer.create 512 in
-  let lbls =
-    Array.map
-      (function Sym.L l -> Label.to_string l | Sym.Eps -> "")
-      p.P.syms
-  in
-  Buffer.add_char buf 'q';
-  add_int buf a.Afsa.start;
-  Buffer.add_char buf 'Q';
-  Array.iter (fun q -> add_int buf q) p.P.state_ids;
-  Buffer.add_char buf 'A';
-  Label.Set.iter (fun l -> add_str buf (Label.to_string l)) a.Afsa.alphabet;
-  Buffer.add_char buf 'D';
-  for i = 0 to p.P.n - 1 do
-    let s = p.P.state_ids.(i) in
-    for e = p.P.eps_off.(i) to p.P.eps_off.(i + 1) - 1 do
-      add_int buf s;
-      Buffer.add_char buf 'e';
-      add_int buf p.P.state_ids.(p.P.eps_tgt.(e))
-    done;
-    for e = p.P.row_off.(i) to p.P.row_off.(i + 1) - 1 do
-      add_int buf s;
-      Buffer.add_char buf 'l';
-      add_str buf lbls.(p.P.row_sym.(e));
-      add_int buf p.P.state_ids.(p.P.row_tgt.(e))
-    done
-  done;
-  Buffer.add_char buf 'F';
-  Bitset.iter (fun i -> add_int buf p.P.state_ids.(i)) p.P.finals;
-  Buffer.add_char buf 'N';
-  Afsa.IMap.iter
-    (fun q f ->
-      add_int buf q;
-      add_formula buf f)
-    a.Afsa.ann;
-  Buffer.contents buf
-
 (* All iterations below are over ordered maps/sets, so the rendering is
    deterministic with no sorting pass. *)
-let serialize_map (a : Afsa.t) =
+let serialize (a : Afsa.t) =
   let buf = Buffer.create 512 in
   Buffer.add_char buf 'q';
   add_int buf a.Afsa.start;
@@ -131,11 +87,6 @@ let serialize_map (a : Afsa.t) =
       add_formula buf f)
     a.Afsa.ann;
   Buffer.contents buf
-
-let serialize (a : Afsa.t) =
-  match if Afsa.Packed.enabled () then Afsa.Packed.peek a else None with
-  | Some p -> serialize_packed a p
-  | None -> serialize_map a
 
 let compute a = Digest.string (serialize a)
 

@@ -12,13 +12,11 @@
     outgoing edges of the left state instead of sweeping the whole
     product alphabet per state.
 
-    Each worklist has two interchangeable kernels: the packed one pops
-    int-packed [(l lsl 32) lor r] pair keys from a flat table and merges
-    the two packed CSR out-rows pairwise (see {!Afsa.Packed}), and the
-    original map-shaped one over {!Afsa.out_rows}, kept as the
-    [CHOREV_NO_PACK] debug/oracle mode. Both kernels discover pairs in
-    the same order and tick the budget once per popped pair, so state
-    numbering, fuel-bounded outcomes and metrics are identical. *)
+    Each worklist pops int-packed [(l lsl 32) lor r] pair keys from a
+    flat table and merges the two packed CSR out-rows pairwise (see
+    {!Afsa.Packed}); it ticks the budget once per popped pair. The
+    seed's recursive map-based product stays in {!Ablation} as the
+    differential oracle. *)
 
 module F = Chorev_formula.Syntax
 module Budget = Chorev_guard.Budget
@@ -51,7 +49,7 @@ let c_edges = Chorev_obs.Metrics.counter "afsa.product.edges"
 let c_sink_pairs = Chorev_obs.Metrics.counter "afsa.product.sink_pairs"
 
 (* ------------------------------------------------------------------ *)
-(* Packed-kernel plumbing                                              *)
+(* Pair keys, symbol translation, discovery queue                      *)
 (* ------------------------------------------------------------------ *)
 
 module P = Afsa.Packed
@@ -142,7 +140,7 @@ let alpha_mask syms alphabet =
 
 (* The discovery array doubles as the FIFO: [disc.(id)] is the pair key
    discovered as [id], and popping is a cursor walk — pairs are pushed
-   in id order, exactly the [Queue] discipline of the map kernel. *)
+   and popped in id (BFS discovery) order. *)
 let grow disc id k =
   let d = !disc in
   let d =
@@ -170,7 +168,12 @@ let finish spec ~s0 ~next ~edges ~finals ~anns ~pmap =
 (* Plain product                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let run_packed ~budget spec a b =
+(** [run spec a b] builds the product automaton; state pairs are
+    numbered densely in discovery (BFS) order, the start is
+    [(start a, start b)] = 0. Returns the automaton together with the
+    pair ↦ product-state map. *)
+let run ?budget spec a b =
+  let budget = resolve budget in
   let pa = P.get a and pb = P.get b in
   let l2r = left_to_right pa pb in
   let alpha_l = alpha_mask pa.P.syms spec.alphabet in
@@ -249,75 +252,6 @@ let run_packed ~budget spec a b =
          (fun k id acc -> PMap.add ((pa.P.state_ids.(key_fst k), pb.P.state_ids.(key_snd k))) id acc)
          ids PMap.empty)
 
-let run_map ~budget spec a b =
-  let next = ref 0 in
-  let ids : (int * int, int) Hashtbl.t = Hashtbl.create 256 in
-  let edges = ref [] in
-  let finals = ref [] in
-  let anns = ref [] in
-  let in_alpha =
-    let tbl = Hashtbl.create 64 in
-    List.iter (fun l -> Hashtbl.replace tbl l ()) spec.alphabet;
-    fun l -> Hashtbl.mem tbl l
-  in
-  let pending = Queue.create () in
-  let id_of ((q1, q2) as p) =
-    match Hashtbl.find_opt ids p with
-    | Some id -> id
-    | None ->
-        let id = !next in
-        incr next;
-        Hashtbl.add ids p id;
-        if spec.final p then finals := id :: !finals;
-        let ann =
-          Chorev_formula.Simplify.simplify
-            (spec.combine_ann (Afsa.annotation a q1) (Afsa.annotation b q2))
-        in
-        if not (F.equal ann F.True) then anns := (id, ann) :: !anns;
-        Queue.add (p, id) pending;
-        id
-  in
-  let s0 = id_of (Afsa.start a, Afsa.start b) in
-  while not (Queue.is_empty pending) do
-    Budget.tick budget;
-    let (q1, q2), id = Queue.pop pending in
-    (* synchronized moves on shared labels, lone ε-moves of the left *)
-    List.iter
-      (fun (sym, t1s) ->
-        match sym with
-        | Sym.Eps ->
-            List.iter
-              (fun t1 -> edges := (id, Sym.Eps, id_of (t1, q2)) :: !edges)
-              t1s
-        | Sym.L l when in_alpha l -> (
-            match Afsa.succ_list b q2 sym with
-            | [] -> ()
-            | t2s ->
-                List.iter
-                  (fun t1 ->
-                    List.iter
-                      (fun t2 -> edges := (id, sym, id_of (t1, t2)) :: !edges)
-                      t2s)
-                  t1s)
-        | Sym.L _ -> ())
-      (Afsa.out_rows a q1);
-    (* lone ε-moves of the right *)
-    List.iter
-      (fun t2 -> edges := (id, Sym.Eps, id_of (q1, t2)) :: !edges)
-      (Afsa.eps_succs b q2)
-  done;
-  finish spec ~s0 ~next ~edges ~finals ~anns
-    ~pmap:(Hashtbl.fold (fun p id acc -> PMap.add p id acc) ids PMap.empty)
-
-(** [run spec a b] builds the product automaton; state pairs are
-    numbered densely in discovery (BFS) order, the start is
-    [(start a, start b)] = 0. Returns the automaton together with the
-    pair ↦ product-state map. *)
-let run ?budget spec a b =
-  let budget = resolve budget in
-  if P.enabled () && (P.worth a || P.worth b) then run_packed ~budget spec a b
-  else run_map ~budget spec a b
-
 (* ------------------------------------------------------------------ *)
 (* Virtually-completed products                                        *)
 (* ------------------------------------------------------------------ *)
@@ -332,13 +266,19 @@ let run ?budget spec a b =
    the default annotation [True]. Runs through an all-sink pair can
    never accept (both sides are total and sink-trapped), so such edges
    are pruned at generation time — exactly what [Afsa.trim] would do
-   afterwards. In the packed kernels the sink is the dense index [n],
-   one past the automaton's dense states. *)
+   afterwards. Inside the kernels the sink is the dense index [n], one
+   past the automaton's dense states. *)
 
 (** A state id guaranteed outside [a]'s state space. *)
 let sink_of a = 1 + List.fold_left max 0 (Afsa.states a)
 
-let run_right_total_packed ~budget spec ~sink a b =
+(** [run_right_total spec ~sink a b] is {!run} with the right automaton
+    implicitly completed over [spec.alphabet]: any missing (state,
+    proper symbol) moves to [sink], which traps. [b] must be ε-free
+    (determinize it first); [spec.final] and [spec.combine_ann] see
+    [sink] as a regular right-state with annotation [True]. *)
+let run_right_total ?budget spec ~sink a b =
+  let budget = resolve budget in
   let pa = P.get a and pb = P.get b in
   let l2r = left_to_right pa pb in
   let alpha_l = alpha_mask pa.P.syms spec.alphabet in
@@ -423,78 +363,13 @@ let run_right_total_packed ~budget spec ~sink a b =
            PMap.add (pa.P.state_ids.(key_fst k), orig2 (key_snd k)) id acc)
          ids PMap.empty)
 
-let run_right_total_map ~budget spec ~sink a b =
-  let ann_b q2 = if q2 = sink then F.True else Afsa.annotation b q2 in
-  let next = ref 0 in
-  let ids : (int * int, int) Hashtbl.t = Hashtbl.create 256 in
-  let edges = ref [] in
-  let finals = ref [] in
-  let anns = ref [] in
-  let in_alpha =
-    let tbl = Hashtbl.create 64 in
-    List.iter (fun l -> Hashtbl.replace tbl l ()) spec.alphabet;
-    fun l -> Hashtbl.mem tbl l
-  in
-  let pending = Queue.create () in
-  let id_of ((q1, q2) as p) =
-    match Hashtbl.find_opt ids p with
-    | Some id -> id
-    | None ->
-        let id = !next in
-        incr next;
-        Hashtbl.add ids p id;
-        if q2 = sink then Chorev_obs.Metrics.incr c_sink_pairs;
-        if spec.final p then finals := id :: !finals;
-        let ann =
-          Chorev_formula.Simplify.simplify
-            (spec.combine_ann (Afsa.annotation a q1) (ann_b q2))
-        in
-        if not (F.equal ann F.True) then anns := (id, ann) :: !anns;
-        Queue.add (p, id) pending;
-        id
-  in
-  let succ_b q2 sym =
-    if q2 = sink then [ sink ]
-    else
-      match Afsa.succ_list b q2 sym with [] -> [ sink ] | ts -> ts
-  in
-  let s0 = id_of (Afsa.start a, Afsa.start b) in
-  while not (Queue.is_empty pending) do
-    Budget.tick budget;
-    let (q1, q2), id = Queue.pop pending in
-    List.iter
-      (fun (sym, t1s) ->
-        match sym with
-        | Sym.Eps ->
-            List.iter
-              (fun t1 -> edges := (id, Sym.Eps, id_of (t1, q2)) :: !edges)
-              t1s
-        | Sym.L l when in_alpha l ->
-            let t2s = succ_b q2 sym in
-            List.iter
-              (fun t1 ->
-                List.iter
-                  (fun t2 -> edges := (id, sym, id_of (t1, t2)) :: !edges)
-                  t2s)
-              t1s
-        | Sym.L _ -> ())
-      (Afsa.out_rows a q1)
-  done;
-  finish spec ~s0 ~next ~edges ~finals ~anns
-    ~pmap:(Hashtbl.fold (fun p id acc -> PMap.add p id acc) ids PMap.empty)
 
-(** [run_right_total spec ~sink a b] is {!run} with the right automaton
-    implicitly completed over [spec.alphabet]: any missing (state,
-    proper symbol) moves to [sink], which traps. [b] must be ε-free
-    (determinize it first); [spec.final] and [spec.combine_ann] see
-    [sink] as a regular right-state with annotation [True]. *)
-let run_right_total ?budget spec ~sink a b =
+(** [run_both_total spec ~sink_a ~sink_b a b] virtually completes both
+    sides over [spec.alphabet]. Both automata must be ε-free. Pairs
+    where both sides are trapped in their sink are pruned (they can
+    never accept). *)
+let run_both_total ?budget spec ~sink_a ~sink_b a b =
   let budget = resolve budget in
-  if P.enabled () && (P.worth a || P.worth b) then
-    run_right_total_packed ~budget spec ~sink a b
-  else run_right_total_map ~budget spec ~sink a b
-
-let run_both_total_packed ~budget spec ~sink_a ~sink_b a b =
   let pa = P.get a and pb = P.get b in
   let nl = Array.length pa.P.syms and nr = Array.length pb.P.syms in
   (* merge both symbol tables (each ascending in the same global order)
@@ -615,87 +490,3 @@ let run_both_total_packed ~budget spec ~sink_a ~sink_b a b =
            PMap.add (orig1 (key_fst k), orig2 (key_snd k)) id acc)
          ids PMap.empty)
 
-let run_both_total_map ~budget spec ~sink_a ~sink_b a b =
-  let ann_a q1 = if q1 = sink_a then F.True else Afsa.annotation a q1 in
-  let ann_b q2 = if q2 = sink_b then F.True else Afsa.annotation b q2 in
-  let next = ref 0 in
-  let ids : (int * int, int) Hashtbl.t = Hashtbl.create 256 in
-  let edges = ref [] in
-  let finals = ref [] in
-  let anns = ref [] in
-  let pending = Queue.create () in
-  let id_of ((q1, q2) as p) =
-    match Hashtbl.find_opt ids p with
-    | Some id -> id
-    | None ->
-        let id = !next in
-        incr next;
-        Hashtbl.add ids p id;
-        if q1 = sink_a || q2 = sink_b then
-          Chorev_obs.Metrics.incr c_sink_pairs;
-        if spec.final p then finals := id :: !finals;
-        let ann =
-          Chorev_formula.Simplify.simplify
-            (spec.combine_ann (ann_a q1) (ann_b q2))
-        in
-        if not (F.equal ann F.True) then anns := (id, ann) :: !anns;
-        Queue.add (p, id) pending;
-        id
-  in
-  let in_alpha =
-    let tbl = Hashtbl.create 64 in
-    List.iter (fun l -> Hashtbl.replace tbl l ()) spec.alphabet;
-    fun l -> Hashtbl.mem tbl l
-  in
-  let rows side sink q =
-    if q = sink then [] else Afsa.out_rows side q
-  in
-  let succ side sink q sym =
-    if q = sink then [ sink ]
-    else match Afsa.succ_list side q sym with [] -> [ sink ] | ts -> ts
-  in
-  let s0 = id_of (Afsa.start a, Afsa.start b) in
-  while not (Queue.is_empty pending) do
-    Budget.tick budget;
-    let (q1, q2), id = Queue.pop pending in
-    (* the union of both sides' real symbols; anything else moves both
-       sides to their sink — pruned. Symbols are visited in ascending
-       order so the discovery sequence is deterministic and matches the
-       packed kernel's merge-walk. *)
-    let syms = Hashtbl.create 8 in
-    let collect side sink q =
-      List.iter
-        (fun (sym, _) ->
-          match sym with
-          | Sym.Eps ->
-              invalid_arg "Product.run_both_total: automaton has ε-transitions"
-          | Sym.L l -> if in_alpha l then Hashtbl.replace syms sym ())
-        (rows side sink q)
-    in
-    collect a sink_a q1;
-    collect b sink_b q2;
-    let sym_list =
-      List.sort Sym.compare (Hashtbl.fold (fun s () acc -> s :: acc) syms [])
-    in
-    List.iter
-      (fun sym ->
-        List.iter
-          (fun t1 ->
-            List.iter
-              (fun t2 -> edges := (id, sym, id_of (t1, t2)) :: !edges)
-              (succ b sink_b q2 sym))
-          (succ a sink_a q1 sym))
-      sym_list
-  done;
-  finish spec ~s0 ~next ~edges ~finals ~anns
-    ~pmap:(Hashtbl.fold (fun p id acc -> PMap.add p id acc) ids PMap.empty)
-
-(** [run_both_total spec ~sink_a ~sink_b a b] virtually completes both
-    sides over [spec.alphabet]. Both automata must be ε-free. Pairs
-    where both sides are trapped in their sink are pruned (they can
-    never accept). *)
-let run_both_total ?budget spec ~sink_a ~sink_b a b =
-  let budget = resolve budget in
-  if P.enabled () && (P.worth a || P.worth b) then
-    run_both_total_packed ~budget spec ~sink_a ~sink_b a b
-  else run_both_total_map ~budget spec ~sink_a ~sink_b a b

@@ -1,7 +1,9 @@
 (** Generic ε-tolerant product over pair states — the common core of
     intersection (Def. 3) and difference (Def. 4): synchronize on
     shared labels, interleave ε-moves, combine annotations with the
-    given operator. *)
+    given operator. Each construction below is one worklist kernel
+    over the packed CSR form ({!Afsa.Packed}); {!Ablation.product_ref}
+    is the seed's map-based oracle. *)
 
 module PMap : Map.S with type key = int * int
 

@@ -75,7 +75,6 @@ module Complete = Chorev_afsa.Complete
 module Minimize = Chorev_afsa.Minimize
 module Ops = Chorev_afsa.Ops
 module Emptiness = Chorev_afsa.Emptiness
-module Guarded = Chorev_afsa.Guarded
 module Ablation = Chorev_afsa.Ablation
 module Consistency = Chorev_afsa.Consistency
 module View = Chorev_afsa.View
@@ -136,7 +135,6 @@ end
 module Journal = struct
   include Chorev_journal.Journal
   module Evolve = Chorev_journal.Evolve
-  module Dir = Chorev_journal.Dir
 end
 
 (* The durable substrate the journals sit on (JSON, WAL, fsync'd dirs) *)

@@ -84,7 +84,7 @@ let run ?(config = Evolution.default) ?crash_after ~dir t ~owner ~changed =
   match Model.find_party t owner with
   | Error (`Unknown_party p) -> Error (Printf.sprintf "unknown party %s" p)
   | Ok _ ->
-      if Dir.has_journal dir then
+      if Chorev_wal.Dir.has_journal dir then
         Error
           (Printf.sprintf "%s already holds a journal; use resume instead" dir)
       else (

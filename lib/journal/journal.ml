@@ -9,12 +9,9 @@ module Process = Chorev_bpel.Process
 (* The generic layers — minimal JSON, the checksummed-line WAL and the
    filesystem helpers — live in [Chorev_wal] (they carry no
    choreography dependency, so lower layers like the repair rollback
-   journal can share them); this module re-exports them under their
-   historical names and builds the evolution-journal record layer on
-   top. *)
-
-module Json = Chorev_wal.Json
-module Wal = Chorev_wal.Wal
+   journal can share them); this module builds the evolution-journal
+   record layer on top. *)
+open Chorev_wal
 
 (* ------------------------------------------------------------------ *)
 (* Records                                                             *)
@@ -165,7 +162,7 @@ let write_snapshot ~dir (t : Model.t) ~changed =
     (Model.parties t);
   write_atomic (changed_file dir) (Sexp.process_to_string changed)
 
-let read_snapshot ~dir =
+let read_snapshot_exn ~dir =
   let sdir = snapshot_dir dir in
   if not (Sys.file_exists sdir) then
     Error (Printf.sprintf "no snapshot directory at %s" sdir)
@@ -192,6 +189,11 @@ let read_snapshot ~dir =
             match Model.of_processes procs with
             | t -> Ok (t, changed)
             | exception Invalid_argument e -> Error e))
+
+(* A missing or unreadable file is a damaged journal: an [Error], never
+   an escaping [Sys_error]. *)
+let read_snapshot ~dir =
+  try read_snapshot_exn ~dir with Sys_error e -> Error e
 
 let model_digest (t : Model.t) =
   let buf = Buffer.create 1024 in

@@ -20,15 +20,12 @@
 
     Record semantics (see {!Evolve} for the driver): [Start] opens a
     run, one [Round] per completed evolution round is the commit point
-    for that round, and [Done] seals the run. *)
+    for that round, and [Done] seals the run.
 
-(** The generic layers live in [Chorev_wal] — shared with the
-    migration checkpoint log of [Chorev_migrate] and the repair
-    rollback journal of [Chorev_repair] — and are re-exported here
-    under their historical names. *)
-
-module Json = Chorev_wal.Json
-module Wal = Chorev_wal.Wal
+    The generic layers — {!Chorev_wal.Json}, {!Chorev_wal.Wal} and
+    {!Chorev_wal.Dir} — live in [Chorev_wal], shared with the migration
+    checkpoint log of [Chorev_migrate] and the repair rollback journal
+    of [Chorev_repair]. *)
 
 type record =
   | Start of { owner : string; parties : string list; digest : string }
@@ -46,8 +43,8 @@ type record =
     }
   | Done of { consistent : bool; digest : string }
 
-val record_to_json : record -> Json.t
-val record_of_json : Json.t -> (record, string) result
+val record_to_json : record -> Chorev_wal.Json.t
+val record_of_json : Chorev_wal.Json.t -> (record, string) result
 
 (** {2 Writing} *)
 

@@ -38,9 +38,9 @@ module Compliance = Chorev_migration.Compliance
 module Budget = Chorev_guard.Budget
 module Pool = Chorev_parallel.Pool
 module Lru = Chorev_cache.Lru
-module Json = Chorev_journal.Journal.Json
-module Wal = Chorev_journal.Journal.Wal
-module Dir = Chorev_journal.Dir
+module Json = Chorev_wal.Json
+module Wal = Chorev_wal.Wal
+module Dir = Chorev_wal.Dir
 
 (* ------------------------------------------------------------------ *)
 (* Options, batches, reports                                           *)

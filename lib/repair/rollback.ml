@@ -223,9 +223,8 @@ type loaded = {
   l_valid_bytes : int;
 }
 
-let load ~dir =
+let load_exn ~dir =
   match Json.of_string (Dir.read_file (meta_path dir)) with
-  | exception Sys_error e -> Error e
   | Error e -> Error ("meta.json: " ^ e)
   | Ok j -> (
       match meta_of_json j with
@@ -279,6 +278,11 @@ let load ~dir =
                   sealed;
                   l_valid_bytes = valid_bytes;
                 }))
+
+(* A missing or unreadable file (meta, [state/], a [pre/] snapshot) is
+   a damaged journal: an [Error], never an escaping [Sys_error]. *)
+let load ~dir =
+  try load_exn ~dir with Sys_error e -> Error e
 
 (** Resume an interrupted rollback: re-open the journal at its last
     valid byte, re-apply {e every} cone restore through [restore]

@@ -4,7 +4,7 @@ module Pool = Chorev_parallel.Pool
 module Config = Chorev_config.Config
 module Metrics = Chorev_obs.Metrics
 module Sexp = Chorev_bpel.Sexp
-module Json = Chorev_journal.Journal.Json
+module Json = Chorev_wal.Json
 
 type options = {
   shards : int;

@@ -6,7 +6,9 @@ module Consistency = Chorev_choreography.Consistency
 module Registry = Chorev_discovery.Registry
 module Journal = Chorev_journal.Journal
 module Evolve = Chorev_journal.Evolve
-module Dir = Chorev_journal.Dir
+module Dir = Chorev_wal.Dir
+module Json = Chorev_wal.Json
+module Wal = Chorev_wal.Wal
 module Sexp = Chorev_bpel.Sexp
 module Process = Chorev_bpel.Process
 module Config = Chorev_config.Config
@@ -296,25 +298,25 @@ let migrate_status t name =
 let publishes_file dir = Filename.concat dir "publishes.jsonl"
 
 let publish_record ~party ~instances ~seed ~after =
-  Journal.Json.Obj
+  Json.Obj
     [
-      ("rec", Journal.Json.Str "publish");
-      ("party", Journal.Json.Str party);
-      ("instances", Journal.Json.Int instances);
-      ("seed", Journal.Json.Int seed);
-      ("after", Journal.Json.Int after);
+      ("rec", Json.Str "publish");
+      ("party", Json.Str party);
+      ("instances", Json.Int instances);
+      ("seed", Json.Int seed);
+      ("after", Json.Int after);
     ]
 
 let publish_of_json j =
   let int k =
-    match Journal.Json.member k j with
-    | Some (Journal.Json.Int i) -> Some i
+    match Json.member k j with
+    | Some (Json.Int i) -> Some i
     | _ -> None
   in
   match
-    (Journal.Json.member "party" j, int "instances", int "seed", int "after")
+    (Json.member "party" j, int "instances", int "seed", int "after")
   with
-  | Some (Journal.Json.Str party), Some instances, Some seed, Some after ->
+  | Some (Json.Str party), Some instances, Some seed, Some after ->
       Ok (after, party, instances, seed)
   | _ -> Error "publish: missing field"
 
@@ -322,8 +324,8 @@ let read_publishes dir =
   let path = publishes_file dir in
   if not (Sys.file_exists path) then []
   else
-    match Journal.Wal.read ~path ~decode:publish_of_json with
-    | Ok { Journal.Wal.records; _ } -> records
+    match Wal.read ~path ~decode:publish_of_json with
+    | Ok { Wal.records; _ } -> records
     | Error e -> failwith (path ^ ": " ^ e)
 
 let publish t name ~party ~instances ~seed =
@@ -334,11 +336,11 @@ let publish t name ~party ~instances ~seed =
            publish on recovery; a crash before it never happened *)
         (match tn.dir with
         | Some tdir ->
-            let w = Journal.Wal.open_append ~path:(publishes_file tdir) in
+            let w = Wal.open_append ~path:(publishes_file tdir) in
             Fun.protect
-              ~finally:(fun () -> Journal.Wal.close w)
+              ~finally:(fun () -> Wal.close w)
               (fun () ->
-                Journal.Wal.append w
+                Wal.append w
                   (publish_record ~party ~instances ~seed
                      ~after:tn.evolutions))
         | None -> ());

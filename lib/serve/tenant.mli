@@ -13,7 +13,7 @@
     reports.
 
     With a [journal_root], registration atomically publishes a
-    populated tenant directory ({!Chorev_journal.Dir.create_fresh}, so
+    populated tenant directory ({!Chorev_wal.Dir.create_fresh}, so
     a concurrent request or a recovery scan can never observe a
     half-created tenant), and every evolution runs through the
     crash-safe {!Chorev_journal.Evolve} driver in its own
@@ -33,7 +33,7 @@ type t
 
 val create : ?shards:int -> ?journal_root:string -> unit -> t
 (** Default 8 shards. With [journal_root] (created if missing — the
-    root must pass {!Chorev_journal.Dir.validate_root}) the store is
+    root must pass {!Chorev_wal.Dir.validate_root}) the store is
     durable. @raise Invalid_argument if the root is unusable. *)
 
 val recover :

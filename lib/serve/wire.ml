@@ -1,6 +1,6 @@
 (* Wire protocol v1 — see wire.mli. *)
 
-module Json = Chorev_journal.Journal.Json
+module Json = Chorev_wal.Json
 module Budget = Chorev_guard.Budget
 module Evolution = Chorev_choreography.Evolution
 

@@ -4,15 +4,15 @@
     [id]; the [v] field is the protocol version ({!version}) and is
     checked on decode so a future v2 can evolve the schema without
     guessing. Processes travel as the exact-round-tripping sexps of
-    {!Chorev_bpel.Sexp}, and the JSON syntax is the journal's own
-    {!Chorev_journal.Journal.Json} — no external JSON dependency.
+    {!Chorev_bpel.Sexp}, and the JSON syntax is the journals' own
+    {!Chorev_wal.Json} — no external JSON dependency.
 
     Responses carry no wall-clock data except for [Stats], so a
     response stream is a pure function of the request stream and the
     server options — the property the golden tests and the CI smoke
     diff lean on. *)
 
-module Json = Chorev_journal.Journal.Json
+module Json = Chorev_wal.Json
 
 val version : int
 (** Currently [1]. *)

@@ -5,7 +5,6 @@
 
 module C = Chorev
 module B = C.Guard.Budget
-module G = C.Guarded
 module M = C.Choreography.Model
 module Ev = C.Choreography.Evolution
 module P = C.Scenario.Procurement
@@ -114,29 +113,18 @@ let test_guarded_ops_exceed () =
      the start, fizzling to a one-state product) *)
   let a = dense 1 in
   let b = a in
-  let tiny = B.create ~fuel:3 () in
-  (match G.intersect ~budget:tiny a b with
+  let intersect budget =
+    B.run budget (fun () -> C.Ops.intersect ~budget a b)
+  in
+  (match intersect (B.create ~fuel:3 ()) with
   | `Exceeded _ -> ()
   | `Done _ -> Alcotest.fail "3 fuel units cannot build this product");
   (* same inputs, enough fuel: `Done, equal to the unbudgeted result *)
-  let big = B.create ~fuel:10_000_000 () in
-  match G.intersect ~budget:big a b with
+  match intersect (B.create ~fuel:10_000_000 ()) with
   | `Exceeded info -> Alcotest.failf "unexpected trip: %a" B.pp_info info
   | `Done p ->
       check_bool "same as unbudgeted" true
         (C.Equiv.equal_annotated p (C.Ops.intersect a b))
-
-let test_minimize_or_self () =
-  (* small but dense: minimization needs far more than 2 fuel units,
-     yet the subset construction in the equivalence check stays tame
-     (a dense 60-state NFA would blow up exponentially there) *)
-  let a = W.random ~seed:3 ~states:12 ~labels:8 ~density:8.0 () in
-  let m, trip = G.minimize_or_self ~budget:(B.create ~fuel:2 ()) a in
-  check_bool "degraded to self" true (trip <> None && m == a);
-  let m2, trip2 = G.minimize_or_self ~budget:B.unlimited a in
-  check_bool "full minimize" true (trip2 = None);
-  check_bool "language preserved" true
-    (C.Equiv.equal_annotated (C.Determinize.determinize m2) (C.Determinize.determinize a))
 
 (* --------------------------- determinism ---------------------------- *)
 
@@ -304,7 +292,6 @@ let () =
         [
           Alcotest.test_case "guarded ops exceed and agree" `Quick
             test_guarded_ops_exceed;
-          Alcotest.test_case "minimize_or_self" `Quick test_minimize_or_self;
         ] );
       ( "determinism",
         [

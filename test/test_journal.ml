@@ -56,8 +56,8 @@ let test_record_roundtrip () =
   List.iter
     (fun r ->
       let j = J.record_to_json r in
-      let s = J.Json.to_string j in
-      match J.Json.of_string s with
+      let s = C.Wal.Json.to_string j in
+      match C.Wal.Json.of_string s with
       | Error e -> Alcotest.failf "reparse failed: %s" e
       | Ok j' -> (
           match J.record_of_json j' with
@@ -123,6 +123,38 @@ let test_snapshot_roundtrip () =
       check_bool "changed process preserved" true
         (C.Bpel.Sexp.process_to_string P.accounting_cancel
         = C.Bpel.Sexp.process_to_string changed')
+
+(* A crashed run whose snapshot lost a file is damaged: reading the
+   snapshot — and so resuming the run — is an [Error], never an
+   escaping [Sys_error]. *)
+let test_damaged_snapshot_is_error () =
+  let crashed dir =
+    match
+      JE.run ~crash_after:1 ~dir (procurement ()) ~owner:"A"
+        ~changed:P.accounting_cancel
+    with
+    | exception JE.Simulated_crash _ -> ()
+    | Ok _ | Error _ -> Alcotest.fail "expected a simulated crash"
+  in
+  let expect_error what dir =
+    (match J.read_snapshot ~dir with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "read_snapshot without %s must fail" what);
+    match JE.resume ~dir () with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "resume without %s must fail" what
+  in
+  (with_dir @@ fun dir ->
+   crashed dir;
+   Sys.remove (Filename.concat dir "changed.sexp");
+   expect_error "changed.sexp" dir);
+  with_dir @@ fun dir ->
+  crashed dir;
+  (* a snapshot entry that cannot be read as a file *)
+  let a = Filename.concat (Filename.concat dir "snapshot") "A.sexp" in
+  Sys.remove a;
+  Sys.mkdir a 0o755;
+  expect_error "a readable snapshot/A.sexp" dir
 
 (* ------------------------- crash-safety oracle ---------------------- *)
 
@@ -288,6 +320,8 @@ let () =
             test_corrupt_middle_is_error;
           Alcotest.test_case "snapshot round-trip" `Quick
             test_snapshot_roundtrip;
+          Alcotest.test_case "damaged snapshot is an error" `Quick
+            test_damaged_snapshot_is_error;
         ] );
       ( "crash-safety",
         [

@@ -1,57 +1,74 @@
-(* Differential tests for the indexed algebra: the worklist products,
-   virtual-completion difference/union and the shared-index emptiness
-   fixpoint must agree with the seed's recursive reference
-   implementations (kept verbatim in Ablation) on random automata. *)
+(* Differential tests for the algebra: every operation has one
+   production implementation, and each must agree with its reference
+   oracle in Ablation — the seed's recursive products, emptiness
+   fixpoint and minimization, and the map-shaped ε-elimination and
+   subset construction. Budgets are part of the contract: determinize
+   and ε-elimination tick exactly like their references at every fuel
+   level, every fuel-bounded run trips exactly at its bound, and the
+   per-input fuel totals of difference, emptiness, determinize and
+   minimize are pinned to recorded values. *)
 
 module C = Chorev
 module A = C.Afsa
+module B = C.Guard.Budget
+module W = C.Workload.Gen_afsa
 
 let check_bool = Alcotest.(check bool)
+let check_int = Alcotest.(check int)
 let n_seeds = 120
 
 let pair_of_seed s =
   ( C.Workload.Gen_afsa.random ~seed:(2 * s) ~states:5 ~ann_p:0.3 (),
     C.Workload.Gen_afsa.random ~seed:((2 * s) + 1) ~states:5 ~ann_p:0.3 () )
 
-let agree name op reference =
+(* [pairs] are [(id, (a, b))]; ids are for failure messages only. *)
+let agree name op reference pairs =
   List.iter
-    (fun s ->
-      let a, b = pair_of_seed s in
+    (fun (s, (a, b)) ->
       check_bool
-        (Printf.sprintf "%s agrees with reference (seed %d)" name s)
+        (Printf.sprintf "%s agrees with reference (%s)" name s)
         true
         (C.Equiv.equal_annotated (op a b) (reference a b)))
-    (List.init n_seeds Fun.id)
+    pairs
+
+let seed_pairs () =
+  List.init n_seeds (fun s -> (Printf.sprintf "seed %d" s, pair_of_seed s))
 
 let test_intersect_agrees () =
-  agree "intersect" C.Ops.intersect C.Ablation.intersect_ref
+  agree "intersect" C.Ops.intersect C.Ablation.intersect_ref (seed_pairs ())
 
 let test_difference_agrees () =
   agree "difference" C.Ops.difference C.Ablation.difference_ref
+    (seed_pairs ())
 
-let test_union_agrees () = agree "union" C.Ops.union C.Ablation.union_ref
+let test_union_agrees () =
+  agree "union" C.Ops.union C.Ablation.union_ref (seed_pairs ())
 
-(* The emptiness rewrite (shared predecessor index, per-state
+(* The emptiness rewrite (packed predecessor CSR, per-state
    variable→targets tables) must not change the fixpoint: same sat set,
    same verdict, same number of iterations as the seed loop that
    rebuilds its reverse table every round. *)
-let test_emptiness_parity () =
+let emptiness_agrees inputs =
   List.iter
-    (fun s ->
-      let x = C.Workload.Gen_afsa.random ~seed:s ~states:7 ~ann_p:0.5 () in
+    (fun (s, x) ->
       let r = C.Emptiness.analyze x in
       let sat_ref, nonempty_ref, iter_ref = C.Ablation.analyze_ref x in
       check_bool
-        (Printf.sprintf "verdict (seed %d)" s)
+        (Printf.sprintf "verdict (input %d)" s)
         nonempty_ref r.C.Emptiness.nonempty;
       check_bool
-        (Printf.sprintf "sat set (seed %d)" s)
+        (Printf.sprintf "sat set (input %d)" s)
         true
         (A.ISet.equal sat_ref r.C.Emptiness.sat);
-      Alcotest.(check int)
-        (Printf.sprintf "iterations (seed %d)" s)
+      check_int
+        (Printf.sprintf "iterations (input %d)" s)
         iter_ref r.C.Emptiness.iterations)
-    (List.init n_seeds Fun.id)
+    inputs
+
+let test_emptiness_parity () =
+  emptiness_agrees
+    (List.init n_seeds (fun s ->
+         (s, C.Workload.Gen_afsa.random ~seed:s ~states:7 ~ann_p:0.5 ())))
 
 (* The trim-first cords minimize must agree with the seed's
    list/Hashtbl Hopcroft kept in Ablation. The new algorithm is
@@ -210,6 +227,373 @@ let test_ladder_400_no_overflow () =
   check_bool "ladder-400 self-difference empty" true
     (C.Emptiness.is_empty_plain (C.Ops.difference a a))
 
+(* ------------------------------------------------------------------ *)
+(* Kernel differentials over a 244-input corpus                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Relabel every third proper edge to ε — the random generators emit
+   proper edges only, and the ε CSR / closure paths need coverage. *)
+let sprinkle_eps a =
+  let edges =
+    List.mapi
+      (fun i (s, sym, t) -> if i mod 3 = 2 then (s, C.Sym.Eps, t) else (s, sym, t))
+      (A.edges a)
+  in
+  A.make ~alphabet:(A.alphabet a) ~start:(A.start a) ~finals:(A.finals a)
+    ~edges ~ann:(A.annotations a) ()
+
+(* 80 random automata and their ε-sprinkled twins, 80 protocols, and
+   four edge cases; input ids are for failure messages only. *)
+let corpus =
+  lazy
+    (let l n = C.Sym.L (C.Label.make ~sender:"A" ~receiver:"B" n) in
+     List.concat_map
+       (fun s ->
+         let x = W.random ~seed:s ~states:6 ~ann_p:0.3 () in
+         [ (s, x); (1000 + s, sprinkle_eps x) ])
+       (List.init 80 Fun.id)
+     @ List.init 80 (fun s -> (s, W.random_protocol ~seed:s ~states:8 ()))
+     @ [
+         (0, A.make ~start:0 ~finals:[ 0 ] ~edges:[] ());
+         (1, A.make ~start:0 ~finals:[] ~edges:[ (0, l "x", 1) ] ());
+         (* ε-cycle through the start, ε into a final *)
+         ( 2,
+           A.make ~start:0 ~finals:[ 2 ]
+             ~edges:
+               [
+                 (0, C.Sym.Eps, 1); (1, C.Sym.Eps, 0); (1, l "a", 2);
+                 (2, C.Sym.Eps, 0);
+               ]
+             () );
+         (* annotated diamond with a dead branch *)
+         ( 3,
+           A.make ~start:0 ~finals:[ 3 ]
+             ~edges:
+               [ (0, l "a", 1); (0, l "b", 2); (1, l "c", 3); (2, l "d", 2) ]
+             ~ann:[ (1, C.Formula.var "A#B#cOp") ]
+             () );
+       ])
+
+let corpus () = Lazy.force corpus
+
+(* Every run gets a fresh copy (a private index and pack), so no run
+   sees caches another one built. *)
+let structural name op reference =
+  List.iter
+    (fun (s, x) ->
+      check_bool
+        (Printf.sprintf "%s = reference (input %d)" name s)
+        true
+        (A.structurally_equal (op (A.copy x)) (reference (A.copy x))))
+    (corpus ())
+
+let test_determinize () =
+  structural "determinize"
+    (fun x -> C.Determinize.determinize x)
+    (fun x -> C.Ablation.determinize_ref x)
+
+let test_eliminate () =
+  structural "eliminate"
+    (fun x -> C.Epsilon.eliminate x)
+    (fun x -> C.Ablation.eliminate_ref x)
+
+let test_minimize () = minimize_agrees "corpus" (corpus ())
+
+(* Each corpus input against its successor (cyclically): products
+   with ε on either side, protocols against random automata, and the
+   edge cases. *)
+let corpus_pairs () =
+  let xs = Array.of_list (corpus ()) in
+  List.init (Array.length xs) (fun i ->
+      let s, a = xs.(i) and t, b = xs.((i + 1) mod Array.length xs) in
+      (Printf.sprintf "inputs %d, %d" s t, (a, b)))
+
+let test_corpus_intersect () =
+  agree "intersect" C.Ops.intersect C.Ablation.intersect_ref (corpus_pairs ())
+
+let test_corpus_difference () =
+  agree "difference" C.Ops.difference C.Ablation.difference_ref
+    (corpus_pairs ())
+
+let test_corpus_union () =
+  agree "union" C.Ops.union C.Ablation.union_ref (corpus_pairs ())
+
+let test_corpus_emptiness () = emptiness_agrees (corpus ())
+
+(* ε-closures against a naive reference walk, through both closure
+   entry points. *)
+let naive_closure a set =
+  let rec go seen = function
+    | [] -> seen
+    | q :: rest ->
+        if A.ISet.mem q seen then go seen rest
+        else go (A.ISet.add q seen) (A.eps_succs a q @ rest)
+  in
+  go A.ISet.empty (A.ISet.elements set)
+
+let test_closures () =
+  List.iter
+    (fun (s, x) ->
+      List.iter
+        (fun q ->
+          check_bool
+            (Printf.sprintf "closure_of (input %d, state %d)" s q)
+            true
+            (A.ISet.equal
+               (naive_closure x (A.ISet.singleton q))
+               (C.Epsilon.closure_of (A.copy x) q)))
+        (A.states x);
+      let all = A.ISet.of_list (A.states x) in
+      check_bool
+        (Printf.sprintf "closure of full state set (input %d)" s)
+        true
+        (A.ISet.equal (naive_closure x all) (C.Epsilon.closure (A.copy x) all)))
+    (corpus ())
+
+(* Completion by its definition: every (state, label) pair without an
+   out-edge moves to a fresh sink that loops on every label. *)
+let naive_complete ~over a =
+  let a = A.widen_alphabet a over in
+  let alpha = A.alphabet a in
+  let missing =
+    List.concat_map
+      (fun q ->
+        List.filter_map
+          (fun l ->
+            if C.Label.Set.mem l (A.out_symbols a q) then None else Some (q, l))
+          alpha)
+      (A.states a)
+  in
+  if missing = [] then a
+  else
+    let sink = 1 + List.fold_left max 0 (A.states a) in
+    A.add_edges a
+      (List.map (fun (q, l) -> (q, C.Sym.L l, sink)) missing
+      @ List.map (fun l -> (sink, C.Sym.L l, sink)) alpha)
+
+let test_complete () =
+  let over = W.vocabulary 6 in
+  List.iter
+    (fun (s, x) ->
+      let x = C.Determinize.determinize x in
+      check_bool
+        (Printf.sprintf "complete = naive (input %d)" s)
+        true
+        (A.structurally_equal
+           (C.Complete.complete ~over (A.copy x))
+           (naive_complete ~over x)))
+    (corpus ())
+
+(* ------------------------------------------------------------------ *)
+(* Fuel                                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Fuel an unbounded run spends, per input: [difference_fuel] over the
+   80 [pair_of_seed] pairs, the others over [corpus] in order. Recorded
+   while the map-shaped kernels still ran next to the packed ones —
+   every kernel mode spent exactly these totals — so a change to any
+   kernel's tick discipline shows up here. *)
+let difference_fuel =
+  [|
+    9; 10; 2; 1; 14; 11; 7; 17; 10; 9; 6; 3; 8; 5; 14; 11; 4; 5; 13; 11;
+    6; 7; 5; 6; 10; 10; 3; 13; 1; 2; 13; 4; 16; 4; 5; 7; 12; 7; 10; 1; 4;
+    8; 18; 16; 8; 5; 7; 10; 15; 11; 12; 12; 6; 8; 3; 9; 13; 7; 13; 5; 8;
+    8; 14; 8; 7; 13; 5; 6; 7; 5; 6; 3; 6; 5; 4; 9; 2; 25; 10; 4;
+  |]
+
+let emptiness_fuel =
+  [|
+    6; 6; 13; 15; 4; 4; 7; 7; 10; 10; 11; 11; 12; 12; 9; 9; 7; 7; 4; 4; 7;
+    7; 12; 12; 11; 11; 13; 13; 7; 7; 15; 15; 7; 7; 7; 7; 10; 10; 13; 13;
+    7; 7; 12; 12; 4; 4; 8; 8; 9; 9; 10; 10; 7; 7; 10; 10; 8; 8; 11; 11;
+    10; 10; 7; 7; 14; 14; 10; 10; 7; 7; 8; 8; 9; 9; 17; 11; 10; 10; 10;
+    10; 10; 10; 14; 14; 12; 12; 13; 13; 15; 15; 13; 13; 9; 9; 6; 11; 11;
+    10; 17; 17; 10; 10; 9; 9; 11; 11; 10; 10; 11; 11; 8; 8; 13; 13; 12;
+    12; 10; 10; 15; 15; 10; 10; 12; 12; 12; 12; 6; 6; 7; 7; 8; 8; 13; 13;
+    13; 13; 11; 11; 15; 15; 8; 10; 9; 9; 10; 10; 13; 13; 9; 9; 12; 12; 12;
+    12; 10; 10; 15; 15; 10; 10; 9; 9; 9; 9; 9; 9; 9; 9; 9; 9; 9; 9; 9; 9;
+    9; 9; 9; 9; 9; 9; 9; 9; 9; 9; 9; 9; 9; 9; 9; 9; 9; 9; 9; 9; 9; 9; 9;
+    9; 9; 9; 9; 9; 9; 9; 9; 9; 9; 9; 9; 9; 9; 9; 9; 9; 9; 9; 9; 9; 9; 9;
+    9; 9; 9; 9; 9; 9; 9; 9; 9; 9; 9; 9; 9; 9; 9; 9; 9; 9; 9; 9; 2; 2; 4; 8;
+  |]
+
+let determinize_fuel =
+  [|
+    0; 10; 5; 10; 4; 6; 4; 6; 6; 11; 6; 13; 6; 10; 1; 6; 7; 6; 5; 10; 4;
+    6; 3; 6; 7; 12; 6; 6; 1; 6; 7; 12; 2; 6; 9; 12; 0; 6; 7; 12; 1; 6; 6;
+    12; 5; 10; 1; 6; 6; 12; 4; 12; 7; 6; 1; 6; 0; 12; 0; 12; 0; 6; 0; 6;
+    6; 11; 1; 6; 3; 6; 3; 6; 7; 13; 9; 11; 5; 11; 0; 6; 6; 12; 0; 6; 3; 6;
+    7; 14; 6; 12; 5; 12; 1; 6; 7; 11; 7; 11; 6; 10; 8; 6; 10; 13; 0; 14;
+    1; 6; 7; 9; 3; 6; 8; 12; 5; 12; 7; 12; 4; 9; 4; 11; 8; 6; 1; 6; 6; 6;
+    3; 9; 1; 6; 6; 12; 1; 6; 7; 13; 2; 6; 1; 6; 7; 14; 2; 6; 3; 9; 7; 10;
+    1; 6; 4; 6; 2; 6; 5; 6; 0; 6; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
+    0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
+    0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
+    0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
+    3; 0;
+  |]
+
+let minimize_fuel =
+  [|
+    36; 40; 15; 17; 10; 12; 12; 13; 14; 16; 19; 23; 21; 16; 7; 12; 23; 15;
+    11; 16; 11; 11; 6; 9; 23; 24; 19; 14; 2; 7; 23; 23; 20; 24; 27; 19; 5;
+    8; 21; 24; 7; 12; 21; 26; 11; 16; 7; 12; 15; 18; 16; 20; 22; 15; 7;
+    12; 9; 21; 10; 19; 12; 16; 3; 9; 14; 16; 7; 12; 7; 10; 3; 6; 22; 24;
+    24; 18; 13; 18; 42; 24; 21; 23; 12; 15; 10; 11; 23; 30; 21; 23; 16;
+    22; 2; 7; 26; 23; 23; 22; 18; 17; 26; 15; 30; 23; 16; 25; 7; 12; 20;
+    13; 27; 30; 25; 23; 17; 23; 21; 19; 11; 14; 14; 22; 21; 15; 13; 18; 9;
+    8; 8; 13; 13; 18; 20; 23; 1; 6; 17; 20; 6; 9; 13; 18; 24; 30; 20; 24;
+    8; 12; 24; 18; 7; 12; 9; 11; 2; 6; 15; 13; 10; 14; 17; 18; 17; 18; 18;
+    16; 17; 16; 17; 18; 17; 18; 16; 17; 18; 18; 18; 17; 17; 15; 18; 18;
+    16; 17; 16; 18; 16; 18; 18; 16; 18; 17; 18; 18; 17; 17; 18; 17; 17;
+    17; 17; 18; 16; 17; 17; 16; 15; 17; 17; 15; 16; 18; 17; 18; 18; 17;
+    17; 18; 15; 17; 17; 18; 18; 17; 18; 17; 18; 18; 17; 18; 16; 17; 17;
+    17; 17; 17; 18; 18; 17; 18; 0; 1; 5; 4;
+  |]
+
+(* [op x] under [budget]: the outcome and the fuel spent. *)
+let fueled op x budget =
+  let r = B.run budget (fun () -> op x) in
+  (r, B.spent budget)
+
+let total op x = snd (fueled op x (B.create ()))
+
+let check_totals name op inputs recorded =
+  check_int (name ^ ": recorded totals") (Array.length recorded)
+    (List.length inputs);
+  List.iteri
+    (fun i (s, x) ->
+      check_int
+        (Printf.sprintf "%s: fuel total (input %d)" name s)
+        recorded.(i) (total op x))
+    inputs
+
+(* At every fuel level up to one past the total, [op] trips exactly at
+   the bound ([`Exceeded] spending all of it) or finishes with the
+   unbounded result; with a [reference], it also matches the reference
+   run at the same fuel — same outcome, same trip point, same spend. *)
+let fuel_sweep ~equal ?reference name op inputs =
+  List.iter
+    (fun (s, x) ->
+      let full = total op x in
+      let unbounded =
+        match fueled op x (B.create ()) with
+        | `Done d, _ -> d
+        | `Exceeded _, _ -> Alcotest.failf "%s: unbounded run tripped" name
+      in
+      List.iter
+        (fun fuel ->
+          let at = Printf.sprintf "%s at fuel %d (input %d)" name fuel s in
+          let r, spent = fueled op x (B.create ~fuel ()) in
+          (match reference with
+          | None -> ()
+          | Some reference -> (
+              let r', spent' = fueled reference x (B.create ~fuel ()) in
+              check_int (at ^ ": spent = reference") spent' spent;
+              match (r, r') with
+              | `Done d, `Done d' ->
+                  check_bool (at ^ ": result = reference") true (equal d d')
+              | `Exceeded i, `Exceeded i' ->
+                  check_bool (at ^ ": reason = reference") true
+                    (i.B.reason = i'.B.reason);
+                  check_int (at ^ ": trip = reference") i'.B.spent i.B.spent
+              | _ -> Alcotest.failf "%s: diverges from reference" at));
+          match r with
+          | `Done d ->
+              check_int (at ^ ": spent") full spent;
+              check_bool (at ^ ": result = unbounded") true (equal d unbounded)
+          | `Exceeded i ->
+              check_bool (at ^ ": trips only below the total") true
+                (fuel < full);
+              check_bool (at ^ ": fuel trip") true (i.B.reason = `Fuel);
+              check_int (at ^ ": trip spent") fuel i.B.spent)
+        (List.init (full + 1) (fun i -> i + 1)))
+    inputs
+
+let sweep_inputs () = List.filteri (fun i _ -> i mod 10 = 0) (corpus ())
+let on_copy op x = op (A.copy x)
+let determinize = on_copy (fun x -> C.Determinize.determinize x)
+let minimize = on_copy (fun x -> C.Minimize.minimize x)
+let emptiness = on_copy (fun x -> C.Emptiness.analyze x)
+
+let test_fuel_determinize () =
+  check_totals "determinize" determinize (corpus ()) determinize_fuel;
+  fuel_sweep ~equal:A.structurally_equal
+    ~reference:(on_copy (fun x -> C.Ablation.determinize_ref x))
+    "determinize" determinize (sweep_inputs ())
+
+let test_fuel_eliminate () =
+  fuel_sweep ~equal:A.structurally_equal
+    ~reference:(on_copy (fun x -> C.Ablation.eliminate_ref x))
+    "eliminate"
+    (on_copy (fun x -> C.Epsilon.eliminate x))
+    (sweep_inputs ())
+
+let test_fuel_binops () =
+  let difference (a, b) = C.Ops.difference (A.copy a) (A.copy b) in
+  let pairs = List.init 80 (fun s -> (s, pair_of_seed s)) in
+  check_totals "difference" difference pairs difference_fuel;
+  fuel_sweep ~equal:A.structurally_equal "difference" difference
+    (List.filter (fun (s, _) -> List.mem s [ 0; 7; 23 ]) pairs)
+
+let test_fuel_emptiness () =
+  check_totals "emptiness" emptiness (corpus ()) emptiness_fuel;
+  fuel_sweep
+    ~equal:(fun r r' ->
+      A.ISet.equal r.C.Emptiness.sat r'.C.Emptiness.sat
+      && r.C.Emptiness.iterations = r'.C.Emptiness.iterations)
+    "emptiness" emptiness (sweep_inputs ())
+
+let test_fuel_minimize () =
+  check_totals "minimize" minimize (corpus ()) minimize_fuel;
+  fuel_sweep ~equal:A.structurally_equal "minimize" minimize (sweep_inputs ())
+
+(* Fuel trips must also be identical across pool sizes: the evolution
+   pipeline mints op budgets inside pool tasks, so a fueled run's
+   degradations are a deterministic function of the model — not of the
+   schedule. *)
+let test_fuel_pool_parity () =
+  let model =
+    C.Choreography.Model.of_processes
+      (List.map snd C.Scenario.Procurement.parties)
+  in
+  let run jobs =
+    let config =
+      {
+        C.Choreography.Evolution.default with
+        jobs;
+        op_budget = { B.spec_unlimited with fuel = Some 200 };
+      }
+    in
+    match
+      C.Choreography.Evolution.run ~config model ~owner:"A"
+        ~changed:C.Scenario.Procurement.accounting_cancel
+    with
+    | Ok r ->
+        ( r.C.Choreography.Evolution.consistent,
+          List.map
+            (fun (rd : C.Choreography.Evolution.round) ->
+              ( rd.originator,
+                rd.public_changed,
+                List.map
+                  (fun (p : C.Choreography.Evolution.partner_report) ->
+                    ( p.partner,
+                      p.verdict,
+                      Option.is_some p.outcome,
+                      List.length p.degraded ))
+                  rd.partners ))
+            r.C.Choreography.Evolution.rounds )
+    | Error (`Unknown_party p) -> Alcotest.failf "unknown party %s" p
+  in
+  let reference = run 1 in
+  List.iter
+    (fun jobs ->
+      check_bool
+        (Printf.sprintf "fueled run equal (jobs=%d)" jobs)
+        true
+        (run jobs = reference))
+    [ 2; 8 ]
+
 let () =
   Alcotest.run "perf_equiv"
     [
@@ -238,5 +622,26 @@ let () =
       ( "deep products",
         [
           Alcotest.test_case "ladder 400" `Quick test_ladder_400_no_overflow;
+        ] );
+      ( "differential",
+        [
+          Alcotest.test_case "determinize" `Quick test_determinize;
+          Alcotest.test_case "eliminate" `Quick test_eliminate;
+          Alcotest.test_case "minimize" `Quick test_minimize;
+          Alcotest.test_case "intersect" `Quick test_corpus_intersect;
+          Alcotest.test_case "difference" `Quick test_corpus_difference;
+          Alcotest.test_case "union" `Quick test_corpus_union;
+          Alcotest.test_case "emptiness" `Quick test_corpus_emptiness;
+          Alcotest.test_case "closures" `Quick test_closures;
+          Alcotest.test_case "complete" `Quick test_complete;
+        ] );
+      ( "fuel parity",
+        [
+          Alcotest.test_case "determinize" `Quick test_fuel_determinize;
+          Alcotest.test_case "eliminate" `Quick test_fuel_eliminate;
+          Alcotest.test_case "binops" `Quick test_fuel_binops;
+          Alcotest.test_case "emptiness" `Quick test_fuel_emptiness;
+          Alcotest.test_case "minimize" `Quick test_fuel_minimize;
+          Alcotest.test_case "pool sizes 1/2/8" `Quick test_fuel_pool_parity;
         ] );
     ]

@@ -305,6 +305,37 @@ let test_journal_crash_resume () =
       Alcotest.(check (list string))
         "both committed exactly once" [ "B"; "C" ] l.Rollback.restored
 
+(* A crashed rollback whose [state/] directory or a [pre/] snapshot is
+   gone is damaged: loading it — and so resuming it — is an [Error],
+   never an escaping [Sys_error]. *)
+let test_journal_damaged () =
+  let crashed () =
+    let dir = tmpdir () in
+    let w = start_journal dir in
+    (match
+       Rollback.restore_all ~crash_after:1 w ~restore:(fun ~party:_ ~pre:_ -> ())
+     with
+    | () -> Alcotest.fail "crash hook did not fire"
+    | exception Rollback.Simulated_crash 1 -> ());
+    dir
+  in
+  let expect_error what dir =
+    (match Rollback.load ~dir with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "load without %s must fail" what);
+    match Rollback.resume ~dir ~restore:(fun ~party:_ ~pre:_ -> ()) with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "resume without %s must fail" what
+  in
+  let dir = crashed () in
+  let state = Filename.concat dir "state" in
+  Array.iter (fun f -> Sys.remove (Filename.concat state f)) (Sys.readdir state);
+  Sys.rmdir state;
+  expect_error "state/" dir;
+  let dir = crashed () in
+  Sys.remove (Filename.concat (Filename.concat dir "pre") "B.sexp");
+  expect_error "pre/B.sexp" dir
+
 (* --------------------- protocol: repair & withdrawal ---------------- *)
 
 let test_protocol_repairs () =
@@ -451,6 +482,8 @@ let () =
             test_journal_roundtrip;
           Alcotest.test_case "crash then resume" `Quick
             test_journal_crash_resume;
+          Alcotest.test_case "damaged journal is an error" `Quick
+            test_journal_damaged;
         ] );
       ( "end-to-end",
         [
