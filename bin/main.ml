@@ -423,9 +423,12 @@ let sim_inject t ~profile ~seed ~soak ~inject_at ~adapt ~rollback_journal
             ~rollback:true ?rollback_journal
             ?crash_during_rollback:crash_during_rollback t ~owner:"A" ~changed
         with
-        | exception C.Repair.Rollback.Simulated_crash k ->
+        | exception C.Wal.Run.Simulated_crash k ->
             Fmt.epr "simulated crash after %d rollback restore(s)@." k;
             3
+        | exception Invalid_argument e ->
+            Fmt.epr "%s@." e;
+            2
         | r ->
             Fmt.epr "profile: %a@." C.Sim.Fault.pp profile;
             Fmt.epr "%a@." C.Sim.pp_stats r.C.Sim.stats;
@@ -581,10 +584,11 @@ let sim_cmd =
       & opt (some string) None
       & info [ "rollback-journal" ] ~docv:"DIR"
           ~doc:
-            "Journal the causal rollback into $(docv) (snapshots + one \
-             fsynced record per restored party), so a kill in the middle \
-             finishes with $(b,chorev resume) $(docv) — with stdout \
-             byte-identical to the uninterrupted run.")
+            "Journal the causal rollback into $(docv) (a plan holding the \
+             snapshots, then one fsynced record per restored party), so \
+             a kill in the middle finishes with $(b,chorev resume) \
+             $(docv) — with stdout byte-identical to the uninterrupted \
+             run. Refused if $(docv) already holds a run.")
   in
   let crash_during_rollback_arg =
     Arg.(
@@ -593,7 +597,8 @@ let sim_cmd =
       & info [ "crash-during-rollback" ] ~docv:"K"
           ~doc:
             "Test hook: abort (exit 3) right after committing the \
-             $(docv)-th restore to the rollback journal.")
+             $(docv)-th restore to the rollback journal (0: the plan \
+             alone).")
   in
   Cmd.v
     (Cmd.info "sim"
@@ -670,6 +675,15 @@ let synth_cmd =
 
 (* ------------------------------ evolve ----------------------------- *)
 
+let evolution_cache config =
+  if config.C.Choreography.Evolution.cache then
+    Some (C.Choreography.Evolution.Cache.create ())
+  else None
+
+let print_evolve_outcome (o : C.Journal.Evolve.outcome) =
+  Fmt.pr "%a@." C.Journal.Evolve.pp_outcome o;
+  if o.report.C.Choreography.Evolution.consistent then 0 else 1
+
 let evolve_run () scenario journal crash_after budgets =
   let t = C.Choreography.Model.of_processes (List.map snd P.parties) in
   if not (validate_or_fail t) then 2
@@ -683,13 +697,9 @@ let evolve_run () scenario journal crash_after budgets =
           2
         end
         else (
-          let cache =
-            if config.C.Choreography.Evolution.cache then
-              Some (C.Choreography.Evolution.Cache.create ())
-            else None
-          in
           match
-            C.Choreography.Evolution.run ~config ?cache t ~owner:"A" ~changed
+            C.Choreography.Evolution.run ~config ?cache:(evolution_cache config)
+              t ~owner:"A" ~changed
           with
           | Ok rep ->
               Fmt.pr "%a@." C.Choreography.Evolution.pp_report rep;
@@ -702,16 +712,14 @@ let evolve_run () scenario journal crash_after budgets =
           match C.Wal.Dir.validate_root (Filename.dirname dir) with
           | Error e -> Error e
           | Ok () ->
-              C.Journal.Evolve.run ~config ?crash_after ~dir t ~owner:"A"
-                ~changed
+              C.Journal.Evolve.run ~config ?cache:(evolution_cache config)
+                ?crash_after ~dir t ~owner:"A" ~changed
         with
-        | Ok o ->
-            Fmt.pr "%a@." C.Journal.Evolve.pp_outcome o;
-            if o.C.Journal.Evolve.consistent then 0 else 1
+        | Ok o -> print_evolve_outcome o
         | Error e ->
             Fmt.epr "%s@." e;
             2
-        | exception C.Journal.Evolve.Simulated_crash k ->
+        | exception C.Wal.Run.Simulated_crash k ->
             Fmt.epr "simulated crash after round %d@." k;
             3)
 
@@ -722,10 +730,11 @@ let evolve_cmd =
       & opt (some string) None
       & info [ "journal" ] ~docv:"DIR"
           ~doc:
-            "Journal the run into $(docv): snapshot the choreography, \
-             then commit one checksummed record per round, so a killed \
-             run finishes with $(b,chorev resume) $(docv) — with output \
-             byte-identical to the uninterrupted run.")
+            "Journal the run into $(docv): its plan (the choreography \
+             and the change) in plan.json, then one checksummed record \
+             per round in journal.jsonl, so a killed run finishes with \
+             $(b,chorev resume) $(docv) — with output byte-identical to \
+             the uninterrupted run.")
   in
   let crash_after_arg =
     Arg.(
@@ -733,8 +742,10 @@ let evolve_cmd =
       & opt (some int) None
       & info [ "crash-after" ] ~docv:"K"
           ~doc:
-            "Test hook: abort (exit 3) right after committing round \
-             $(docv) to the journal, as a hard kill at that point would.")
+            "Test hook: abort (exit 3) once the journal holds $(docv) \
+             records (0: the plan alone; record $(docv) is round $(docv), \
+             the last one seals the run), as a hard kill at that point \
+             would.")
   in
   Cmd.v
     (Cmd.info "evolve"
@@ -748,81 +759,71 @@ let evolve_cmd =
 
 (* ------------------------------ resume ----------------------------- *)
 
+(* [chorev resume] dispatches on the run's recorded kind. *)
 let resume_run () dir budgets =
-  if C.Repair.Rollback.journal_exists ~dir then begin
-    (* An interrupted causal rollback: finish the missing restores
-       (journalling them), rebuild the final model from the state
-       snapshots overlaid with the pre-change ones, and print exactly
-       what the uninterrupted run printed. *)
-    let module R = C.Repair.Rollback in
-    match R.resume ~dir ~restore:(fun ~party:_ ~pre:_ -> ()) with
-    | Error e ->
-        Fmt.epr "%s@." e;
-        2
-    | Ok l -> (
-        Fmt.epr "resumed rollback of %d part(ies) from %s@."
-          (List.length l.R.l_meta.R.parties)
-          dir;
-        match
-          List.map
-            (fun (party, sexp) ->
-              let sexp =
-                match List.assoc_opt party l.R.l_pre with
-                | Some s -> s
-                | None -> sexp
-              in
-              match C.Bpel.Sexp.process_of_string sexp with
-              | Ok p -> p
-              | Error e -> failwith (party ^ ": " ^ e))
-            l.R.l_state
-        with
-        | procs ->
-            let m = C.Choreography.Model.of_processes procs in
-            print_string l.R.l_meta.R.prelude;
-            print_heal_tail m;
-            0
-        | exception Failure e ->
-            Fmt.epr "corrupt rollback snapshot: %s@." e;
-            2)
-  end
-  else if C.Migrate.Engine.is_journal dir then
-    (* A migration journal (migrate-plan.json present) — finish the
-       batched migration instead of an evolution run. *)
-    match C.Migrate.Engine.resume ~dir () with
-    | Ok { C.Migrate.Engine.report; replayed } ->
-        Fmt.epr "replayed %d batch(es) from %s@." replayed dir;
-        Fmt.pr "%a@." C.Migrate.Engine.pp_report report;
-        0
-    | Error e ->
-        Fmt.epr "%s@." e;
-        2
-  else
-    let config = budgets C.Choreography.Evolution.default in
-    match C.Journal.Evolve.resume ~config ~dir () with
-    | Ok o ->
-        Fmt.epr "replayed %d round(s) from %s@." o.C.Journal.Evolve.replayed
-          dir;
-        Fmt.pr "%a@." C.Journal.Evolve.pp_outcome o;
-        if o.C.Journal.Evolve.consistent then 0 else 1
-    | Error e ->
-        Fmt.epr "%s@." e;
-        2
+  let fail e =
+    Fmt.epr "%s@." e;
+    2
+  in
+  match C.Wal.Run.kind ~dir with
+  | Error e -> fail e
+  | Ok "rollback" -> (
+      (* An interrupted causal rollback: finish the missing restores,
+         rebuild the final model and print exactly what the
+         uninterrupted run printed. *)
+      let module R = C.Repair.Rollback in
+      match R.resume ~dir ~restore:(fun ~party:_ ~pre:_ -> ()) () with
+      | Error e -> fail e
+      | Ok l -> (
+          Fmt.epr "resumed rollback of %d part(ies) from %s@."
+            (List.length l.R.plan.R.cone) dir;
+          let parse (party, sexp) =
+            match C.Bpel.Sexp.process_of_string sexp with
+            | Ok p -> p
+            | Error e -> failwith (party ^ ": " ^ e)
+          in
+          match
+            C.Choreography.Model.of_processes (List.map parse (R.final_state l.R.plan))
+          with
+          | exception (Failure e | Invalid_argument e) ->
+              fail ("corrupt rollback snapshot: " ^ e)
+          | m ->
+              print_string l.R.plan.R.prelude;
+              print_heal_tail m;
+              0))
+  | Ok "migrate" -> (
+      match C.Migrate.Engine.resume ~dir () with
+      | Ok { C.Migrate.Engine.report; replayed } ->
+          Fmt.epr "replayed %d batch(es) from %s@." replayed dir;
+          Fmt.pr "%a@." C.Migrate.Engine.pp_report report;
+          0
+      | Error e -> fail e)
+  | Ok "evolve" -> (
+      let config = budgets C.Choreography.Evolution.default in
+      match C.Journal.Evolve.resume ~config ?cache:(evolution_cache config) ~dir () with
+      | Ok o ->
+          Fmt.epr "replayed %d round(s) from %s@." o.C.Journal.Evolve.replayed dir;
+          print_evolve_outcome o
+      | Error e -> fail e)
+  | Ok kind ->
+      fail (Printf.sprintf "%s holds a %s run; chorev resume cannot finish it" dir kind)
 
 let resume_cmd =
   Cmd.v
     (Cmd.info "resume"
        ~doc:
-         "Finish a journaled $(b,chorev evolve) or $(b,chorev migrate) \
-          run: replay the committed rounds (or batches) from the \
-          journal, run the rest live, and print the same output the \
-          uninterrupted run would have printed (the replay note goes to \
-          stderr)")
+         "Finish a journaled $(b,chorev evolve), $(b,chorev migrate) or \
+          $(b,chorev sim --rollback-journal) run, as named by the kind \
+          in $(i,DIR)/plan.json: replay the committed rounds, batches or \
+          restores from the journal, run the rest live, and print the \
+          same output the uninterrupted run would have printed (the \
+          replay note goes to stderr)")
     Term.(
       const resume_run $ obs_term
       $ Arg.(
           required
           & pos 0 (some string) None
-          & info [] ~docv:"DIR" ~doc:"Journal directory")
+          & info [] ~docv:"DIR" ~doc:"Run directory")
       $ budget_term)
 
 (* ------------------------------ migrate ---------------------------- *)
@@ -900,7 +901,7 @@ let migrate_run () scenario instances batch seed max_len batch_fuel memo
           | Error e ->
               Fmt.epr "%s@." e;
               2
-          | exception C.Migrate.Engine.Simulated_crash k ->
+          | exception C.Wal.Run.Simulated_crash k ->
               Fmt.epr "simulated crash after batch %d@." k;
               3))
 
@@ -959,10 +960,10 @@ let migrate_cmd =
       & opt (some string) None
       & info [ "journal" ] ~docv:"DIR"
           ~doc:
-            "Journal the migration into $(docv): persist the plan, then \
-             commit one checksummed record per batch, so a killed run \
-             finishes with $(b,chorev resume) $(docv) — with output \
-             byte-identical to the uninterrupted run")
+            "Journal the migration into $(docv): the plan in plan.json, \
+             then one checksummed record per batch in journal.jsonl, so \
+             a killed run finishes with $(b,chorev resume) $(docv) — \
+             with output byte-identical to the uninterrupted run")
   in
   let crash_after_arg =
     Arg.(
@@ -970,8 +971,10 @@ let migrate_cmd =
       & opt (some int) None
       & info [ "crash-after" ] ~docv:"K"
           ~doc:
-            "Test hook: abort (exit 3) right after committing batch \
-             $(docv) to the journal, as a hard kill at that point would")
+            "Test hook: abort (exit 3) once the journal holds $(docv) \
+             records (0: the plan alone; record $(docv) is batch \
+             $(docv), the last one seals the run), as a hard kill at \
+             that point would")
   in
   Cmd.v
     (Cmd.info "migrate"
@@ -1120,20 +1123,29 @@ let serve_run () shards queue batch headroom journal_root mode tenants requests
       let lines = In_channel.input_lines stdin in
       List.iter print_endline (C.Serve.Driver.oracle lines);
       0
-  | `Replay file ->
+  | `Replay file -> (
       let lines = In_channel.with_open_text file In_channel.input_lines in
-      let report = C.Serve.Driver.replay ~options lines in
-      Fmt.pr "%a@." C.Serve.Driver.pp_report report;
-      if report.C.Serve.Driver.errors > 0 then 1 else 0
-  | `Pipe ->
-      let server = C.Serve.Server.create ~options () in
-      (match C.Serve.Server.recovered server with
-      | 0 -> ()
-      | n -> Fmt.epr "recovered %d tenant(s) from %s@." n
-               (Option.value ~default:"" journal_root));
-      let served = C.Serve.Server.run_pipe server stdin stdout in
-      Fmt.epr "served %d request(s)@." served;
-      0
+      match C.Serve.Driver.replay ~options lines with
+      | exception Invalid_argument e ->
+          Fmt.epr "%s@." e;
+          2
+      | report ->
+          Fmt.pr "%a@." C.Serve.Driver.pp_report report;
+          if report.C.Serve.Driver.errors > 0 then 1 else 0)
+  | `Pipe -> (
+      (* an unusable or damaged journal root is one line and exit 2 *)
+      match C.Serve.Server.create ~options () with
+      | exception Invalid_argument e ->
+          Fmt.epr "%s@." e;
+          2
+      | server ->
+          (match C.Serve.Server.recovered server with
+          | 0 -> ()
+          | n -> Fmt.epr "recovered %d tenant(s) from %s@." n
+                   (Option.value ~default:"" journal_root));
+          let served = C.Serve.Server.run_pipe server stdin stdout in
+          Fmt.epr "served %d request(s)@." served;
+          0)
 
 let serve_cmd =
   let shards_arg =
@@ -1168,9 +1180,12 @@ let serve_cmd =
       value & opt (some string) None
       & info [ "journal-root" ] ~docv:"DIR"
           ~doc:
-            "Durable mode: per-tenant journal directories under \
-             $(docv); a restarted server recovers every tenant — \
-             including evolutions interrupted mid-run — byte-identically")
+            "Durable mode: one run directory per tenant under $(docv) \
+             (the registration and its publishes), with one per \
+             evolution inside it; a restarted server recovers every \
+             tenant — including evolutions interrupted mid-run — \
+             byte-identically, and exits 2 naming the file when a run \
+             is damaged")
   in
   let mode_term =
     let gen_script =

@@ -356,8 +356,7 @@ let with_config_sink (config : config) f =
 
 (* Which of a round's auto-adapted partners still propagate: those
    whose regenerated public differs from what the *pre-round* model [t]
-   records for them. Shared with the journal's replay, which must
-   reconstruct pending work exactly as the live loop computed it. *)
+   records for them. *)
 let surviving_pending ?(cache = false) t adapted =
   let public p =
     if cache then Chorev_cache.Memo.public p
@@ -369,50 +368,76 @@ let surviving_pending ?(cache = false) t adapted =
         (Chorev_afsa.Equiv.equal_annotated (public proc') (Model.public t p)))
     adapted
 
+(* Where a run stands between rounds: what a durable driver rebuilds
+   from its journal to continue the loop below. *)
+type progress = {
+  owner : string;
+  model : Model.t;
+  rounds_run : int;
+  pending : (string * Process.t) list;
+}
+
+let start t ~owner ~changed =
+  { owner; model = t; rounds_run = 0; pending = [ (owner, changed) ] }
+
+(* The loop's step, shared by live rounds and replayed ones: partners
+   adapted in the round propagate onward, except back to processes
+   already equal in the pre-round model. *)
+let advance ?cache (p : progress) model adapted =
+  {
+    p with
+    model;
+    rounds_run = p.rounds_run + 1;
+    pending = List.tl p.pending @ surviving_pending ?cache p.model adapted;
+  }
+
+let replay_round (p : progress) ~adapted =
+  match p.pending with
+  | [] -> invalid_arg "Evolution.replay_round: nothing pending"
+  | (_, proc) :: _ ->
+      advance p
+        (List.fold_left
+           (fun m (_, pr) -> Model.update m pr)
+           (Model.update p.model proc) adapted)
+        adapted
+
+let run_from ?(config = default) ?cache ?(on_round = fun _ _ -> ()) p =
+  with_config_sink config @@ fun () ->
+  Metrics.incr c_runs;
+  Obs.span "evolve"
+    ~attrs:[ ("owner", str p.owner); ("max_rounds", int config.max_rounds) ]
+  @@ fun () ->
+  (* The coordinator cache is only honoured when caching is on in the
+     config — [--no-cache] must behave as if no handle was ever
+     created. *)
+  let cache = if config.cache then cache else None in
+  let session = Option.map (fun c -> c.Cache.session) cache in
+  let finish t rounds =
+    {
+      rounds = List.rev rounds;
+      choreography = t;
+      consistent =
+        Consistency.consistent ~pool:(round_pool config) ~cache:config.cache
+          ?session t;
+    }
+  in
+  let rec go (p : progress) rounds =
+    match p.pending with
+    | [] -> finish p.model rounds
+    | _ when p.rounds_run >= config.max_rounds -> finish p.model rounds
+    | (owner, proc) :: _ ->
+        let round, t', adapted = run_round ?cache config p.model owner proc in
+        on_round round adapted;
+        go (advance ~cache:config.cache p t' adapted) (round :: rounds)
+  in
+  go p []
+
 (** Evolve the choreography by replacing [owner]'s private process with
     [changed], under [config]. Total in [owner]. *)
-let run ?(config = default) ?cache t ~owner ~changed =
+let run ?config ?cache t ~owner ~changed =
   match Model.find_party t owner with
   | Error e -> Error e
-  | Ok _ ->
-      Ok
-        ( with_config_sink config @@ fun () ->
-          Metrics.incr c_runs;
-          Obs.span "evolve"
-            ~attrs:
-              [
-                ("owner", str owner);
-                ("max_rounds", int config.max_rounds);
-              ]
-          @@ fun () ->
-          (* The coordinator cache is only honoured when caching is on
-             in the config — [--no-cache] must behave as if no handle
-             was ever created. *)
-          let cache = if config.cache then cache else None in
-          let session = Option.map (fun c -> c.Cache.session) cache in
-          let finish t rounds =
-            {
-              rounds = List.rev rounds;
-              choreography = t;
-              consistent =
-                Consistency.consistent ~pool:(round_pool config)
-                  ~cache:config.cache ?session t;
-            }
-          in
-          let rec go t rounds remaining pending =
-            match pending with
-            | [] -> finish t rounds
-            | _ when remaining = 0 -> finish t rounds
-            | (owner, proc) :: rest ->
-                let round, t', adapted = run_round ?cache config t owner proc in
-                (* partners adapted in this round propagate onward,
-                   except back to processes already equal in the model *)
-                let new_pending =
-                  surviving_pending ~cache:config.cache t adapted
-                in
-                go t' (round :: rounds) (remaining - 1) (rest @ new_pending)
-          in
-          go t [] config.max_rounds [ (owner, changed) ] )
+  | Ok _ -> Ok (run_from ?config ?cache (start t ~owner ~changed))
 
 (** Impact analysis: classify a proposed change against every partner
     without touching the choreography or anyone's private process — the

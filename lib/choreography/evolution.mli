@@ -113,28 +113,43 @@ val run :
     same handle are reused verbatim; the report is structurally
     identical to a cache-less run. *)
 
-val run_round :
-  ?cache:Cache.t ->
-  config ->
-  Model.t ->
-  string ->
-  Chorev_bpel.Process.t ->
-  round * Model.t * (string * Chorev_bpel.Process.t) list
-(** One round of {!run}: replace the originator's private process,
-    classify + propagate to every interacting partner, and return the
-    round report, the updated choreography, and the auto-adapted
-    partners (next rounds' originators). Exposed for the journal's
-    resumable driver; most callers want {!run}. *)
+(** {2 Resumable runs}
 
-val surviving_pending :
-  ?cache:bool ->
-  Model.t ->
-  (string * Chorev_bpel.Process.t) list ->
-  (string * Chorev_bpel.Process.t) list
-(** Which of a round's adapted partners still need their own round:
-    those whose regenerated public differs from the {e pre-round} model.
-    This is exactly the filter {!run}'s loop applies — replay must use
-    the same one to reconstruct pending work byte-identically. *)
+    {!run} is {!start} followed by {!run_from}. A durable driver
+    commits each round through [on_round] and, after a crash, rebuilds
+    the {!progress} from its journal with {!replay_round} before
+    continuing the same loop. *)
+
+type progress = {
+  owner : string;  (** the run's originator *)
+  model : Model.t;  (** the choreography after the rounds run so far *)
+  rounds_run : int;
+  pending : (string * Chorev_bpel.Process.t) list;
+      (** next originators and their changed processes, in order *)
+}
+
+val start : Model.t -> owner:string -> changed:Chorev_bpel.Process.t -> progress
+
+val replay_round :
+  progress -> adapted:(string * Chorev_bpel.Process.t) list -> progress
+(** Advance past a round an earlier run committed: the head of
+    [pending] takes its changed process, each [adapted] partner its new
+    one (in the order the round returned them), and pending work is
+    rebuilt with the live loop's own filter against the pre-round
+    model. No algebra beyond public regeneration runs.
+    @raise Invalid_argument if nothing is pending. *)
+
+val run_from :
+  ?config:config ->
+  ?cache:Cache.t ->
+  ?on_round:(round -> (string * Chorev_bpel.Process.t) list -> unit) ->
+  progress ->
+  report
+(** {!run}'s loop from [progress]: at most [config.max_rounds] rounds
+    in all, counting those already run. [on_round round adapted] sees
+    each round and its auto-adapted partners before the loop moves on —
+    a durable driver's commit point. The report's [rounds] are the
+    rounds this call ran. *)
 
 val dry_run :
   ?config:config ->

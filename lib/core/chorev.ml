@@ -43,8 +43,9 @@
     - {!Guard} — fuel/deadline budgets, cooperative cancellation and
       graceful-degradation markers for the algebra hot loops
       (DESIGN.md §9)
-    - {!Journal} — checksummed write-ahead journal and the resumable
-      crash-safe evolution driver (DESIGN.md §9)
+    - {!Wal} — durable runs (plan.json + checksummed journal.jsonl)
+      under every crash-safe driver, and {!Journal} — the resumable
+      evolution driver on top of them (DESIGN.md §9.3)
     - {!Repair} — self-healing evolution: amendment search over
       counterexample witnesses, and causal rollback of half-propagated
       changes (DESIGN.md §14)
@@ -131,17 +132,15 @@ module Guard = struct
   module Degrade = Chorev_guard.Degrade
 end
 
-(* Crash-safe evolution: write-ahead journal + resumable driver *)
-module Journal = struct
-  include Chorev_journal.Journal
-  module Evolve = Chorev_journal.Evolve
-end
+(* Crash-safe evolution: the [evolve] kind of durable run *)
+module Journal = Chorev_journal
 
-(* The durable substrate the journals sit on (JSON, WAL, fsync'd dirs) *)
+(* The durable substrate every run sits on (JSON, fsync'd files, the
+   plan + checksummed journal run layout) *)
 module Wal = struct
   module Json = Chorev_wal.Json
-  module Wal = Chorev_wal.Wal
   module Dir = Chorev_wal.Dir
+  module Run = Chorev_wal.Run
 end
 
 (* Self-healing repair: amendment search + causal rollback

@@ -1,201 +1,205 @@
-(** The resumable evolution driver: [Evolution.run]'s loop with a
-    [Journal.Round] record committed after every round. See evolve.mli
-    for the recovery invariants. *)
+(** The [evolve] kind of durable run: [Evolution.run_from] with a
+    [Round] record committed after every round. See evolve.mli for the
+    recovery invariants. *)
 
 module Model = Chorev_choreography.Model
 module Evolution = Chorev_choreography.Evolution
-module Consistency = Chorev_choreography.Consistency
+module Process = Chorev_bpel.Process
 module Sexp = Chorev_bpel.Sexp
-module Pool = Chorev_parallel.Pool
+module Json = Chorev_wal.Json
 
-exception Simulated_crash of int
+type plan = { model : Model.t; owner : string; changed : Process.t }
+
+type record =
+  | Round of {
+      index : int;
+      originator : string;
+      adapted : (string * Process.t) list;
+      summary : string;
+    }
+  | Done of { consistent : bool; digest : string }
+
+let model_digest (t : Model.t) =
+  let buf = Buffer.create 1024 in
+  List.iter
+    (fun p ->
+      Buffer.add_string buf p;
+      Buffer.add_char buf '\000';
+      Buffer.add_string buf (Sexp.process_to_string (Model.private_ t p));
+      Buffer.add_char buf '\000')
+    (Model.parties t);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let ( let* ) = Result.bind
+let str = function Some (Json.Str s) -> Ok s | _ -> Error "missing string"
+let sexp = function Json.Str s -> Sexp.process_of_string s | _ -> Error "not a process"
+
+module Kind = struct
+  let kind = "evolve"
+
+  type nonrec plan = plan
+  type nonrec record = record
+
+  let plan_to_json p =
+    Json.Obj
+      [
+        ("owner", Json.Str p.owner);
+        ( "parties",
+          Json.Arr
+            (List.map
+               (fun party ->
+                 Json.Str (Sexp.process_to_string (Model.private_ p.model party)))
+               (Model.parties p.model)) );
+        ("changed", Json.Str (Sexp.process_to_string p.changed));
+      ]
+
+  let plan_of_json j =
+    match (Json.member "owner" j, Json.member "parties" j, Json.member "changed" j) with
+    | Some (Json.Str owner), Some ps, Some changed -> (
+        let* procs = Json.list sexp ps in
+        let* changed = sexp changed in
+        match Model.of_processes procs with
+        | exception (Invalid_argument e | Failure e) -> Error e
+        | model -> (
+            match Model.find_party model owner with
+            | Error (`Unknown_party p) -> Error ("unknown owner " ^ p)
+            | Ok _ when Process.party changed <> owner ->
+                Error "changed process belongs to another party"
+            | Ok _ -> Ok { model; owner; changed }))
+    | _ -> Error "evolve plan: missing field"
+
+  let record_to_json = function
+    | Round { index; originator; adapted; summary } ->
+        Json.Obj
+          [
+            ("rec", Json.Str "round");
+            ("index", Json.Int index);
+            ("originator", Json.Str originator);
+            ( "adapted",
+              Json.Arr
+                (List.map
+                   (fun (p, pr) ->
+                     Json.Arr [ Json.Str p; Json.Str (Sexp.process_to_string pr) ])
+                   adapted) );
+            ("summary", Json.Str summary);
+          ]
+    | Done { consistent; digest } ->
+        Json.Obj
+          [
+            ("rec", Json.Str "done");
+            ("consistent", Json.Bool consistent);
+            ("digest", Json.Str digest);
+          ]
+
+  let record_of_json j =
+    let field k = Json.member k j in
+    match str (field "rec") with
+    | Ok "round" -> (
+        match
+          (field "index", str (field "originator"), field "adapted", str (field "summary"))
+        with
+        | Some (Json.Int index), Ok originator, Some pairs, Ok summary ->
+            let* adapted =
+              Json.list
+                (function
+                  | Json.Arr [ Json.Str p; pr ] -> (
+                      match sexp pr with
+                      | Ok pr when Process.party pr = p -> Ok (p, pr)
+                      | Ok _ -> Error ("round: process of another party for " ^ p)
+                      | Error e -> Error e)
+                  | _ -> Error "round: malformed adapted entry")
+                pairs
+            in
+            Ok (Round { index; originator; adapted; summary })
+        | _ -> Error "round: missing field")
+    | Ok "done" -> (
+        match (field "consistent", str (field "digest")) with
+        | Some (Json.Bool consistent), Ok digest -> Ok (Done { consistent; digest })
+        | _ -> Error "done: missing field")
+    | _ -> Error "unknown record type"
+
+  let is_seal = function Done _ -> true | Round _ -> false
+end
+
+module Run = Chorev_wal.Run.Make (Kind)
 
 type outcome = {
+  report : Evolution.report;
   round_logs : string list;
-  consistent : bool;
   digest : string;
-  choreography : Model.t;
   replayed : int;
 }
 
-(* Mirrors of [Evolution.run]'s private helpers: the journaled loop must
-   use the same pool and sink policy so it computes the same rounds. *)
-let round_pool (config : Evolution.config) =
-  Pool.sized (if config.jobs > 0 then config.jobs else Pool.default_size ())
-
-let with_config_sink (config : Evolution.config) f =
-  match config.obs with
-  | None -> f ()
-  | Some sink -> Chorev_obs.Obs.with_sink sink f
-
-let summary_of_round r = Fmt.str "%a" Evolution.pp_round r
-
-(* The live tail of the loop, identical to [Evolution.run]'s [go]
-   except that every round is journaled before the loop advances
-   (write-ahead: the record is durable before its effects are built
-   upon) and [Done] seals the run. *)
-let live w (config : Evolution.config) ?crash_after ~replayed t logs remaining
-    pending k =
-  let finish t logs =
-    let consistent = Consistency.consistent ~pool:(round_pool config) t in
-    let digest = Journal.model_digest t in
-    Journal.append w (Journal.Done { consistent; digest });
-    Journal.close w;
-    {
-      round_logs = List.rev logs;
-      consistent;
-      digest;
-      choreography = t;
-      replayed;
-    }
+(* The live tail: [Evolution]'s own loop, with each round committed
+   before the loop builds on it and [Done] sealing the run. *)
+let live ?config ?cache run ~logs (p : Evolution.progress) =
+  let index = ref p.rounds_run and logs = ref (List.rev logs) in
+  let on_round (round : Evolution.round) adapted =
+    let summary = Fmt.str "%a" Evolution.pp_round round in
+    Run.commit run
+      (Round
+         {
+           index = !index;
+           originator = round.originator;
+           adapted;
+           summary;
+         });
+    incr index;
+    logs := summary :: !logs
   in
-  let rec go t logs remaining pending k =
-    match pending with
-    | [] -> finish t logs
-    | _ when remaining <= 0 -> finish t logs
-    | (owner, proc) :: rest ->
-        let round, t', adapted = Evolution.run_round config t owner proc in
-        let summary = summary_of_round round in
-        Journal.append w
-          (Journal.Round
-             {
-               index = k;
-               originator = owner;
-               changed = Sexp.process_to_string proc;
-               adapted =
-                 List.map
-                   (fun (p, pr) -> (p, Sexp.process_to_string pr))
-                   adapted;
-               summary;
-             });
-        (match crash_after with
-        | Some c when k + 1 >= c ->
-            Journal.close w;
-            raise (Simulated_crash (k + 1))
-        | _ -> ());
-        (* pending reconstruction against the pre-round model [t] — the
-           exact filter [Evolution.run] applies *)
-        let new_pending = Evolution.surviving_pending t adapted in
-        go t' (summary :: logs) (remaining - 1) (rest @ new_pending) (k + 1)
-  in
-  go t logs remaining pending k
+  let report = Evolution.run_from ?config ?cache ~on_round p in
+  let digest = model_digest report.choreography in
+  Run.commit run (Done { consistent = report.consistent; digest });
+  { report; round_logs = List.rev !logs; digest; replayed = p.rounds_run }
 
-let run ?(config = Evolution.default) ?crash_after ~dir t ~owner ~changed =
+let run ?config ?cache ?crash_after ~dir t ~owner ~changed =
   match Model.find_party t owner with
   | Error (`Unknown_party p) -> Error (Printf.sprintf "unknown party %s" p)
   | Ok _ ->
-      if Chorev_wal.Dir.has_journal dir then
-        Error
-          (Printf.sprintf "%s already holds a journal; use resume instead" dir)
-      else (
-        Journal.write_snapshot ~dir t ~changed;
-        let w = Journal.create ~dir in
-        Journal.append w
-          (Journal.Start
-             {
-               owner;
-               parties = Model.parties t;
-               digest = Journal.model_digest t;
-             });
+      let* run = Run.create ?crash_after ~dir { model = t; owner; changed } in
+      Ok (live ?config ?cache run ~logs:[] (Evolution.start t ~owner ~changed))
+
+(* A journaled adapted process must belong to a party of the model. *)
+let known (p : Evolution.progress) adapted =
+  List.for_all (fun (party, _) -> Model.member p.model party <> None) adapted
+
+(* Replay the committed rounds — no algebra is re-run; the model
+   advances by the recorded processes. *)
+let rec replay (p : Evolution.progress) logs = function
+  | Round { index; originator; adapted; summary } :: more -> (
+      match p.pending with
+      | (o, _) :: _
+        when index = p.rounds_run && String.equal o originator && known p adapted ->
+          replay (Evolution.replay_round p ~adapted) (summary :: logs) more
+      | _ ->
+          Error
+            (Printf.sprintf "round %d by %s does not follow the replayed state"
+               index originator))
+  | [ Done { consistent; digest } ] ->
+      if model_digest p.model <> digest then
+        Error "sealed journal digest diverges from the replayed state"
+      else
         Ok
-          ( with_config_sink config @@ fun () ->
-            live w config ?crash_after ~replayed:0 t [] config.max_rounds
-              [ (owner, changed) ]
-              0 ))
+          (`Sealed
+            {
+              report = { Evolution.rounds = []; choreography = p.model; consistent };
+              round_logs = List.rev logs;
+              digest;
+              replayed = p.rounds_run;
+            })
+  | [] -> Ok (`Open (p, List.rev logs))
+  | Done _ :: _ -> Error "records after the seal"
 
-let decode_adapted pairs =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | (p, s) :: rest -> (
-        match Sexp.process_of_string s with
-        | Ok proc -> go ((p, proc) :: acc) rest
-        | Error e -> Error (Printf.sprintf "adapted process of %s: %s" p e))
-  in
-  go [] pairs
-
-let resume ?(config = Evolution.default) ~dir () =
-  match Journal.read ~dir with
-  | Error e -> Error e
-  | Ok { records = []; _ } ->
-      Error (Printf.sprintf "journal in %s holds no complete record" dir)
-  | Ok { records = Journal.Start { owner; digest = start_digest; _ } :: rest;
-         valid_bytes;
-         torn = _;
-       } -> (
-      match Journal.read_snapshot ~dir with
-      | Error e -> Error e
-      | Ok (t, changed) ->
-          if Journal.model_digest t <> start_digest then
-            Error "snapshot does not match the journal's start record"
-          else
-            (* Replay committed rounds from the journal — no algebra is
-               re-run; the model advances by the recorded processes and
-               pending work is rebuilt with the live loop's own
-               pre-round filter. *)
-            let rec replay t logs remaining pending k = function
-              | Journal.Round { index; originator; changed; adapted; summary }
-                :: more -> (
-                  if index <> k then
-                    Error
-                      (Printf.sprintf
-                         "journal out of order: expected round %d, found %d" k
-                         index)
-                  else
-                    match pending with
-                    | (p, _) :: rest_pending when String.equal p originator -> (
-                        match
-                          (Sexp.process_of_string changed, decode_adapted adapted)
-                        with
-                        | Error e, _ -> Error ("changed process: " ^ e)
-                        | _, Error e -> Error e
-                        | Ok proc, Ok adapted ->
-                            let pre = t in
-                            let t = Model.update t proc in
-                            let t =
-                              List.fold_left
-                                (fun m (_, pr) -> Model.update m pr)
-                                t adapted
-                            in
-                            let pending =
-                              rest_pending
-                              @ Evolution.surviving_pending pre adapted
-                            in
-                            replay t (summary :: logs) (remaining - 1) pending
-                              (k + 1) more)
-                    | _ ->
-                        Error
-                          (Printf.sprintf
-                             "journal does not match replay state: round %d \
-                              originated by %s but %s was pending"
-                             k originator
-                             (match pending with
-                             | (p, _) :: _ -> p
-                             | [] -> "nothing")) )
-              | [ Journal.Done { consistent; digest } ] ->
-                  Ok
-                    (`Complete
-                      {
-                        round_logs = List.rev logs;
-                        consistent;
-                        digest;
-                        choreography = t;
-                        replayed = k;
-                      })
-              | [] -> Ok (`Partial (t, logs, remaining, pending, k))
-              | Journal.Start _ :: _ -> Error "unexpected second start record"
-              | Journal.Done _ :: _ -> Error "records found after done"
-            in
-            (match replay t [] config.max_rounds [ (owner, changed) ] 0 rest with
-            | Error e -> Error e
-            | Ok (`Complete o) -> Ok o
-            | Ok (`Partial (t, logs, remaining, pending, k)) ->
-                let w = Journal.reopen ~dir ~valid_bytes in
-                Ok
-                  ( with_config_sink config @@ fun () ->
-                    live w config ~replayed:k t logs remaining pending k )))
-  | Ok _ -> Error "journal does not begin with a start record"
+let resume ?config ?cache ?crash_after ~dir () =
+  let* l = Run.load ~dir in
+  let { model; owner; changed } = l.plan in
+  match replay (Evolution.start model ~owner ~changed) [] l.records with
+  | Error e -> Error (Printf.sprintf "%s: %s" (Filename.concat dir "journal.jsonl") e)
+  | Ok (`Sealed o) -> Ok o
+  | Ok (`Open (p, logs)) ->
+      Ok (live ?config ?cache (Run.reopen ?crash_after ~dir l) ~logs p)
 
 let pp_outcome ppf o =
   Fmt.pf ppf "@[<v>%a@,choreography consistent: %b@,model digest: %s@]"
     (Fmt.list ~sep:Fmt.cut Fmt.string)
-    o.round_logs o.consistent o.digest
+    o.round_logs o.report.consistent o.digest

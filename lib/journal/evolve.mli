@@ -1,60 +1,79 @@
-(** Crash-safe evolution: {!Chorev_choreography.Evolution.run}'s loop,
-    journaled round-by-round so a killed run can {!resume} to the exact
-    round where the process died and finish with a byte-identical
-    outcome.
+(** Crash-safe evolution: {!Chorev_choreography.Evolution.run_from}
+    with one durable record per round, as the [evolve] kind of
+    {!Chorev_wal.Run} (DESIGN.md "Durable runs"). A killed run
+    {!resume}s at the round where the process died and finishes with a
+    byte-identical outcome.
 
-    Recovery invariants (DESIGN.md §9):
+    - The plan is the pre-change model (every party's private process),
+      the owner and its changed process.
+    - A [Round] record is the commit point of its round: it is durable
+      {e before} the loop moves on, so on restart every committed round
+      is replayed from its record and every other round runs live.
+    - Replay never re-runs the algebra: the record holds each adapted
+      partner's new private process (an exact-round-tripping sexp on
+      disk), and {!Chorev_choreography.Evolution.replay_round} rebuilds the
+      pending work with the live loop's own filter.
+    - [Done] seals the run with the final model's digest, which a
+      sealed replay recomputes and checks. *)
 
-    - a [Round] record is the commit point of its round: it is appended
-      (and fsynced) {e before} the loop moves on, so on restart every
-      journaled round is replayed from the record and every
-      non-journaled round is recomputed live;
-    - replay never re-runs the algebra: the journal stores the
-      originator's changed process and each adapted partner's new
-      private process as exact-round-tripping sexps, and pending work
-      is reconstructed with [Evolution.surviving_pending] against the
-      same pre-round model the live loop used;
-    - a torn final line (the partial write of the crash) is dropped and
-      truncated away before the resumed writer appends. *)
+type plan = {
+  model : Chorev_choreography.Model.t;  (** before the change *)
+  owner : string;
+  changed : Chorev_bpel.Process.t;  (** the owner's new private process *)
+}
 
-exception Simulated_crash of int
-(** Raised by {!run} after committing round [k] when
-    [crash_after = Some k] — the test hook for kill-and-resume
-    round-trips. The journal is left exactly as a hard kill at that
-    point would leave it (minus the torn tail, which {!resume} also
-    tolerates). *)
+type record =
+  | Round of {
+      index : int;
+      originator : string;
+      adapted : (string * Chorev_bpel.Process.t) list;
+          (** auto-adapted partners and their new private processes, in
+              the order the round returned them *)
+      summary : string;  (** rendered [Evolution.pp_round] *)
+    }
+  | Done of { consistent : bool; digest : string }
+
+module Kind :
+  Chorev_wal.Run.KIND with type plan = plan and type record = record
+(** The [evolve] codec. *)
 
 type outcome = {
-  round_logs : string list;
-      (** rendered [Evolution.pp_round], one per executed round *)
-  consistent : bool;
-  digest : string;  (** {!Journal.model_digest} of the final model *)
-  choreography : Chorev_choreography.Model.t;
+  report : Chorev_choreography.Evolution.report;
+      (** final model and verdict; [rounds] holds the rounds this call
+          ran live (all of them for a fresh run, none for a sealed
+          replay) *)
+  round_logs : string list;  (** every round, replayed ones included *)
+  digest : string;  (** {!model_digest} of the final model *)
   replayed : int;  (** rounds restored from the journal (0 = fresh run) *)
 }
 
 val run :
   ?config:Chorev_choreography.Evolution.config ->
+  ?cache:Chorev_choreography.Evolution.Cache.t ->
   ?crash_after:int ->
   dir:string ->
   Chorev_choreography.Model.t ->
   owner:string ->
   changed:Chorev_bpel.Process.t ->
   (outcome, string) result
-(** Journaled evolution into [dir] (which must not already hold a
-    journal). Snapshot first, then one [Round] record per round, then
-    [Done]. *)
+(** Journaled evolution into [dir], which must not already hold a run.
+    [crash_after] is the {!Chorev_wal.Run.Simulated_crash} hook. *)
 
 val resume :
   ?config:Chorev_choreography.Evolution.config ->
+  ?cache:Chorev_choreography.Evolution.Cache.t ->
+  ?crash_after:int ->
   dir:string ->
   unit ->
   (outcome, string) result
-(** Finish a (possibly interrupted) journaled run. Completed rounds are
-    replayed from the journal; remaining rounds run live and are
-    journaled; a run whose [Done] record is present just reports it.
-    [config] must match the original run's ([max_rounds], budgets,
-    [jobs] do not affect results but [auto_apply] and budgets do). *)
+(** Finish a (possibly interrupted) run: committed rounds are replayed,
+    the rest run live and are committed; a sealed run is replayed and
+    its digest checked. [config] must match the original run's
+    ([auto_apply] and budgets change results; [jobs] does not). *)
+
+val model_digest : Chorev_choreography.Model.t -> string
+(** Hex digest over every party's name and private-process sexp, in
+    party order — two models with equal digests evolve identically. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
 (** The stable textual form both [chorev evolve --journal] and

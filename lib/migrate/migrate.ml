@@ -39,8 +39,6 @@ module Budget = Chorev_guard.Budget
 module Pool = Chorev_parallel.Pool
 module Lru = Chorev_cache.Lru
 module Json = Chorev_wal.Json
-module Wal = Chorev_wal.Wal
-module Dir = Chorev_wal.Dir
 
 (* ------------------------------------------------------------------ *)
 (* Options, batches, reports                                           *)
@@ -397,137 +395,12 @@ let build_plan plan =
       List.iter (Population.populate vs) plan.pops;
       vs
 
-let plan_digest plan =
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun a ->
-      Buffer.add_string buf (Serialize.to_string a);
-      Buffer.add_char buf '\000')
-    plan.publics;
-  Buffer.add_string buf (Serialize.to_string plan.target);
-  List.iter
-    (fun (s : Population.spec) ->
-      Buffer.add_string buf
-        (Printf.sprintf "\000%d:%d:%d:%d:%s" s.version s.count s.seed s.max_len
-           s.prefix))
-    plan.pops;
-  Buffer.add_string buf
-    (Printf.sprintf "\000%d:%s:%d" plan.batch_size
-       (match plan.batch_fuel with None -> "-" | Some f -> string_of_int f)
-       plan.memo_capacity);
-  Digest.to_hex (Digest.string (Buffer.contents buf))
-
 (* ------------------------------------------------------------------ *)
-(* Journal layout                                                      *)
+(* Durable runs                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let plan_file dir = Filename.concat dir "migrate-plan.json"
-let journal_path dir = Filename.concat dir "journal.jsonl"
-let public_file dir k = Filename.concat dir (Printf.sprintf "public-%03d.afsa" k)
-let target_file dir = Filename.concat dir "target.afsa"
-
-let is_journal dir = Sys.file_exists (plan_file dir)
-
-let spec_to_json (s : Population.spec) =
-  Json.Obj
-    [
-      ("version", Json.Int s.version);
-      ("count", Json.Int s.count);
-      ("seed", Json.Int s.seed);
-      ("max_len", Json.Int s.max_len);
-      ("prefix", Json.Str s.prefix);
-    ]
-
-let spec_of_json j =
-  let int k = match Json.member k j with Some (Json.Int i) -> Some i | _ -> None in
-  let str k = match Json.member k j with Some (Json.Str s) -> Some s | _ -> None in
-  match (int "version", int "count", int "seed", int "max_len", str "prefix") with
-  | Some version, Some count, Some seed, Some max_len, Some prefix ->
-      Ok { Population.version; count; seed; max_len; prefix }
-  | _ -> Error "population spec: missing field"
-
-let write_plan ~dir plan =
-  Dir.mkdir_p dir;
-  List.iteri
-    (fun i a -> Dir.write_atomic (public_file dir (i + 1)) (Serialize.to_string a))
-    plan.publics;
-  Dir.write_atomic (target_file dir) (Serialize.to_string plan.target);
-  let j =
-    Json.Obj
-      [
-        ("rec", Json.Str "migrate-plan");
-        ("versions", Json.Int (List.length plan.publics));
-        ("batch", Json.Int plan.batch_size);
-        ( "batch_fuel",
-          match plan.batch_fuel with None -> Json.Null | Some f -> Json.Int f );
-        ("memo", Json.Int plan.memo_capacity);
-        ("pops", Json.Arr (List.map spec_to_json plan.pops));
-        ("digest", Json.Str (plan_digest plan));
-      ]
-  in
-  Dir.write_atomic (plan_file dir) (Json.to_string j)
-
-let read_plan ~dir =
-  let ( let* ) = Result.bind in
-  if not (Sys.file_exists (plan_file dir)) then
-    Error (Printf.sprintf "no migration plan at %s" (plan_file dir))
-  else
-    let* j = Json.of_string (Dir.read_file (plan_file dir)) in
-    let int k = match Json.member k j with Some (Json.Int i) -> Some i | _ -> None in
-    let str k = match Json.member k j with Some (Json.Str s) -> Some s | _ -> None in
-    match (str "rec", int "versions", int "batch", int "memo", Json.member "pops" j, str "digest") with
-    | Some "migrate-plan", Some versions, Some batch, Some memo, Some (Json.Arr pops), Some digest ->
-        let batch_fuel =
-          match Json.member "batch_fuel" j with
-          | Some (Json.Int f) -> Some f
-          | _ -> None
-        in
-        let* pops =
-          List.fold_left
-            (fun acc p ->
-              let* acc = acc in
-              let* s = spec_of_json p in
-              Ok (s :: acc))
-            (Ok []) pops
-        in
-        let pops = List.rev pops in
-        let load path =
-          if Sys.file_exists path then Serialize.of_string (Dir.read_file path)
-          else Error (Printf.sprintf "missing %s" path)
-        in
-        let* publics =
-          List.fold_left
-            (fun acc k ->
-              let* acc = acc in
-              let* a = load (public_file dir k) in
-              Ok (a :: acc))
-            (Ok [])
-            (List.init versions (fun i -> i + 1))
-        in
-        let publics = List.rev publics in
-        let* target = load (target_file dir) in
-        let plan =
-          {
-            publics;
-            target;
-            pops;
-            batch_size = batch;
-            batch_fuel;
-            memo_capacity = memo;
-          }
-        in
-        if plan_digest plan <> digest then
-          Error (Printf.sprintf "%s: plan digest mismatch" (plan_file dir))
-        else Ok plan
-    | _ -> Error (Printf.sprintf "%s: malformed plan" (plan_file dir))
-
-(* ------------------------------------------------------------------ *)
-(* Checkpoint records                                                  *)
-(* ------------------------------------------------------------------ *)
-
-type rec_t =
-  | R_start of { digest : string; total : int; batches : int }
-  | R_batch of {
+type record =
+  | Batch of {
       index : int;
       deferred : bool;
       fuel : int;
@@ -537,7 +410,9 @@ type rec_t =
       hits : int;
       entries : (string * Compliance.disposition * int) list;
     }
-  | R_done of { digest : string }
+  | Done of { digest : string }
+
+let ( let* ) = Result.bind
 
 let disp_to_int = function
   | Compliance.Migrate -> 0
@@ -550,92 +425,128 @@ let disp_of_int = function
   | 2 -> Ok Compliance.Stuck
   | n -> Error (Printf.sprintf "batch: bad disposition %d" n)
 
-let rec_to_json = function
-  | R_start { digest; total; batches } ->
-      Json.Obj
-        [
-          ("rec", Json.Str "start");
-          ("digest", Json.Str digest);
-          ("total", Json.Int total);
-          ("batches", Json.Int batches);
-        ]
-  | R_batch { index; deferred; fuel; migrated; finishing; stuck; hits; entries }
-    ->
-      Json.Obj
-        [
-          ("rec", Json.Str "batch");
-          ("index", Json.Int index);
-          ("deferred", Json.Bool deferred);
-          ("fuel", Json.Int fuel);
-          ("migrated", Json.Int migrated);
-          ("finishing", Json.Int finishing);
-          ("stuck", Json.Int stuck);
-          ("hits", Json.Int hits);
-          ( "entries",
-            Json.Arr
-              (List.map
-                 (fun (k, d, f) ->
-                   Json.Arr [ Json.Str k; Json.Int (disp_to_int d); Json.Int f ])
-                 entries) );
-        ]
-  | R_done { digest } ->
-      Json.Obj [ ("rec", Json.Str "done"); ("digest", Json.Str digest) ]
+(* The [migrate] codec: the plan carries the serialized version
+   history and target, never a trace — [build_plan] regenerates the
+   population. *)
+module Kind = struct
+  let kind = "migrate"
 
-let rec_of_json j =
-  let ( let* ) = Result.bind in
-  let int k = match Json.member k j with Some (Json.Int i) -> Some i | _ -> None in
-  let str k = match Json.member k j with Some (Json.Str s) -> Some s | _ -> None in
-  match str "rec" with
-  | Some "start" -> (
-      match (str "digest", int "total", int "batches") with
-      | Some digest, Some total, Some batches ->
-          Ok (R_start { digest; total; batches })
-      | _ -> Error "start: missing field")
-  | Some "batch" -> (
-      match
-        ( int "index",
-          Json.member "deferred" j,
-          int "fuel",
-          int "migrated",
-          int "finishing",
-          int "stuck",
-          int "hits",
-          Json.member "entries" j )
-      with
-      | Some index, Some (Json.Bool deferred), Some fuel, Some migrated,
-        Some finishing, Some stuck, Some hits, Some (Json.Arr es) ->
-          let* entries =
-            List.fold_left
-              (fun acc e ->
-                let* acc = acc in
-                match e with
-                | Json.Arr [ Json.Str k; Json.Int d; Json.Int f ] ->
-                    let* d = disp_of_int d in
-                    Ok ((k, d, f) :: acc)
-                | _ -> Error "batch: malformed entry")
-              (Ok []) es
-          in
-          Ok
-            (R_batch
-               {
-                 index;
-                 deferred;
-                 fuel;
-                 migrated;
-                 finishing;
-                 stuck;
-                 hits;
-                 entries = List.rev entries;
-               })
-      | _ -> Error "batch: missing field")
-  | Some "done" -> (
-      match str "digest" with
-      | Some digest -> Ok (R_done { digest })
-      | _ -> Error "done: missing field")
-  | _ -> Error "unknown record type"
+  type nonrec plan = plan
+  type nonrec record = record
 
-let rec_of_outcome index (out : batch_outcome) =
-  R_batch
+  let int j k = match Json.member k j with Some (Json.Int i) -> Some i | _ -> None
+  let str j k = match Json.member k j with Some (Json.Str s) -> Some s | _ -> None
+  let afsa a = Json.Str (Serialize.to_string a)
+
+  let afsa_of = function
+    | Json.Str s -> Serialize.of_string s
+    | _ -> Error "migrate plan: malformed automaton"
+
+  let spec_to_json (s : Population.spec) =
+    Json.Obj
+      [
+        ("version", Json.Int s.version);
+        ("count", Json.Int s.count);
+        ("seed", Json.Int s.seed);
+        ("max_len", Json.Int s.max_len);
+        ("prefix", Json.Str s.prefix);
+      ]
+
+  let spec_of_json j =
+    match
+      (int j "version", int j "count", int j "seed", int j "max_len", str j "prefix")
+    with
+    | Some version, Some count, Some seed, Some max_len, Some prefix ->
+        Ok { Population.version; count; seed; max_len; prefix }
+    | _ -> Error "population spec: missing field"
+
+  let plan_to_json (p : plan) =
+    Json.Obj
+      [
+        ("publics", Json.Arr (List.map afsa p.publics));
+        ("target", afsa p.target);
+        ("pops", Json.Arr (List.map spec_to_json p.pops));
+        ("batch", Json.Int p.batch_size);
+        ("batch_fuel", match p.batch_fuel with None -> Json.Null | Some f -> Json.Int f);
+        ("memo", Json.Int p.memo_capacity);
+      ]
+
+  let plan_of_json j =
+    match
+      (Json.member "publics" j, Json.member "target" j, Json.member "pops" j,
+       int j "batch", Json.member "batch_fuel" j, int j "memo")
+    with
+    | Some (Json.Arr (_ :: _) as publics), Some target, Some pops, Some batch_size,
+      Some fuel, Some memo_capacity
+      when batch_size >= 1 -> (
+        let* publics = Json.list afsa_of publics in
+        let* target = afsa_of target in
+        let* pops = Json.list spec_of_json pops in
+        match fuel with
+        | Json.Null ->
+            Ok { publics; target; pops; batch_size; batch_fuel = None; memo_capacity }
+        | Json.Int f ->
+            Ok { publics; target; pops; batch_size; batch_fuel = Some f; memo_capacity }
+        | _ -> Error "migrate plan: malformed batch_fuel")
+    | _ -> Error "migrate plan: missing field"
+
+  let record_to_json = function
+    | Batch { index; deferred; fuel; migrated; finishing; stuck; hits; entries } ->
+        Json.Obj
+          [
+            ("rec", Json.Str "batch");
+            ("index", Json.Int index);
+            ("deferred", Json.Bool deferred);
+            ("fuel", Json.Int fuel);
+            ("migrated", Json.Int migrated);
+            ("finishing", Json.Int finishing);
+            ("stuck", Json.Int stuck);
+            ("hits", Json.Int hits);
+            ( "entries",
+              Json.Arr
+                (List.map
+                   (fun (k, d, f) ->
+                     Json.Arr [ Json.Str k; Json.Int (disp_to_int d); Json.Int f ])
+                   entries) );
+          ]
+    | Done { digest } ->
+        Json.Obj [ ("rec", Json.Str "done"); ("digest", Json.Str digest) ]
+
+  let record_of_json j =
+    match str j "rec" with
+    | Some "batch" -> (
+        match
+          ( int j "index", Json.member "deferred" j, int j "fuel", int j "migrated",
+            int j "finishing", int j "stuck", int j "hits", Json.member "entries" j )
+        with
+        | Some index, Some (Json.Bool deferred), Some fuel, Some migrated,
+          Some finishing, Some stuck, Some hits, Some es ->
+            let* entries =
+              Json.list
+                (function
+                  | Json.Arr [ Json.Str k; Json.Int d; Json.Int f ] ->
+                      let* d = disp_of_int d in
+                      Ok (k, d, f)
+                  | _ -> Error "batch: malformed entry")
+                es
+            in
+            Ok
+              (Batch
+                 { index; deferred; fuel; migrated; finishing; stuck; hits; entries })
+        | _ -> Error "batch: missing field")
+    | Some "done" -> (
+        match str j "digest" with
+        | Some digest -> Ok (Done { digest })
+        | None -> Error "done: missing field")
+    | _ -> Error "unknown record type"
+
+  let is_seal = function Done _ -> true | Batch _ -> false
+end
+
+module Run = Chorev_wal.Run.Make (Kind)
+
+let record_of_outcome index (out : batch_outcome) =
+  Batch
     {
       index;
       deferred = out.b.deferred;
@@ -653,7 +564,7 @@ let rec_of_outcome index (out : batch_outcome) =
    else means the journal does not belong to this plan. *)
 let replay_batch engine index r =
   match r with
-  | R_batch rb when rb.index = index ->
+  | Batch rb when rb.index = index ->
       let lo, hi = slice engine index in
       let found, work = lookup_phase engine lo hi in
       if rb.deferred then
@@ -679,133 +590,53 @@ let replay_batch engine index r =
               (Printf.sprintf "batch %d: replayed counters diverge from journal"
                  index)
           else Ok out
-  | R_batch rb ->
+  | Batch rb ->
       Error (Printf.sprintf "expected batch %d, journal has %d" index rb.index)
-  | _ -> Error (Printf.sprintf "expected batch %d, found another record" index)
-
-(* ------------------------------------------------------------------ *)
-(* Journaled run / resume                                              *)
-(* ------------------------------------------------------------------ *)
-
-exception Simulated_crash of int
-(** Raised by the [crash_after] test hook after that many batches have
-    been committed to the journal. *)
+  | Done _ -> Error (Printf.sprintf "journal sealed before batch %d" index)
 
 type journaled = { report : report; replayed : int }
 
-let run_live engine w ~from_batch ~crash_after rev_batches =
+let run_live engine run ~from_batch rev_batches =
   let batches = ref rev_batches in
   for index = from_batch to num_batches engine - 1 do
     let out = run_batch_live engine index in
-    Wal.append w (rec_to_json (rec_of_outcome index out));
-    batches := out.b :: !batches;
-    match crash_after with
-    | Some k when index + 1 = k -> raise (Simulated_crash k)
-    | _ -> ()
+    Run.commit run (record_of_outcome index out);
+    batches := out.b :: !batches
   done;
   let report = mk_report engine !batches in
-  Wal.append w (rec_to_json (R_done { digest = report.digest }));
+  Run.commit run (Done { digest = report.digest });
   report
 
-(** Run a plan under a journal directory. The directory must not
-    already hold a migration journal. [crash_after k] raises
-    {!Simulated_crash} after committing batch [k] (1-based) — the
-    kill-and-resume test hook. *)
-let run_journaled ?pool ?crash_after ~dir plan =
-  if is_journal dir || Sys.file_exists (journal_path dir) then
-    Error
-      (Printf.sprintf "%s: migration journal already exists (resume instead)"
-         dir)
-  else begin
-    write_plan ~dir plan;
-    let vs = build_plan plan in
-    let engine = prepare vs plan.target (options_of_plan ?pool plan) in
-    let w = Wal.open_append ~path:(journal_path dir) in
-    Fun.protect
-      ~finally:(fun () -> Wal.close w)
-      (fun () ->
-        Wal.append w
-          (rec_to_json
-             (R_start
-                {
-                  digest = plan_digest plan;
-                  total = Array.length engine.items;
-                  batches = num_batches engine;
-                }));
-        Ok (run_live engine w ~from_batch:0 ~crash_after []))
-  end
+let engine_of ?pool plan =
+  prepare (build_plan plan) plan.target (options_of_plan ?pool plan)
 
-(** Resume (or verify) a journaled migration: replay the committed
-    batches against the rebuilt plan state, then run the remaining
-    ones. The final report is byte-identical to an uninterrupted
-    run's. *)
-let resume ?pool ~dir () =
-  let ( let* ) = Result.bind in
-  let* plan = read_plan ~dir in
-  let* { Wal.records; torn = _; valid_bytes } =
-    Wal.read ~path:(journal_path dir) ~decode:rec_of_json
-  in
-  let vs = build_plan plan in
-  let engine = prepare vs plan.target (options_of_plan ?pool plan) in
-  let expected_digest = plan_digest plan in
-  let* start, rest =
-    match records with
-    | R_start { digest; total; batches = _ } :: rest ->
-        Ok (Some (digest, total), rest)
-    | [] -> Ok (None, [])
-    | _ :: _ -> Error "journal does not begin with a start record"
-  in
-  let* () =
-    match start with
-    | None -> Ok ()
-    | Some (digest, total) ->
-        if digest <> expected_digest then
-          Error "journal belongs to a different plan (start digest mismatch)"
-        else if total <> Array.length engine.items then
-          Error "journal belongs to a different plan (instance totals diverge)"
-        else Ok ()
-  in
-  let rec replay acc index = function
-    | [] -> Ok (acc, index, false)
-    | [ R_done _ ] ->
-        if index < num_batches engine then
-          Error "journal sealed before every batch was committed"
-        else Ok (acc, index, true)
-    | R_done _ :: _ -> Error "records after the done record"
+let run_journaled ?pool ?crash_after ~dir plan =
+  let* run = Run.create ?crash_after ~dir plan in
+  Ok (run_live (engine_of ?pool plan) run ~from_batch:0 [])
+
+let resume ?pool ?crash_after ~dir () =
+  let* l = Run.load ~dir in
+  let fail file e = Error (Printf.sprintf "%s: %s" (Filename.concat dir file) e) in
+  let rec replay engine acc index = function
+    | [] | [ Done _ ] -> Ok (acc, index)
     | r :: rest ->
         let* out = replay_batch engine index r in
-        replay (out.b :: acc) (index + 1) rest
+        replay engine (out.b :: acc) (index + 1) rest
   in
-  let* rev_batches, replayed, sealed = replay [] 0 rest in
-  if sealed then begin
-    let report = mk_report engine rev_batches in
-    let* () =
-      match List.rev rest with
-      | R_done { digest } :: _ when digest <> report.digest ->
-          Error "sealed journal digest diverges from the replayed state"
-      | _ -> Ok ()
-    in
-    Ok { report; replayed }
-  end
-  else begin
-    let w =
-      if start = None then Wal.open_append ~path:(journal_path dir)
-      else Wal.reopen ~path:(journal_path dir) ~valid_bytes
-    in
-    Fun.protect
-      ~finally:(fun () -> Wal.close w)
-      (fun () ->
-        if start = None then
-          Wal.append w
-            (rec_to_json
-               (R_start
-                  {
-                    digest = expected_digest;
-                    total = Array.length engine.items;
-                    batches = num_batches engine;
-                  }));
-        let report =
-          run_live engine w ~from_batch:replayed ~crash_after:None rev_batches
-        in
-        Ok { report; replayed })
-  end
+  match engine_of ?pool l.plan with
+  | exception Invalid_argument e -> fail "plan.json" e
+  | engine -> (
+      match replay engine [] 0 l.records with
+      | Error e -> fail "journal.jsonl" e
+      | Ok (rev_batches, replayed) when not l.sealed ->
+          let run = Run.reopen ?crash_after ~dir l in
+          Ok { report = run_live engine run ~from_batch:replayed rev_batches; replayed }
+      | Ok (rev_batches, replayed) -> (
+          let report = mk_report engine rev_batches in
+          match List.rev l.records with
+          | _ when replayed < num_batches engine ->
+              fail "journal.jsonl" "journal sealed before every batch was committed"
+          | Done { digest } :: _ when digest = report.digest -> Ok { report; replayed }
+          | _ ->
+              fail "journal.jsonl"
+                "sealed journal digest diverges from the replayed state"))

@@ -91,45 +91,45 @@ val build_plan : plan -> Versions.t
     @raise Invalid_argument on an empty history or a bad spec. *)
 
 val options_of_plan : ?pool:Pool.t -> plan -> options
-val plan_digest : plan -> string
 
 (** {1 Journaled runs}
 
-    Layout of a migration journal directory:
+    The [migrate] kind of {!Chorev_wal.Run}: the plan is the whole
+    {!plan} (serialized publics, specs, batch parameters), each batch
+    commits one record (its counters plus the fresh
+    [(key, verdict, fuel)] entries in work order), and [Done] seals the
+    run with the final assignment digest. *)
 
-    {v
-    DIR/
-      migrate-plan.json       -- the plan (also the dispatch marker)
-      public-001.afsa ...     -- serialized version history
-      target.afsa
-      journal.jsonl           -- Wal: start, one record per batch, done
-    v} *)
+type record =
+  | Batch of {
+      index : int;
+      deferred : bool;
+      fuel : int;
+      migrated : int;
+      finishing : int;
+      stuck : int;
+      hits : int;
+      entries : (string * Compliance.disposition * int) list;
+    }
+  | Done of { digest : string }
 
-exception Simulated_crash of int
-(** Raised by the [crash_after] hook after that many batches have been
-    committed — the kill-and-resume test hook (the batch record is
-    durable before the raise). *)
+module Kind :
+  Chorev_wal.Run.KIND with type plan = plan and type record = record
+(** The [migrate] codec. *)
 
 type journaled = { report : report; replayed : int }
 
-val is_journal : string -> bool
-(** Does [dir] hold a migration plan? (How [chorev resume] tells a
-    migration journal from an evolution journal.) *)
-
-val write_plan : dir:string -> plan -> unit
-val read_plan : dir:string -> (plan, string) result
-
 val run_journaled :
   ?pool:Pool.t -> ?crash_after:int -> dir:string -> plan -> (report, string) result
-(** Write the plan, run every batch appending one durable record per
-    batch, seal with a done record. [Error] if [dir] already holds a
-    journal. [crash_after k] raises {!Simulated_crash} after batch [k]
-    (1-based) is committed. *)
+(** Write the plan, run every batch committing one record per batch,
+    seal with [Done]. [Error] if [dir] already holds a run.
+    [crash_after] is the {!Chorev_wal.Run.Simulated_crash} hook. *)
 
-val resume : ?pool:Pool.t -> dir:string -> unit -> (journaled, string) result
+val resume :
+  ?pool:Pool.t -> ?crash_after:int -> dir:string -> unit -> (journaled, string) result
 (** Replay the committed batches against the rebuilt plan state —
     verifying the journaled verdict keys and counters match what the
     plan dictates — then run the rest live. [replayed] is the number of
     batches taken from the journal. A sealed journal replays fully and
-    verifies the final digest. The report is byte-identical to an
+    its final digest is checked. The report is byte-identical to an
     uninterrupted run's. *)

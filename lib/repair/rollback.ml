@@ -5,7 +5,7 @@
     back to its pre-change snapshot, every party it did not reach is
     left untouched. The causal cone is computed from the delivery
     history (who processed an announcement from whom, and when); the
-    restore itself is journal-backed through {!Chorev_wal.Wal}, so a
+    restore itself is journal-backed through {!Chorev_wal.Run}, so a
     crash in the middle resumes byte-identically.
 
     This module is deliberately below the choreography layer: parties
@@ -13,9 +13,7 @@
     caller-provided callback — the simulator and the CLI plug their own
     model types in. *)
 
-module Wal = Chorev_wal.Wal
 module Json = Chorev_wal.Json
-module Dir = Chorev_wal.Dir
 module Obs = Chorev_obs.Obs
 module Metrics = Chorev_obs.Metrics
 
@@ -65,139 +63,117 @@ let cone ~origin ~edges =
 
 (* --------------------------- the journal -------------------------- *)
 
-type meta = {
-  owner : string;  (** the change originator (first element of the cone) *)
-  parties : string list;  (** the cone, in restore order *)
+type plan = {
+  owner : string;
+  cone : string list;
   prelude : string;
-      (** rendered output of the interrupted run up to the rollback —
-          replayed verbatim on resume so an interrupted-and-resumed run
-          prints byte-identically to an uninterrupted one *)
+  pre : (string * string) list;
+  state : (string * string) list;
 }
 
-type record = Start | Restored of string | Sealed
+type record = Restored of string | Sealed of { digest : string }
 
-let record_to_json = function
-  | Start -> Json.Obj [ ("t", Json.Str "start") ]
-  | Restored party ->
-      Json.Obj [ ("t", Json.Str "restored"); ("party", Json.Str party) ]
-  | Sealed -> Json.Obj [ ("t", Json.Str "sealed") ]
+(* Every party's process once the cone is restored: [state] with the
+   cone's pre-change snapshots laid over it. *)
+let final_state plan =
+  List.map
+    (fun (party, sexp) ->
+      (party, Option.value ~default:sexp (List.assoc_opt party plan.pre)))
+    plan.state
 
-let record_of_json j =
-  match Json.member "t" j with
-  | Some (Json.Str "start") -> Ok Start
-  | Some (Json.Str "restored") -> (
-      match Json.member "party" j with
-      | Some (Json.Str p) -> Ok (Restored p)
-      | _ -> Error "restored record without party")
-  | Some (Json.Str "sealed") -> Ok Sealed
-  | _ -> Error "unknown rollback record"
+let digest_of pairs =
+  Digest.to_hex
+    (Digest.string
+       (String.concat "" (List.map (fun (p, s) -> p ^ "\000" ^ s ^ "\000") pairs)))
 
-let journal_path dir = Filename.concat dir "journal.jsonl"
-let meta_path dir = Filename.concat dir "meta.json"
-let pre_path dir party = Filename.concat (Filename.concat dir "pre") (Dir.sanitize party ^ ".sexp")
-let state_path dir party =
-  Filename.concat (Filename.concat dir "state") (Dir.sanitize party ^ ".sexp")
+let ( let* ) = Result.bind
 
-let meta_to_json m =
-  Json.Obj
-    [
-      ("kind", Json.Str "rollback");
-      ("owner", Json.Str m.owner);
-      ("parties", Json.Arr (List.map (fun p -> Json.Str p) m.parties));
-      ("prelude", Json.Str m.prelude);
-    ]
+(* The [rollback] codec. *)
+module Kind = struct
+  let kind = "rollback"
 
-let meta_of_json j =
-  match
-    (Json.member "kind" j, Json.member "owner" j, Json.member "parties" j,
-     Json.member "prelude" j)
-  with
-  | Some (Json.Str "rollback"), Some (Json.Str owner), Some (Json.Arr ps),
-    Some (Json.Str prelude) ->
-      let parties =
-        List.filter_map (function Json.Str p -> Some p | _ -> None) ps
-      in
-      if List.length parties <> List.length ps then
-        Error "non-string party in rollback meta"
-      else Ok { owner; parties; prelude }
-  | _ -> Error "not a rollback meta.json"
+  type nonrec plan = plan
+  type nonrec record = record
 
-(** Does [dir] hold a rollback journal (as opposed to an evolution
-    one)? Dispatched on by [chorev resume]. *)
-let journal_exists ~dir =
-  Sys.file_exists (journal_path dir)
-  && Sys.file_exists (meta_path dir)
-  &&
-  match Json.of_string (Dir.read_file (meta_path dir)) with
-  | Ok j -> (
-      match Json.member "kind" j with
-      | Some (Json.Str "rollback") -> true
-      | _ -> false)
-  | Error _ -> false
+  let pairs_to_json ps =
+    Json.Arr (List.map (fun (p, s) -> Json.Arr [ Json.Str p; Json.Str s ]) ps)
 
-exception Simulated_crash of int
-(** Raised by {!restore_all} after the [crash_after]-th committed
-    restore — the test hook for kill-during-rollback. *)
+  let pairs_of_json = function
+    | Some ps ->
+        Json.list
+          (function
+            | Json.Arr [ Json.Str p; Json.Str s ] -> Ok (p, s)
+            | _ -> Error "rollback plan: malformed snapshot")
+          ps
+    | None -> Error "rollback plan: missing snapshots"
 
-type writer = {
-  dir : string;
-  meta : meta;
-  pre : (string * string) list;  (** cone party -> pre-change sexp *)
-  wal : Wal.writer;
-}
+  let plan_to_json p =
+    Json.Obj
+      [
+        ("owner", Json.Str p.owner);
+        ("cone", Json.Arr (List.map (fun q -> Json.Str q) p.cone));
+        ("prelude", Json.Str p.prelude);
+        ("pre", pairs_to_json p.pre);
+        ("state", pairs_to_json p.state);
+      ]
 
-(** Open a fresh rollback journal: write [pre/<party>.sexp] for every
-    cone party, [state/<party>.sexp] for {e every} party of the
-    protocol (so a resuming process can rebuild the full model), then
-    [meta.json], then the [start] record — all durable before [start]
-    returns. *)
-let start ~dir ~owner ~cone:parties ~prelude ~pre ~state =
-  Dir.mkdir_p (Filename.concat dir "pre");
-  Dir.mkdir_p (Filename.concat dir "state");
-  List.iter (fun (party, sexp) -> Dir.write_atomic (pre_path dir party) sexp) pre;
-  List.iter
-    (fun (party, sexp) -> Dir.write_atomic (state_path dir party) sexp)
-    state;
-  let meta = { owner; parties; prelude } in
-  Dir.write_atomic (meta_path dir) (Json.to_string (meta_to_json meta));
-  let wal = Wal.open_append ~path:(journal_path dir) in
-  Wal.append wal (record_to_json Start);
-  { dir; meta; pre; wal }
+  let plan_of_json j =
+    match (Json.member "owner" j, Json.member "cone" j, Json.member "prelude" j) with
+    | Some (Json.Str owner), Some cs, Some (Json.Str prelude) ->
+        let* cone =
+          Json.list
+            (function Json.Str q -> Ok q | _ -> Error "rollback plan: bad cone")
+            cs
+        in
+        let* pre = pairs_of_json (Json.member "pre" j) in
+        let* state = pairs_of_json (Json.member "state" j) in
+        if List.for_all (fun q -> List.mem_assoc q pre) cone then
+          Ok { owner; cone; prelude; pre; state }
+        else Error "rollback plan: cone party without a snapshot"
+    | _ -> Error "rollback plan: missing field"
 
-let close w = Wal.close w.wal
+  let record_to_json = function
+    | Restored party ->
+        Json.Obj [ ("rec", Json.Str "restored"); ("party", Json.Str party) ]
+    | Sealed { digest } ->
+        Json.Obj [ ("rec", Json.Str "sealed"); ("digest", Json.Str digest) ]
+
+  let record_of_json j =
+    match (Json.member "rec" j, Json.member "party" j, Json.member "digest" j) with
+    | Some (Json.Str "restored"), Some (Json.Str p), _ -> Ok (Restored p)
+    | Some (Json.Str "sealed"), _, Some (Json.Str digest) -> Ok (Sealed { digest })
+    | _ -> Error "unknown rollback record"
+
+  let is_seal = function Sealed _ -> true | Restored _ -> false
+end
+
+module Run = Chorev_wal.Run.Make (Kind)
+
+type t = { run : Run.t; plan : plan; already : string list }
+
+let start ?crash_after ~dir plan =
+  Result.map (fun run -> { run; plan; already = [] }) (Run.create ?crash_after ~dir plan)
 
 (** Restore every cone party through [restore], committing each one
-    with a journal record before moving on. [already] names parties
-    whose restore records are already on disk (the resume path): they
-    are {e re-restored} (the in-memory effect of a pre-crash restore
-    died with the process; restoring is an idempotent overwrite) but
-    not re-journalled. [crash_after n] raises {!Simulated_crash} once
-    [n] restores have been committed {e by this call}. Appends the
-    [sealed] record when the whole cone is done. *)
-let restore_all ?crash_after ?(already = []) w ~restore =
+    with a journal record before moving on. Parties the journal already
+    holds (the resume path) are {e re-restored} (the in-memory effect of
+    a pre-crash restore died with the process; restoring is an
+    idempotent overwrite) but not re-journalled. Seals the run when the
+    whole cone is done. *)
+let restore_all t ~restore =
   Obs.span "repair.rollback"
     ~attrs:
-      [ ("owner", str w.meta.owner); ("cone", int (List.length w.meta.parties)) ]
+      [ ("owner", str t.plan.owner); ("cone", int (List.length t.plan.cone)) ]
   @@ fun () ->
-  let committed = ref 0 in
   List.iter
     (fun party ->
-      let pre =
-        match List.assoc_opt party w.pre with
-        | Some s -> s
-        | None -> Dir.read_file (pre_path w.dir party)
-      in
-      restore ~party ~pre;
-      if not (List.mem party already) then begin
-        Wal.append w.wal (record_to_json (Restored party));
+      restore ~party ~pre:(List.assoc party t.plan.pre);
+      if not (List.mem party t.already) then begin
         Metrics.incr c_rolled_back;
-        incr committed;
-        match crash_after with
-        | Some n when !committed >= n -> raise (Simulated_crash n)
-        | _ -> ()
+        Run.commit t.run (Restored party)
       end)
-    w.meta.parties;
-  Wal.append w.wal (record_to_json Sealed)
+    t.plan.cone;
+  Run.commit t.run (Sealed { digest = digest_of (final_state t.plan) })
 
 (** Journal-less variant for embedded drivers (the simulator without a
     [--rollback-journal] directory): restore each [(party, pre)] pair
@@ -214,108 +190,38 @@ let restore_inline ~owner ~cone:pairs ~restore =
 
 (* ---------------------------- recovery ---------------------------- *)
 
-type loaded = {
-  l_meta : meta;
-  l_pre : (string * string) list;  (** cone party -> pre-change sexp *)
-  l_state : (string * string) list;  (** every party -> post-run sexp *)
-  restored : string list;  (** committed restores, journal order *)
+type loaded = Run.loaded = {
+  plan : plan;
+  digest : string;
+  records : record list;
   sealed : bool;
-  l_valid_bytes : int;
+  torn : bool;
+  valid_bytes : int;
 }
 
-let load_exn ~dir =
-  match Json.of_string (Dir.read_file (meta_path dir)) with
-  | Error e -> Error ("meta.json: " ^ e)
-  | Ok j -> (
-      match meta_of_json j with
-      | Error e -> Error e
-      | Ok meta -> (
-          match Wal.read ~path:(journal_path dir) ~decode:record_of_json with
-          | Error e -> Error e
-          | Ok { Wal.records; torn = _; valid_bytes } ->
-              let restored =
-                List.filter_map
-                  (function Restored p -> Some p | _ -> None)
-                  records
-              in
-              let sealed = List.exists (function Sealed -> true | _ -> false) records in
-              let read_of path_of parties =
-                List.map (fun p -> (p, Dir.read_file (path_of dir p))) parties
-              in
-              let state_parties =
-                Sys.readdir (Filename.concat dir "state")
-                |> Array.to_list |> List.sort String.compare
-                |> List.filter_map (fun f ->
-                       Filename.chop_suffix_opt ~suffix:".sexp" f)
-              in
-              (* state files are keyed by sanitized name; cone parties
-                 we can map back through meta, the rest only matter as
-                 (sanitized-name, sexp) payloads for the caller *)
-              let unsanitized p =
-                match
-                  List.find_opt
-                    (fun q -> String.equal (Dir.sanitize q) p)
-                    meta.parties
-                with
-                | Some q -> q
-                | None -> p
-              in
-              let l_state =
-                List.map
-                  (fun f ->
-                    ( unsanitized f,
-                      Dir.read_file
-                        (Filename.concat (Filename.concat dir "state")
-                           (f ^ ".sexp")) ))
-                  state_parties
-              in
-              Ok
-                {
-                  l_meta = meta;
-                  l_pre = read_of pre_path meta.parties;
-                  l_state;
-                  restored;
-                  sealed;
-                  l_valid_bytes = valid_bytes;
-                }))
+let restored l =
+  List.filter_map (function Restored p -> Some p | Sealed _ -> None) l.records
 
-(* A missing or unreadable file (meta, [state/], a [pre/] snapshot) is
-   a damaged journal: an [Error], never an escaping [Sys_error]. *)
+(* A sealed rollback must describe the state its restores produce. *)
 let load ~dir =
-  try load_exn ~dir with Sys_error e -> Error e
+  let* l = Run.load ~dir in
+  match List.rev l.records with
+  | Sealed { digest } :: _ when digest <> digest_of (final_state l.plan) ->
+      Error
+        (Printf.sprintf "%s: sealed journal digest diverges from the plan"
+           (Filename.concat dir "journal.jsonl"))
+  | _ -> Ok l
 
-(** Resume an interrupted rollback: re-open the journal at its last
-    valid byte, re-apply {e every} cone restore through [restore]
-    (idempotent overwrite — the in-memory effect of pre-crash restores
-    did not survive), journal only the missing ones, and seal. Returns
-    the loaded journal so the caller can rebuild the surrounding model
-    (from [l_state] overlaid with [l_pre]) and re-print the prelude.
-    No-op (beyond the load) when the journal is already sealed. *)
-let resume ~dir ~restore =
-  match load ~dir with
-  | Error e -> Error e
-  | Ok l ->
-      if l.sealed then begin
-        (* finished before the crash: re-apply nothing, the state and
-           pre files already describe the final model *)
-        List.iter
-          (fun party ->
-            match List.assoc_opt party l.l_pre with
-            | Some pre -> restore ~party ~pre
-            | None -> ())
-          l.l_meta.parties;
-        Ok l
-      end
-      else begin
-        let w =
-          {
-            dir;
-            meta = l.l_meta;
-            pre = l.l_pre;
-            wal = Wal.reopen ~path:(journal_path dir) ~valid_bytes:l.l_valid_bytes;
-          }
-        in
-        restore_all ~already:l.restored w ~restore;
-        close w;
-        Ok l
-      end
+(** Resume an interrupted rollback: re-apply {e every} cone restore
+    through [restore] (idempotent overwrite — the in-memory effect of
+    pre-crash restores did not survive), journal only the missing ones,
+    and seal. A sealed rollback is re-applied without writing. *)
+let resume ?crash_after ~dir ~restore () =
+  let* l = load ~dir in
+  if l.sealed then
+    List.iter (fun party -> restore ~party ~pre:(List.assoc party l.plan.pre)) l.plan.cone
+  else
+    restore_all
+      { run = Run.reopen ?crash_after ~dir l; plan = l.plan; already = restored l }
+      ~restore;
+  Ok l

@@ -3,21 +3,13 @@
     When amendment fails mid-protocol, every party the change causally
     reached is restored to its pre-change snapshot and every other
     party is left untouched. The cone is computed from the delivery
-    history; the restore is journal-backed (one fsynced record per
-    committed restore, torn-tail recovery), so a crash in the middle
-    resumes byte-identically via {!resume}.
+    history; the restore is the [rollback] kind of {!Chorev_wal.Run}
+    (one durable record per committed restore, then a seal), so a
+    crash in the middle resumes byte-identically via {!resume}.
 
     Deliberately below the choreography layer: parties are names,
     snapshots are sexp strings, the restore itself is a caller
-    callback. Layout of a rollback journal directory:
-
-    {v
-    DIR/
-      meta.json               -- {kind:"rollback", owner, parties, prelude}
-      pre/<party>.sexp        -- pre-change snapshots of the cone
-      state/<party>.sexp      -- post-run state of every party
-      journal.jsonl           -- start / restored{party} / sealed
-    v} *)
+    callback. *)
 
 type edge = {
   at : int;  (** delivery tick *)
@@ -31,44 +23,41 @@ val cone : origin:string -> edges:edge list -> string list
     party. [origin] first, then discovery order; deterministic (edges
     are sorted by [(at, src, dst)] first). *)
 
-type meta = {
-  owner : string;
-  parties : string list;  (** the cone, in restore order *)
+type plan = {
+  owner : string;  (** the change originator *)
+  cone : string list;  (** restore order, [owner] first *)
   prelude : string;
       (** rendered output of the interrupted run, replayed verbatim on
           resume for byte-identical output *)
+  pre : (string * string) list;  (** cone party → pre-change sexp *)
+  state : (string * string) list;  (** every party → post-run sexp *)
 }
 
-exception Simulated_crash of int
-(** Raised by {!restore_all} after the [crash_after]-th committed
-    restore — the kill-during-rollback test hook (CLI exit code 3). *)
+type record =
+  | Restored of string
+  | Sealed of { digest : string }
+      (** digest of {!final_state}, checked by {!load} *)
 
-type writer
+module Kind :
+  Chorev_wal.Run.KIND with type plan = plan and type record = record
+(** The [rollback] codec. *)
 
-val start :
-  dir:string ->
-  owner:string ->
-  cone:string list ->
-  prelude:string ->
-  pre:(string * string) list ->
-  state:(string * string) list ->
-  writer
-(** Open a fresh rollback journal: [pre] maps each cone party to its
-    pre-change sexp, [state] every party to its current sexp. All
-    snapshot files, [meta.json] and the [start] record are durable
-    before this returns. *)
+val final_state : plan -> (string * string) list
+(** Every party's sexp once the cone is restored: [state] with [pre]
+    laid over it, in [state] order. *)
 
-val restore_all :
-  ?crash_after:int ->
-  ?already:string list ->
-  writer ->
-  restore:(party:string -> pre:string -> unit) ->
-  unit
-(** Restore the cone in order through [restore], appending one fsynced
-    journal record per committed restore (the [repair.rolled_back]
-    counter ticks with it), then seal. [already] (the resume path)
-    names parties to re-restore without re-journalling. Runs under an
-    [repair.rollback] span. *)
+type t
+
+val start : ?crash_after:int -> dir:string -> plan -> (t, string) result
+(** Open a fresh rollback run in [dir]: the plan (snapshots and
+    prelude) is durable before this returns. [Error] if [dir] already
+    holds a run. [crash_after] is the
+    {!Chorev_wal.Run.Simulated_crash} hook. *)
+
+val restore_all : t -> restore:(party:string -> pre:string -> unit) -> unit
+(** Restore the cone in order through [restore], committing one record
+    per restore (the [repair.rolled_back] counter ticks with it), then
+    seal. Runs under a [repair.rollback] span. *)
 
 val restore_inline :
   owner:string ->
@@ -79,27 +68,29 @@ val restore_inline :
     [(party, pre-sexp)] pair under the same span and counter, with no
     durability. *)
 
-val close : writer -> unit
-
-val journal_exists : dir:string -> bool
-(** Is [dir] a rollback journal (vs an evolution one)? What
-    [chorev resume] dispatches on. *)
-
 type loaded = {
-  l_meta : meta;
-  l_pre : (string * string) list;  (** cone party → pre-change sexp *)
-  l_state : (string * string) list;  (** every party → post-run sexp *)
-  restored : string list;  (** committed restores, journal order *)
+  plan : plan;
+  digest : string;
+  records : record list;
   sealed : bool;
-  l_valid_bytes : int;
+  torn : bool;
+  valid_bytes : int;
 }
 
+val restored : loaded -> string list
+(** Committed restores, in journal order. *)
+
 val load : dir:string -> (loaded, string) result
+(** {!Chorev_wal.Run} load, plus the seal's digest check. *)
 
 val resume :
-  dir:string -> restore:(party:string -> pre:string -> unit) -> (loaded, string) result
+  ?crash_after:int ->
+  dir:string ->
+  restore:(party:string -> pre:string -> unit) ->
+  unit ->
+  (loaded, string) result
 (** Finish an interrupted rollback: re-apply {e every} cone restore
     (idempotent overwrite — pre-crash restores died with the process),
-    journal only the missing ones, seal. The caller rebuilds the full
-    model from [l_state] overlaid with the restores and re-prints
-    [l_meta.prelude] for byte-identical output. *)
+    journal only the missing ones, seal. The caller rebuilds the model
+    from {!final_state} and re-prints [plan.prelude] for byte-identical
+    output. *)

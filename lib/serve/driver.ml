@@ -4,7 +4,7 @@ module Model = Chorev_choreography.Model
 module Evolution = Chorev_choreography.Evolution
 module Consistency = Chorev_choreography.Consistency
 module Registry = Chorev_discovery.Registry
-module Journal = Chorev_journal.Journal
+module Evolve = Chorev_journal.Evolve
 module Sexp = Chorev_bpel.Sexp
 module Gen_process = Chorev_workload.Gen_process
 module Config = Chorev_config.Config
@@ -163,7 +163,7 @@ let oracle lines =
                            parties = Model.parties model;
                            versions =
                              List.map (fun e -> e.Registry.version) entries;
-                           digest = Journal.model_digest model;
+                           digest = Evolve.model_digest model;
                          })
                   end))
     | Wire.Evolve { tenant; owner; changed; klass } -> (
@@ -194,7 +194,7 @@ let oracle lines =
                  {
                    parties = Model.parties tn.model;
                    consistent = tn.consistent;
-                   digest = Journal.model_digest tn.model;
+                   digest = Evolve.model_digest tn.model;
                    evolutions = tn.evolutions;
                  }))
     | Wire.Migrate_status { tenant } -> (

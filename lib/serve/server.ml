@@ -51,9 +51,13 @@ type t = {
 let create ?(options = default_options) () =
   let store, recovered =
     match options.journal_root with
-    | Some root when Sys.file_exists root ->
-        Tenant.recover ~shards:options.shards ~config:options.config
-          ~journal_root:root ()
+    | Some root when Sys.file_exists root -> (
+        match
+          Tenant.recover ~shards:options.shards ~config:options.config
+            ~journal_root:root ()
+        with
+        | Ok recovered -> recovered
+        | Error e -> invalid_arg e)
     | Some root -> (Tenant.create ~shards:options.shards ~journal_root:root (), 0)
     | None -> (Tenant.create ~shards:options.shards (), 0)
   in

@@ -44,7 +44,9 @@ type t
 
 val create : ?options:options -> unit -> t
 (** Fresh server (empty store, or recovered from
-    [options.journal_root] when that root already holds tenants). *)
+    [options.journal_root] when that root already holds tenants).
+    @raise Invalid_argument if the root is unusable or holds a damaged
+    run; the message names the file. *)
 
 val recovered : t -> int
 (** Tenants recovered from the journal root at startup (0 for a fresh

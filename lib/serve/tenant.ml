@@ -4,14 +4,78 @@ module Model = Chorev_choreography.Model
 module Evolution = Chorev_choreography.Evolution
 module Consistency = Chorev_choreography.Consistency
 module Registry = Chorev_discovery.Registry
-module Journal = Chorev_journal.Journal
 module Evolve = Chorev_journal.Evolve
 module Dir = Chorev_wal.Dir
 module Json = Chorev_wal.Json
-module Wal = Chorev_wal.Wal
 module Sexp = Chorev_bpel.Sexp
 module Process = Chorev_bpel.Process
 module Config = Chorev_config.Config
+
+(* ------------------------------------------------------------------ *)
+(* Durable layout                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* <root>/<tenant>/           the tenant run: plan = the registration,
+                              one record per publish
+   <root>/<tenant>/evolve-NNNNNN/   one evolve run per evolution
+
+   A publish record's [after] is the tenant's evolution count at
+   publish time, the cursor that lets recovery interleave publish
+   replays with evolve replays in the original order. *)
+
+type plan = { seq : int; name : string; processes : Process.t list }
+type publish = { party : string; instances : int; seed : int; after : int }
+
+module Kind = struct
+  let kind = "tenant"
+
+  type nonrec plan = plan
+  type record = publish
+
+  let plan_to_json p =
+    Json.Obj
+      [
+        ("seq", Json.Int p.seq);
+        ("name", Json.Str p.name);
+        ( "processes",
+          Json.Arr
+            (List.map (fun q -> Json.Str (Sexp.process_to_string q)) p.processes) );
+      ]
+
+  let plan_of_json j =
+    match (Json.member "seq" j, Json.member "name" j, Json.member "processes" j) with
+    | Some (Json.Int seq), Some (Json.Str name), Some ps ->
+        Json.list
+          (function
+            | Json.Str s -> Sexp.process_of_string s
+            | _ -> Error "tenant plan: malformed process")
+          ps
+        |> Result.map (fun processes -> { seq; name; processes })
+    | _ -> Error "tenant plan: missing field"
+
+  let record_to_json r =
+    Json.Obj
+      [
+        ("rec", Json.Str "publish");
+        ("party", Json.Str r.party);
+        ("instances", Json.Int r.instances);
+        ("seed", Json.Int r.seed);
+        ("after", Json.Int r.after);
+      ]
+
+  let record_of_json j =
+    let int k = match Json.member k j with Some (Json.Int i) -> Some i | _ -> None in
+    match (Json.member "party" j, int "instances", int "seed", int "after") with
+    | Some (Json.Str party), Some instances, Some seed, Some after ->
+        Ok { party; instances; seed; after }
+    | _ -> Error "publish: missing field"
+
+  let is_seal _ = false
+end
+
+module Run = Chorev_wal.Run.Make (Kind)
+
+type durable = { dir : string; log : Run.t }
 
 type tenant = {
   name : string;
@@ -19,7 +83,7 @@ type tenant = {
   cache : Evolution.Cache.t;
   mutable evolutions : int;
   mutable consistent : bool;
-  dir : string option;  (** journal directory (durable stores) *)
+  durable : durable option;  (** the tenant run (durable stores) *)
   migrate : Parties.t;  (** per-party instance populations *)
 }
 
@@ -111,42 +175,7 @@ let party_statuses t tn =
           | None -> None)
         (Model.parties tn.model))
 
-(* ------------------------------------------------------------------ *)
-(* Durable layout                                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* <root>/<tenant>/meta        "seq\nname"
-   <root>/<tenant>/parties/party-NNN.sexp
-   <root>/<tenant>/evolve-NNNNNN/   one Journal.Evolve dir per evolution *)
-
-let meta_file dir = Filename.concat dir "meta"
-let parties_dir dir = Filename.concat dir "parties"
 let evolve_dir dir k = Filename.concat dir (Printf.sprintf "evolve-%06d" k)
-
-let populate_tenant_dir ~seq ~name processes tmp =
-  Dir.write_atomic (meta_file tmp) (Printf.sprintf "%d\n%s\n" seq name);
-  Dir.mkdir_p (parties_dir tmp);
-  List.iteri
-    (fun i p ->
-      Dir.write_atomic
-        (Filename.concat (parties_dir tmp) (Printf.sprintf "party-%03d.sexp" i))
-        (Sexp.process_to_string p))
-    processes
-
-let read_meta dir =
-  match String.split_on_char '\n' (Dir.read_file (meta_file dir)) with
-  | seq :: name :: _ -> (int_of_string seq, name)
-  | _ -> failwith (meta_file dir ^ ": malformed")
-
-let read_parties dir =
-  let pdir = parties_dir dir in
-  Sys.readdir pdir |> Array.to_list
-  |> List.filter (fun f -> Filename.check_suffix f ".sexp")
-  |> List.sort String.compare
-  |> List.map (fun f ->
-         match Sexp.process_of_string (Dir.read_file (Filename.concat pdir f)) with
-         | Ok p -> p
-         | Error e -> failwith (Filename.concat pdir f ^ ": " ^ e))
 
 (* ------------------------------------------------------------------ *)
 (* Register                                                            *)
@@ -158,7 +187,7 @@ let registered_body tn versions =
       tenant = tn.name;
       parties = Model.parties tn.model;
       versions;
-      digest = Journal.model_digest tn.model;
+      digest = Evolve.model_digest tn.model;
     }
 
 let validate_model processes =
@@ -187,7 +216,7 @@ let next_seq t =
       t.seq <- s + 1;
       s)
 
-let admit t name model ~dir =
+let admit t name model ~durable =
   let tn =
     {
       name;
@@ -195,7 +224,7 @@ let admit t name model ~dir =
       cache = Evolution.Cache.create ();
       evolutions = 0;
       consistent = Consistency.consistent ~cache:true model;
-      dir;
+      durable;
       migrate = Parties.create model;
     }
   in
@@ -210,23 +239,19 @@ let register t name ~processes =
         match validate_model processes with
         | Error _ as e -> e
         | Ok model -> (
-            let publish () =
+            let durable () =
               match t.root with
               | None -> Ok None
               | Some root -> (
-                  let seq = next_seq t in
-                  match
-                    Dir.create_fresh
-                      ~populate:(populate_tenant_dir ~seq ~name processes)
-                      ~root name
-                  with
-                  | Ok dir -> Ok (Some dir)
+                  let dir = Filename.concat root (Dir.sanitize name) in
+                  match Run.create ~dir { seq = next_seq t; name; processes } with
+                  | Ok log -> Ok (Some { dir; log })
                   | Error e -> Error (`Failed e))
             in
-            match publish () with
+            match durable () with
             | Error _ as e -> e
-            | Ok dir ->
-                let tn = admit t name model ~dir in
+            | Ok durable ->
+                let tn = admit t name model ~durable in
                 let entries = advertise_publics t tn in
                 Ok
                   (registered_body tn
@@ -242,35 +267,30 @@ let with_tenant t name f =
       | None -> Error (`Unknown_tenant name)
       | Some tn -> f tn)
 
+let advance t tn (report : Evolution.report) =
+  tn.model <- report.choreography;
+  tn.consistent <- report.consistent;
+  tn.evolutions <- tn.evolutions + 1;
+  ignore (advertise_publics t tn)
+
 let evolve t ~config ?crash_after name ~owner ~changed =
   with_tenant t name (fun tn ->
-      match tn.dir with
-      | Some tdir -> (
-          let dir = evolve_dir tdir tn.evolutions in
-          match Evolve.run ~config ?crash_after ~dir tn.model ~owner ~changed with
-          | Ok o ->
-              tn.model <- o.Evolve.choreography;
-              tn.consistent <- o.Evolve.consistent;
-              tn.evolutions <- tn.evolutions + 1;
-              ignore (advertise_publics t tn);
-              Ok
-                (Wire.Evolved
-                   {
-                     consistent = o.Evolve.consistent;
-                     rounds = List.length o.Evolve.round_logs;
-                     digest = o.Evolve.digest;
-                     degraded = false;
-                   })
-          | Error e -> Error (`Failed e))
-      | None -> (
-          match Evolution.run ~config ~cache:tn.cache tn.model ~owner ~changed with
-          | Ok report ->
-              tn.model <- report.Evolution.choreography;
-              tn.consistent <- report.Evolution.consistent;
-              tn.evolutions <- tn.evolutions + 1;
-              ignore (advertise_publics t tn);
-              Ok (Wire.evolved_of_report report)
-          | Error (`Unknown_party p) -> Error (`Unknown_party p)))
+      let result =
+        match tn.durable with
+        | Some d ->
+            Evolve.run ~config ~cache:tn.cache ?crash_after
+              ~dir:(evolve_dir d.dir tn.evolutions) tn.model ~owner ~changed
+            |> Result.map (fun (o : Evolve.outcome) -> o.report)
+            |> Result.map_error (fun e -> `Failed e)
+        | None ->
+            Evolution.run ~config ~cache:tn.cache tn.model ~owner ~changed
+            |> Result.map_error (fun (`Unknown_party p) -> `Unknown_party p)
+      in
+      Result.map
+        (fun report ->
+          advance t tn report;
+          Wire.evolved_of_report report)
+        result)
 
 let query t name =
   with_tenant t name (fun tn ->
@@ -279,7 +299,7 @@ let query t name =
            {
              parties = Model.parties tn.model;
              consistent = tn.consistent;
-             digest = Journal.model_digest tn.model;
+             digest = Evolve.model_digest tn.model;
              evolutions = tn.evolutions;
            }))
 
@@ -290,60 +310,15 @@ let migrate_status t name =
 (* Publish                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* <tenant dir>/publishes.jsonl — one Wal record per publish; [after]
-   is the tenant's evolution count at publish time, the cursor that
-   lets recovery interleave publish replays with evolve replays in the
-   original order. *)
-
-let publishes_file dir = Filename.concat dir "publishes.jsonl"
-
-let publish_record ~party ~instances ~seed ~after =
-  Json.Obj
-    [
-      ("rec", Json.Str "publish");
-      ("party", Json.Str party);
-      ("instances", Json.Int instances);
-      ("seed", Json.Int seed);
-      ("after", Json.Int after);
-    ]
-
-let publish_of_json j =
-  let int k =
-    match Json.member k j with
-    | Some (Json.Int i) -> Some i
-    | _ -> None
-  in
-  match
-    (Json.member "party" j, int "instances", int "seed", int "after")
-  with
-  | Some (Json.Str party), Some instances, Some seed, Some after ->
-      Ok (after, party, instances, seed)
-  | _ -> Error "publish: missing field"
-
-let read_publishes dir =
-  let path = publishes_file dir in
-  if not (Sys.file_exists path) then []
-  else
-    match Wal.read ~path ~decode:publish_of_json with
-    | Ok { Wal.records; _ } -> records
-    | Error e -> failwith (path ^ ": " ^ e)
-
 let publish t name ~party ~instances ~seed =
   with_tenant t name (fun tn ->
       if not (Parties.known tn.migrate party) then Error (`Unknown_party party)
       else begin
-        (* durable intent first: a crash after the append replays the
+        (* durable intent first: a crash after the commit replays the
            publish on recovery; a crash before it never happened *)
-        (match tn.dir with
-        | Some tdir ->
-            let w = Wal.open_append ~path:(publishes_file tdir) in
-            Fun.protect
-              ~finally:(fun () -> Wal.close w)
-              (fun () ->
-                Wal.append w
-                  (publish_record ~party ~instances ~seed
-                     ~after:tn.evolutions))
-        | None -> ());
+        Option.iter
+          (fun d -> Run.commit d.log { party; instances; seed; after = tn.evolutions })
+          tn.durable;
         Parties.publish tn.migrate tn.model ~party ~instances ~seed
       end)
 
@@ -351,62 +326,74 @@ let publish t name ~party ~instances ~seed =
 (* Recovery                                                            *)
 (* ------------------------------------------------------------------ *)
 
+let ( let* ) = Result.bind
+
+let rec iter_result f = function
+  | [] -> Ok ()
+  | x :: rest ->
+      let* () = f x in
+      iter_result f rest
+
+let has_plan dir = Sys.file_exists (Filename.concat dir "plan.json")
+
+(* Rebuild one tenant: its registration, then every evolve run in order
+   (an interrupted one is finished live by [resume]) interleaved with
+   the publish records by their [after] cursor, so instance populations
+   are rebuilt against the same model each publish originally saw. A
+   directory without a plan never committed and is skipped. *)
+let recover_tenant t ~config (dir, (l : Run.loaded)) =
+  let { seq; name; processes } = l.plan in
+  t.seq <- max t.seq (seq + 1);
+  match Model.of_processes processes with
+  | exception (Invalid_argument e | Failure e) ->
+      Error (Printf.sprintf "%s: %s" (Filename.concat dir "plan.json") e)
+  | model ->
+      let durable = { dir; log = Run.reopen ~dir l } in
+      let tn = with_shard t name (fun () -> admit t name model ~durable:(Some durable)) in
+      ignore (advertise_publics t tn);
+      let pubs = ref l.records in
+      let rec apply_pubs () =
+        match !pubs with
+        | p :: rest when p.after <= tn.evolutions ->
+            pubs := rest;
+            ignore
+              (Parties.publish tn.migrate tn.model ~party:p.party
+                 ~instances:p.instances ~seed:p.seed);
+            apply_pubs ()
+        | _ -> ()
+      in
+      let* () =
+        Dir.list_subdirs dir
+        |> List.filter (String.starts_with ~prefix:"evolve-")
+        |> List.map (Filename.concat dir)
+        |> List.filter has_plan
+        |> iter_result (fun edir ->
+               apply_pubs ();
+               let* o = Evolve.resume ~config ~cache:tn.cache ~dir:edir () in
+               Ok (advance t tn o.report))
+      in
+      Ok (apply_pubs ())
+
 let recover ?shards ?(config = Config.default) ~journal_root () =
   let t = create ?shards ~journal_root () in
-  let dirs =
+  let* runs =
     Dir.list_subdirs journal_root
-    |> List.filter_map (fun d ->
-           let dir = Filename.concat journal_root d in
-           if Sys.file_exists (meta_file dir) then
-             let seq, name = read_meta dir in
-             Some (seq, name, dir)
-           else None)
-    (* stream order, not directory order: registry ids are minted in
-       registration order and must come back identical *)
-    |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
+    |> List.map (Filename.concat journal_root)
+    |> List.filter has_plan
+    |> List.fold_left
+         (fun acc dir ->
+           let* acc = acc in
+           let* l = Run.load ~dir in
+           Ok ((dir, l) :: acc))
+         (Ok [])
   in
-  List.iter
-    (fun (seq, name, dir) ->
-      t.seq <- max t.seq (seq + 1);
-      let model = Model.of_processes (read_parties dir) in
-      let tn = with_shard t name (fun () -> admit t name model ~dir:(Some dir)) in
-      ignore (advertise_publics t tn);
-      (* Replay every journaled evolution in order — an interrupted one
-         is finished live by [resume] — interleaved with the publish
-         log by its [after] cursor, so instance populations are rebuilt
-         against the same model each publish originally saw. *)
-      let pubs = ref (read_publishes dir) in
-      let apply_pubs () =
-        let rec go () =
-          match !pubs with
-          | (after, party, instances, seed) :: rest
-            when after <= tn.evolutions ->
-              pubs := rest;
-              ignore
-                (Parties.publish tn.migrate tn.model ~party ~instances ~seed);
-              go ()
-          | _ -> ()
-        in
-        go ()
-      in
-      Dir.list_subdirs dir
-      |> List.filter (fun d -> String.length d > 7 && String.sub d 0 7 = "evolve-")
-      |> List.sort String.compare
-      |> List.iter (fun ed ->
-             let edir = Filename.concat dir ed in
-             if Dir.has_journal edir then begin
-               apply_pubs ();
-               match Evolve.resume ~config ~dir:edir () with
-               | Ok o ->
-                   tn.model <- o.Evolve.choreography;
-                   tn.consistent <- o.Evolve.consistent;
-                   tn.evolutions <- tn.evolutions + 1;
-                   ignore (advertise_publics t tn)
-               | Error e -> failwith (edir ^ ": " ^ e)
-             end);
-      apply_pubs ())
-    dirs;
-  (t, List.length dirs)
+  (* stream order, not directory order: registry ids are minted in
+     registration order and must come back identical *)
+  let runs =
+    List.sort (fun (_, (a : Run.loaded)) (_, b) -> compare a.plan.seq b.plan.seq) runs
+  in
+  let* () = iter_result (recover_tenant t ~config) runs in
+  Ok (t, List.length runs)
 
 (* ------------------------------------------------------------------ *)
 (* Stats support                                                       *)

@@ -12,13 +12,14 @@
     party's public went through — which is what [migrate-status]
     reports.
 
-    With a [journal_root], registration atomically publishes a
-    populated tenant directory ({!Chorev_wal.Dir.create_fresh}, so
-    a concurrent request or a recovery scan can never observe a
-    half-created tenant), and every evolution runs through the
-    crash-safe {!Chorev_journal.Evolve} driver in its own
-    [evolve-NNNNNN] subdirectory. {!recover} rebuilds the whole store
-    from such a root, byte-identically: snapshots are reloaded and each
+    With a [journal_root], every tenant is a [tenant] run of
+    {!Chorev_wal.Run} in [<root>/<tenant>/]: its plan is the
+    registration (committed atomically, so a concurrent request or a
+    recovery scan never observes a half-registered tenant) and each
+    publish commits one record. Every evolution is an [evolve] run
+    ({!Chorev_journal.Evolve}) in its own [evolve-NNNNNN]
+    subdirectory. {!recover} rebuilds the whole store from such a
+    root, byte-identically: registrations are reloaded and each
     evolution — including one interrupted mid-run — is replayed or
     finished through {!Chorev_journal.Evolve.resume}.
 
@@ -41,12 +42,14 @@ val recover :
   ?config:Chorev_config.Config.t ->
   journal_root:string ->
   unit ->
-  t * int
+  (t * int, string) result
 (** Rebuild a durable store from its journal root; returns the store
     and the number of tenants recovered. Unfinished evolutions are
     completed (under [config], default {!Chorev_config.Config.default})
-    exactly as {!Chorev_journal.Evolve.resume} would. In-flight
-    [".tmp-"] directories from a crashed registration are ignored. *)
+    exactly as {!Chorev_journal.Evolve.resume} would. Directories
+    without a plan (a registration or evolution that never committed)
+    are skipped; a damaged run is an [Error] naming its file.
+    @raise Invalid_argument if the root is unusable. *)
 
 val count : t -> int
 val exists : t -> string -> bool
@@ -76,11 +79,11 @@ val evolve :
 (** Run one controlled evolution of the tenant under [config] (the
     per-request budgets live in it). Durable stores journal the run
     round-by-round; [crash_after] is the kill-and-restart test hook
-    and raises {!Chorev_journal.Evolve.Simulated_crash} after that
-    round's commit. On success the tenant's model, consistency verdict
-    and registry versions advance; the returned [Evolved] body is
-    byte-identical to what {!Chorev_choreography.Evolution.run} yields
-    under the same config. *)
+    ({!Chorev_wal.Run.Simulated_crash}). On success the tenant's model,
+    consistency verdict and registry versions advance; the returned
+    [Evolved] body is byte-identical to what
+    {!Chorev_choreography.Evolution.run} yields under the same config,
+    durable or not. *)
 
 val query : t -> string -> (Wire.body, Wire.error) result
 (** Current parties, consistency verdict, model digest and evolution
@@ -101,8 +104,8 @@ val publish :
   (Wire.body, Wire.error) result
 (** Start a seeded instance population on [party]'s current schema
     version and batch-migrate every running instance onto the model's
-    current public ({!Parties.publish}). Durable stores append the
-    publish to [publishes.jsonl] {e before} applying it, so recovery
+    current public ({!Parties.publish}). Durable stores commit the
+    publish to the tenant run {e before} applying it, so recovery
     replays it at the same point of the evolution history (the [after]
     cursor) and rebuilds the identical population. *)
 

@@ -448,6 +448,6 @@ let evolved_of_report (r : Evolution.report) =
     {
       consistent = r.consistent;
       rounds = List.length r.rounds;
-      digest = Chorev_journal.Journal.model_digest r.choreography;
+      digest = Chorev_journal.Evolve.model_digest r.choreography;
       degraded = report_degraded r;
     }

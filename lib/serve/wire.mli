@@ -87,7 +87,7 @@ type body =
       tenant : string;
       parties : string list;
       versions : int list;  (** one per party, same order *)
-      digest : string;  (** {!Chorev_journal.Journal.model_digest} *)
+      digest : string;  (** {!Chorev_journal.Evolve.model_digest} *)
     }
   | Evolved of {
       consistent : bool;

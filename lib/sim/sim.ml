@@ -598,13 +598,18 @@ let run ?(adapt = true) ?(engine_config = Chorev_propagate.Engine.default)
               (fun p -> (p, Sexp.process_to_string (Model.private_ !m p)))
               (Model.parties !m)
           in
-          let w =
-            Rollback.start ~dir ~owner ~cone
-              ~prelude:(rollback_prelude ~injected_at:t0 ~cone)
-              ~pre:pre_sexps ~state
-          in
-          Rollback.restore_all ?crash_after:crash_during_rollback w ~restore;
-          Rollback.close w);
+          match
+            Rollback.start ?crash_after:crash_during_rollback ~dir
+              {
+                owner;
+                cone;
+                prelude = rollback_prelude ~injected_at:t0 ~cone;
+                pre = pre_sexps;
+                state;
+              }
+          with
+          | Ok run -> Rollback.restore_all run ~restore
+          | Error e -> invalid_arg e);
       rolled_back := cone;
       agreed := Consistency.consistent !m
   | _ -> ());

@@ -75,9 +75,10 @@ val run :
     rolls back exactly the causal cone of the injection to the
     pre-change snapshots — in memory, or journal-backed when
     [rollback_journal] names a directory (crash-safe; see
-    {!Chorev_repair.Rollback}). [crash_during_rollback:k] raises
-    {!Chorev_repair.Rollback.Simulated_crash} after the [k]-th
-    committed restore — the kill-during-rollback test hook. *)
+    {!Chorev_repair.Rollback}; [Invalid_argument] if the directory
+    already holds a run). [crash_during_rollback:k] raises
+    {!Chorev_wal.Run.Simulated_crash} after the [k]-th committed
+    restore — the kill-during-rollback test hook. *)
 
 val rollback_prelude : injected_at:int -> cone:string list -> string
 (** The deterministic header printed (and journalled) before a

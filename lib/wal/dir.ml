@@ -39,8 +39,6 @@ let read_file path =
   close_in ic;
   s
 
-let has_journal dir = Sys.file_exists (Filename.concat dir "journal.jsonl")
-
 let validate_root path =
   if Sys.file_exists path then
     if Sys.is_directory path then Ok ()
@@ -52,50 +50,10 @@ let validate_root path =
     | exception Unix.Unix_error (e, _, _) ->
         Error (Printf.sprintf "cannot create %s: %s" path (Unix.error_message e))
 
-let tmp_prefix = ".tmp-"
-
-let create_fresh ?(populate = fun _ -> ()) ~root name =
-  let name = sanitize name in
-  let final = Filename.concat root name in
-  if Sys.file_exists final then Error (Printf.sprintf "%s already exists" final)
-  else
-    (* Build (and populate) under a tmp sibling, then rename: the final
-       name appears atomically, already complete. The pid suffix keeps
-       concurrent creators of the same name from colliding on the tmp
-       path; only one rename wins. *)
-    let tmp =
-      Filename.concat root
-        (Printf.sprintf "%s%s.%d" tmp_prefix name (Unix.getpid ()))
-    in
-    let rec rm_rf path =
-      if Sys.file_exists path then
-        if Sys.is_directory path then (
-          Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-          try Unix.rmdir path with Unix.Unix_error _ -> ())
-        else try Sys.remove path with Sys_error _ -> ()
-    in
-    match
-      mkdir_p tmp;
-      populate tmp;
-      Unix.rename tmp final;
-      fsync_dir root
-    with
-    | () -> Ok final
-    | exception e ->
-        rm_rf tmp;
-        let msg =
-          match e with
-          | Unix.Unix_error (err, _, _) -> Unix.error_message err
-          | e -> Printexc.to_string e
-        in
-        Error (Printf.sprintf "cannot create %s: %s" final msg)
-
 let list_subdirs dir =
   match Sys.readdir dir with
   | exception Sys_error _ -> []
   | names ->
       Array.to_list names
-      |> List.filter (fun n ->
-             (not (String.starts_with ~prefix:tmp_prefix n))
-             && Sys.is_directory (Filename.concat dir n))
+      |> List.filter (fun n -> Sys.is_directory (Filename.concat dir n))
       |> List.sort String.compare

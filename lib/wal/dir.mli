@@ -1,16 +1,6 @@
-(** Filesystem plumbing shared by the journal, the CLI and the serving
-    layer: safe path components, durable writes, and atomic directory
-    creation.
-
-    Every on-disk layout in chorev (journal dirs, snapshot dirs, the
-    server's per-tenant journal roots) goes through these helpers, so
-    the invariants live in one place:
-
-    - file writes are atomic (tmp + fsync + rename + dir fsync);
-    - directories appear atomically (built under a [".tmp-"] sibling,
-      then renamed), so a concurrent reader — or a recovery scan after
-      a crash — never observes a half-created directory;
-    - recovery scans skip in-flight [".tmp-"] leftovers. *)
+(** Filesystem plumbing shared by the durable runs ({!Run}), the CLI
+    and the serving layer: safe path components, atomic file writes
+    (tmp + fsync + rename + dir fsync) and journal-root checks. *)
 
 val sanitize : string -> string
 (** Escape a name into a safe path component: [A-Za-z0-9_-] pass
@@ -33,30 +23,12 @@ val write_atomic : string -> string -> unit
 val read_file : string -> string
 (** Whole file, binary. Raises [Sys_error] like [open_in]. *)
 
-val has_journal : string -> bool
-(** Does [dir] already hold a journal ([journal.jsonl])? The check
-    {!Evolve.run} uses to refuse to overwrite an existing run, and the
-    server's recovery scan uses to tell a committed evolve dir from an
-    empty one. *)
-
 val validate_root : string -> (unit, string) result
 (** [validate_root path] — [path] is usable as a journal root: it is
     an existing directory, or it does not exist yet but can be created
     (and is created, with parents). [Error] carries a printable
     message; nothing is written on error. *)
 
-val create_fresh :
-  ?populate:(string -> unit) -> root:string -> string -> (string, string) result
-(** [create_fresh ~root name] atomically creates the subdirectory
-    [sanitize name] under [root] and returns its path. The directory
-    is built as a [".tmp-" ^ name] sibling — [populate] (default a
-    no-op) runs on the tmp path to fill it — and then renamed into
-    place, so the directory either exists {e complete} or not at all:
-    a crashed creation leaves only a [".tmp-"] husk that
-    {!list_subdirs} ignores. [Error] if the directory already exists
-    or [populate] raises. *)
-
 val list_subdirs : string -> string list
-(** Immediate subdirectories of [dir], sorted by name, skipping
-    in-flight [".tmp-"] leftovers. Empty list if [dir] does not
-    exist. *)
+(** Immediate subdirectories of [dir], sorted by name. Empty list if
+    [dir] does not exist. *)

@@ -216,3 +216,12 @@ let of_string s =
 let member k = function
   | Obj kvs -> List.assoc_opt k kvs
   | _ -> None
+
+let list f = function
+  | Arr xs ->
+      let rec go acc = function
+        | [] -> Ok (List.rev acc)
+        | x :: rest -> ( match f x with Ok y -> go (y :: acc) rest | Error _ as e -> e)
+      in
+      go [] xs
+  | _ -> Error "expected an array"

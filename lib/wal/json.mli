@@ -14,3 +14,7 @@ type t =
 val to_string : t -> string
 val of_string : string -> (t, string) result
 val member : string -> t -> t option
+
+val list : (t -> ('a, string) result) -> t -> ('a list, string) result
+(** [list f (Arr xs)] decodes every element with [f], in order; the
+    first [Error] (or a non-array) wins. *)

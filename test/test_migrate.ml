@@ -2,7 +2,8 @@
    migrator: population determinism, sealed-context differential vs the
    per-call compliance API, pool-size invariance, memo/eviction
    determinism, budget deferral, equivalence with [Versions.publish],
-   and kill-and-resume byte-identity (including multi-crash chains). *)
+   and kill-and-resume byte-identity (after every record, and across a
+   multi-crash chain). *)
 
 module C = Chorev
 module I = C.Migration.Instance
@@ -12,6 +13,7 @@ module Pop = C.Migrate.Population
 module E = C.Migrate.Engine
 module Pool = C.Parallel.Pool
 module P = C.Scenario.Procurement
+module Run = C.Wal.Run
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -50,26 +52,7 @@ let run_plan ?pool plan =
   let vs = E.build_plan plan in
   (E.run ~options:(E.options_of_plan ?pool plan) vs plan.E.target, vs)
 
-(* scratch directories *)
-let dir_counter = ref 0
-
-let fresh_dir () =
-  incr dir_counter;
-  Filename.concat
-    (Filename.get_temp_dir_name ())
-    (Printf.sprintf "chorev-migrate-test-%d-%d" (Unix.getpid ()) !dir_counter)
-
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-      Unix.rmdir path
-    end
-    else Sys.remove path
-
-let with_dir f =
-  let dir = fresh_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+let with_dir = Harness.with_dir
 
 (* ---------------------------- population ---------------------------- *)
 
@@ -219,7 +202,7 @@ let test_kill_and_resume () =
   (* crash after batch 2, resume to completion *)
   let dir = Filename.concat base "crash" in
   (match E.run_journaled ~crash_after:2 ~dir plan with
-  | exception E.Simulated_crash 2 -> ()
+  | exception Run.Simulated_crash 2 -> ()
   | Ok _ -> Alcotest.fail "expected a simulated crash"
   | Error e -> Alcotest.fail e);
   (match E.resume ~dir () with
@@ -248,24 +231,43 @@ let test_multi_crash_chain () =
     | Ok r -> report_string r
     | Error e -> Alcotest.fail e
   in
-  (* crash at batch 1; resume and crash again at batch 5 via a crashing
-     relaunch; finally resume to the end — still byte-identical *)
+  (* crash at batch 1; resume and crash again at batch 5; finally
+     resume to the end — still byte-identical *)
   let dir = Filename.concat base "chain" in
   (match E.run_journaled ~crash_after:1 ~dir plan with
-  | exception E.Simulated_crash _ -> ()
+  | exception Run.Simulated_crash 1 -> ()
   | _ -> Alcotest.fail "expected crash 1");
-  (* simulate the second crash by truncating nothing and resuming in
-     two hops: replay 1, run to 5... resume has no crash hook, so chain
-     by calling resume twice — the first fully completes; instead,
-     check resume-of-resume idempotence *)
-  (match E.resume ~dir () with
-  | Ok { E.replayed; _ } -> check_int "one batch replayed" 1 replayed
-  | Error e -> Alcotest.fail e);
+  (match E.resume ~crash_after:5 ~dir () with
+  | exception Run.Simulated_crash 5 -> ()
+  | _ -> Alcotest.fail "expected crash 5 on the resume path");
   match E.resume ~dir () with
   | Ok { E.report; replayed } ->
-      check_int "sealed: all 8 batches replayed" 8 replayed;
+      check_int "five batches replayed" 5 replayed;
       check_string "chain byte-identical" straight (report_string report)
   | Error e -> Alcotest.fail e
+
+(* Crash after every record — plan, each batch, the seal — of a small
+   plan and of one whose batches all defer. *)
+let test_every_crash_point () =
+  List.iter
+    (fun (name, plan) ->
+      with_dir @@ fun full ->
+      let straight =
+        match E.run_journaled ~dir:full plan with
+        | Ok r -> report_string r
+        | Error e -> Alcotest.fail e
+      in
+      Harness.every_crash_point ~name ~records:(Harness.records full)
+        ~crashed:(fun ~crash_after dir -> ignore (E.run_journaled ~crash_after ~dir plan))
+        ~resume:(fun _ dir ->
+          match E.resume ~dir () with
+          | Ok { E.report; _ } -> report_string report
+          | Error e -> Alcotest.fail e)
+        straight)
+    [
+      ("tracking", tracking_plan ~instances:300 ~batch:64 ());
+      ("deferrals", tracking_plan ~instances:300 ~batch:64 ~batch_fuel:3 ());
+    ]
 
 (* deferred batches round-trip through the journal too *)
 let test_resume_with_deferrals () =
@@ -278,7 +280,7 @@ let test_resume_with_deferrals () =
   in
   let dir = Filename.concat base "crash" in
   (match E.run_journaled ~crash_after:3 ~dir plan with
-  | exception E.Simulated_crash _ -> ()
+  | exception Run.Simulated_crash _ -> ()
   | _ -> Alcotest.fail "expected crash");
   match E.resume ~dir () with
   | Ok { E.report; replayed } ->
@@ -290,18 +292,23 @@ let test_resume_with_deferrals () =
 (* a journal from one plan refuses to drive another *)
 let test_journal_plan_mismatch () =
   with_dir @@ fun base ->
-  let dir = Filename.concat base "j" in
+  let dir = Filename.concat base "j" and other = Filename.concat base "other" in
   (match
      E.run_journaled ~crash_after:1 ~dir (tracking_plan ~instances:500 ~batch:100 ())
    with
-  | exception E.Simulated_crash _ -> ()
+  | exception Run.Simulated_crash _ -> ()
   | _ -> Alcotest.fail "expected crash");
-  (* hand the journal a different plan file: digest check must refuse *)
-  let other = tracking_plan ~instances:400 ~batch:100 () in
-  E.write_plan ~dir other;
+  (* hand the journal a different (valid) plan: replay must refuse *)
+  (match
+     E.run_journaled ~crash_after:0 ~dir:other
+       (tracking_plan ~instances:400 ~batch:100 ())
+   with
+  | exception Run.Simulated_crash 0 -> ()
+  | _ -> Alcotest.fail "expected crash");
+  Sys.rename (Filename.concat other "plan.json") (Filename.concat dir "plan.json");
   match E.resume ~dir () with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "expected a digest/total mismatch error"
+  | Ok _ -> Alcotest.fail "expected a replay mismatch error"
 
 let () =
   Alcotest.run "migrate"
@@ -324,6 +331,7 @@ let () =
         [
           Alcotest.test_case "kill and resume" `Quick test_kill_and_resume;
           Alcotest.test_case "multi-crash chain" `Quick test_multi_crash_chain;
+          Alcotest.test_case "every crash point" `Quick test_every_crash_point;
           Alcotest.test_case "resume with deferrals" `Quick
             test_resume_with_deferrals;
           Alcotest.test_case "plan mismatch refused" `Quick

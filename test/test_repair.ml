@@ -224,117 +224,136 @@ let test_cone () =
 
 (* ---------------------- rollback journal round trip ----------------- *)
 
-let tmpdir =
-  let k = ref 0 in
-  fun () ->
-    incr k;
-    let d =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "chorev_test_rb_%d_%d" (Unix.getpid ()) !k)
-    in
-    (match Sys.is_directory d with
-    | true ->
-        Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d)
-    | false | (exception Sys_error _) -> ());
-    d
-
 let pre_snaps = [ ("B", "(pre B)"); ("C", "(pre C)") ]
 
 let state_snaps =
   [ ("A", "(post A)"); ("B", "(post B)"); ("C", "(post C)") ]
 
-let start_journal dir =
-  Rollback.start ~dir ~owner:"A" ~cone:[ "B"; "C" ]
-    ~prelude:"injected at tick 10\nrolled back: B,C\n" ~pre:pre_snaps
-    ~state:state_snaps
+let plan =
+  {
+    Rollback.owner = "A";
+    cone = [ "B"; "C" ];
+    prelude = "injected at tick 10\nrolled back: B,C\n";
+    pre = pre_snaps;
+    state = state_snaps;
+  }
+
+let start_journal ?crash_after dir =
+  match Rollback.start ?crash_after ~dir plan with
+  | Ok run -> run
+  | Error e -> Alcotest.failf "start: %s" e
+
+let crashed_after_one () =
+  let dir = Harness.fresh_dir () in
+  (match
+     Rollback.restore_all (start_journal ~crash_after:1 dir)
+       ~restore:(fun ~party:_ ~pre:_ -> ())
+   with
+  | () -> Alcotest.fail "crash hook did not fire"
+  | exception C.Wal.Run.Simulated_crash 1 -> ());
+  dir
 
 let test_journal_roundtrip () =
-  let dir = tmpdir () in
-  let w = start_journal dir in
+  Harness.with_dir @@ fun dir ->
   let restored = ref [] in
-  Rollback.restore_all w ~restore:(fun ~party ~pre ->
+  Rollback.restore_all (start_journal dir) ~restore:(fun ~party ~pre ->
       restored := (party, pre) :: !restored);
-  Rollback.close w;
   Alcotest.(check (list (pair string string)))
     "restored in cone order" pre_snaps (List.rev !restored);
-  check_bool "journal_exists" true (Rollback.journal_exists ~dir);
+  check_bool "kind recorded" true (C.Wal.Run.kind ~dir = Ok "rollback");
   match Rollback.load ~dir with
   | Error e -> Alcotest.failf "load: %s" e
   | Ok l ->
       check_bool "sealed" true l.Rollback.sealed;
-      Alcotest.(check (list string)) "all committed" [ "B"; "C" ] l.Rollback.restored;
-      Alcotest.(check string) "owner" "A" l.Rollback.l_meta.Rollback.owner;
+      Alcotest.(check (list string)) "all committed" [ "B"; "C" ] (Rollback.restored l);
+      Alcotest.(check string) "owner" "A" l.Rollback.plan.Rollback.owner;
       Alcotest.(check string)
         "prelude round-trips" "injected at tick 10\nrolled back: B,C\n"
-        l.Rollback.l_meta.Rollback.prelude;
-      Alcotest.(check (list (pair string string))) "pre snapshots" pre_snaps l.Rollback.l_pre;
+        l.Rollback.plan.Rollback.prelude;
       Alcotest.(check (list (pair string string)))
-        "state snapshots" state_snaps l.Rollback.l_state
+        "pre snapshots" pre_snaps l.Rollback.plan.Rollback.pre;
+      Alcotest.(check (list (pair string string)))
+        "state snapshots" state_snaps l.Rollback.plan.Rollback.state
 
 let test_journal_crash_resume () =
-  let dir = tmpdir () in
-  let w = start_journal dir in
-  (match
-     Rollback.restore_all ~crash_after:1 w ~restore:(fun ~party:_ ~pre:_ -> ())
-   with
-  | () -> Alcotest.fail "crash hook did not fire"
-  | exception Rollback.Simulated_crash 1 -> ());
+  let dir = crashed_after_one () in
+  Fun.protect ~finally:(fun () -> Harness.rm_rf dir) @@ fun () ->
   (* torn run: one committed restore, not sealed *)
   (match Rollback.load ~dir with
   | Error e -> Alcotest.failf "load after crash: %s" e
   | Ok l ->
       check_bool "not sealed" false l.Rollback.sealed;
-      Alcotest.(check (list string)) "one committed" [ "B" ] l.Rollback.restored);
+      Alcotest.(check (list string)) "one committed" [ "B" ] (Rollback.restored l));
   (* resume re-applies EVERY cone restore (pre-crash ones died with the
      process) and journals only the missing records *)
   let replayed = ref [] in
   (match
      Rollback.resume ~dir ~restore:(fun ~party ~pre ->
-         replayed := (party, pre) :: !replayed)
+         replayed := (party, pre) :: !replayed) ()
    with
   | Error e -> Alcotest.failf "resume: %s" e
   | Ok l ->
       Alcotest.(check (list (pair string string)))
         "resume replays the whole cone" pre_snaps (List.rev !replayed);
-      check_bool "meta survives" true (l.Rollback.l_meta.Rollback.parties = [ "B"; "C" ]));
+      check_bool "meta survives" true (l.Rollback.plan.Rollback.cone = [ "B"; "C" ]));
   match Rollback.load ~dir with
   | Error e -> Alcotest.failf "reload: %s" e
   | Ok l ->
       check_bool "sealed after resume" true l.Rollback.sealed;
       Alcotest.(check (list string))
-        "both committed exactly once" [ "B"; "C" ] l.Rollback.restored
+        "both committed exactly once" [ "B"; "C" ] (Rollback.restored l)
 
-(* A crashed rollback whose [state/] directory or a [pre/] snapshot is
-   gone is damaged: loading it — and so resuming it — is an [Error],
-   never an escaping [Sys_error]. *)
-let test_journal_damaged () =
-  let crashed () =
-    let dir = tmpdir () in
-    let w = start_journal dir in
-    (match
-       Rollback.restore_all ~crash_after:1 w ~restore:(fun ~party:_ ~pre:_ -> ())
-     with
-    | () -> Alcotest.fail "crash hook did not fire"
-    | exception Rollback.Simulated_crash 1 -> ());
-    dir
+(* Crash after every record — plan, each restore, the seal — then
+   resume: the final state is the same every time. *)
+let test_every_crash_point () =
+  let final dir =
+    match
+      Result.bind
+        (Rollback.resume ~dir ~restore:(fun ~party:_ ~pre:_ -> ()) ())
+        (fun _ -> Rollback.load ~dir)
+    with
+    | Ok l ->
+        check_bool "sealed" true l.Rollback.sealed;
+        String.concat ";"
+          (List.map (fun (p, s) -> p ^ "=" ^ s) (Rollback.final_state l.Rollback.plan)
+          @ Rollback.restored l)
+    | Error e -> Alcotest.fail e
   in
+  let full =
+    Harness.with_dir @@ fun dir ->
+    Rollback.restore_all (start_journal dir) ~restore:(fun ~party:_ ~pre:_ -> ());
+    (final dir, Harness.records dir)
+  in
+  Harness.every_crash_point ~name:"rollback" ~records:(snd full)
+    ~crashed:(fun ~crash_after dir ->
+      Rollback.restore_all (start_journal ~crash_after dir)
+        ~restore:(fun ~party:_ ~pre:_ -> ()))
+    ~resume:(fun _ dir -> final dir)
+    (fst full)
+
+(* A crashed rollback whose plan is gone or edited is damaged: loading
+   it — and so resuming it — is an [Error], never an escaping
+   exception. *)
+let test_journal_damaged () =
   let expect_error what dir =
     (match Rollback.load ~dir with
     | Error _ -> ()
     | Ok _ -> Alcotest.failf "load without %s must fail" what);
-    match Rollback.resume ~dir ~restore:(fun ~party:_ ~pre:_ -> ()) with
+    (match Rollback.resume ~dir ~restore:(fun ~party:_ ~pre:_ -> ()) () with
     | Error _ -> ()
-    | Ok _ -> Alcotest.failf "resume without %s must fail" what
+    | Ok _ -> Alcotest.failf "resume without %s must fail" what);
+    Harness.rm_rf dir
   in
-  let dir = crashed () in
-  let state = Filename.concat dir "state" in
-  Array.iter (fun f -> Sys.remove (Filename.concat state f)) (Sys.readdir state);
-  Sys.rmdir state;
-  expect_error "state/" dir;
-  let dir = crashed () in
-  Sys.remove (Filename.concat (Filename.concat dir "pre") "B.sexp");
-  expect_error "pre/B.sexp" dir
+  let dir = crashed_after_one () in
+  Sys.remove (Filename.concat dir "plan.json");
+  expect_error "plan.json" dir;
+  let dir = crashed_after_one () in
+  let path = Filename.concat dir "plan.json" in
+  let text = Harness.read path in
+  let i = String.length text - 20 in
+  Harness.write path
+    (String.mapi (fun j c -> if j = i then (if c = 'a' then 'b' else 'a') else c) text);
+  expect_error "an unedited plan.json" dir
 
 (* --------------------- protocol: repair & withdrawal ---------------- *)
 
@@ -484,6 +503,7 @@ let () =
             test_journal_crash_resume;
           Alcotest.test_case "damaged journal is an error" `Quick
             test_journal_damaged;
+          Alcotest.test_case "every crash point" `Quick test_every_crash_point;
         ] );
       ( "end-to-end",
         [

@@ -18,25 +18,7 @@ let check_string = Alcotest.(check string)
 let sexp = C.Bpel.Sexp.process_to_string
 let procurement_sexps () = List.map (fun (_, p) -> sexp p) P.parties
 
-(* fresh scratch directories under the system temp dir *)
-let dir_counter = ref 0
-let fresh_dir () =
-  incr dir_counter;
-  Filename.concat
-    (Filename.get_temp_dir_name ())
-    (Printf.sprintf "chorev-serve-test-%d-%d" (Unix.getpid ()) !dir_counter)
-
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-      Unix.rmdir path
-    end
-    else Sys.remove path
-
-let with_dir f =
-  let dir = fresh_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+let with_dir = Harness.with_dir
 
 (* run a script through a fresh server, one cycle per [batch] *)
 let run_server ?(options = S.Server.default_options) script =
@@ -206,7 +188,7 @@ let test_golden_single_tenant () =
             direct.Ev.consistent consistent;
           check_int "rounds match" (List.length direct.Ev.rounds) rounds;
           check_string "digest matches"
-            (C.Journal.model_digest direct.Ev.choreography)
+            (C.Journal.Evolve.model_digest direct.Ev.choreography)
             digest;
           check_bool "not degraded" false degraded
       | _ -> Alcotest.fail "evolve failed")
@@ -288,6 +270,11 @@ let test_shed_determinism () =
 
 (* ------------------------ journals and restart ---------------------- *)
 
+let recover root =
+  match S.Tenant.recover ~journal_root:root () with
+  | Ok r -> r
+  | Error e -> Alcotest.failf "recover: %s" e
+
 let test_restart_replays () =
   with_dir @@ fun root ->
   let options =
@@ -366,14 +353,14 @@ let test_crash_mid_evolve () =
       S.Tenant.evolve store ~config:C.Config.default ?crash_after "proc"
         ~owner:"A" ~changed:P.accounting_cancel
     with
-    | exception C.Journal.Evolve.Simulated_crash _ -> `Crashed
+    | exception C.Wal.Run.Simulated_crash _ -> `Crashed
     | Ok _ -> `Done
     | Error _ -> Alcotest.fail "evolve failed"
   in
   check_bool "uninterrupted run completes" true (run_with root1 None = `Done);
   check_bool "crashed run crashes" true (run_with root2 (Some 1) = `Crashed);
   let q root =
-    let store, n = S.Tenant.recover ~journal_root:root () in
+    let store, n = recover root in
     check_int "tenant recovered" 1 n;
     match
       (S.Tenant.query store "proc", S.Tenant.migrate_status store "proc")
@@ -387,13 +374,187 @@ let test_crash_mid_evolve () =
   check_string "crashed+recovered query equals uninterrupted" q1 q2;
   check_string "crashed+recovered migrate-status equals uninterrupted" m1 m2
 
+let find s sub =
+  let n = String.length sub in
+  let rec go i =
+    if i + n > String.length s then None
+    else if String.sub s i n = sub then Some i
+    else go (i + 1)
+  in
+  go 0
+
+let contains s sub = find s sub <> None
+
+let replace ~sub ~by s =
+  match find s sub with
+  | Some i ->
+      String.sub s 0 i ^ by
+      ^ String.sub s (i + String.length sub) (String.length s - i - String.length sub)
+  | None -> Alcotest.failf "no %s to replace" sub
+
+(* One tenant's durable history: registration, evolves and publishes.
+   [apply] renders each op's response as the wire would. *)
+let tenant_ops =
+  [
+    `Register;
+    `Evolve P.accounting_cancel;
+    `Publish ("A", 50, 5);
+    `Evolve P.accounting_once;
+    `Publish ("B", 30, 7);
+  ]
+
+let apply ?crash_after store op =
+  let result =
+    match op with
+    | `Register -> S.Tenant.register store "proc" ~processes:(List.map snd P.parties)
+    | `Evolve changed ->
+        S.Tenant.evolve store ~config:C.Config.default ?crash_after "proc" ~owner:"A"
+          ~changed
+    | `Publish (party, instances, seed) ->
+        S.Tenant.publish store "proc" ~party ~instances ~seed
+  in
+  W.response_to_string { W.id = 0; result }
+
+let final store =
+  List.map
+    (fun result -> W.response_to_string { W.id = 0; result })
+    [ S.Tenant.query store "proc"; S.Tenant.migrate_status store "proc" ]
+
+let evolve_dir root k = Filename.concat root (Printf.sprintf "proc/evolve-%06d" k)
+
+(* Kill the store after every durable record of the history — the
+   tenant's plan and publishes, each evolve's plan, rounds and seal —
+   then recover and play the rest: every later response and the final
+   state equal the uninterrupted run's. *)
+let test_tenant_crash_points () =
+  let ops = Array.of_list tenant_ops in
+  let responses, records, final_expected =
+    with_dir @@ fun root ->
+    let store = S.Tenant.create ~journal_root:root () in
+    let evolves = ref 0 and records = Array.make (Array.length ops) (-1) in
+    let responses =
+      Array.mapi
+        (fun i op ->
+          let r = apply store op in
+          (match op with
+          | `Evolve _ ->
+              records.(i) <- Harness.records (evolve_dir root !evolves);
+              incr evolves
+          | _ -> ());
+          r)
+        ops
+    in
+    (responses, records, final store)
+  in
+  let points =
+    List.concat
+      (List.init (Array.length ops) (fun i ->
+           (i, None) :: List.init (records.(i) + 1) (fun k -> (i, Some k))))
+  in
+  List.iter
+    (fun (i, crash_after) ->
+      with_dir @@ fun root ->
+      let name =
+        Printf.sprintf "op %d, crash %s" i
+          (match crash_after with None -> "after it" | Some k -> string_of_int k)
+      in
+      let store = S.Tenant.create ~journal_root:root () in
+      for j = 0 to i - 1 do ignore (apply store ops.(j)) done;
+      (match apply ?crash_after store ops.(i) with
+      | exception C.Wal.Run.Simulated_crash _ -> ()
+      | _ -> if crash_after <> None then Alcotest.failf "%s: no crash" name);
+      let store, n = recover root in
+      check_int (name ^ ": recovered") 1 n;
+      for j = i + 1 to Array.length ops - 1 do
+        check_string (Printf.sprintf "%s: response %d" name j) responses.(j)
+          (apply store ops.(j))
+      done;
+      Alcotest.(check (list string))
+        (name ^ ": final state") final_expected (final store))
+    points
+
+(* The last evolve was killed before its first record was durable: an
+   empty or torn journal beside its plan. Recovery runs it from the
+   start. *)
+let test_tenant_killed_before_first_record () =
+  let uninterrupted =
+    with_dir @@ fun root ->
+    let store = S.Tenant.create ~journal_root:root () in
+    List.iter
+      (fun op -> ignore (apply store op))
+      [ `Register; `Evolve P.accounting_cancel ];
+    final store
+  in
+  List.iter
+    (fun (what, contents) ->
+      with_dir @@ fun root ->
+      let store = S.Tenant.create ~journal_root:root () in
+      ignore (apply store `Register);
+      (match apply ~crash_after:1 store (`Evolve P.accounting_cancel) with
+      | exception C.Wal.Run.Simulated_crash 1 -> ()
+      | _ -> Alcotest.fail "expected a crash");
+      Harness.write (Harness.journal (evolve_dir root 0)) contents;
+      let store, _ = recover root in
+      Alcotest.(check (list string))
+        (what ^ ": recovered state") uninterrupted (final store))
+    [ ("empty journal", ""); ("torn first line", {|{"crc":"0f|}) ]
+
+(* A damaged journal root is an [Error] naming the file — and
+   [Server.create] raises the documented [Invalid_argument] — never an
+   uncaught exception. *)
+let test_damaged_root () =
+  let damaged what path edit =
+    with_dir @@ fun root ->
+    let store = S.Tenant.create ~journal_root:root () in
+    List.iter (fun op -> ignore (apply store op)) tenant_ops;
+    let path = Filename.concat root path in
+    Harness.write path (edit (Harness.read path));
+    (match S.Tenant.recover ~journal_root:root () with
+    | Ok _ -> Alcotest.failf "%s: recovery must fail" what
+    | Error e ->
+        check_bool (what ^ ": error names the file") true
+          (String.starts_with ~prefix:root e));
+    let options = { S.Server.default_options with journal_root = Some root } in
+    match S.Server.create ~options () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: Server.create must refuse" what
+  in
+  damaged "tenant plan" "proc/plan.json" (replace ~sub:{|"seq":0|} ~by:{|"seq":"x"|});
+  damaged "tenant journal" "proc/journal.jsonl" (fun s -> "garbage\n" ^ s);
+  damaged "evolve journal" "proc/evolve-000001/journal.jsonl"
+    (replace ~sub:{|"rec":"round"|} ~by:{|"rec":"rounD"|})
+
+(* Durable and in-memory stores answer the same [Evolved] body, also
+   when a starved budget degrades the run. *)
+let test_durable_degraded () =
+  let config =
+    C.Config.with_budgets
+      ~op_budget:{ C.Guard.Budget.fuel = Some 3; timeout_s = None }
+      ~round_budget:{ C.Guard.Budget.fuel = Some 6; timeout_s = None }
+      C.Config.default
+  in
+  let evolved journal_root =
+    let store = S.Tenant.create ?journal_root () in
+    ignore (S.Tenant.register store "proc" ~processes:(List.map snd P.parties));
+    W.response_to_string
+      {
+        W.id = 0;
+        result =
+          S.Tenant.evolve store ~config "proc" ~owner:"A" ~changed:P.accounting_cancel;
+      }
+  in
+  let memory = evolved None in
+  check_bool "starved run degrades" true (contains memory {|"degraded":true|});
+  with_dir @@ fun root ->
+  check_string "durable body equals in-memory" memory (evolved (Some root))
+
 (* ----------------------------- pipe mode ---------------------------- *)
 
 let test_pipe_mode () =
   let script = S.Driver.gen_script ~tenants:3 ~requests:12 ~seed:5 () in
   let script = script @ [ "this is not json"; {|{"v":1,"id":99,"op":"stats"}|} ] in
-  let infile = fresh_dir () and outfile = fresh_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf infile; rm_rf outfile)
+  let infile = Harness.fresh_dir () and outfile = Harness.fresh_dir () in
+  Fun.protect ~finally:(fun () -> Harness.rm_rf infile; Harness.rm_rf outfile)
   @@ fun () ->
   Out_channel.with_open_text infile (fun oc ->
       List.iter (fun l -> output_string oc (l ^ "\n")) script);
@@ -436,6 +597,12 @@ let () =
         [
           Alcotest.test_case "restart replays" `Quick test_restart_replays;
           Alcotest.test_case "crash mid-evolve" `Quick test_crash_mid_evolve;
+          Alcotest.test_case "every crash point" `Quick test_tenant_crash_points;
+          Alcotest.test_case "killed before the first record" `Quick
+            test_tenant_killed_before_first_record;
+          Alcotest.test_case "damaged root is an error" `Quick test_damaged_root;
+          Alcotest.test_case "durable degraded equals in-memory" `Quick
+            test_durable_degraded;
         ] );
       ("pipe", [ Alcotest.test_case "ndjson loop" `Quick test_pipe_mode ]);
     ]
