@@ -232,21 +232,33 @@ let is_empty_ref a =
 
 (* The map-shaped ε-elimination and subset construction that ran next
    to the packed kernels until those became the only implementation,
-   kept verbatim as their oracles: same budget ticks (one per state,
-   one per discovered subset) in the same order as {!Epsilon} and
-   {!Determinize}. *)
+   kept as their oracles: same budget ticks (one per state, one per
+   discovered subset) in the same order as {!Epsilon} and
+   {!Determinize}. Their closures and rows come from [delta] alone —
+   closures by a naive walk over {!Afsa.step}, rows from
+   {!Afsa.out_edges} — never from the pack the kernels run over. *)
 
 let resolve_budget = function
   | Some b -> b
   | None -> Chorev_guard.Budget.ambient ()
+
+let eps_walk a q =
+  let rec go seen = function
+    | [] -> seen
+    | q :: rest ->
+        if ISet.mem q seen then go seen rest
+        else go (ISet.add q seen) (ISet.elements (Afsa.step a q Sym.Eps) @ rest)
+  in
+  go ISet.empty [ q ]
 
 let eliminate_ref ?budget a =
   let budget = resolve_budget budget in
   if not (Afsa.has_eps a) then a
   else
     let states = Afsa.states a in
-    let cl_tbl = Afsa.eps_closures a in
-    let closure_of q = Hashtbl.find cl_tbl q in
+    let closures = Hashtbl.create 16 in
+    List.iter (fun q -> Hashtbl.replace closures q (eps_walk a q)) states;
+    let closure_of q = Hashtbl.find closures q in
     let edges =
       List.concat_map
         (fun q ->
@@ -254,12 +266,9 @@ let eliminate_ref ?budget a =
           ISet.fold
             (fun p acc ->
               List.fold_left
-                (fun acc (sym, ts) ->
-                  match sym with
-                  | Sym.Eps -> acc
-                  | Sym.L _ ->
-                      List.fold_left (fun acc t -> (q, sym, t) :: acc) acc ts)
-                acc (Afsa.out_rows a p))
+                (fun acc (sym, t) ->
+                  match sym with Sym.Eps -> acc | Sym.L _ -> (q, sym, t) :: acc)
+                acc (Afsa.out_edges a p))
             (closure_of q) [])
         states
     in
@@ -310,12 +319,12 @@ let determinize_ref ?budget a =
           in
           let ann = Chorev_formula.Simplify.simplify ann in
           if not (F.equal ann F.True) then anns := (id, ann) :: !anns;
-          (* group successors by symbol (via the shared index) *)
+          (* group successors by symbol *)
           let by_sym =
             ISet.fold
               (fun q acc ->
                 List.fold_left
-                  (fun acc (sym, ts) ->
+                  (fun acc (sym, t) ->
                     match sym with
                     | Sym.Eps -> acc
                     | Sym.L _ ->
@@ -323,10 +332,8 @@ let determinize_ref ?budget a =
                           Option.value ~default:ISet.empty
                             (Sym.Map.find_opt sym acc)
                         in
-                        Sym.Map.add sym
-                          (List.fold_left (fun cur t -> ISet.add t cur) cur ts)
-                          acc)
-                  acc (Afsa.out_rows a q))
+                        Sym.Map.add sym (ISet.add t cur) acc)
+                  acc (Afsa.out_edges a q))
               set Sym.Map.empty
           in
           Sym.Map.iter
@@ -442,11 +449,11 @@ let minimize_ref a =
     List.iter
       (fun q ->
         List.iter
-          (fun (sym, ts) ->
-            match (sym, ts) with
-            | Sym.L l, t :: _ -> succ.(Hashtbl.find col l).(q) <- t
-            | _ -> assert false (* deterministic, ε-free *))
-          (Afsa.out_rows d q))
+          (fun (sym, t) ->
+            match sym with
+            | Sym.L l -> succ.(Hashtbl.find col l).(q) <- t
+            | Sym.Eps -> assert false (* deterministic, ε-free *))
+          (Afsa.out_edges d q))
       (Afsa.states d);
     let init_class =
       Array.init m (fun q ->
@@ -484,5 +491,5 @@ let minimize_ref a =
     Afsa.make
       ~alphabet:(Array.to_list alpha)
       ~start:block.(Afsa.start d) ~finals ~edges:!edges ~ann ()
-    |> Afsa.trim |> Minimize.canonical_renumber
+    |> Afsa.trim |> Minimize.canonical_renumber |> fst
   end

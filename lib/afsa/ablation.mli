@@ -51,15 +51,17 @@ val minimize_ref : Afsa.t -> Afsa.t
 
     The map-based ε-elimination and subset construction that ran next
     to the packed kernels until those became the only implementation,
-    kept as their oracles. Same discovery order and budget ticks as the
-    kernels, so results are structurally equal and fuel-bounded
-    outcomes identical. *)
+    kept as their oracles. Their closures and rows come from the
+    transition maps (naive ε-walks over {!Afsa.step}, rows from
+    {!Afsa.out_edges}), never from the pack. Same discovery order and
+    budget ticks as the kernels, so results are structurally equal and
+    fuel-bounded outcomes identical. *)
 
 val eliminate_ref : ?budget:Chorev_guard.Budget.t -> Afsa.t -> Afsa.t
-(** The map-shaped ε-elimination (closures from {!Afsa.eps_closures},
-    rows from {!Afsa.out_rows}): the oracle for {!Epsilon.eliminate},
-    which must be structurally equal to it and tick the same fuel —
-    one unit per state. *)
+(** The map-shaped ε-elimination (each closure a naive walk over
+    {!Afsa.step}, rows from {!Afsa.out_edges}): the oracle for
+    {!Epsilon.eliminate}, which must be structurally equal to it and
+    tick the same fuel — one unit per state. *)
 
 val determinize_ref : ?budget:Chorev_guard.Budget.t -> Afsa.t -> Afsa.t
 (** The map-shaped subset construction ([ISet.t]-keyed subsets) over

@@ -14,10 +14,10 @@ module IMap = Map.Make (Int)
 
 (* The packed (CSR) compilation of an automaton — flat int arrays the
    algebra's kernels (product, determinize, ε-elimination, emptiness,
-   completion) run over instead of the functional maps in [delta];
-   each of them has this one implementation. Defined before
-   [index] so the cache slot can hold one; the compiler itself
-   ([Packed.get]) lives below, after the automaton type. *)
+   completion, minimization), reachability and trimming run over
+   instead of the functional maps in [delta]. It is the one derived
+   form of an automaton: defined before [t] so the lazy slot can hold
+   one; the compiler itself ([Packed.get]) lives below. *)
 module Packed0 = struct
   type t = {
     n : int;  (* dense state count *)
@@ -34,32 +34,14 @@ module Packed0 = struct
     ann_nontrivial : Bitset.t;  (* states with a non-[True] annotation *)
     mutable preds : (int array * int array) option;
         (* distinct-predecessor CSR (off, src), built on first backward
-           traversal — same laziness as the map index's [preds_tbl] *)
+           traversal *)
     mutable eps_cl_csr : (int array * int array) option;
         (* per-state ε-closure CSR (off, tgt) over dense indexes, rows
-           sorted ascending; built on first ε-elimination *)
+           sorted ascending; built on first closure query *)
   }
 end
 
-(* Derived indexes over [delta], built lazily on first use and cached
-   in the automaton (see {!index}). Purely derived data: every
-   constructor / modifier invalidates the cache, so the maps in [delta]
-   remain the single source of truth. Laziness is per component —
-   grouped rows materialize per *state* on demand (a walk over a huge
-   automaton only ever touches the reachable fringe), and the
-   predecessor table is built in one O(|Δ|) pass the first time
-   a backward traversal asks for it. *)
-type index = {
-  rows : (int, (Sym.t * int list) list) Hashtbl.t;
-      (* outgoing edges grouped by symbol, filled per state on demand *)
-  mutable preds_tbl : (int, int list) Hashtbl.t option;
-      (* distinct predecessor states (any symbol), whole-automaton *)
-  mutable packed : Packed0.t option;
-      (* CSR compilation, built once per automaton on first kernel
-         entry; invalidated with the rest of the index *)
-  mutable eps_cl : (int, ISet.t) Hashtbl.t option;
-      (* all ε-closures (original ids), SCC-shared; computed once *)
-}
+type packed = Packed0.t
 
 type t = {
   states : ISet.t;
@@ -68,9 +50,12 @@ type t = {
   start : int;
   finals : ISet.t;
   ann : F.t IMap.t; (* absent entry = True *)
-  mutable idx : index option; (* lazily-built cache, never set by hand *)
+  mutable pack : packed option;
+      (* the lazily-compiled pack, never set by hand: purely derived, so
+         every constructor and modifier resets it and [delta] stays the
+         single source of truth *)
   mutable fp : string option;
-      (* cached structural fingerprint (see {!Fingerprint}); like [idx]
+      (* cached structural fingerprint (see {!Fingerprint}); like [pack]
          purely derived, so every structural modifier resets it — but
          [copy] keeps it, the structure being shared *)
 }
@@ -122,7 +107,7 @@ let make ?(alphabet = []) ~start ~finals ~edges ?(ann = []) () =
     start;
     finals = ISet.of_list finals;
     ann;
-    idx = None;
+    pack = None;
     fp = None;
   }
 
@@ -210,266 +195,6 @@ let is_deterministic a =
     a.delta
 
 (* ------------------------------------------------------------------ *)
-(* Derived indexes                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(** The cached index of [a], created empty on first use. Safe because
-    every constructor and modifier below produces a record with
-    [idx = None] — cached entries can never outlive the transition
-    relation they were derived from. *)
-let index a =
-  match a.idx with
-  | Some i -> i
-  | None ->
-      let i =
-        { rows = Hashtbl.create 64; preds_tbl = None; packed = None;
-          eps_cl = None }
-      in
-      a.idx <- Some i;
-      i
-
-(** Grouped outgoing edges of [q]: [(symbol, targets)] with each symbol
-    appearing once. Computed once per state, then O(1). *)
-let out_rows a q =
-  let ix = index a in
-  match Hashtbl.find_opt ix.rows q with
-  | Some r -> r
-  | None ->
-      let r =
-        match IMap.find_opt q a.delta with
-        | None -> []
-        | Some row ->
-            Sym.Map.fold
-              (fun sym tgts acc -> (sym, ISet.elements tgts) :: acc)
-              row []
-            |> List.rev
-      in
-      Hashtbl.replace ix.rows q r;
-      r
-
-(** Successors of [q] on [sym] as a list; [[]] when none. *)
-let succ_list a q sym =
-  match IMap.find_opt q a.delta with
-  | None -> []
-  | Some row -> (
-      match Sym.Map.find_opt sym row with
-      | None -> []
-      | Some tgts -> ISet.elements tgts)
-
-(** ε-successors of [q]. *)
-let eps_succs a q = succ_list a q Sym.Eps
-
-(* One O(|Δ|) backward pass: distinct predecessors per state. *)
-let build_preds a =
-  let preds = Hashtbl.create 256 in
-  let pred_seen = Hashtbl.create 256 in
-  IMap.iter
-    (fun s row ->
-      Sym.Map.iter
-        (fun _ tgts ->
-          ISet.iter
-            (fun t ->
-              if not (Hashtbl.mem pred_seen (s, t)) then begin
-                Hashtbl.replace pred_seen (s, t) ();
-                Hashtbl.replace preds t
-                  (s :: Option.value ~default:[] (Hashtbl.find_opt preds t))
-              end)
-            tgts)
-        row)
-    a.delta;
-  preds
-
-(** Distinct predecessor states of [q] over any symbol. The reverse
-    table is built once per automaton, on first call. *)
-let preds a q =
-  let ix = index a in
-  let tbl =
-    match ix.preds_tbl with
-    | Some t -> t
-    | None ->
-        let t = build_preds a in
-        ix.preds_tbl <- Some t;
-        t
-  in
-  Option.value ~default:[] (Hashtbl.find_opt tbl q)
-
-(* ------------------------------------------------------------------ *)
-(* Reachability and trimming                                           *)
-(* ------------------------------------------------------------------ *)
-
-(* Worklist closure over a neighbor function, using the index: O(V+E). *)
-let closure_over neighbors seeds =
-  let seen = Hashtbl.create 64 in
-  let stack = ref seeds in
-  let acc = ref ISet.empty in
-  List.iter (fun q -> Hashtbl.replace seen q ()) seeds;
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | q :: rest ->
-        stack := rest;
-        acc := ISet.add q !acc;
-        List.iter
-          (fun t ->
-            if not (Hashtbl.mem seen t) then begin
-              Hashtbl.replace seen t ();
-              stack := t :: !stack
-            end)
-          (neighbors q)
-  done;
-  !acc
-
-let reachable_from a q0 =
-  closure_over
-    (fun q -> List.concat_map snd (out_rows a q))
-    [ q0 ]
-
-(** States from which some final state is reachable (co-reachable). *)
-let coreachable a = closure_over (preds a) (ISet.elements a.finals)
-
-let restrict_states a keep =
-  let keep = ISet.add a.start keep in
-  let delta =
-    IMap.filter_map
-      (fun s row ->
-        if not (ISet.mem s keep) then None
-        else
-          let row =
-            Sym.Map.filter_map
-              (fun _ tgts ->
-                let tgts = ISet.inter tgts keep in
-                if ISet.is_empty tgts then None else Some tgts)
-              row
-          in
-          if Sym.Map.is_empty row then None else Some row)
-      a.delta
-  in
-  {
-    a with
-    states = ISet.inter a.states keep;
-    delta;
-    finals = ISet.inter a.finals keep;
-    ann = IMap.filter (fun q _ -> ISet.mem q keep) a.ann;
-    idx = None;
-    fp = None;
-  }
-
-(** Remove unreachable states. *)
-let trim_unreachable a = restrict_states a (reachable_from a a.start)
-
-(** Remove states that are unreachable or cannot reach a final state
-    (the start state is always kept). Preserves the (plain) language. *)
-let trim a =
-  let live = ISet.inter (reachable_from a a.start) (coreachable a) in
-  restrict_states a live
-
-(** Renumber states densely as [0..n-1] (start becomes [0] when
-    [start_zero], default true), preserving structure. Returns the
-    renamed automaton and the old→new map. *)
-let renumber ?(start_zero = true) a =
-  let order =
-    if start_zero then
-      a.start :: List.filter (fun q -> q <> a.start) (ISet.elements a.states)
-    else ISet.elements a.states
-  in
-  let identity =
-    (* already numbered 0..n-1 in [order]'s order: rebuilding would
-       produce a structurally identical automaton while throwing away
-       every cached index (including the pack) *)
-    (not start_zero || a.start = 0)
-    && (ISet.is_empty a.states
-       || (ISet.min_elt a.states = 0
-          && ISet.max_elt a.states = ISet.cardinal a.states - 1))
-  in
-  if identity then
-    (a, ISet.fold (fun q m -> IMap.add q q m) a.states IMap.empty)
-  else
-  let map =
-    List.fold_left
-      (fun (i, m) q -> (i + 1, IMap.add q i m))
-      (0, IMap.empty) order
-    |> snd
-  in
-  let f q = IMap.find q map in
-  let edges' = List.map (fun (s, sym, t) -> (f s, sym, f t)) (edges a) in
-  ( make
-      ~alphabet:(Label.Set.elements a.alphabet)
-      ~start:(f a.start)
-      ~finals:(List.map f (ISet.elements a.finals))
-      ~edges:edges'
-      ~ann:(List.map (fun (q, e) -> (f q, e)) (IMap.bindings a.ann))
-      (),
-    map )
-
-(* ------------------------------------------------------------------ *)
-(* Modification                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let add_edge a (s, sym, t) =
-  let alphabet =
-    match sym with
-    | Sym.Eps -> a.alphabet
-    | Sym.L l -> Label.Set.add l a.alphabet
-  in
-  {
-    a with
-    states = ISet.add s (ISet.add t a.states);
-    alphabet;
-    delta = add_edge_delta a.delta (s, sym, t);
-    idx = None;
-    fp = None;
-  }
-
-(** Bulk variant of {!add_edge}: one record (and one index
-    invalidation) for the whole batch. *)
-let add_edges a es =
-  let states, alphabet =
-    List.fold_left
-      (fun (states, alpha) (s, sym, t) ->
-        ( ISet.add s (ISet.add t states),
-          match sym with
-          | Sym.Eps -> alpha
-          | Sym.L l -> Label.Set.add l alpha ))
-      (a.states, a.alphabet) es
-  in
-  {
-    a with
-    states;
-    alphabet;
-    delta = List.fold_left add_edge_delta a.delta es;
-    idx = None;
-    fp = None;
-  }
-
-(** A handle on the same automaton with a private index cache. The
-    persistent fields are shared (they are immutable); only [idx] is
-    reset. Hand one to each parallel task that reads a shared automaton
-    so concurrent index builds never race on one Hashtbl. The
-    fingerprint [fp] is kept: it describes the shared structure, and a
-    cached digest is an immutable string safe to read from any domain. *)
-let copy a = { a with idx = None }
-
-let set_annotation a q f =
-  let f = Chorev_formula.Simplify.simplify f in
-  let ann =
-    if F.equal f F.True then IMap.remove q a.ann else IMap.add q f a.ann
-  in
-  { a with ann; states = ISet.add q a.states; idx = None; fp = None }
-
-let clear_annotations a = { a with ann = IMap.empty; idx = None; fp = None }
-
-let set_finals a finals =
-  { a with finals = ISet.of_list finals; idx = None; fp = None }
-
-let widen_alphabet a labels =
-  {
-    a with
-    alphabet = Label.Set.union a.alphabet (Label.Set.of_list labels);
-    idx = None;
-    fp = None;
-  }
-
-(* ------------------------------------------------------------------ *)
 (* Packed (CSR) compilation                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -479,29 +204,36 @@ module Packed = struct
   let c_builds = Chorev_obs.Metrics.counter "afsa.pack.builds"
 
   (* The index [i] in [0, n) with [cmp i = 0], for [cmp] ascending in
-     [i]. *)
+     [i]; [-1] when there is none. *)
   let bsearch cmp n =
     let rec go lo hi =
-      if lo > hi then invalid_arg "Afsa.Packed: lookup of an absent key";
-      let mid = (lo + hi) / 2 in
-      let c = cmp mid in
-      if c = 0 then mid else if c < 0 then go (mid + 1) hi else go lo (mid - 1)
+      if lo > hi then -1
+      else
+        let mid = (lo + hi) / 2 in
+        let c = cmp mid in
+        if c = 0 then mid else if c < 0 then go (mid + 1) hi else go lo (mid - 1)
     in
     go 0 (n - 1)
+
+  (* Original id → dense index over the ascending [ids], [-1] when
+     absent. Lookups avoid hashing: an offset when the ids are
+     contiguous (any renumbered automaton), a binary search otherwise. *)
+  let dense_in ids q =
+    let n = Array.length ids in
+    if n > 0 && ids.(n - 1) - ids.(0) = n - 1 then
+      if q >= ids.(0) && q <= ids.(n - 1) then q - ids.(0) else -1
+    else bsearch (fun i -> Int.compare ids.(i) q) n
+
+  let dense p q = dense_in p.state_ids q
 
   let build a =
     Chorev_obs.Metrics.incr c_builds;
     let state_ids = Array.of_list (ISet.elements a.states) in
     let n = Array.length state_ids in
-    (* every kernel input is packed, most of them figure-sized, so the
-       lookups below avoid hashing: original id → dense index is an
-       offset when the ids are contiguous (any renumbered automaton)
-       and a binary search otherwise; symbol ids binary-search [syms] *)
-    let base = if n = 0 then 0 else state_ids.(0) in
-    let dense =
-      if n = 0 || state_ids.(n - 1) - base = n - 1 then fun q -> q - base
-      else fun q -> bsearch (fun i -> Int.compare state_ids.(i) q) n
-    in
+    (* every automaton that is walked gets packed, most of them
+       figure-sized: state lookups go through [dense_in], symbol ids
+       binary-search [syms] *)
+    let dense = dense_in state_ids in
     (* the alphabet covers every edge label (all modifiers keep it so),
        and [Label.Set] ascends in [Sym.Map]'s order *)
     let syms =
@@ -587,14 +319,13 @@ module Packed = struct
     }
 
   (** The packed form of [a], compiled once and cached on the lazy
-      index slot — every structural modifier already invalidates it. *)
+      slot — every structural modifier already invalidates it. *)
   let get a =
-    let ix = index a in
-    match ix.packed with
+    match a.pack with
     | Some p -> p
     | None ->
         let p = build a in
-        ix.packed <- Some p;
+        a.pack <- Some p;
         p
 
   (** Distinct-predecessor CSR over any symbol (proper and ε), built on
@@ -639,6 +370,46 @@ module Packed = struct
         let c = (off, src) in
         p.preds <- Some c;
         c
+
+  (* Dense states reached from the dense [seeds] through [succs] (which
+     calls its second argument on every neighbor), as a bitset. *)
+  let walk p seeds succs =
+    let seen = Bitset.create p.n in
+    let stack = Array.make (max 1 p.n) 0 in
+    let sp = ref 0 in
+    let visit q =
+      if not (Bitset.mem seen q) then begin
+        Bitset.add seen q;
+        stack.(!sp) <- q;
+        incr sp
+      end
+    in
+    List.iter visit seeds;
+    while !sp > 0 do
+      decr sp;
+      succs stack.(!sp) visit
+    done;
+    seen
+
+  (** Dense states reachable from the dense [seeds] over proper and ε
+      out-rows. *)
+  let reach p seeds =
+    walk p seeds (fun q visit ->
+        for e = p.row_off.(q) to p.row_off.(q + 1) - 1 do
+          visit p.row_tgt.(e)
+        done;
+        for e = p.eps_off.(q) to p.eps_off.(q + 1) - 1 do
+          visit p.eps_tgt.(e)
+        done)
+
+  (** Dense states that reach a final state, backward over
+      {!preds_csr}. *)
+  let coreach p =
+    let off, src = preds_csr p in
+    walk p (Bitset.elements p.finals) (fun q visit ->
+        for e = off.(q) to off.(q + 1) - 1 do
+          visit src.(e)
+        done)
 
   (** Per-state ε-closure CSR over dense indexes: row [q] of [(off,
       tgt)] is the sorted ε-closure of [q] (including [q] itself).
@@ -775,93 +546,175 @@ module Packed = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* ε-closures, all at once, cached                                     *)
+(* Reachability and trimming                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Tarjan's SCC algorithm with an explicit stack over a successor
-   function: states in the same ε-SCC share one closure set
-   (physically), and each SCC's closure is the union of its members
-   with the closures of its successor SCCs, computed in reverse
-   topological order — O(V + E) overall. [succs] is the map index's
-   ε-successor view ({!eps_succs}); the packed kernels use their own
-   int-only pass, {!Packed.eps_closure_csr}. *)
-let closures_over ~succs states =
-  let index_t = Hashtbl.create 64 in
-  let lowlink = Hashtbl.create 64 in
-  let on_stack = Hashtbl.create 64 in
-  let scc_stack = ref [] in
-  let closures : (int, ISet.t) Hashtbl.t = Hashtbl.create 64 in
-  let counter = ref 0 in
-  let visit root =
-    if not (Hashtbl.mem index_t root) then begin
-      let enter q =
-        Hashtbl.replace index_t q !counter;
-        Hashtbl.replace lowlink q !counter;
-        incr counter;
-        scc_stack := q :: !scc_stack;
-        Hashtbl.replace on_stack q ();
-        (q, ref (succs q))
-      in
-      let frames = ref [ enter root ] in
-      while !frames <> [] do
-        match !frames with
-        | [] -> ()
-        | (q, sq) :: rest -> (
-            match !sq with
-            | t :: ts ->
-                sq := ts;
-                if not (Hashtbl.mem index_t t) then frames := enter t :: !frames
-                else if Hashtbl.mem on_stack t then
-                  Hashtbl.replace lowlink q
-                    (min (Hashtbl.find lowlink q) (Hashtbl.find index_t t))
-            | [] ->
-                if Hashtbl.find lowlink q = Hashtbl.find index_t q then begin
-                  let rec pop members = function
-                    | s :: tail ->
-                        Hashtbl.remove on_stack s;
-                        if s = q then (s :: members, tail)
-                        else pop (s :: members) tail
-                    | [] -> (members, [])
-                  in
-                  let members, tail = pop [] !scc_stack in
-                  scc_stack := tail;
-                  let cl =
-                    List.fold_left
-                      (fun acc s ->
-                        List.fold_left
-                          (fun acc t ->
-                            match Hashtbl.find_opt closures t with
-                            | Some c -> ISet.union c acc
-                            | None -> acc (* t inside this SCC *))
-                          (ISet.add s acc) (succs s))
-                      ISet.empty members
-                  in
-                  List.iter (fun s -> Hashtbl.replace closures s cl) members
-                end;
-                frames := rest;
-                (match rest with
-                | (p, _) :: _ ->
-                    Hashtbl.replace lowlink p
-                      (min (Hashtbl.find lowlink p) (Hashtbl.find lowlink q))
-                | [] -> ()))
-      done
-    end
-  in
-  List.iter visit states;
-  closures
+let to_set (p : Packed.t) marks =
+  Bitset.fold (fun i acc -> ISet.add p.state_ids.(i) acc) marks ISet.empty
 
-(** The table of all ε-closures of [a], keyed by original state id,
-    computed once per automaton (SCC-memoized) and cached on the index
-    slot. Every closure query routes through this — there is no
-    per-call quadratic walk left. *)
-let eps_closures a =
-  let ix = index a in
-  match ix.eps_cl with
-  | Some t -> t
-  | None ->
-      let t = closures_over ~succs:(eps_succs a) (ISet.elements a.states) in
-      ix.eps_cl <- Some t;
-      t
+(** States reachable from [q0] over any symbol; [{q0}] when [q0] is not
+    a state. *)
+let reachable_from a q0 =
+  let p = Packed.get a in
+  let i = Packed.dense p q0 in
+  if i < 0 then ISet.singleton q0 else to_set p (Packed.reach p [ i ])
+
+(** States from which some final state is reachable (co-reachable). *)
+let coreachable a =
+  let p = Packed.get a in
+  to_set p (Packed.coreach p)
+
+(* [a] restricted to [keep] (and the start); [a] itself, pack and all,
+   when that drops no state. *)
+let restrict_states a keep =
+  let keep = ISet.add a.start keep in
+  if ISet.subset a.states keep then a
+  else
+    let delta =
+    IMap.filter_map
+      (fun s row ->
+        if not (ISet.mem s keep) then None
+        else
+          let row =
+            Sym.Map.filter_map
+              (fun _ tgts ->
+                let tgts = ISet.inter tgts keep in
+                if ISet.is_empty tgts then None else Some tgts)
+              row
+          in
+          if Sym.Map.is_empty row then None else Some row)
+      a.delta
+  in
+  {
+    a with
+    states = ISet.inter a.states keep;
+    delta;
+    finals = ISet.inter a.finals keep;
+    ann = IMap.filter (fun q _ -> ISet.mem q keep) a.ann;
+    pack = None;
+    fp = None;
+  }
+
+(** Remove unreachable states. *)
+let trim_unreachable a =
+  let p = Packed.get a in
+  restrict_states a (to_set p (Packed.reach p [ p.start ]))
+
+(** Remove states that are unreachable or cannot reach a final state
+    (the start state is always kept). Preserves the (plain) language. *)
+let trim a =
+  let p = Packed.get a in
+  let co = Packed.coreach p in
+  restrict_states a
+    (Bitset.fold
+       (fun i acc ->
+         if Bitset.mem co i then ISet.add p.state_ids.(i) acc else acc)
+       (Packed.reach p [ p.start ])
+       ISet.empty)
+
+let renumber ?(start_zero = true) a =
+  let order =
+    if start_zero then
+      a.start :: List.filter (fun q -> q <> a.start) (ISet.elements a.states)
+    else ISet.elements a.states
+  in
+  let identity =
+    (* already numbered 0..n-1 in [order]'s order: rebuilding would
+       produce a structurally identical automaton while throwing away
+       its pack *)
+    (not start_zero || a.start = 0)
+    && (ISet.is_empty a.states
+       || (ISet.min_elt a.states = 0
+          && ISet.max_elt a.states = ISet.cardinal a.states - 1))
+  in
+  if identity then
+    (a, ISet.fold (fun q m -> IMap.add q q m) a.states IMap.empty)
+  else
+  let map =
+    List.fold_left
+      (fun (i, m) q -> (i + 1, IMap.add q i m))
+      (0, IMap.empty) order
+    |> snd
+  in
+  let f q = IMap.find q map in
+  let edges' = List.map (fun (s, sym, t) -> (f s, sym, f t)) (edges a) in
+  ( make
+      ~alphabet:(Label.Set.elements a.alphabet)
+      ~start:(f a.start)
+      ~finals:(List.map f (ISet.elements a.finals))
+      ~edges:edges'
+      ~ann:(List.map (fun (q, e) -> (f q, e)) (IMap.bindings a.ann))
+      (),
+    map )
+
+(* ------------------------------------------------------------------ *)
+(* Modification                                                        *)
+(* ------------------------------------------------------------------ *)
+
+let add_edge a (s, sym, t) =
+  let alphabet =
+    match sym with
+    | Sym.Eps -> a.alphabet
+    | Sym.L l -> Label.Set.add l a.alphabet
+  in
+  {
+    a with
+    states = ISet.add s (ISet.add t a.states);
+    alphabet;
+    delta = add_edge_delta a.delta (s, sym, t);
+    pack = None;
+    fp = None;
+  }
+
+(** Bulk variant of {!add_edge}: one record (and one pack
+    invalidation) for the whole batch. *)
+let add_edges a es =
+  let states, alphabet =
+    List.fold_left
+      (fun (states, alpha) (s, sym, t) ->
+        ( ISet.add s (ISet.add t states),
+          match sym with
+          | Sym.Eps -> alpha
+          | Sym.L l -> Label.Set.add l alpha ))
+      (a.states, a.alphabet) es
+  in
+  {
+    a with
+    states;
+    alphabet;
+    delta = List.fold_left add_edge_delta a.delta es;
+    pack = None;
+    fp = None;
+  }
+
+(** A handle on the same automaton with a private pack slot. The
+    persistent fields are shared (they are immutable); only [pack] is
+    reset. Hand one to each parallel task that reads a shared automaton
+    so each domain builds its pack, and the pack's lazy CSRs, locally.
+    The fingerprint [fp] is kept: it describes the shared structure, and
+    a cached digest is an immutable string safe to read from any
+    domain. *)
+let copy a = { a with pack = None }
+
+let set_annotation a q f =
+  let f = Chorev_formula.Simplify.simplify f in
+  let ann =
+    if F.equal f F.True then IMap.remove q a.ann else IMap.add q f a.ann
+  in
+  { a with ann; states = ISet.add q a.states; pack = None; fp = None }
+
+let clear_annotations a = { a with ann = IMap.empty; pack = None; fp = None }
+
+let set_finals a finals =
+  { a with finals = ISet.of_list finals; pack = None; fp = None }
+
+let widen_alphabet a labels =
+  {
+    a with
+    alphabet = Label.Set.union a.alphabet (Label.Set.of_list labels);
+    pack = None;
+    fp = None;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Structural equality (same states/edges/finals/annotations)          *)

@@ -9,10 +9,9 @@ module F = Chorev_formula.Syntax
 module ISet : Set.S with type elt = int
 module IMap : Map.S with type key = int
 
-type index
-(** Derived lookup structures over [delta] — see {!index}. Opaque:
-    access goes through {!out_rows}, {!succ_list}, {!eps_succs} and
-    {!preds}. *)
+type packed
+(** The compiled {!Packed} form, opaque here; read it through
+    {!Packed.get}. *)
 
 type t = {
   states : ISet.t;
@@ -21,9 +20,10 @@ type t = {
   start : int;
   finals : ISet.t;
   ann : F.t IMap.t;  (** absent entry = [True] *)
-  mutable idx : index option;
-      (** lazily-built index cache; derived data only — never set by
-          hand, always invalidated by the modifiers below *)
+  mutable pack : packed option;
+      (** the lazily-compiled {!Packed} form, the automaton's one
+          derived form; never set by hand, always invalidated by the
+          modifiers below *)
   mutable fp : string option;
       (** cached structural fingerprint; derived data only — computed
           and read through {!Fingerprint}, invalidated by the modifiers
@@ -81,46 +81,18 @@ val has_eps : t -> bool
 val is_deterministic : t -> bool
 (** No ε-transition and at most one target per (state, symbol). *)
 
-(** {1 Derived indexes}
-
-    Lazily-built lookup structures over [delta], cached inside the
-    automaton; every constructor and modifier invalidates the cache, so
-    the indexes are always consistent with the transition relation.
-    Laziness is per component: grouped rows materialize per state on
-    demand (a walk over a huge automaton only pays for the states it
-    actually reaches), and the predecessor table is one O(|Δ|) pass on
-    first backward traversal. Minimization, reachability/trimming and
-    the {!Ablation} references use these instead of re-deriving edge
-    lists; the other kernels run over {!Packed}. *)
-
-val index : t -> index
-(** The cached (initially empty) index. *)
-
-val out_rows : t -> int -> (Sym.t * int list) list
-(** Outgoing edges grouped by symbol; each symbol appears once.
-    Computed once per state, then O(1). *)
-
-val succ_list : t -> int -> Sym.t -> int list
-(** Successor list on one symbol; [[]] when none. *)
-
-val eps_succs : t -> int -> int list
-(** ε-successors. *)
-
-val preds : t -> int -> int list
-(** Distinct predecessor states over any symbol; the reverse table is
-    built once per automaton on first call. *)
-
 (** {1 Packed (CSR) form}
 
-    The flat compilation of an automaton that every algebra kernel —
-    the products, determinization, ε-elimination, emptiness and
-    completion — runs over; each operation has this one
+    The flat compilation of an automaton, and its one derived form:
+    every algebra kernel (the products, determinization, ε-elimination,
+    emptiness, completion and minimization), reachability, trimming and
+    the ε-closure queries run over it; each operation has this one
     implementation (the map-shaped references live in {!Ablation}).
     Dense state numbering, proper out-edges as one CSR sorted by
     (symbol id, target) per row, a separate ε-adjacency CSR, finals and
     annotation-nontrivial flags as bitsets. Compiled once per automaton
-    and cached on the lazy index slot, so every structural modifier
-    already invalidates it. *)
+    and cached on the lazy [pack] slot, so every structural modifier
+    invalidates it and [delta] stays the single source of truth. *)
 module Packed : sig
   type afsa
   (** := the automaton type [t] of the enclosing module. *)
@@ -143,36 +115,49 @@ module Packed : sig
   }
 
   val get : afsa -> t
-  (** The packed form, compiled on first use and cached on the index. *)
+  (** The packed form, compiled on first use and cached on the
+      automaton. *)
+
+  val dense : t -> int -> int
+  (** Dense index of an original state id; [-1] when it is not a
+      state. *)
 
   val preds_csr : t -> int array * int array
   (** Distinct-predecessor CSR [(off, src)] over proper and ε edges,
       built once per packed form on first call. *)
 
+  val reach : t -> int list -> Bitset.t
+  (** Dense states reachable from the dense seeds over proper and ε
+      edges. *)
+
+  val coreach : t -> Bitset.t
+  (** Dense states from which a final state is reachable, over
+      {!preds_csr}. *)
+
   val eps_closure_csr : t -> int array * int array
   (** Per-state ε-closure CSR [(off, tgt)] over dense indexes — row [q]
       is the sorted ε-closure of [q], including [q]. One int-only
-      SCC-collapsed Tarjan pass, built once per packed form. *)
+      SCC-collapsed Tarjan pass, built once per packed form. This is
+      the one ε-closure algorithm; {!Epsilon.closure} reads it. *)
 end
 with type afsa := t
-
-val eps_closures : t -> (int, ISet.t) Hashtbl.t
-(** All ε-closures at once, keyed by original state id; states in the
-    same ε-SCC share one physically-equal set. Computed once per
-    automaton (O(V+E), SCC-memoized) and cached on the index slot.
-    {!Epsilon.closure_of} routes through this. *)
 
 (** {1 Reachability and trimming} *)
 
 val reachable_from : t -> int -> ISet.t
+(** States reachable over any symbol, ε included; [{q}] when [q] is not
+    a state. *)
+
 val coreachable : t -> ISet.t
+(** States from which a final state is reachable over any symbol. *)
 
 val trim_unreachable : t -> t
 (** Drop states unreachable from the start. *)
 
 val trim : t -> t
 (** Drop unreachable and dead states (start always kept); preserves the
-    plain language. *)
+    plain language. Both trims walk the pack and return their argument
+    itself, pack included, when they drop nothing. *)
 
 val renumber : ?start_zero:bool -> t -> t * int IMap.t
 (** Dense renumbering; returns the old→new map. *)
@@ -180,11 +165,11 @@ val renumber : ?start_zero:bool -> t -> t * int IMap.t
 (** {1 Modification} *)
 
 val copy : t -> t
-(** Same automaton, private (empty) index cache. The persistent fields
+(** Same automaton, private (empty) pack slot. The persistent fields
     are shared. Use one copy per parallel task when several domains
-    read the same automaton: the index Hashtbls are not thread-safe,
-    and a private handle keeps each domain's lazy index builds local.
-    An already-computed fingerprint is kept (it is an immutable string
+    read the same automaton: the pack and its lazy CSRs are filled in
+    place, and a private handle keeps each domain's builds local. An
+    already-computed fingerprint is kept (it is an immutable string
     describing the shared structure). *)
 
 val add_edge : t -> int * Sym.t * int -> t

@@ -6,50 +6,56 @@
     conjunction: every obligation of a state silently reachable from [q]
     is already an obligation at [q].
 
-    All closure queries route through {!Afsa.eps_closures}: one
-    SCC-memoized O(V+E) pass per automaton, cached on the index slot.
-    There is no per-call list-append walk left — the old
-    [eps_succs a q @ rest] closure was O(V·E) per query. ε-elimination
-    runs over the packed form's own ε-closure CSR. *)
+    Closure queries and ε-elimination both read the packed form's
+    ε-closure CSR ({!Afsa.Packed.eps_closure_csr}): one SCC-collapsed
+    O(V+E) pass per automaton, cached on the pack. *)
 
 module F = Chorev_formula.Syntax
 module Budget = Chorev_guard.Budget
 module ISet = Afsa.ISet
+module P = Afsa.Packed
+
+(* [acc] plus the ε-closure of original id [q]; a state outside the
+   automaton closes to itself. *)
+let add_closure p (cl_off, cl_tgt) q acc =
+  let i = P.dense p q in
+  if i < 0 then ISet.add q acc
+  else begin
+    let acc = ref acc in
+    for k = cl_off.(i) to cl_off.(i + 1) - 1 do
+      acc := ISet.add p.P.state_ids.(cl_tgt.(k)) !acc
+    done;
+    !acc
+  end
 
 (** ε-closure of a single state. States outside the automaton close to
-    themselves, matching the old walk's behavior. *)
+    themselves. *)
 let closure_of a q =
-  match Hashtbl.find_opt (Afsa.eps_closures a) q with
-  | Some cl -> cl
-  | None -> ISet.singleton q
+  let p = P.get a in
+  add_closure p (P.eps_closure_csr p) q ISet.empty
 
 (** ε-closure of a state set. *)
 let closure a set =
-  let tbl = Afsa.eps_closures a in
-  ISet.fold
-    (fun q acc ->
-      match Hashtbl.find_opt tbl q with
-      | Some cl -> ISet.union cl acc
-      | None -> ISet.add q acc)
-    set ISet.empty
+  let p = P.get a in
+  let cl = P.eps_closure_csr p in
+  ISet.fold (add_closure p cl) set ISet.empty
 
 (** Remove all ε-transitions, preserving the language. For each state
     [q], the new outgoing edges are the proper edges of all states in
     the ε-closure of [q]; [q] is final if its closure meets a final
     state; its annotation is the conjunction of the closure's
     annotations. Unreachable states are dropped. One fused sweep per
-    state over the packed form's ε-closure CSR ({!Afsa.Packed}): the
-    closure rows come out sorted ascending (dense ascending ==
-    original-id ascending), so the finals test, the [F.and_] fold and
-    the budget tick (one per state) happen in the same order as the
-    map-based [Ablation.eliminate_ref]. *)
+    state over the closure CSR: the closure rows come out sorted
+    ascending (dense ascending == original-id ascending), so the finals
+    test, the [F.and_] fold and the budget tick (one per state) happen
+    in the same order as the naive [Ablation.eliminate_ref]. An ε-free
+    input is returned unchanged. *)
 let eliminate ?budget a =
   let budget =
     match budget with Some b -> b | None -> Budget.ambient ()
   in
   if not (Afsa.has_eps a) then a
   else
-    let module P = Afsa.Packed in
     let p = P.get a in
     let cl_off, cl_tgt = P.eps_closure_csr p in
     let edges = ref [] and finals = ref [] and ann = ref [] in

@@ -15,7 +15,7 @@
     modifier in {!Afsa} resets the field; {!Afsa.copy} keeps it. The
     cached value is an immutable string, so reading it from several
     domains is safe; {e computing} it mutates the record and must follow
-    the same single-domain discipline as the lazy index (compute in the
+    the same single-domain discipline as the lazy pack (compute in the
     coordinator before fan-out, or on a private {!Afsa.copy}). *)
 
 module F = Chorev_formula.Syntax

@@ -6,7 +6,7 @@
     {!Minimize.minimize} numbers states canonically. The digest is
     cached in the automaton ([fp] field): computing it mutates the
     record, so follow the same single-domain discipline as the lazy
-    index; reading a cached digest is safe from any domain. *)
+    pack; reading a cached digest is safe from any domain. *)
 
 val digest : Afsa.t -> string
 (** The 16-byte raw digest, computed on first call and cached. *)

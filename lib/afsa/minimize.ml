@@ -34,13 +34,14 @@
 
 module F = Chorev_formula.Syntax
 module Budget = Chorev_guard.Budget
-module ISet = Afsa.ISet
 module IMap = Afsa.IMap
+module P = Afsa.Packed
 
-(* Instrumentation (DESIGN.md §7): minimization runs, the size of the
-   virtually-completed transition table (states × symbols), and runs
-   that skipped determinization because the input was already
-   deterministic and ε-free. *)
+(* Instrumentation (DESIGN.md §7): minimization runs, the cells of the
+   virtually-completed transition table (states × symbols) that the
+   empty-language fallback builds, and runs that skipped
+   determinization because the input was already deterministic and
+   ε-free. *)
 let c_runs = Chorev_obs.Metrics.counter "afsa.minimize.runs"
 let c_table_cells = Chorev_obs.Metrics.counter "afsa.minimize.table_cells"
 let c_det_fastpath = Chorev_obs.Metrics.counter "afsa.minimize.det_fastpath"
@@ -55,47 +56,56 @@ module ClassTbl = Hashtbl.Make (struct
   let hash (b, f) = Hashtbl.hash (b, F.hash f)
 end)
 
-(** Canonical state numbering: BFS from the start, exploring outgoing
-    edges in sorted label order. Two isomorphic deterministic automata
-    renumber to structurally equal ones. Exposed for tests and kept as
-    the reference the fused pass inside {!minimize} must agree with. *)
+(** Canonical state numbering: BFS from the start over the pack, each
+    state's ε-edges first and then its proper edges in sorted label
+    order (the [Sym] order). Two isomorphic deterministic automata
+    renumber to structurally equal ones. States unreachable from the
+    start get no number and are dropped. Returns the renamed automaton
+    and the old→new map, like {!Afsa.renumber}. Exposed for
+    public-process generation and kept as the reference the fused pass
+    inside {!minimize} must agree with. *)
 let canonical_renumber m =
-  let order = ref [] in
-  let seen = Hashtbl.create 16 in
-  let q = Queue.create () in
-  Queue.add (Afsa.start m) q;
-  Hashtbl.add seen (Afsa.start m) ();
-  while not (Queue.is_empty q) do
-    let s = Queue.pop q in
-    order := s :: !order;
-    let succs =
-      Afsa.out_edges m s
-      |> List.sort (fun (y1, _) (y2, _) -> Sym.compare y1 y2)
-      |> List.map snd
-    in
-    List.iter
-      (fun t ->
-        if not (Hashtbl.mem seen t) then begin
-          Hashtbl.add seen t ();
-          Queue.add t q
-        end)
-      succs
-  done;
-  let order = List.rev !order in
-  let map =
-    List.fold_left
-      (fun (i, acc) s -> (i + 1, IMap.add s i acc))
-      (0, IMap.empty) order
-    |> snd
+  let pk = P.get m in
+  let order = Array.make (max 1 pk.P.n) 0 in
+  let newid = Array.make (max 1 pk.P.n) (-1) in
+  let next = ref 0 in
+  let visit q =
+    if newid.(q) < 0 then begin
+      newid.(q) <- !next;
+      order.(!next) <- q;
+      incr next
+    end
   in
-  let f s = IMap.find s map in
-  Afsa.make
-    ~alphabet:(Afsa.alphabet m)
-    ~start:(f (Afsa.start m))
-    ~finals:(List.map f (Afsa.finals m))
-    ~edges:(List.map (fun (s, y, t) -> (f s, y, f t)) (Afsa.edges m))
-    ~ann:(List.map (fun (s, e) -> (f s, e)) (Afsa.annotations m))
-    ()
+  visit pk.P.start;
+  let head = ref 0 in
+  while !head < !next do
+    let s = order.(!head) in
+    incr head;
+    for e = pk.P.eps_off.(s) to pk.P.eps_off.(s + 1) - 1 do
+      visit pk.P.eps_tgt.(e)
+    done;
+    for e = pk.P.row_off.(s) to pk.P.row_off.(s + 1) - 1 do
+      visit pk.P.row_tgt.(e)
+    done
+  done;
+  let edges = ref [] and finals = ref [] and ann = ref [] in
+  let map = ref IMap.empty in
+  for i = !next - 1 downto 0 do
+    let s = order.(i) in
+    map := IMap.add pk.P.state_ids.(s) i !map;
+    if Bitset.mem pk.P.finals s then finals := i :: !finals;
+    if Bitset.mem pk.P.ann_nontrivial s then ann := (i, pk.P.ann.(s)) :: !ann;
+    for e = pk.P.eps_off.(s) to pk.P.eps_off.(s + 1) - 1 do
+      edges := (i, Sym.Eps, newid.(pk.P.eps_tgt.(e))) :: !edges
+    done;
+    for e = pk.P.row_off.(s) to pk.P.row_off.(s + 1) - 1 do
+      edges :=
+        (i, pk.P.syms.(pk.P.row_sym.(e)), newid.(pk.P.row_tgt.(e))) :: !edges
+    done
+  done;
+  ( Afsa.make ~alphabet:(Afsa.alphabet m) ~start:0 ~finals:!finals
+      ~edges:!edges ~ann:!ann (),
+    !map )
 
 (* A refinable partition of the dense ids [0..m-1] (used both for
    states and for transitions).
@@ -239,23 +249,21 @@ let initial_classes nstates final_of ann_of =
    never computes. Inputs with a live start never reach this function;
    size is whatever the automaton is, and empty-language automata are
    small in practice, so the |Q|·|Σ| table is affordable here. *)
-let minimize_completed budget d state_ids n alpha k dense_of =
+let minimize_completed budget d =
+  let pk = P.get d in
+  let n = pk.P.n and k = Array.length pk.P.syms in
+  Chorev_obs.Metrics.add c_table_cells (k * (n + 1));
   let sink = n in
   let m = n + 1 in
-  let col = Hashtbl.create (max 1 k) in
-  Array.iteri (fun c l -> Hashtbl.replace col l c) alpha;
   (* Transition table of the virtually-completed DFA: succ.(q*k + c),
-     missing transitions go to the sink column. *)
+     missing transitions go to the sink column; the pack's symbol ids
+     are the columns. *)
   let succ = Array.make (max 1 (m * k)) sink in
-  Array.iteri
-    (fun qi q ->
-      List.iter
-        (fun (sym, ts) ->
-          match (sym, ts) with
-          | Sym.L l, [ t ] -> succ.((qi * k) + Hashtbl.find col l) <- dense_of t
-          | _ -> assert false (* deterministic, ε-free *))
-        (Afsa.out_rows d q))
-    state_ids;
+  for q = 0 to n - 1 do
+    for e = pk.P.row_off.(q) to pk.P.row_off.(q + 1) - 1 do
+      succ.((q * k) + pk.P.row_sym.(e)) <- pk.P.row_tgt.(e)
+    done
+  done;
   (* Per-symbol CSR predecessor table: the c-predecessors of dense
      state t are cdata.(c).(j) for coff.(c).(t) ≤ j < coff.(c).(t+1).
      Exactly m entries per symbol (the DFA is complete). *)
@@ -287,11 +295,10 @@ let minimize_completed budget d state_ids n alpha k dense_of =
      non-final True state. *)
   let final_d = Array.make m false in
   let ann_d = Array.make m F.True in
-  Array.iteri
-    (fun qi q ->
-      final_d.(qi) <- Afsa.is_final d q;
-      ann_d.(qi) <- Chorev_formula.Simplify.simplify (Afsa.annotation d q))
-    state_ids;
+  for q = 0 to n - 1 do
+    final_d.(q) <- Bitset.mem pk.P.finals q;
+    ann_d.(q) <- Chorev_formula.Simplify.simplify pk.P.ann.(q)
+  done;
   let cls, ncls = initial_classes m (Array.get final_d) (Array.get ann_d) in
   let p = partition_make ~cap:m m cls ncls in
   (* Worklist of (block, symbol), encoded b*k+c. Each pair enters at
@@ -364,8 +371,8 @@ let minimize_completed budget d state_ids n alpha k dense_of =
         drain ()
   in
   drain ();
-  let sb = p.blk.(dense_of (Afsa.start d)) in
-  let alpha_list = Array.to_list alpha in
+  let sb = p.blk.(pk.P.start) in
+  let alpha_list = Afsa.alphabet d in
   if not colive.(sb) then begin
     (* Dead start: the language is empty; keep one state, preserving
        the start block's real self-loops and annotation (what trimming
@@ -379,7 +386,7 @@ let minimize_completed budget d state_ids n alpha k dense_of =
           let q = p.elems.(i) in
           if q <> sink && succ.((q * k) + c) <> sink then backed := true
         done;
-        if !backed then edges := (0, Sym.L alpha.(c), 0) :: !edges
+        if !backed then edges := (0, pk.P.syms.(c), 0) :: !edges
       end
     done;
     let ann = if rep sb = sink then [] else [ (0, ann_d.(rep sb)) ] in
@@ -412,7 +419,7 @@ let minimize_completed budget d state_ids n alpha k dense_of =
             incr next;
             Queue.add t queue
           end;
-          edges := (id, Sym.L alpha.(c), newid.(t)) :: !edges
+          edges := (id, pk.P.syms.(c), newid.(t)) :: !edges
         end
       done
     done;
@@ -440,105 +447,31 @@ let minimize ?budget a =
     end
     else Determinize.determinize ~budget a
   in
-  let state_ids = Array.of_list (Afsa.states d) in
-  let n = Array.length state_ids in
+  let pk = P.get d in
+  let n = pk.P.n in
   Chorev_obs.Metrics.observe h_states (float_of_int n);
-  let alpha = Array.of_list (Afsa.alphabet d) in
-  let k = Array.length alpha in
-  Chorev_obs.Metrics.add c_table_cells (k * (n + 1));
-  (* Dense ids: state_ids.(i) ↔ i. Determinize output is already dense
-     from 0; the fast path may see sparse ids. *)
-  let dense_of =
-    if n > 0 && state_ids.(0) = 0 && state_ids.(n - 1) = n - 1 then fun q -> q
-    else begin
-      let tbl = Hashtbl.create (2 * n) in
-      Array.iteri (fun i q -> Hashtbl.replace tbl q i) state_ids;
-      fun q -> Hashtbl.find tbl q
-    end
-  in
-  if n = 0 then minimize_completed budget d state_ids n alpha k dense_of
+  let k = Array.length pk.P.syms in
+  if n = 0 then minimize_completed budget d
   else begin
-    (* Real transitions with dense endpoints and label column ids. *)
-    let col = Hashtbl.create (max 1 k) in
-    Array.iteri (fun c l -> Hashtbl.replace col l c) alpha;
-    let nt = ref 0 in
-    Array.iter
-      (fun q -> nt := !nt + List.length (Afsa.out_rows d q))
-      state_ids;
-    let t0 = !nt in
+    (* Real transitions are the pack's proper edges, one per (state,
+       symbol): edge [t] runs from dense [tt.(t)] to dense [th.(t)] on
+       label column [tl.(t)] (the symbol id). *)
+    let t0 = pk.P.row_off.(n) in
     let tt = Array.make (max 1 t0) 0 in
-    let tl = Array.make (max 1 t0) 0 in
-    let th = Array.make (max 1 t0) 0 in
-    let ti = ref 0 in
-    Array.iteri
-      (fun qi q ->
-        List.iter
-          (fun (sym, ts) ->
-            match (sym, ts) with
-            | Sym.L l, [ t ] ->
-                tt.(!ti) <- qi;
-                tl.(!ti) <- Hashtbl.find col l;
-                th.(!ti) <- dense_of t;
-                incr ti
-            | _ -> assert false (* deterministic, ε-free *))
-          (Afsa.out_rows d q))
-      state_ids;
+    for q = 0 to n - 1 do
+      Array.fill tt pk.P.row_off.(q) (pk.P.row_off.(q + 1) - pk.P.row_off.(q)) q
+    done;
+    let tl = pk.P.row_sym and th = pk.P.row_tgt in
     (* Reachability from the start and co-reachability from the finals
        over the real edges; only their intersection (the live core)
        takes part in refinement. Any path from the start to a live
        state runs through live states, so the quotient stays connected. *)
-    let csr key =
-      let off = Array.make (n + 1) 0 in
-      for t = 0 to t0 - 1 do
-        off.(key.(t) + 1) <- off.(key.(t) + 1) + 1
-      done;
-      for q = 0 to n - 1 do
-        off.(q + 1) <- off.(q + 1) + off.(q)
-      done;
-      let data = Array.make (max 1 t0) 0 in
-      let cur = Array.copy off in
-      for t = 0 to t0 - 1 do
-        data.(cur.(key.(t))) <- t;
-        cur.(key.(t)) <- cur.(key.(t)) + 1
-      done;
-      (off, data)
-    in
-    let aoff, adata = csr tt in
-    let ioff, idata = csr th in
-    let queue = Array.make n 0 in
-    let bfs roots ends_of off data =
-      let seen = Array.make n false in
-      let qe = ref 0 in
-      let enq v =
-        if not seen.(v) then begin
-          seen.(v) <- true;
-          queue.(!qe) <- v;
-          incr qe
-        end
-      in
-      List.iter enq roots;
-      let qh = ref 0 in
-      while !qh < !qe do
-        let s = queue.(!qh) in
-        incr qh;
-        for j = off.(s) to off.(s + 1) - 1 do
-          enq (ends_of data.(j))
-        done
-      done;
-      seen
-    in
-    let start_d = dense_of (Afsa.start d) in
-    let reach = bfs [ start_d ] (fun t -> th.(t)) aoff adata in
-    let final_roots =
-      List.filter_map
-        (fun q -> if Afsa.is_final d q then Some (dense_of q) else None)
-        (Afsa.finals d)
-    in
-    let coreach = bfs final_roots (fun t -> tt.(t)) ioff idata in
-    if not (reach.(start_d) && coreach.(start_d)) then
-      minimize_completed budget d state_ids n alpha k dense_of
+    let start_d = pk.P.start in
+    let reach = P.reach pk [ start_d ] and coreach = P.coreach pk in
+    if not (Bitset.mem reach start_d && Bitset.mem coreach start_d) then
+      minimize_completed budget d
     else begin
-      let live q = reach.(q) && coreach.(q) in
+      let live q = Bitset.mem reach q && Bitset.mem coreach q in
       let lid = Array.make n (-1) in
       let nl = ref 0 in
       for q = 0 to n - 1 do
@@ -606,9 +539,9 @@ let minimize ?budget a =
       let final_l = Array.make (max 1 nl) false in
       let ann_l = Array.make (max 1 nl) F.True in
       for li = 0 to nl - 1 do
-        let q = state_ids.(lstate.(li)) in
-        final_l.(li) <- Afsa.is_final d q;
-        ann_l.(li) <- Chorev_formula.Simplify.simplify (Afsa.annotation d q)
+        let q = lstate.(li) in
+        final_l.(li) <- Bitset.mem pk.P.finals q;
+        ann_l.(li) <- Chorev_formula.Simplify.simplify pk.P.ann.(q)
       done;
       let cls, ncls = initial_classes nl (Array.get final_l) (Array.get ann_l) in
       let pb = partition_make ~cap:nl nl cls ncls in
@@ -679,10 +612,10 @@ let minimize ?budget a =
             incr next;
             Queue.add tb bqueue
           end;
-          edges := (id, Sym.L alpha.(fl.(t)), newid.(tb)) :: !edges
+          edges := (id, pk.P.syms.(fl.(t)), newid.(tb)) :: !edges
         done
       done;
-      Afsa.make ~alphabet:(Array.to_list alpha) ~start:0 ~finals:!finals
+      Afsa.make ~alphabet:(Afsa.alphabet d) ~start:0 ~finals:!finals
         ~edges:!edges ~ann:!ann ()
     end
   end

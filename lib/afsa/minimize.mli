@@ -7,5 +7,7 @@ val minimize : ?budget:Chorev_guard.Budget.t -> Afsa.t -> Afsa.t
     states canonically (BFS in sorted-label order), so equal annotated
     languages yield structurally equal automata. *)
 
-val canonical_renumber : Afsa.t -> Afsa.t
-(** BFS renumbering from the start in sorted-label order. *)
+val canonical_renumber : Afsa.t -> Afsa.t * int Afsa.IMap.t
+(** BFS renumbering from the start in sorted-label order; states
+    unreachable from the start are dropped. Returns the old→new map
+    like {!Afsa.renumber}. *)

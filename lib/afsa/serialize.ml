@@ -58,11 +58,16 @@ let of_string s : (Afsa.t, string) result =
         let parse_line line =
           match String.split_on_char ' ' line with
           | "alphabet" :: labels ->
-              alphabet :=
-                List.filter_map
-                  (fun l -> Result.to_option (Label.of_string l))
-                  labels;
-              Ok ()
+              let rec parse acc = function
+                | [] ->
+                    alphabet := List.rev acc;
+                    Ok ()
+                | l :: rest -> (
+                    match Label.of_string l with
+                    | Ok lab -> parse (lab :: acc) rest
+                    | Error e -> Error e)
+              in
+              parse [] labels
           | [ "start"; q ] -> (
               match int_of_string_opt q with
               | Some q ->

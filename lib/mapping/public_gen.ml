@@ -12,9 +12,12 @@
     non-terminating condition ("1 = 1" or "true") have no exit edge.
 
     ε-transitions produced by silent activities and loop exits are
-    eliminated afterwards with provenance tracking, so table entries
-    survive; states are finally renumbered in BFS order from the start
-    (the paper's figures number them the same way, 1-based). *)
+    eliminated afterwards by {!Chorev_afsa.Epsilon.eliminate}; each
+    state's table entries absorb those of its ε-closure first, so they
+    survive. States are finally renumbered canonically, in BFS order
+    from the start ({!Chorev_afsa.Minimize.canonical_renumber}; the
+    paper's figures number them the same way, 1-based), and the table
+    follows the renumbering, dropping the states it left out. *)
 
 module F = Chorev_formula.Syntax
 module Afsa = Chorev_afsa.Afsa
@@ -211,70 +214,26 @@ let rec compile (p : Process.t) b ~ctx ~path ~entry ~exit act =
           List.iter (fun q -> edge b (emb q) Sym.Eps exit) (Afsa.finals prod))
 
 (* ------------------------------------------------------------------ *)
-(* ε-elimination with provenance + BFS renumbering                     *)
+(* Table provenance across ε-elimination                               *)
 (* ------------------------------------------------------------------ *)
 
-let eliminate_with_table (a : Afsa.t) (table : Table.t) =
-  let epsilon = Chorev_afsa.Epsilon.closure_of a in
-  let states = Afsa.states a in
-  let edges =
-    List.concat_map
-      (fun q ->
-        ISet.fold
-          (fun pstate acc ->
-            List.filter_map
-              (fun (sym, t) ->
-                match sym with Sym.Eps -> None | Sym.L _ -> Some (q, sym, t))
-              (Afsa.out_edges a pstate)
-            @ acc)
-          (epsilon q) [])
-      states
-  in
-  let finals =
-    List.filter (fun q -> ISet.exists (Afsa.is_final a) (epsilon q)) states
-  in
-  let anns =
-    List.filter_map
-      (fun q ->
-        let f =
-          ISet.fold (fun s acc -> F.and_ (Afsa.annotation a s) acc) (epsilon q) F.True
-        in
-        let f = Chorev_formula.Simplify.simplify f in
-        if F.equal f F.True then None else Some (q, f))
-      states
-  in
-  let table =
-    List.fold_left
-      (fun tbl q ->
-        ISet.fold
-          (fun s tbl -> if s = q then tbl else Table.merge tbl ~into:q ~from:s)
-          (epsilon q) tbl)
-      table states
-  in
-  let a' =
-    Afsa.make ~alphabet:(Afsa.alphabet a) ~start:(Afsa.start a) ~finals ~edges
-      ~ann:anns ()
-  in
-  (a', table)
-
-let bfs_order a =
-  let seen = Hashtbl.create 16 in
-  let q = Queue.create () in
-  let order = ref [] in
-  Queue.add (Afsa.start a) q;
-  Hashtbl.add seen (Afsa.start a) ();
-  while not (Queue.is_empty q) do
-    let s = Queue.pop q in
-    order := s :: !order;
-    Afsa.out_edges a s
-    |> List.sort (fun (y1, _) (y2, _) -> Sym.compare y1 y2)
-    |> List.iter (fun (_, t) ->
-           if not (Hashtbl.mem seen t) then begin
-             Hashtbl.add seen t ();
-             Queue.add t q
-           end)
+(* ε-elimination fuses each state with its ε-closure, so each state
+   takes over the table entries of its closure members. The fold order
+   is part of the table: states ascending, members ascending, each
+   merge reading the table as the earlier merges left it. *)
+let merge_closures (a : Afsa.t) (table : Table.t) =
+  let module P = Afsa.Packed in
+  let p = P.get a in
+  let cl_off, cl_tgt = P.eps_closure_csr p in
+  let table = ref table in
+  for i = 0 to p.P.n - 1 do
+    let q = p.P.state_ids.(i) in
+    for k = cl_off.(i) to cl_off.(i + 1) - 1 do
+      let s = p.P.state_ids.(cl_tgt.(k)) in
+      if s <> q then table := Table.merge !table ~into:q ~from:s
+    done
   done;
-  List.rev !order
+  !table
 
 let c_runs = Chorev_obs.Metrics.counter "mapping.public_gen.runs"
 
@@ -305,25 +264,16 @@ let generate (p : Process.t) : Afsa.t * Table.t =
       ~finals:(ISet.elements b.finals)
       ~edges:b.edges ~ann:b.anns ()
   in
-  let elim, table = eliminate_with_table raw b.table in
-  let elim = Afsa.trim_unreachable elim in
-  (* BFS renumbering, composed into the table *)
-  let order = bfs_order elim in
-  let map = Hashtbl.create 16 in
-  List.iteri (fun i q -> Hashtbl.add map q i) order;
-  let f q = Hashtbl.find map q in
-  let renum =
-    Afsa.make
-      ~alphabet:(Afsa.alphabet elim)
-      ~start:(f (Afsa.start elim))
-      ~finals:(List.map f (Afsa.finals elim))
-      ~edges:(List.map (fun (s, y, t) -> (f s, y, f t)) (Afsa.edges elim))
-      ~ann:(List.map (fun (s, e) -> (f s, e)) (Afsa.annotations elim))
-      ()
+  let table = merge_closures raw b.table in
+  (* Generation ticks no fuel. An ε-free [raw] comes back from
+     [eliminate] unchanged, states after a [terminate] included; the
+     renumbering numbers only states reachable from the start, so it
+     drops them. *)
+  let renum, map =
+    Chorev_afsa.Epsilon.eliminate ~budget:Chorev_guard.Budget.unlimited raw
+    |> Chorev_afsa.Minimize.canonical_renumber
   in
-  let table = Table.restrict table order in
-  let table = Table.renumber table ~f in
-  (renum, table)
+  (renum, Table.renumber table ~f:(fun q -> Afsa.IMap.find_opt q map))
 
 (** Just the public aFSA. *)
 let public p = fst (generate p)

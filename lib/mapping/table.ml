@@ -38,16 +38,15 @@ let states t = List.map fst (IMap.bindings t.assoc)
 let merge t ~into ~from =
   List.fold_left (fun t e -> add t ~state:into e) t (entries t from)
 
-(** Keep only the given states. *)
-let restrict t keep =
-  { assoc = IMap.filter (fun q _ -> List.mem q keep) t.assoc }
-
-(** Renumber states through [f]; entries of states mapped to the same
-    new id are concatenated in old-id order. *)
+(** Renumber states through [f], dropping the states it maps to
+    [None]; entries of states mapped to the same new id are
+    concatenated in old-id order. *)
 let renumber t ~f =
   IMap.fold
     (fun q es acc ->
-      List.fold_left (fun acc e -> add acc ~state:(f q) e) acc es)
+      match f q with
+      | None -> acc
+      | Some q' -> List.fold_left (fun acc e -> add acc ~state:q' e) acc es)
     t.assoc empty
 
 let pp ppf t =

@@ -22,7 +22,10 @@ val anchor : t -> int -> entry option
 
 val states : t -> int list
 val merge : t -> into:int -> from:int -> t
-val restrict : t -> int list -> t
-val renumber : t -> f:(int -> int) -> t
+val renumber : t -> f:(int -> int option) -> t
+(** Renumber states through [f], dropping those mapped to [None];
+    entries of states mapped to the same new id are concatenated in
+    old-id order. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -97,14 +97,17 @@ type ctx = {
 
 let context public =
   let a = Afsa.copy public in
-  let closures = Afsa.eps_closures a in
+  let closures = Hashtbl.create 16 in
+  List.iter
+    (fun q -> Hashtbl.replace closures q (Chorev_afsa.Epsilon.closure_of a q))
+    (Afsa.states a);
   let { Chorev_afsa.Emptiness.sat; _ } = Chorev_afsa.Emptiness.analyze a in
-  let closure_of q =
-    match Hashtbl.find_opt closures q with
-    | Some s -> s
-    | None -> ISet.singleton q
-  in
-  { public = a; start_set = closure_of (Afsa.start a); closures; sat }
+  {
+    public = a;
+    start_set = Hashtbl.find closures (Afsa.start a);
+    closures;
+    sat;
+  }
 
 let ctx_public ctx = ctx.public
 

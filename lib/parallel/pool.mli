@@ -10,7 +10,7 @@
       the domain-local caches of the lower layers (formula hash-consing
       and simplification memoization are per-domain; automata handed to
       several domains should be passed through {!Chorev_afsa.Afsa.copy}
-      so each domain builds its own derived index).
+      so each domain builds its own pack).
     - {b Zero-cost sequential path.} A pool of size 1 (the default when
       neither [CHOREV_DOMAINS] nor [--jobs] nor {!set_default_size}
       says otherwise) never spawns a domain and [map] is literally

@@ -4,7 +4,7 @@
     [agreed] verdict, and a language-equal final public process for
     every party. The oracle is computed once; each pool task works on a
     {!Chorev_choreography.Model.copy} of the choreography so the shared
-    automata's lazy indexes are never built concurrently. *)
+    automata's lazy packs are never built concurrently. *)
 
 module Model = Chorev_choreography.Model
 module Protocol = Chorev_choreography.Protocol

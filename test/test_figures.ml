@@ -259,6 +259,16 @@ let fig18_subtractive_adaptation () =
        (gen P.logistics_process)
        (C.View.tau ~observer:"L" (gen P.accounting_once)))
 
+(* The report behind [chorev experiments]: every artifact of the paper
+   re-derived and reproduced. *)
+let reproduction_report () =
+  let rows = C.Scenario.Report.all () in
+  check_int "19 artifacts" 19 (List.length rows);
+  List.iter
+    (fun (r : C.Scenario.Report.row) ->
+      check_bool (r.id ^ " reproduced") true r.ok)
+    rows
+
 let () =
   Alcotest.run "figures"
     [
@@ -294,5 +304,7 @@ let () =
             fig17_subtractive_delta;
           Alcotest.test_case "fig18 subtractive adaptation" `Quick
             fig18_subtractive_adaptation;
+          Alcotest.test_case "reproduction report" `Quick
+            reproduction_report;
         ] );
     ]

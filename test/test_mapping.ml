@@ -73,7 +73,13 @@ let test_terminate_is_final () =
   (* bOp is unreachable: terminate ends the process *)
   check_bool "a accepted" true (C.Trace.accepts a (word [ "me#P#aOp" ]));
   check_bool "ab rejected" false
-    (C.Trace.accepts a (word [ "me#P#aOp"; "me#P#bOp" ]))
+    (C.Trace.accepts a (word [ "me#P#aOp"; "me#P#bOp" ]));
+  check_int "unreachable tail dropped" 2 (A.num_states a);
+  (* no ε at all: the unreachable exit state must still go *)
+  let a, tbl = C.Public_gen.generate (proc (Act.seq "r" [ Act.Terminate ])) in
+  check_int "lone terminate: one state" 1 (A.num_states a);
+  check_bool "lone terminate: final start" true (A.is_final a (A.start a));
+  Alcotest.(check (list int)) "lone terminate: table" [ 0 ] (C.Table.states tbl)
 
 let test_switch_branches () =
   let a =
@@ -382,6 +388,53 @@ let test_table_merges_on_silent () =
   check_bool "loop head carries while and body blocks" true
     (List.mem "While:w" (blocks 1) && List.mem "Sequence:body" (blocks 1))
 
+(* --------------------------- generator corpus ---------------------- *)
+
+(* One MD5 per family over every generated public's fingerprint and
+   printed mapping table, in process order. The literals pin the
+   output of the generator that had its own ε-elimination and BFS
+   renumbering: a change to any automaton or table fails here. *)
+let family_digest processes =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun p ->
+      let a, tbl = C.Public_gen.generate p in
+      Buffer.add_string buf (C.Fingerprint.hex a);
+      Buffer.add_string buf (C.Table.to_string tbl);
+      Buffer.add_char buf '\n')
+    processes;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let pairs_family ?params n =
+  List.concat
+    (List.init n (fun seed ->
+         let a, b = C.Workload.Gen_process.pair ?params ~seed () in
+         [ a; b ]))
+
+let test_generation_corpus () =
+  let procurement =
+    List.map snd P.parties
+    @ [
+        P.accounting_order2; P.accounting_cancel; P.accounting_once;
+        P.buyer_with_cancel; P.buyer_once;
+      ]
+  in
+  let deeper =
+    { C.Workload.Gen_process.default with depth = 5; width = 3 }
+  in
+  List.iter
+    (fun (name, processes, expected) ->
+      Alcotest.(check string) name expected (family_digest processes))
+    [
+      ("procurement", procurement, "a7a8eda266b805bc4a7870c83a7560af");
+      ( "pairs, default params, seeds 0-1999",
+        pairs_family 2000,
+        "a9dcfeb0f1fa5a0d063c710304ecd96c" );
+      ( "pairs, depth 5 width 3, seeds 0-299",
+        pairs_family ~params:deeper 300,
+        "e5c077e3894ec4258d19889aeec6c808" );
+    ]
+
 (* --------------------------- firsts analysis ----------------------- *)
 
 let test_firsts () =
@@ -463,5 +516,7 @@ let () =
             test_table_anchor_paths_valid;
           Alcotest.test_case "deterministic publics" `Quick
             test_generation_is_deterministic_automaton;
+          Alcotest.test_case "generator corpus digests" `Quick
+            test_generation_corpus;
         ] );
     ]

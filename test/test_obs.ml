@@ -177,6 +177,29 @@ let test_counters_evolution_pipeline () =
   check_bool "formula cache hit at least once" true
     (counter_value "formula.simplify.hits" >= 1)
 
+(* [afsa.minimize.table_cells] counts the k·(n+1) cells of the
+   virtually-completed table, which only the empty-language fallback
+   builds; the live-core path adds nothing. *)
+let test_counters_minimize_table_cells () =
+  with_metrics @@ fun () ->
+  let l n = C.Sym.L (C.Label.make ~sender:"A" ~receiver:"B" n) in
+  let live = C.Public_gen.public P.buyer_process in
+  check_bool "live input deterministic" true (C.Afsa.is_deterministic live);
+  ignore (C.Minimize.minimize live);
+  check_int "non-empty minimize: no table" 0
+    (counter_value "afsa.minimize.table_cells");
+  Metrics.reset ();
+  (* deterministic, two states, two labels, no final state *)
+  let dead =
+    C.Afsa.make ~start:0 ~finals:[]
+      ~edges:[ (0, l "a", 1); (1, l "b", 1) ]
+      ()
+  in
+  ignore (C.Minimize.minimize dead);
+  check_int "one run" 1 (counter_value "afsa.minimize.runs");
+  check_int "empty-language minimize: k*(n+1) cells" (2 * (2 + 1))
+    (counter_value "afsa.minimize.table_cells")
+
 let test_counters_disabled_stay_zero () =
   Metrics.enabled := true;
   Metrics.reset ();
@@ -261,6 +284,8 @@ let () =
           Alcotest.test_case "fig5 product" `Quick test_counters_fig5_product;
           Alcotest.test_case "evolution pipeline" `Quick
             test_counters_evolution_pipeline;
+          Alcotest.test_case "minimize table cells" `Quick
+            test_counters_minimize_table_cells;
           Alcotest.test_case "disabled stays zero" `Quick
             test_counters_disabled_stay_zero;
         ] );

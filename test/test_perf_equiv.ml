@@ -276,7 +276,7 @@ let corpus =
 
 let corpus () = Lazy.force corpus
 
-(* Every run gets a fresh copy (a private index and pack), so no run
+(* Every run gets a fresh copy (a private pack), so no run
    sees caches another one built. *)
 let structural name op reference =
   List.iter
@@ -320,17 +320,25 @@ let test_corpus_union () =
 
 let test_corpus_emptiness () = emptiness_agrees (corpus ())
 
-(* ε-closures against a naive reference walk, through both closure
-   entry points. *)
-let naive_closure a set =
+(* Naive reference walks over [A.step]: [succs q] lists the neighbors
+   of [q]; the walk returns every state reached from [seeds]. *)
+let naive_walk succs seeds =
   let rec go seen = function
     | [] -> seen
     | q :: rest ->
         if A.ISet.mem q seen then go seen rest
-        else go (A.ISet.add q seen) (A.eps_succs a q @ rest)
+        else go (A.ISet.add q seen) (succs q @ rest)
   in
-  go A.ISet.empty (A.ISet.elements set)
+  go A.ISet.empty seeds
 
+let naive_closure a set =
+  naive_walk (fun q -> A.ISet.elements (A.step a q C.Sym.Eps)) (A.ISet.elements set)
+
+(* A state id [x] does not use. *)
+let absent_state x = 1 + List.fold_left max 0 (A.states x)
+
+(* ε-closures against a naive reference walk, through both closure
+   entry points. *)
 let test_closures () =
   List.iter
     (fun (s, x) ->
@@ -342,12 +350,69 @@ let test_closures () =
             (A.ISet.equal
                (naive_closure x (A.ISet.singleton q))
                (C.Epsilon.closure_of (A.copy x) q)))
-        (A.states x);
+        (absent_state x :: A.states x);
       let all = A.ISet.of_list (A.states x) in
       check_bool
         (Printf.sprintf "closure of full state set (input %d)" s)
         true
         (A.ISet.equal (naive_closure x all) (C.Epsilon.closure (A.copy x) all)))
+    (corpus ())
+
+(* Reachability and both trims against naive walks over [A.step]:
+   forward over every symbol including ε, backward over every symbol. *)
+let syms_of x = C.Sym.Eps :: List.map (fun l -> C.Sym.L l) (A.alphabet x)
+
+let naive_reachable x q =
+  naive_walk
+    (fun q ->
+      List.concat_map (fun y -> A.ISet.elements (A.step x q y)) (syms_of x))
+    [ q ]
+
+let naive_coreachable x =
+  let preds t =
+    List.filter
+      (fun q ->
+        List.exists (fun y -> A.ISet.mem t (A.step x q y)) (syms_of x))
+      (A.states x)
+  in
+  naive_walk preds (A.finals x)
+
+(* [x] restricted to [keep] plus the start, rebuilt from its parts. *)
+let naive_restrict x keep =
+  let keep = A.ISet.add (A.start x) keep in
+  let mem q = A.ISet.mem q keep in
+  A.make ~alphabet:(A.alphabet x) ~start:(A.start x)
+    ~finals:(List.filter mem (A.finals x))
+    ~edges:(List.filter (fun (s, _, t) -> mem s && mem t) (A.edges x))
+    ~ann:(List.filter (fun (q, _) -> mem q) (A.annotations x))
+    ()
+
+let test_reachability () =
+  List.iter
+    (fun (s, x) ->
+      List.iter
+        (fun q ->
+          check_bool
+            (Printf.sprintf "reachable_from (input %d, state %d)" s q)
+            true
+            (A.ISet.equal (naive_reachable x q) (A.reachable_from (A.copy x) q)))
+        (absent_state x :: A.states x);
+      check_bool
+        (Printf.sprintf "coreachable (input %d)" s)
+        true
+        (A.ISet.equal (naive_coreachable x) (A.coreachable (A.copy x)));
+      let reach = naive_reachable x (A.start x) in
+      check_bool
+        (Printf.sprintf "trim_unreachable (input %d)" s)
+        true
+        (A.structurally_equal (naive_restrict x reach)
+           (A.trim_unreachable (A.copy x)));
+      check_bool
+        (Printf.sprintf "trim (input %d)" s)
+        true
+        (A.structurally_equal
+           (naive_restrict x (A.ISet.inter reach (naive_coreachable x)))
+           (A.trim (A.copy x))))
     (corpus ())
 
 (* Completion by its definition: every (state, label) pair without an
@@ -633,6 +698,7 @@ let () =
           Alcotest.test_case "union" `Quick test_corpus_union;
           Alcotest.test_case "emptiness" `Quick test_corpus_emptiness;
           Alcotest.test_case "closures" `Quick test_closures;
+          Alcotest.test_case "reachability and trims" `Quick test_reachability;
           Alcotest.test_case "complete" `Quick test_complete;
         ] );
       ( "fuel parity",

@@ -90,7 +90,9 @@ let test_afsa_parse_errors () =
   check_bool "bad header" true (bad "nope v1\nstart 0");
   check_bool "missing start" true (bad "afsa v1\nfinals 0");
   check_bool "garbage line" true (bad "afsa v1\nstart 0\nwhatever");
-  check_bool "bad edge" true (bad "afsa v1\nstart 0\nedge x y z")
+  check_bool "bad edge" true (bad "afsa v1\nstart 0\nedge x y z");
+  check_bool "bad alphabet label" true
+    (bad "afsa v1\nalphabet A#B#x bogus\nstart 0")
 
 let prop_afsa_roundtrip =
   QCheck.Test.make ~name:"random aFSA serialize round-trips" ~count:100
