@@ -274,10 +274,7 @@ let protocol_tests () =
    on — the steady state of an evolving choreography whose partners
    mostly don't change. The [_cached] rows thread one
    [Evolution.Cache] handle through all rounds (created inside the
-   timed closure, so each timed run pays its own cold rounds); the
-   [_nocache] rows run the same workload with [cache = false]. Both
-   produce identical reports — the cache tests assert it — so the gap
-   is pure reuse. *)
+   timed closure, so each timed run pays its own cold rounds). *)
 let evolution_rounds = 20
 
 let evolution_rounds_tests () =
@@ -295,54 +292,36 @@ let evolution_rounds_tests () =
        ("hub_08", hub, spokes, "P0"));
     ]
   in
-  List.concat_map
+  List.map
     (fun (fname, owner_p, partners, partner) ->
       let model = C.Choreography.Model.of_processes (owner_p :: partners) in
       let owner = C.Bpel.Process.party owner_p in
       let va = insert partner "toggleOpA" owner_p
       and vb = insert partner "toggleOpB" owner_p in
-      let run_rounds ~cache =
-        let config = { C.Choreography.Evolution.default with cache } in
-        let handle =
-          if cache then Some (C.Choreography.Evolution.Cache.create ())
-          else None
-        in
-        for r = 1 to evolution_rounds do
-          match
-            C.Choreography.Evolution.run ~config ?cache:handle model ~owner
-              ~changed:(if r mod 2 = 0 then va else vb)
-          with
-          | Ok _ -> ()
-          | Error (`Unknown_party p) -> failwith ("unknown party " ^ p)
-        done;
-        handle
-      in
-      let cached_name = Printf.sprintf "scale_evolution_rounds_%s_cached" fname
-      and nocache_name =
-        Printf.sprintf "scale_evolution_rounds_%s_nocache" fname
-      in
-      [
-        t cached_name (fun () ->
-            match run_rounds ~cache:true with
-            | None -> ()
-            | Some handle ->
-                let hit, miss, evict =
-                  List.fold_left
-                    (fun (h, m, e) (_, (s : C.Cache.Lru.stats)) ->
-                      ( h + s.C.Cache.Lru.hits,
-                        m + s.C.Cache.Lru.misses,
-                        e + s.C.Cache.Lru.evictions ))
-                    (0, 0, 0)
-                    (C.Choreography.Evolution.Cache.stats handle)
-                in
-                record_counters cached_name
-                  [
-                    ("cache.hit", hit);
-                    ("cache.miss", miss);
-                    ("cache.evict", evict);
-                  ]);
-        t nocache_name (fun () -> ignore (run_rounds ~cache:false));
-      ])
+      let name = Printf.sprintf "scale_evolution_rounds_%s_cached" fname in
+      t name (fun () ->
+          let handle = C.Choreography.Evolution.Cache.create () in
+          for r = 1 to evolution_rounds do
+            match
+              C.Choreography.Evolution.run ~cache:handle model ~owner
+                ~changed:(if r mod 2 = 0 then va else vb)
+            with
+            | Ok _ -> ()
+            | Error (`Unknown_party p) -> failwith ("unknown party " ^ p)
+          done;
+          let hit, miss, evict =
+            List.fold_left
+              (fun (h, m, e) (_, (s : C.Cache.Lru.stats)) ->
+                ( h + s.C.Cache.Lru.hits,
+                  m + s.C.Cache.Lru.misses,
+                  e + s.C.Cache.Lru.evictions ))
+              (0, 0, 0)
+              (C.Choreography.Evolution.Cache.stats handle)
+          in
+          record_counters name
+            [
+              ("cache.hit", hit); ("cache.miss", miss); ("cache.evict", evict);
+            ]))
     families
 
 (* Runtime exploration of the joint state space. *)

@@ -94,7 +94,7 @@ let obs_term =
 (* ----------------------------- budgets ------------------------------ *)
 
 (* [--op-fuel]/[--op-timeout]/[--round-fuel]/[--round-timeout] build a
-   config updater applied to [Evolution.default]. *)
+   config updater applied to [Config.default]. *)
 let budget_term =
   let op_fuel =
     Arg.(
@@ -129,15 +129,6 @@ let budget_term =
       & info [ "round-timeout" ] ~docv:"SECONDS"
           ~doc:"Wall-clock deadline for one whole partner pipeline.")
   in
-  let no_cache =
-    Arg.(
-      value & flag
-      & info [ "no-cache" ]
-          ~doc:
-            "Disable the fingerprint-keyed memoization and cross-round \
-             reuse of DESIGN.md §10; results are identical either way, \
-             so this exists for A/B timing and differential testing.")
-  in
   let repair_flag =
     Arg.(
       value & flag
@@ -159,21 +150,19 @@ let budget_term =
              an exhausted search degrades to unrepairable. Deterministic \
              across $(b,--jobs) values.")
   in
-  let make of_ ot rf rt nc rep rep_fuel
-      (config : C.Choreography.Evolution.config) =
+  let make of_ ot rf rt rep rep_fuel (config : C.Config.t) =
     let config =
       {
         config with
         op_budget = { C.Guard.Budget.fuel = of_; timeout_s = ot };
         round_budget = { C.Guard.Budget.fuel = rf; timeout_s = rt };
-        cache = not nc;
       }
     in
     if rep || rep_fuel <> None then C.Config.with_repair ?fuel:rep_fuel config
     else config
   in
   Term.(
-    const make $ op_fuel $ op_timeout $ round_fuel $ round_timeout $ no_cache
+    const make $ op_fuel $ op_timeout $ round_fuel $ round_timeout
     $ repair_flag $ repair_fuel)
 
 (* ---------------------------- validation ---------------------------- *)
@@ -675,11 +664,6 @@ let synth_cmd =
 
 (* ------------------------------ evolve ----------------------------- *)
 
-let evolution_cache config =
-  if config.C.Choreography.Evolution.cache then
-    Some (C.Choreography.Evolution.Cache.create ())
-  else None
-
 let print_evolve_outcome (o : C.Journal.Evolve.outcome) =
   Fmt.pr "%a@." C.Journal.Evolve.pp_outcome o;
   if o.report.C.Choreography.Evolution.consistent then 0 else 1
@@ -688,7 +672,7 @@ let evolve_run () scenario journal crash_after budgets =
   let t = C.Choreography.Model.of_processes (List.map snd P.parties) in
   if not (validate_or_fail t) then 2
   else
-    let config = budgets C.Choreography.Evolution.default in
+    let config = budgets C.Config.default in
     let changed = sim_scenario scenario in
     match journal with
     | None ->
@@ -698,7 +682,8 @@ let evolve_run () scenario journal crash_after budgets =
         end
         else (
           match
-            C.Choreography.Evolution.run ~config ?cache:(evolution_cache config)
+            C.Choreography.Evolution.run ~config
+              ~cache:(C.Choreography.Evolution.Cache.create ())
               t ~owner:"A" ~changed
           with
           | Ok rep ->
@@ -712,7 +697,8 @@ let evolve_run () scenario journal crash_after budgets =
           match C.Wal.Dir.validate_root (Filename.dirname dir) with
           | Error e -> Error e
           | Ok () ->
-              C.Journal.Evolve.run ~config ?cache:(evolution_cache config)
+              C.Journal.Evolve.run ~config
+                ~cache:(C.Choreography.Evolution.Cache.create ())
                 ?crash_after ~dir t ~owner:"A" ~changed
         with
         | Ok o -> print_evolve_outcome o
@@ -799,8 +785,9 @@ let resume_run () dir budgets =
           0
       | Error e -> fail e)
   | Ok "evolve" -> (
-      let config = budgets C.Choreography.Evolution.default in
-      match C.Journal.Evolve.resume ~config ?cache:(evolution_cache config) ~dir () with
+      let config = budgets C.Config.default in
+      let cache = C.Choreography.Evolution.Cache.create () in
+      match C.Journal.Evolve.resume ~config ~cache ~dir () with
       | Ok o ->
           Fmt.epr "replayed %d round(s) from %s@." o.C.Journal.Evolve.replayed dir;
           print_evolve_outcome o

@@ -7,13 +7,9 @@
     automaton's lazy pack must not be built from two domains — see
     [Chorev_parallel.Pool]), accessed through [Domain.DLS]. The weak
     semantics means interning never leaks: an automaton no longer
-    reachable elsewhere is collected, table entry included.
-
-    Interned ids are small per-domain ints assigned per distinct
-    fingerprint; they are stable for the lifetime of the domain (ids
-    are never recycled even after collection) and are what memo tables
-    key on conceptually — in practice the memo layer keys on the digest
-    strings themselves, which are domain-independent. *)
+    reachable elsewhere is collected, table entry included. The memo
+    layer keys on fingerprint digests, which are domain-independent;
+    interning only shares the result automata. *)
 
 module Afsa = Chorev_afsa.Afsa
 module Fingerprint = Chorev_afsa.Fingerprint
@@ -27,43 +23,12 @@ end
 
 module W = Weak.Make (Key)
 
-type tables = {
-  weak : W.t;
-  ids : (string, int) Hashtbl.t; (* digest -> interned id *)
-  mutable next_id : int;
-}
-
-let dls =
-  Domain.DLS.new_key (fun () ->
-      { weak = W.create 512; ids = Hashtbl.create 512; next_id = 0 })
+let dls = Domain.DLS.new_key (fun () -> W.create 512)
 
 (** The canonical physical representative of [a] in this domain:
     the first automaton interned with [a]'s fingerprint still alive,
     else [a] itself (which becomes the representative). *)
-let canonical a =
-  let t = Domain.DLS.get dls in
-  W.merge t.weak a
-
-(** Small per-domain id of [a]'s fingerprint (assigned on first use,
-    never recycled). Two automata share an id iff they are structurally
-    equal. *)
-let id a =
-  let t = Domain.DLS.get dls in
-  let d = Fingerprint.digest a in
-  match Hashtbl.find_opt t.ids d with
-  | Some i -> i
-  | None ->
-      let i = t.next_id in
-      t.next_id <- i + 1;
-      Hashtbl.add t.ids d i;
-      i
-
-(** Is some automaton with this structure currently interned here? *)
-let mem a = W.mem (Domain.DLS.get dls).weak a
-
-(** Live interned automata in this domain (an upper bound: weak entries
-    may be collected between the count and its use). *)
-let count () = W.count (Domain.DLS.get dls).weak
+let canonical a = W.merge (Domain.DLS.get dls) a
 
 (* ------------------------------------------------------------------ *)
 (* Identity for the process side of the dirty-region tracker.          *)

@@ -7,16 +7,6 @@ val canonical : Chorev_afsa.Afsa.t -> Chorev_afsa.Afsa.t
 (** The domain's physical representative for this structure (the
     argument itself on first sight). *)
 
-val id : Chorev_afsa.Afsa.t -> int
-(** Small per-domain id of the structure, assigned on first use and
-    never recycled. Equal ids ⟺ structurally equal (within a domain). *)
-
-val mem : Chorev_afsa.Afsa.t -> bool
-(** Is an automaton with this structure interned in this domain? *)
-
-val count : unit -> int
-(** Live interned automata in this domain (upper bound). *)
-
 val process_digest : Chorev_bpel.Process.t -> string
 (** Canonical MD5 digest of a private process (via its exact
     s-expression round-trip). *)

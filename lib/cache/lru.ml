@@ -46,7 +46,6 @@ let create ~capacity =
     evictions = 0;
   }
 
-let capacity t = t.capacity
 let length t = Hashtbl.length t.tbl
 
 let stats (t : ('k, 'v) t) =
@@ -113,8 +112,6 @@ let get t k compute =
       let v = compute () in
       add t k v;
       v
-
-let mem t k = Hashtbl.mem t.tbl k
 
 let clear t =
   Hashtbl.reset t.tbl;

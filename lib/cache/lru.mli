@@ -11,7 +11,6 @@ type stats = { hits : int; misses : int; evictions : int; size : int }
 val create : capacity:int -> ('k, 'v) t
 (** Raises [Invalid_argument] when [capacity < 1]. *)
 
-val capacity : ('k, 'v) t -> int
 val length : ('k, 'v) t -> int
 val stats : ('k, 'v) t -> stats
 
@@ -24,9 +23,6 @@ val add : ('k, 'v) t -> 'k -> 'v -> unit
 
 val get : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
 (** Find-or-compute-and-insert. *)
-
-val mem : ('k, 'v) t -> 'k -> bool
-(** Pure lookup: no recency or stats effect. *)
 
 val clear : ('k, 'v) t -> unit
 (** Drop every binding (stats are kept). *)

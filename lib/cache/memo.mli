@@ -2,9 +2,10 @@
     in per-domain bounded {!Lru} tables. Results are interned (and so
     carry pre-computed fingerprints). Every wrapper degrades to the raw
     operation when the ambient {!Chorev_guard.Budget} is limited, so
-    fuel accounting under finite budgets is byte-identical with and
-    without the cache (budgets tick on misses only — and under a
-    limited budget everything is a miss). *)
+    fuel accounting under finite budgets is that of the raw algebra
+    (budgets tick on misses only — and under a limited budget
+    everything is a miss). This budget rule is the only switch: the
+    pipeline calls these wrappers unconditionally. *)
 
 module Afsa = Chorev_afsa.Afsa
 module Label = Chorev_afsa.Label

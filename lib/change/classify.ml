@@ -32,17 +32,12 @@ type verdict = {
   propagation : propagation;
 }
 
-(** Def. 5 on two versions of (a view of) a public process. With
-    [cache] the two differences go through the fingerprint-keyed memo
-    tables (a no-op under a limited ambient budget — see
-    [Chorev_cache.Memo]). *)
-let framework ?(cache = false) ~old_public ~new_public () =
-  let diff =
-    if cache then Chorev_cache.Memo.difference
-    else fun a b -> Chorev_afsa.Ops.difference a b
-  in
-  let added = diff new_public old_public in
-  let removed = diff old_public new_public in
+(** Def. 5 on two versions of (a view of) a public process. The two
+    differences go through the fingerprint-keyed memo tables (inert
+    under a limited ambient budget — see [Chorev_cache.Memo]). *)
+let framework ~old_public ~new_public () =
+  let added = Chorev_cache.Memo.difference new_public old_public in
+  let removed = Chorev_cache.Memo.difference old_public new_public in
   {
     additive = not (Chorev_afsa.Emptiness.is_empty_plain added);
     subtractive = not (Chorev_afsa.Emptiness.is_empty_plain removed);
@@ -51,12 +46,9 @@ let framework ?(cache = false) ~old_public ~new_public () =
   }
 
 (** Def. 6 against one partner. *)
-let propagation ?(cache = false) ~new_public ~partner_public () =
-  let consistent =
-    if cache then Chorev_cache.Memo.consistent
-    else fun a b -> Chorev_afsa.Consistency.consistent a b
-  in
-  if consistent new_public partner_public then Invariant else Variant
+let propagation ~new_public ~partner_public () =
+  if Chorev_cache.Memo.consistent new_public partner_public then Invariant
+  else Variant
 
 let c_runs = Chorev_obs.Metrics.counter "change.classify.runs"
 let c_variant = Chorev_obs.Metrics.counter "change.classify.variant"
@@ -64,23 +56,18 @@ let c_variant = Chorev_obs.Metrics.counter "change.classify.variant"
 (** Full classification of a change of [owner]'s public process against
     partner [partner] whose public process is [partner_public]. The
     views [τ_partner] are taken internally. *)
-let classify ?(cache = false) ~owner:_ ~partner ~old_public ~new_public
-    ~partner_public () =
+let classify ~owner:_ ~partner ~old_public ~new_public ~partner_public () =
   Chorev_obs.Metrics.incr c_runs;
   Chorev_obs.Obs.span "classify"
     ~attrs:[ ("partner", Chorev_obs.Sink.Str partner) ]
   @@ fun () ->
-  let tau =
-    if cache then Chorev_cache.Memo.tau
-    else fun ~observer a -> Chorev_afsa.View.tau ~observer a
-  in
-  let v_old = tau ~observer:partner old_public in
-  let v_new = tau ~observer:partner new_public in
+  let v_old = Chorev_cache.Memo.tau ~observer:partner old_public in
+  let v_new = Chorev_cache.Memo.tau ~observer:partner new_public in
   let verdict =
     {
       partner;
-      framework = framework ~cache ~old_public:v_old ~new_public:v_new ();
-      propagation = propagation ~cache ~new_public:v_new ~partner_public ();
+      framework = framework ~old_public:v_old ~new_public:v_new ();
+      propagation = propagation ~new_public:v_new ~partner_public ();
     }
   in
   if verdict.propagation = Variant then Chorev_obs.Metrics.incr c_variant;
@@ -90,8 +77,8 @@ let classify ?(cache = false) ~owner:_ ~partner ~old_public ~new_public
     are language- and annotation-equal for every partner, the change is
     local to the private process — the top of the paper's Fig. 4
     flowchart.) *)
-let public_unchanged ?(cache = false) ~old_public ~new_public () =
-  if cache && Chorev_cache.Memo.active () then
+let public_unchanged ~old_public ~new_public () =
+  if Chorev_cache.Memo.active () then
     (* [equal_annotated] is minimize-both-and-compare; with the memo
        the minimized forms are interned and carry cached digests, so a
        recurring comparison is two table hits and a string equality *)

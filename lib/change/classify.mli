@@ -25,14 +25,16 @@ type verdict = {
   propagation : propagation;
 }
 
-val framework :
-  ?cache:bool -> old_public:Afsa.t -> new_public:Afsa.t -> unit -> framework
+(** Each operation below goes through [Chorev_cache.Memo]'s
+    fingerprint-keyed tables — identical results, memoized; the memo
+    layer stands down by itself under a limited ambient budget. *)
+
+val framework : old_public:Afsa.t -> new_public:Afsa.t -> unit -> framework
 
 val propagation :
-  ?cache:bool -> new_public:Afsa.t -> partner_public:Afsa.t -> unit -> propagation
+  new_public:Afsa.t -> partner_public:Afsa.t -> unit -> propagation
 
 val classify :
-  ?cache:bool ->
   owner:string ->
   partner:string ->
   old_public:Afsa.t ->
@@ -40,17 +42,12 @@ val classify :
   partner_public:Afsa.t ->
   unit ->
   verdict
-(** Takes the partner's views of both versions internally. With
-    [cache] (default [false]) the views, differences and the
-    consistency test go through [Chorev_cache.Memo]'s
-    fingerprint-keyed tables — identical results, memoized; the memo
-    layer stands down by itself under a limited ambient budget. *)
+(** Takes the partner's views of both versions internally. *)
 
-val public_unchanged :
-  ?cache:bool -> old_public:Afsa.t -> new_public:Afsa.t -> unit -> bool
+val public_unchanged : old_public:Afsa.t -> new_public:Afsa.t -> unit -> bool
 (** Language- and annotation-equal: the change is local, nothing to
-    propagate (top of the paper's Fig. 4). With [cache] the minimized
-    forms come from the memo tables and the comparison is by
+    propagate (top of the paper's Fig. 4). While the memo is active
+    the minimized forms come from its tables and the comparison is by
     fingerprint — same verdict, O(1) when recurring. *)
 
 val requires_propagation : verdict -> bool

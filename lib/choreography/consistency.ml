@@ -7,6 +7,8 @@
 module View = Chorev_afsa.View
 module Metrics = Chorev_obs.Metrics
 module Pool = Chorev_parallel.Pool
+module Memo = Chorev_cache.Memo
+module Lru = Chorev_cache.Lru
 
 type pair_verdict = {
   party_a : string;
@@ -17,24 +19,17 @@ type pair_verdict = {
 
 let c_pairs = Metrics.counter "choreography.consistency.pairs"
 
+type session = (string * string, bool * Chorev_afsa.Label.t list option) Lru.t
+
 (* Bilateral consistency on two members whose names are already
-   resolved: each side's view of the other is intersected. With [cache]
-   the views and the verdict go through [Chorev_cache.Memo]'s
-   fingerprint-keyed tables (inert under a limited ambient budget). *)
-let check_members ?(cache = false) p1 (m1 : Model.member) p2
-    (m2 : Model.member) =
+   resolved: each side's view of the other is intersected. The views and
+   the verdict go through [Memo]'s fingerprint-keyed tables (inert under
+   a limited ambient budget). *)
+let check_members p1 (m1 : Model.member) p2 (m2 : Model.member) =
   Metrics.incr c_pairs;
-  let consistent, witness =
-    if cache then
-      let v1 = Chorev_cache.Memo.tau ~observer:p2 m1.Model.public_process in
-      let v2 = Chorev_cache.Memo.tau ~observer:p1 m2.Model.public_process in
-      Chorev_cache.Memo.check_verdict v1 v2
-    else
-      let v1 = View.tau ~observer:p2 m1.Model.public_process in
-      let v2 = View.tau ~observer:p1 m2.Model.public_process in
-      let r = Chorev_afsa.Consistency.check v1 v2 in
-      (r.Chorev_afsa.Consistency.consistent, r.Chorev_afsa.Consistency.witness)
-  in
+  let v1 = Memo.tau ~observer:p2 m1.Model.public_process in
+  let v2 = Memo.tau ~observer:p1 m2.Model.public_process in
+  let consistent, witness = Memo.check_verdict v1 v2 in
   { party_a = p1; party_b = p2; consistent; witness }
 
 (** Bilateral consistency of two parties of the choreography. Total in
@@ -53,7 +48,7 @@ let consistent_pair t p1 p2 = Result.map (fun v -> v.consistent) (check_pair t p
     {!Chorev_afsa.Afsa.copy} of the public processes so concurrent
     pack builds stay domain-local, and order preservation makes the
     result structurally equal to the sequential one. *)
-let check_all ?pool ?(cache = false) ?session t =
+let check_all ?pool ?session t =
   let tasks =
     List.filter_map
       (fun (a, b) ->
@@ -65,7 +60,7 @@ let check_all ?pool ?(cache = false) ?session t =
   let compute tasks =
     Pool.map ?pool
       (fun (a, (m1 : Model.member), b, (m2 : Model.member)) ->
-        check_members ~cache a
+        check_members a
           { m1 with public_process = Chorev_afsa.Afsa.copy m1.public_process }
           b
           { m2 with public_process = Chorev_afsa.Afsa.copy m2.public_process })
@@ -79,13 +74,13 @@ let check_all ?pool ?(cache = false) ?session t =
          reuse the session verdict when both fingerprints are
          unchanged; only dirty pairs fan out. The stitch preserves
          [Model.pairs] order, so the result is structurally equal to
-         the uncached one. *)
+         a session-less one. *)
       let keyed =
         List.map
           (fun ((_, (m1 : Model.member), _, (m2 : Model.member)) as task) ->
             let fp_a = Chorev_afsa.Fingerprint.digest m1.Model.public_process
             and fp_b = Chorev_afsa.Fingerprint.digest m2.Model.public_process in
-            (task, fp_a, fp_b, Chorev_cache.Session.find_pair s ~fp_a ~fp_b))
+            (task, fp_a, fp_b, Lru.find s (fp_a, fp_b)))
           tasks
       in
       let miss_tasks =
@@ -104,17 +99,16 @@ let check_all ?pool ?(cache = false) ?session t =
         | (_, fp_a, fp_b, None) :: rest -> (
             match computed with
             | v :: more ->
-                Chorev_cache.Session.set_pair s ~fp_a ~fp_b
-                  (v.consistent, v.witness);
+                Lru.add s (fp_a, fp_b) (v.consistent, v.witness);
                 stitch rest more (v :: acc)
             | [] -> assert false)
       in
       stitch keyed computed []
 
 (** The choreography is consistent iff all interacting pairs are. *)
-let consistent ?pool ?cache ?session t =
+let consistent ?pool ?session t =
   Chorev_obs.Obs.span "consistency.check_all" @@ fun () ->
-  List.for_all (fun v -> v.consistent) (check_all ?pool ?cache ?session t)
+  List.for_all (fun v -> v.consistent) (check_all ?pool ?session t)
 
 (** The protocol agreed between two parties — the paper's
     "A ∩ B ≠ ∅ … the protocol (choreography) between them" (Sec. 4.2):

@@ -10,6 +10,12 @@ type pair_verdict = {
   witness : Chorev_afsa.Label.t list option;
 }
 
+type session =
+  (string * string, bool * Chorev_afsa.Label.t list option) Chorev_cache.Lru.t
+(** Verdicts (consistent?, witness) of earlier {!check_all} calls, keyed
+    by the two public processes' fingerprints. Coordinator-confined:
+    never touched from inside a pool task. *)
+
 val check_pair :
   Model.t ->
   string ->
@@ -21,8 +27,7 @@ val consistent_pair :
 
 val check_all :
   ?pool:Chorev_parallel.Pool.t ->
-  ?cache:bool ->
-  ?session:Chorev_cache.Session.t ->
+  ?session:session ->
   Model.t ->
   pair_verdict list
 (** One verdict per interacting pair, in [Model.pairs] order. Total:
@@ -30,18 +35,14 @@ val check_all :
     checks fan out over the pool (default {!Chorev_parallel.Pool.default},
     which is sequential unless [--jobs]/[CHOREV_DOMAINS] say otherwise);
     the result is structurally equal to the sequential one for every
-    pool size. [cache] (default [false]) memoizes views and verdicts
-    per domain; [session] additionally reuses verdicts of pairs whose
-    public-process fingerprints are unchanged since an earlier
+    pool size. Views and verdicts go through [Chorev_cache.Memo]'s
+    per-domain tables; [session] additionally reuses verdicts of pairs
+    whose public-process fingerprints are unchanged since an earlier
     [check_all] with the same session (dirty-region tracking) — only
-    dirty pairs are recomputed. Results are identical in all modes. *)
+    dirty pairs are recomputed. Results are identical either way. *)
 
 val consistent :
-  ?pool:Chorev_parallel.Pool.t ->
-  ?cache:bool ->
-  ?session:Chorev_cache.Session.t ->
-  Model.t ->
-  bool
+  ?pool:Chorev_parallel.Pool.t -> ?session:session -> Model.t -> bool
 
 val protocol :
   Model.t ->

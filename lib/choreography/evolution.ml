@@ -33,21 +33,10 @@ module Metrics = Chorev_obs.Metrics
 module Pool = Chorev_parallel.Pool
 module Budget = Chorev_guard.Budget
 module Degrade = Chorev_guard.Degrade
+module Config = Chorev_config.Config
+module Memo = Chorev_cache.Memo
+module Lru = Chorev_cache.Lru
 open Chorev_bpel
-
-type config = Engine.config = {
-  auto_apply : bool;
-  max_rounds : int;
-  obs : Chorev_obs.Sink.t option;
-  jobs : int;
-  op_budget : Budget.spec;
-  round_budget : Budget.spec;
-  cancel : Budget.Cancel.t option;
-  cache : bool;
-  repair : Chorev_config.Config.repair;
-}
-
-let default = Engine.default
 
 type partner_report = {
   partner : string;
@@ -84,22 +73,15 @@ module Cache = struct
   type step = partner_report * Process.t option
   (** Everything a per-partner pipeline step produces. *)
 
-  type t = {
-    session : Chorev_cache.Session.t;
-    steps : (string, step) Chorev_cache.Lru.t;
-  }
+  type t = { session : Consistency.session; steps : (string, step) Lru.t }
 
-  let create ?(capacity = 4096) () =
-    {
-      session = Chorev_cache.Session.create ~capacity ();
-      steps = Chorev_cache.Lru.create ~capacity;
-    }
+  let capacity = 4096
+
+  let create () =
+    { session = Lru.create ~capacity; steps = Lru.create ~capacity }
 
   let stats c =
-    [
-      ("session", Chorev_cache.Session.stats c.session);
-      ("steps", Chorev_cache.Lru.stats c.steps);
-    ]
+    [ ("session", Lru.stats c.session); ("steps", Lru.stats c.steps) ]
 end
 
 let c_rounds = Metrics.counter "evolution.rounds"
@@ -108,14 +90,10 @@ let c_runs = Metrics.counter "evolution.runs"
 let str s = Chorev_obs.Sink.Str s
 let int i = Chorev_obs.Sink.Int i
 
-let classify_partner ?(cache = false) ~owner ~old_public ~new_public t partner
-    =
-  let partner_view =
-    if cache then Chorev_cache.Memo.tau ~observer:owner (Model.public t partner)
-    else Chorev_afsa.View.tau ~observer:owner (Model.public t partner)
-  in
-  Classify.classify ~cache ~owner ~partner ~old_public ~new_public
-    ~partner_public:partner_view ()
+let classify_partner ~owner ~old_public ~new_public t partner =
+  Classify.classify ~owner ~partner ~old_public ~new_public
+    ~partner_public:(Memo.tau ~observer:owner (Model.public t partner))
+    ()
 
 (* Per-partner step of a round: classification (which emits its own
    [classify] span) and, for variant partners, the propagation engine.
@@ -123,7 +101,7 @@ let classify_partner ?(cache = false) ~owner ~old_public ~new_public t partner
    the owner's old/new publics — never another partner's state — which
    is what makes the per-partner fan-out below sound. Returns the
    report and the partner's auto-adapted private process, if any. *)
-let run_partner_step (config : config) ~owner ~old_public ~new_public
+let run_partner_step (config : Config.t) ~owner ~old_public ~new_public
     ~partner_public ~partner_private partner =
   Obs.span "partner" ~attrs:[ ("partner", str partner) ] @@ fun () ->
   (* Classification runs under its own op budget, minted here — inside
@@ -135,13 +113,9 @@ let run_partner_step (config : config) ~owner ~old_public ~new_public
         (* [Memo] wrappers stand down by themselves when the ambient
            budget is limited, so routing through them here never
            perturbs fuel accounting. *)
-        let partner_view =
-          if config.cache then
-            Chorev_cache.Memo.tau ~observer:owner partner_public
-          else Chorev_afsa.View.tau ~observer:owner partner_public
-        in
-        Classify.classify ~cache:config.cache ~owner ~partner ~old_public
-          ~new_public ~partner_public:partner_view ())
+        Classify.classify ~owner ~partner ~old_public ~new_public
+          ~partner_public:(Memo.tau ~observer:owner partner_public)
+          ())
   with
   | `Exceeded info ->
       (* Unclassifiable within budget: conservatively leave the partner
@@ -194,8 +168,8 @@ let run_partner_step (config : config) ~owner ~old_public ~new_public
             && not outcome.Engine.consistent_after
           then
             Some
-              (Chorev_repair.Amend.search ~cache:config.cache
-                 ?cancel:config.cancel ~policy:config.repair ~direction
+              (Chorev_repair.Amend.search ?cancel:config.cancel
+                 ~policy:config.repair ~direction
                  ~partner_private
                  ~view_new:outcome.Engine.analysis.Engine.view_new
                  ~delta:outcome.Engine.analysis.Engine.delta ())
@@ -213,7 +187,7 @@ let run_partner_step (config : config) ~owner ~old_public ~new_public
 (* The pool a round fans out over: [config.jobs] if positive, else the
    process default ([--jobs] / [CHOREV_DOMAINS], sequential when
    unset). *)
-let round_pool (config : config) =
+let round_pool (config : Config.t) =
   Pool.sized (if config.jobs > 0 then config.jobs else Pool.default_size ())
 
 (* One round: [changed] replaces [owner]'s private process; returns the
@@ -230,21 +204,11 @@ let round_pool (config : config) =
 (* A whole per-partner step is reusable across rounds iff nothing it
    reads changed and nothing non-deterministic could perturb it: the
    key covers every input ([owner]'s old/new publics, the partner's
-   public and private processes, [auto_apply]), and caching is armed
-   only when both budget specs are unlimited and no cancellation token
-   exists — a limited budget could trip mid-step, and a cached report
-   would silently skip the trip. *)
-let step_cacheable (config : config) =
-  config.cache
-  && Budget.spec_is_unlimited config.op_budget
-  && Budget.spec_is_unlimited config.round_budget
-  && config.cancel = None
-  (* a fuel-bounded repair search could trip mid-step; a cached report
-     would silently skip the trip *)
-  && ((not config.repair.enabled)
-     || Budget.spec_is_unlimited config.repair.repair_budget)
-
-let step_key (config : config) ~owner ~old_fp ~new_fp ~partner ~partner_public
+   public and private processes, [auto_apply], the repair policy), and
+   the step cache is armed only when no budget could trip
+   ([Config.budgeted]) — a cached report would silently skip the
+   trip. *)
+let step_key (config : Config.t) ~owner ~old_fp ~new_fp ~partner ~partner_public
     ~partner_private =
   String.concat "\x00"
     [
@@ -260,17 +224,17 @@ let step_key (config : config) ~owner ~old_fp ~new_fp ~partner ~partner_public
        else "r0");
     ]
 
-let run_round ?cache (config : config) t owner (changed : Process.t) =
+let run_round ?cache (config : Config.t) t owner (changed : Process.t) =
   Metrics.incr c_rounds;
   Obs.span "round" ~attrs:[ ("originator", str owner) ] @@ fun () ->
   let old_public = Model.public t owner in
   let t' =
     Obs.span "regenerate" ~attrs:[ ("party", str owner) ] @@ fun () ->
-    Model.update ~cache:config.cache t changed
+    Model.update t changed
   in
   let new_public = Model.public t' owner in
   let public_changed =
-    not (Classify.public_unchanged ~cache:config.cache ~old_public ~new_public ())
+    not (Classify.public_unchanged ~old_public ~new_public ())
   in
   if not public_changed then
     ({ originator = owner; public_changed = false; partners = [] }, t', [])
@@ -285,11 +249,11 @@ let run_round ?cache (config : config) t owner (changed : Process.t) =
        step inputs here (the digests are cached on the shared automata,
        so this is O(1) after the first round) and fan out only the
        steps whose inputs changed. The stitch below preserves partner
-       order, so the round report is structurally identical to the
-       uncached one. *)
+       order, so the round report is structurally identical to one
+       computed without the step cache. *)
     let steps =
       match cache with
-      | Some c when step_cacheable config -> Some c.Cache.steps
+      | Some c when not (Config.budgeted config) -> Some c.Cache.steps
       | _ -> None
     in
     let keyed =
@@ -304,7 +268,7 @@ let run_round ?cache (config : config) t owner (changed : Process.t) =
                 step_key config ~owner ~old_fp ~new_fp ~partner
                   ~partner_public ~partner_private
               in
-              (task, Some key, Chorev_cache.Lru.find lru key))
+              (task, Some key, Lru.find lru key))
             tasks
     in
     let miss_tasks =
@@ -330,7 +294,7 @@ let run_round ?cache (config : config) t owner (changed : Process.t) =
           match computed with
           | step :: more ->
               (match (steps, key) with
-              | Some lru, Some k -> Chorev_cache.Lru.add lru k step
+              | Some lru, Some k -> Lru.add lru k step
               | _ -> ());
               stitch rest more (step :: acc)
           | [] -> assert false)
@@ -342,7 +306,7 @@ let run_round ?cache (config : config) t owner (changed : Process.t) =
           match adapted_proc with
           | Some p' ->
               ( report :: reports,
-                Model.update ~cache:config.cache t_acc p',
+                Model.update t_acc p',
                 (report.partner, p') :: adapted )
           | None -> (report :: reports, t_acc, adapted))
         ([], t', []) results
@@ -351,21 +315,18 @@ let run_round ?cache (config : config) t owner (changed : Process.t) =
       t'',
       adapted )
 
-let with_config_sink (config : config) f =
+let with_config_sink (config : Config.t) f =
   match config.obs with None -> f () | Some sink -> Obs.with_sink sink f
 
 (* Which of a round's auto-adapted partners still propagate: those
    whose regenerated public differs from what the *pre-round* model [t]
    records for them. *)
-let surviving_pending ?(cache = false) t adapted =
-  let public p =
-    if cache then Chorev_cache.Memo.public p
-    else Chorev_mapping.Public_gen.public p
-  in
+let surviving_pending t adapted =
   List.filter
     (fun (p, proc') ->
       not
-        (Chorev_afsa.Equiv.equal_annotated (public proc') (Model.public t p)))
+        (Chorev_afsa.Equiv.equal_annotated (Memo.public proc')
+           (Model.public t p)))
     adapted
 
 (* Where a run stands between rounds: what a durable driver rebuilds
@@ -383,12 +344,12 @@ let start t ~owner ~changed =
 (* The loop's step, shared by live rounds and replayed ones: partners
    adapted in the round propagate onward, except back to processes
    already equal in the pre-round model. *)
-let advance ?cache (p : progress) model adapted =
+let advance (p : progress) model adapted =
   {
     p with
     model;
     rounds_run = p.rounds_run + 1;
-    pending = List.tl p.pending @ surviving_pending ?cache p.model adapted;
+    pending = List.tl p.pending @ surviving_pending p.model adapted;
   }
 
 let replay_round (p : progress) ~adapted =
@@ -401,24 +362,19 @@ let replay_round (p : progress) ~adapted =
            (Model.update p.model proc) adapted)
         adapted
 
-let run_from ?(config = default) ?cache ?(on_round = fun _ _ -> ()) p =
+let run_from ?(config = Config.default) ?cache ?(on_round = fun _ _ -> ()) p =
   with_config_sink config @@ fun () ->
   Metrics.incr c_runs;
   Obs.span "evolve"
     ~attrs:[ ("owner", str p.owner); ("max_rounds", int config.max_rounds) ]
   @@ fun () ->
-  (* The coordinator cache is only honoured when caching is on in the
-     config — [--no-cache] must behave as if no handle was ever
-     created. *)
-  let cache = if config.cache then cache else None in
   let session = Option.map (fun c -> c.Cache.session) cache in
   let finish t rounds =
     {
       rounds = List.rev rounds;
       choreography = t;
       consistent =
-        Consistency.consistent ~pool:(round_pool config) ~cache:config.cache
-          ?session t;
+        Consistency.consistent ~pool:(round_pool config) ?session t;
     }
   in
   let rec go (p : progress) rounds =
@@ -428,7 +384,7 @@ let run_from ?(config = default) ?cache ?(on_round = fun _ _ -> ()) p =
     | (owner, proc) :: _ ->
         let round, t', adapted = run_round ?cache config p.model owner proc in
         on_round round adapted;
-        go (advance ~cache:config.cache p t' adapted) (round :: rounds)
+        go (advance p t' adapted) (round :: rounds)
   in
   go p []
 
@@ -443,7 +399,7 @@ let run ?config ?cache t ~owner ~changed =
     without touching the choreography or anyone's private process — the
     report a process engineer reviews before committing (the decision
     diamond of the paper's Fig. 4). Total in [owner]. *)
-let dry_run ?(config = default) t ~owner ~changed =
+let dry_run ?(config = Config.default) t ~owner ~changed =
   match Model.find_party t owner with
   | Error e -> Error e
   | Ok m ->
@@ -451,14 +407,8 @@ let dry_run ?(config = default) t ~owner ~changed =
         ( with_config_sink config @@ fun () ->
           Obs.span "dry_run" ~attrs:[ ("owner", str owner) ] @@ fun () ->
           let old_public = m.Model.public_process in
-          let new_public =
-            if config.cache then Chorev_cache.Memo.public changed
-            else Chorev_mapping.Public_gen.public changed
-          in
-          if
-            Classify.public_unchanged ~cache:config.cache ~old_public
-              ~new_public ()
-          then []
+          let new_public = Memo.public changed in
+          if Classify.public_unchanged ~old_public ~new_public () then []
           else
             Model.parties t
             |> List.filter (fun p ->
@@ -467,8 +417,8 @@ let dry_run ?(config = default) t ~owner ~changed =
                    Obs.span "partner" ~attrs:[ ("partner", str partner) ]
                    @@ fun () ->
                    let verdict =
-                     classify_partner ~cache:config.cache ~owner ~old_public
-                       ~new_public t partner
+                     classify_partner ~owner ~old_public ~new_public t
+                       partner
                    in
                    let outcome =
                      if Classify.requires_propagation verdict then

@@ -2,52 +2,12 @@
     partners, with transitive propagation: auto-applied partner
     adaptations are themselves changes and re-enter the pipeline until
     quiescence or [config.max_rounds]. Every Fig. 4 step runs inside a
-    trace span (see DESIGN.md §7). *)
+    trace span (see DESIGN.md §7).
 
-type config = Chorev_propagate.Engine.config = {
-  auto_apply : bool;
-      (** attempt the suggested private-process adaptations
-          (default [true]) *)
-  max_rounds : int;  (** transitive-propagation bound (default 8) *)
-  obs : Chorev_obs.Sink.t option;
-      (** trace sink installed for the duration of the run; [None]
-          (default) inherits the ambient {!Chorev_obs.Obs} sink *)
-  jobs : int;
-      (** domain-pool size for the per-partner fan-out of each round
-          and the final consistency sweep; [0] (default) defers to
-          [Chorev_parallel.Pool.default_size] ([--jobs] /
-          [CHOREV_DOMAINS]). Results are structurally identical for
-          every pool size. *)
-  op_budget : Chorev_guard.Budget.spec;
-      (** bound on each algebra step (classification, view, delta,
-          re-check); budgets are minted inside the pool tasks, so
-          fuel-only budgets trip identically at every pool size
-          (default: unlimited) *)
-  round_budget : Chorev_guard.Budget.spec;
-      (** bound on one whole partner pipeline (default: unlimited) *)
-  cancel : Chorev_guard.Budget.Cancel.t option;
-      (** cooperative cancellation token shared by every budget minted
-          from this config (default: [None]) *)
-  cache : bool;
-      (** route algebra operations through the fingerprint-keyed memo
-          tables of [Chorev_cache] and honour a coordinator {!Cache.t}
-          when one is passed to {!run} (default [true]; results are
-          identical either way — set [false] / [--no-cache] for A/B
-          runs) *)
-  repair : Chorev_config.Config.repair;
-      (** self-healing policy: when enabled, a failed propagation step
-          triggers an amendment search over the partner's private
-          process before the failure is reported (default:
-          [Chorev_config.Config.repair_off]) *)
-}
-(** Alias of {!Chorev_config.Config.t} (via
-    {!Chorev_propagate.Engine.config}): one record configures the
-    per-partner engine, the whole-choreography pipeline and the
-    serving layer's per-request overrides. *)
-
-val default : config
-(** [auto_apply = true], [max_rounds = 8], no sink, [jobs = 0],
-    unlimited budgets, no cancellation token, [cache = true]. *)
+    Every entry point takes one {!Chorev_config.Config.t} (default
+    [Chorev_config.Config.default]). Algebra steps go through
+    [Chorev_cache.Memo], which stands down under a limited ambient
+    budget. *)
 
 type partner_report = {
   partner : string;
@@ -82,36 +42,35 @@ type report = {
     steps, both keyed by input fingerprints and LRU-bounded. Owned by
     the coordinator — create one per logical evolution history and pass
     it to successive {!run} calls to reuse the work of rounds whose
-    inputs did not change. Ignored when [config.cache = false], and the
-    step cache additionally stands down when a budget or cancellation
-    token is configured (a cached step could mask a budget trip). *)
+    inputs did not change. The step cache stands down when
+    [Chorev_config.Config.budgeted config] holds (a cached step could
+    mask a budget trip). *)
 module Cache : sig
   type step = partner_report * Chorev_bpel.Process.t option
 
   type t = {
-    session : Chorev_cache.Session.t;
+    session : Consistency.session;
     steps : (string, step) Chorev_cache.Lru.t;
   }
 
-  val create : ?capacity:int -> unit -> t
-  (** Default capacity 4096 entries per table. *)
+  val create : unit -> t
+  (** 4,096 entries per table. *)
 
   val stats : t -> (string * Chorev_cache.Lru.stats) list
 end
 
 val run :
-  ?config:config ->
+  ?config:Chorev_config.Config.t ->
   ?cache:Cache.t ->
   Model.t ->
   owner:string ->
   changed:Chorev_bpel.Process.t ->
   (report, [ `Unknown_party of string ]) result
 (** Evolve the choreography by replacing [owner]'s private process with
-    [changed]. Total in [owner]. With [cache] (and [config.cache], the
-    default), per-partner steps and bilateral verdicts whose
-    fingerprinted inputs are unchanged since an earlier run with the
-    same handle are reused verbatim; the report is structurally
-    identical to a cache-less run. *)
+    [changed]. Total in [owner]. With [cache], per-partner steps and
+    bilateral verdicts whose fingerprinted inputs are unchanged since
+    an earlier run with the same handle are reused verbatim; the
+    report is structurally identical to a cache-less run. *)
 
 (** {2 Resumable runs}
 
@@ -140,7 +99,7 @@ val replay_round :
     @raise Invalid_argument if nothing is pending. *)
 
 val run_from :
-  ?config:config ->
+  ?config:Chorev_config.Config.t ->
   ?cache:Cache.t ->
   ?on_round:(round -> (string * Chorev_bpel.Process.t) list -> unit) ->
   progress ->
@@ -152,7 +111,7 @@ val run_from :
     rounds this call ran. *)
 
 val dry_run :
-  ?config:config ->
+  ?config:Chorev_config.Config.t ->
   Model.t ->
   owner:string ->
   changed:Chorev_bpel.Process.t ->
@@ -162,7 +121,7 @@ val dry_run :
     the public view is unchanged. [config.auto_apply] is ignored. *)
 
 val run_op :
-  ?config:config ->
+  ?config:Chorev_config.Config.t ->
   Model.t ->
   owner:string ->
   Chorev_change.Ops.t ->

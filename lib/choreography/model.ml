@@ -58,15 +58,12 @@ let private_ t party = (member_exn t party).private_process
 let table t party = (member_exn t party).table
 
 (** Replace one party's private process; its public process and table
-    are re-derived (the "recreate public view" step of Fig. 4). With
-    [cache] the derivation goes through [Chorev_cache.Memo.generate],
-    so re-deriving a process already seen this session (e.g. a change
-    that reverts an earlier one) is a table lookup. *)
-let update ?(cache = false) t (p : Process.t) =
-  let public_process, table =
-    if cache then Chorev_cache.Memo.generate p
-    else Chorev_mapping.Public_gen.generate p
-  in
+    are re-derived (the "recreate public view" step of Fig. 4) through
+    [Chorev_cache.Memo.generate], so re-deriving a process already seen
+    this session (e.g. a change that reverts an earlier one) is a table
+    lookup. *)
+let update t (p : Process.t) =
+  let public_process, table = Chorev_cache.Memo.generate p in
   {
     members =
       SMap.add (Process.party p)

@@ -29,10 +29,9 @@ val public : t -> string -> Afsa.t
 val private_ : t -> string -> Chorev_bpel.Process.t
 val table : t -> string -> Chorev_mapping.Table.t
 
-val update : ?cache:bool -> t -> Chorev_bpel.Process.t -> t
+val update : t -> Chorev_bpel.Process.t -> t
 (** Replace one party's private process; public and table re-derived
-    (through [Chorev_cache.Memo.generate] when [cache], default
-    [false]). *)
+    through [Chorev_cache.Memo.generate]. *)
 
 val fingerprint : t -> string
 (** Canonical MD5 digest of the whole choreography (party names,

@@ -25,7 +25,7 @@ module Afsa = Chorev_afsa.Afsa
 module Label = Chorev_afsa.Label
 module Budget = Chorev_guard.Budget
 module Engine = Chorev_propagate.Engine
-module RPolicy = Chorev_config.Config
+module Config = Chorev_config.Config
 
 type payload =
   | Announce of { public : Afsa.t }
@@ -175,7 +175,7 @@ let withdraw n ~pre =
     verdict is unknown — the node conservatively nacks and never adapts
     on an unaffordable check), and the propagation engine inherits
     [config]'s own budgets. *)
-let handle ?(adapt = true) ?(config = Engine.default) n ~from_ payload :
+let handle ?(adapt = true) ?(config = Config.default) n ~from_ payload :
     effect_ list =
   match payload with
   | Ack ->
@@ -202,7 +202,7 @@ let handle ?(adapt = true) ?(config = Engine.default) n ~from_ payload :
       let previous = find_known n from_ in
       set_known n from_ public;
       (* local bilateral check on views, under an op budget *)
-      let budget = Budget.of_spec ?cancel:config.Engine.cancel config.Engine.op_budget in
+      let budget = Budget.of_spec ?cancel:config.cancel config.op_budget in
       let checked =
         Budget.run budget (fun () ->
             let my_view = Chorev_afsa.View.tau ~budget ~observer:from_ n.public in
@@ -228,7 +228,7 @@ let handle ?(adapt = true) ?(config = Engine.default) n ~from_ payload :
             (* run the local propagation engine; on success, adopt the
                adaptation and announce it *)
             let fb =
-              Budget.of_spec ?cancel:config.Engine.cancel config.Engine.op_budget
+              Budget.of_spec ?cancel:config.cancel config.op_budget
             in
             match
               Budget.run fb (fun () ->
@@ -251,12 +251,12 @@ let handle ?(adapt = true) ?(config = Engine.default) n ~from_ payload :
                     (* self-healing fallback: the engine's retry loop is
                        exhausted — search for a partner amendment on the
                        failure counterexample *)
-                    let policy = config.Engine.repair in
-                    if not policy.RPolicy.enabled then [ nack ]
+                    let policy = config.repair in
+                    if not policy.Config.enabled then [ nack ]
                     else
                       let r =
-                        Chorev_repair.Amend.search ~cache:config.Engine.cache
-                          ?cancel:config.Engine.cancel ~policy ~direction
+                        Chorev_repair.Amend.search ?cancel:config.cancel
+                          ~policy ~direction
                           ~partner_private:n.private_process
                           ~view_new:outcome.Engine.analysis.Engine.view_new
                           ~delta:outcome.Engine.analysis.Engine.delta ()

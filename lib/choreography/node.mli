@@ -69,13 +69,13 @@ val withdraw : t -> pre:Chorev_bpel.Process.t -> effect_ list
 
 val handle :
   ?adapt:bool ->
-  ?config:Chorev_propagate.Engine.config ->
+  ?config:Chorev_config.Config.t ->
   t ->
   from_:string ->
   payload ->
   effect_ list
 (** One protocol step. [adapt:false] only nacks on inconsistency.
-    [config] (default {!Chorev_propagate.Engine.default}) bounds the
+    [config] (default [Chorev_config.Config.default]) bounds the
     work: the bilateral view check runs under one [config.op_budget]
     budget — if it trips, the verdict is unknown and the node nacks
     without adapting — and the propagation engine runs under [config]'s

@@ -37,14 +37,14 @@ type result = {
 (** Run the protocol for a change of [owner]'s private process to
     [changed]. [adapt] controls whether nacking partners run the local
     propagation engine to adapt (default true); [engine_config]
-    (default [Engine.default]) carries the per-op budgets each node
-    works under (its [repair] policy arms the nodes' amendment
+    (default [Chorev_config.Config.default]) carries the per-op budgets
+    each node works under (its [repair] policy arms the nodes' amendment
     fallback). [rollback] (default false) arms the causal rollback:
     when the drained protocol still leaves some pair inconsistent, the
     originator withdraws the change — abort cascade along the announce
     edges, every causally affected party restores its pre-change
     snapshot, unaffected parties are never touched. *)
-let run ?(adapt = true) ?(engine_config = Chorev_propagate.Engine.default)
+let run ?(adapt = true) ?(engine_config = Chorev_config.Config.default)
     ?(max_rounds = 16) ?(rollback = false) (t : Model.t) ~owner ~changed =
   let before = t in
   let t = ref (Model.update t changed) in

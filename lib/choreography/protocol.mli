@@ -27,7 +27,7 @@ type result = {
 
 val run :
   ?adapt:bool ->
-  ?engine_config:Chorev_propagate.Engine.config ->
+  ?engine_config:Chorev_config.Config.t ->
   ?max_rounds:int ->
   ?rollback:bool ->
   Model.t ->
@@ -36,7 +36,7 @@ val run :
   result
 (** [adapt:false] disables local adaptation by nacking partners.
     [engine_config] bounds each node's local work (see {!Node.handle});
-    default {!Chorev_propagate.Engine.default}, i.e. unlimited — its
+    default [Chorev_config.Config.default], i.e. unlimited — its
     [repair] policy arms the nodes' amendment fallback. With
     [rollback:true] a drained-but-inconsistent protocol triggers the
     originator's withdrawal: an abort cascade along the announce edges

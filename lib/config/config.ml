@@ -23,7 +23,6 @@ type t = {
   op_budget : Budget.spec;
   round_budget : Budget.spec;
   cancel : Budget.Cancel.t option;
-  cache : bool;
   repair : repair;
 }
 
@@ -36,7 +35,6 @@ let default =
     op_budget = Budget.spec_unlimited;
     round_budget = Budget.spec_unlimited;
     cancel = None;
-    cache = true;
     repair = repair_off;
   }
 
@@ -68,3 +66,4 @@ let budgeted t =
   (not (Budget.spec_is_unlimited t.op_budget))
   || (not (Budget.spec_is_unlimited t.round_budget))
   || t.cancel <> None
+  || (t.repair.enabled && not (Budget.spec_is_unlimited t.repair.repair_budget))

@@ -1,12 +1,8 @@
-(** The one configuration record of the evolution stack.
-
-    Historically [Propagate.Engine] owned this record and
-    [Choreography.Evolution] aliased it; the server layer needs to mint
-    per-request variants of it without depending on either, so the
-    record now lives here and both re-export it ([Engine.config] and
-    [Evolution.config] are aliases of {!t} — one value configures the
-    per-partner engine, the whole-choreography pipeline, the journaled
-    driver and the serving layer alike). *)
+(** The one configuration record of the evolution stack: one value
+    configures the per-partner engine ([Propagate.Engine.run]), the
+    whole-choreography pipeline ([Choreography.Evolution]), the
+    journaled driver and the serving layer's per-request variants,
+    none of which re-declares it. *)
 
 type repair = {
   enabled : bool;
@@ -58,10 +54,6 @@ type t = {
   cancel : Chorev_guard.Budget.Cancel.t option;
       (** cooperative cancellation token shared by every budget minted
           from this config (default: [None]) *)
-  cache : bool;
-      (** route algebra operations through the fingerprint-keyed memo
-          tables of [Chorev_cache] (default [true]; results are
-          identical either way — [--no-cache] exists for A/B runs) *)
   repair : repair;
       (** self-healing policy for failed propagations (default
           {!repair_off}) *)
@@ -69,8 +61,7 @@ type t = {
 
 val default : t
 (** [auto_apply = true], [max_rounds = 8], no sink, [jobs = 0],
-    unlimited budgets, no cancellation token, [cache = true],
-    [repair = repair_off]. *)
+    unlimited budgets, no cancellation token, [repair = repair_off]. *)
 
 val with_repair :
   ?fuel:int -> ?max_candidates:int -> ?max_edits:int -> t -> t
@@ -88,6 +79,7 @@ val with_budgets :
     request class): replaces only the given budget fields. *)
 
 val budgeted : t -> bool
-(** Is any bound configured (finite budget spec or cancellation
-    token)? Layers that must not mask budget trips — the step cache,
-    the serving fast path — stand down when this holds. *)
+(** Could a budget trip? Holds when an op or round budget is finite, a
+    cancellation token is set, or repair is enabled with a finite
+    repair budget. [Evolution]'s step cache stands down when this
+    holds: a reused step would silently skip the trip. *)

@@ -180,7 +180,6 @@ module Cache = struct
   module Lru = Chorev_cache.Lru
   module Intern = Chorev_cache.Intern
   module Memo = Chorev_cache.Memo
-  module Session = Chorev_cache.Session
 end
 
 module Workload = struct

@@ -3,6 +3,7 @@
     recovery invariants. *)
 
 module Model = Chorev_choreography.Model
+module Consistency = Chorev_choreography.Consistency
 module Evolution = Chorev_choreography.Evolution
 module Process = Chorev_bpel.Process
 module Sexp = Chorev_bpel.Sexp
@@ -164,7 +165,10 @@ let known (p : Evolution.progress) adapted =
   List.for_all (fun (party, _) -> Model.member p.model party <> None) adapted
 
 (* Replay the committed rounds — no algebra is re-run; the model
-   advances by the recorded processes. *)
+   advances by the recorded processes. A seal is trusted for neither
+   its digest nor its verdict: both are recomputed on the replayed
+   model, the verdict by the all-pairs check that ends
+   [Evolution.run_from]. *)
 let rec replay (p : Evolution.progress) logs = function
   | Round { index; originator; adapted; summary } :: more -> (
       match p.pending with
@@ -178,6 +182,8 @@ let rec replay (p : Evolution.progress) logs = function
   | [ Done { consistent; digest } ] ->
       if model_digest p.model <> digest then
         Error "sealed journal digest diverges from the replayed state"
+      else if Consistency.consistent p.model <> consistent then
+        Error "sealed journal verdict diverges from the replayed state"
       else
         Ok
           (`Sealed

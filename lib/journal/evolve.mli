@@ -13,8 +13,9 @@
       partner's new private process (an exact-round-tripping sexp on
       disk), and {!Chorev_choreography.Evolution.replay_round} rebuilds the
       pending work with the live loop's own filter.
-    - [Done] seals the run with the final model's digest, which a
-      sealed replay recomputes and checks. *)
+    - [Done] seals the run with the final model's digest and
+      consistency verdict, which a sealed replay recomputes and
+      checks. *)
 
 type plan = {
   model : Chorev_choreography.Model.t;  (** before the change *)
@@ -48,7 +49,7 @@ type outcome = {
 }
 
 val run :
-  ?config:Chorev_choreography.Evolution.config ->
+  ?config:Chorev_config.Config.t ->
   ?cache:Chorev_choreography.Evolution.Cache.t ->
   ?crash_after:int ->
   dir:string ->
@@ -60,7 +61,7 @@ val run :
     [crash_after] is the {!Chorev_wal.Run.Simulated_crash} hook. *)
 
 val resume :
-  ?config:Chorev_choreography.Evolution.config ->
+  ?config:Chorev_config.Config.t ->
   ?cache:Chorev_choreography.Evolution.Cache.t ->
   ?crash_after:int ->
   dir:string ->
@@ -68,7 +69,7 @@ val resume :
   (outcome, string) result
 (** Finish a (possibly interrupted) run: committed rounds are replayed,
     the rest run live and are committed; a sealed run is replayed and
-    its digest checked. [config] must match the original run's
+    its digest and verdict checked. [config] must match the original run's
     ([auto_apply] and budgets change results; [jobs] does not). *)
 
 val model_digest : Chorev_choreography.Model.t -> string

@@ -32,6 +32,8 @@ module Obs = Chorev_obs.Obs
 module Metrics = Chorev_obs.Metrics
 module Budget = Chorev_guard.Budget
 module Degrade = Chorev_guard.Degrade
+module Config = Chorev_config.Config
+module Memo = Chorev_cache.Memo
 open Chorev_bpel
 
 type direction = Additive | Subtractive
@@ -59,20 +61,6 @@ type outcome = {
   degraded : Degrade.t list;
       (** everything in [analysis.degraded] plus re-check/round trips *)
 }
-
-type config = Chorev_config.Config.t = {
-  auto_apply : bool;
-  max_rounds : int;
-  obs : Chorev_obs.Sink.t option;
-  jobs : int;
-  op_budget : Budget.spec;
-  round_budget : Budget.spec;
-  cancel : Budget.Cancel.t option;
-  cache : bool;
-  repair : Chorev_config.Config.repair;
-}
-
-let default = Chorev_config.Config.default
 
 let c_runs = Metrics.counter "propagate.runs"
 let c_suggestions = Metrics.counter "propagate.suggestions.generated"
@@ -105,22 +93,12 @@ let empty_like alphabet =
     [public_b]/[table_b]) facing the originator's new public process
     [a']. The [direction] decides additive vs subtractive treatment. *)
 let analyze ?(round = Budget.unlimited) ?(op_budget = Budget.spec_unlimited)
-    ?(cache = false) ~direction ~a' ~partner_private ~public_b ~table_b () =
+    ~direction ~a' ~partner_private ~public_b ~table_b () =
   let op_spec = op_budget in
   let me = Process.party partner_private in
-  let tau ~observer a =
-    if cache then Chorev_cache.Memo.tau ~observer a
-    else Chorev_afsa.View.tau ~observer a
-  in
-  let diff a b =
-    if cache then Chorev_cache.Memo.difference a b
-    else Chorev_afsa.Ops.difference a b
-  and union a b =
-    if cache then Chorev_cache.Memo.union a b else Chorev_afsa.Ops.union a b
-  in
   let view_new, deg_view =
     Obs.span "view" ~attrs:[ ("observer", str me) ] @@ fun () ->
-    match op_run ~round ~op_spec (fun () -> tau ~observer:me a') with
+    match op_run ~round ~op_spec (fun () -> Memo.tau ~observer:me a') with
     | `Done v -> (v, [])
     | `Exceeded info -> (
         (* degrade: the un-minimized view is language-equal, just larger *)
@@ -143,12 +121,12 @@ let analyze ?(round = Budget.unlimited) ?(op_budget = Budget.spec_unlimited)
       op_run ~round ~op_spec (fun () ->
           match direction with
           | Additive ->
-              let d = diff view_new public_b in
-              let t = Afsa.trim (union d public_b) in
+              let d = Memo.difference view_new public_b in
+              let t = Afsa.trim (Memo.union d public_b) in
               (d, t)
           | Subtractive ->
-              let d = diff public_b view_new in
-              let t = Afsa.trim (diff public_b d) in
+              let d = Memo.difference public_b view_new in
+              let t = Afsa.trim (Memo.difference public_b d) in
               (d, t))
     with
     | `Done dt -> (dt, [])
@@ -198,8 +176,11 @@ let analyze ?(round = Budget.unlimited) ?(op_budget = Budget.spec_unlimited)
     degraded = deg_view @ deg_delta @ deg_local;
   }
 
-(* Power-set-free retry order: all suggestions, then each prefix, then
-   each single suggestion. Suggestion lists are short. *)
+(* Power-set-free retry sets: all applicable suggestions together plus
+   each one alone, tried in [List.sort_uniq compare] order — so the set
+   of all comes right after the single of its first suggestion. The
+   first set that re-checks consistent wins, so this order is part of
+   the output. Suggestion lists are short. *)
 let retry_sets suggestions =
   let applicable = List.filter (fun s -> not (Suggest.is_manual s)) suggestions in
   match applicable with
@@ -215,27 +196,20 @@ let apply_all set p =
     (Ok p) set
 
 (* The pipeline body, once a sink (if any) is installed. *)
-let run_body config ~direction ~a' ~partner_private =
+let run_body (config : Config.t) ~direction ~a' ~partner_private =
   Metrics.incr c_runs;
   let me = Process.party partner_private in
   Obs.span "propagate"
     ~attrs:
       [ ("partner", str me); ("direction", str (direction_name direction)) ]
   @@ fun () ->
-  let public_b, table_b =
-    if config.cache then Chorev_cache.Memo.generate partner_private
-    else Chorev_mapping.Public_gen.generate partner_private
-  in
+  let public_b, table_b = Memo.generate partner_private in
   let round = Budget.of_spec ?cancel:config.cancel config.round_budget in
   let op_spec = config.op_budget in
-  let regen p =
-    if config.cache then Chorev_cache.Memo.public p
-    else Chorev_mapping.Public_gen.public p
-  in
   let pipeline () =
     let analysis =
-      analyze ~round ~op_budget:op_spec ~cache:config.cache ~direction ~a'
-        ~partner_private ~public_b ~table_b ()
+      analyze ~round ~op_budget:op_spec ~direction ~a' ~partner_private
+        ~public_b ~table_b ()
     in
     (* Re-check under an op budget: `Unknown is treated as inconsistent
        — a partner is never adapted on a verdict we could not afford. *)
@@ -243,10 +217,10 @@ let run_body config ~direction ~a' ~partner_private =
     let consistent_with p' =
       Obs.span "re-check" @@ fun () ->
       let b = Budget.sub round op_spec in
-      if config.cache && Budget.is_unlimited b then
+      if Budget.is_unlimited b then
         (* no fuel/deadline in force: the memoized verdict is exact and
            nothing needs charging back *)
-        Chorev_cache.Memo.consistent p' analysis.view_new
+        Memo.consistent p' analysis.view_new
       else
       let r = Chorev_afsa.Consistency.decide ~budget:b p' analysis.view_new in
       Budget.charge round (Budget.spent b);
@@ -297,7 +271,7 @@ let run_body config ~direction ~a' ~partner_private =
         match apply_all set partner_private with
         | Error _ -> None
         | Ok p' ->
-            let pub' = regen p' in
+            let pub' = Memo.public p' in
             if consistent_with pub' then Some (p', pub') else None
       in
       (* last resort: re-synthesize the whole private process from the
@@ -313,7 +287,7 @@ let run_body config ~direction ~a' ~partner_private =
         with
         | Error _ -> None
         | Ok p' ->
-            let pub' = regen p' in
+            let pub' = Memo.public p' in
             if consistent_with pub' then begin
               Metrics.incr c_resynthesized;
               Some (p', pub')
@@ -362,7 +336,7 @@ let run_body config ~direction ~a' ~partner_private =
       }
 
 (** Run the full pipeline for one partner under [config]. *)
-let run ?(config = default) ~direction ~a' ~partner_private () =
+let run ?(config = Config.default) ~direction ~a' ~partner_private () =
   match config.obs with
   | None -> run_body config ~direction ~a' ~partner_private
   | Some sink ->

@@ -41,58 +41,9 @@ type outcome = {
           whole-round trips; empty = full-fidelity result *)
 }
 
-type config = Chorev_config.Config.t = {
-  auto_apply : bool;
-      (** attempt the suggested private-process adaptations (default
-          [true]); with [false] the outcome carries analysis and
-          suggestions only *)
-  max_rounds : int;
-      (** transitive-propagation bound, used by [Evolution] (default 8;
-          ignored by {!run}, which is single-partner) *)
-  obs : Chorev_obs.Sink.t option;
-      (** trace sink installed for the duration of the run; [None]
-          (default) inherits the ambient {!Chorev_obs.Obs} sink *)
-  jobs : int;
-      (** domain-pool size for [Evolution]'s per-partner fan-out;
-          [0] (default) defers to [Chorev_parallel.Pool.default_size]
-          ([--jobs] / [CHOREV_DOMAINS]); ignored by {!run}, which is
-          single-partner *)
-  op_budget : Budget.spec;
-      (** bound on each algebra step (view, delta, re-check, ...); a
-          fresh budget is minted per step, so fuel here is deterministic
-          per step regardless of pool size (default: unlimited) *)
-  round_budget : Budget.spec;
-      (** bound on one whole partner pipeline; op budgets draw from its
-          remaining fuel and the earlier deadline wins (default:
-          unlimited) *)
-  cancel : Budget.Cancel.t option;
-      (** cooperative cancellation token shared by every budget minted
-          from this config (default: [None]) *)
-  cache : bool;
-      (** route algebra steps (views, differences, public regeneration,
-          re-checks) through [Chorev_cache.Memo]'s fingerprint-keyed
-          per-domain memo tables (default [true]). Results are
-          identical with and without; the memo layer is inert under a
-          limited ambient budget, so budgets tick on cache misses only
-          and fuel determinism across pool sizes is preserved. *)
-  repair : Chorev_config.Config.repair;
-      (** self-healing policy for failed propagations, consumed by
-          [Evolution] and the simulator (default:
-          [Chorev_config.Config.repair_off]; ignored by {!run}) *)
-}
-(** Alias of {!Chorev_config.Config.t}, the one configuration record of
-    the stack: [Evolution.config] and the serving layer's per-request
-    configs are the same type, so one value configures the whole
-    pipeline. *)
-
-val default : config
-(** [auto_apply = true], [max_rounds = 8], no sink, [jobs = 0],
-    unlimited budgets, no cancellation token, [cache = true]. *)
-
 val analyze :
   ?round:Budget.t ->
   ?op_budget:Budget.spec ->
-  ?cache:bool ->
   direction:direction ->
   a':Afsa.t ->
   partner_private:Chorev_bpel.Process.t ->
@@ -104,17 +55,21 @@ val analyze :
     [op_budget] capped by [round]'s remainder, and degrades per policy
     (view → unminimized view; delta → keep the partner unchanged;
     localize/suggest → no suggestions) instead of raising. Only a trip
-    of [round] itself escapes, as [Budget.Expired]. *)
+    of [round] itself escapes, as [Budget.Expired]. Views and
+    differences go through [Chorev_cache.Memo], which stands down under
+    a limited ambient budget. *)
 
 val run :
-  ?config:config ->
+  ?config:Chorev_config.Config.t ->
   direction:direction ->
   a':Afsa.t ->
   partner_private:Chorev_bpel.Process.t ->
   unit ->
   outcome
-(** Run the full pipeline for one partner under [config]
-    (default {!default}). *)
+(** Run the full pipeline for one partner under [config] (default
+    [Chorev_config.Config.default]): its budgets, cancellation token,
+    [auto_apply] and [obs]. [max_rounds], [jobs] and [repair] are read
+    by [Evolution], not by [run]. *)
 
 val direction_of_framework : Chorev_change.Classify.framework -> direction
 val pp_outcome : Format.formatter -> outcome -> unit

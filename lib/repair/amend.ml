@@ -269,7 +269,7 @@ let apply_ops ops p =
     The search budget is minted here from [policy.repair_budget] — the
     caller invokes [search] inside the pool task, so fuel-only budgets
     trip identically at every pool size. *)
-let search ?(cache = true) ?cancel ~(policy : Chorev_config.Config.repair)
+let search ?cancel ~(policy : Chorev_config.Config.repair)
     ~direction ~partner_private ~view_new ~delta () : result =
   let me = Process.party partner_private in
   Obs.span "repair.amend" ~attrs:[ ("partner", str me) ] @@ fun () ->
@@ -291,13 +291,9 @@ let search ?(cache = true) ?cancel ~(policy : Chorev_config.Config.repair)
             match apply_ops c.ops partner_private with
             | Error _ -> None
             | Ok p' ->
-                let pub' =
-                  if cache && Budget.is_unlimited b then
-                    Chorev_cache.Memo.public p'
-                  else Chorev_mapping.Public_gen.public p'
-                in
+                let pub' = Chorev_cache.Memo.public p' in
                 let ok =
-                  if cache && Budget.is_unlimited b then
+                  if Budget.is_unlimited b then
                     Chorev_cache.Memo.consistent pub' view_new
                   else
                     match

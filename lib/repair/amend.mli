@@ -46,7 +46,6 @@ val candidates :
     process, witness and policy. Exposed for tests and the bench. *)
 
 val search :
-  ?cache:bool ->
   ?cancel:Chorev_guard.Budget.Cancel.t ->
   policy:Chorev_config.Config.repair ->
   direction:Chorev_propagate.Engine.direction ->
@@ -60,9 +59,10 @@ val search :
     [delta] the difference automaton the witness is extracted from.
     The search budget is minted inside this call from
     [policy.repair_budget] — invoke it inside the pool task and
-    fuel-only budgets trip identically at every pool size. [cache]
-    (default [true]) routes verification through
-    [Chorev_cache.Memo.consistent] when no budget bound is in force.
+    fuel-only budgets trip identically at every pool size.
+    Verification goes through [Chorev_cache.Memo.consistent] when the
+    search budget is unlimited; a bounded search ticks its budget on
+    every check instead.
     Bumps the [repair.attempts] / [repair.repaired] counters; spans
     [repair.amend] / [repair.queue]. *)
 

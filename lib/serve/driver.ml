@@ -150,7 +150,7 @@ let oracle lines =
                       {
                         model;
                         evolutions = 0;
-                        consistent = Consistency.consistent ~cache:true model;
+                        consistent = Consistency.consistent model;
                         migrate = Parties.create model;
                       }
                     in

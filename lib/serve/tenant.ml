@@ -223,7 +223,7 @@ let admit t name model ~durable =
       model;
       cache = Evolution.Cache.create ();
       evolutions = 0;
-      consistent = Consistency.consistent ~cache:true model;
+      consistent = Consistency.consistent model;
       durable;
       migrate = Parties.create model;
     }

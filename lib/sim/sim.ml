@@ -190,7 +190,7 @@ let rollback_prelude ~injected_at ~cone =
   Printf.sprintf "injected at tick %d\nrolled back: %s\n" injected_at
     (String.concat "," cone)
 
-let run ?(adapt = true) ?(engine_config = Chorev_propagate.Engine.default)
+let run ?(adapt = true) ?(engine_config = Chorev_config.Config.default)
     ?(profile = Fault.none) ?(max_ticks = 10_000) ?(trace = true)
     ?(rollback = false) ?rollback_journal ?crash_during_rollback ~seed
     (model : Model.t) ~owner ~changed =

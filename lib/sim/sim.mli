@@ -49,7 +49,7 @@ type result = {
 
 val run :
   ?adapt:bool ->
-  ?engine_config:Chorev_propagate.Engine.config ->
+  ?engine_config:Chorev_config.Config.t ->
   ?profile:Fault.profile ->
   ?max_ticks:int ->
   ?trace:bool ->
@@ -64,7 +64,7 @@ val run :
 (** Simulate a change of [owner]'s private process to [changed].
     Defaults: [adapt:true], [profile:Fault.none], [max_ticks:10_000],
     [trace:true]. [engine_config] (default
-    {!Chorev_propagate.Engine.default}, unlimited) bounds each node's
+    [Chorev_config.Config.default], unlimited) bounds each node's
     local algebra work — see {!Chorev_choreography.Node.handle}; its
     [repair] policy arms the nodes' amendment fallback. Only fuel
     budgets keep runs deterministic; wall-clock deadlines do not.

@@ -1,9 +1,10 @@
 (* The incremental re-checking layer (DESIGN.md §10): the bounded LRU,
    structural fingerprints, the weak intern table, the memoized algebra
    wrappers (differential against the raw operations), and the
-   cross-round caches of Evolution/Consistency — cached and uncached
-   runs must be outcome-identical at every pool size, and a bounded
-   cache under churn must never return a stale result after an edit. *)
+   cross-round caches of Evolution/Consistency — cached runs must be
+   outcome-identical at every pool size to a run that leaves every
+   cache inert, and a bounded cache under churn must never return a
+   stale result after an edit. *)
 
 module C = Chorev
 module A = C.Afsa
@@ -143,11 +144,11 @@ let test_intern_canonical () =
   let cx = Intern.canonical x in
   let cy = Intern.canonical (A.copy x) in
   check_bool "structurally equal automata intern to one value" true (cx == cy);
-  check_int "one id per structure" (Intern.id cx) (Intern.id (A.copy x));
-  check_bool "interned structure is member" true (Intern.mem (A.copy x));
+  check_bool "the representative is its own canonical" true
+    (Intern.canonical cx == cx);
   let z = A.set_finals x [] in
-  check_bool "distinct structure, distinct id" false
-    (Intern.id z = Intern.id cx)
+  check_bool "distinct structure, distinct representative" true
+    (Intern.canonical z != cx)
 
 (* ------------------------ memo differentials ------------------------ *)
 
@@ -270,10 +271,10 @@ let test_never_stale_under_churn () =
       !procs
   done
 
-(* ----------------- cached vs uncached end-to-end -------------------- *)
+(* ----------------- cached vs memo-inert end-to-end ------------------ *)
 
 (* Verdicts hold automata, whose cached-digest field differs between
-   cached and raw runs; project them down to plain data plus the
+   memoized and raw runs; project them down to plain data plus the
    structural content of added/removed. *)
 let project_verdict (v : C.Change.Classify.verdict) =
   ( v.partner,
@@ -305,41 +306,65 @@ let privates_of (r : C.Choreography.Evolution.report) =
     (fun p -> C.Choreography.Model.private_ r.choreography p)
     (C.Choreography.Model.parties r.choreography)
 
+let procurement_model () =
+  C.Choreography.Model.of_processes (List.map snd C.Scenario.Procurement.parties)
+
+let evolve_cancel ?cache config =
+  match
+    C.Choreography.Evolution.run ~config ?cache (procurement_model ())
+      ~owner:"A" ~changed:C.Scenario.Procurement.accounting_cancel
+  with
+  | Ok r -> r
+  | Error (`Unknown_party p) -> Alcotest.failf "unknown party %s" p
+
+let memo_lookups () =
+  List.fold_left
+    (fun n (_, (s : Lru.stats)) -> n + s.Lru.hits + s.Lru.misses)
+    0 (Memo.stats ())
+
+(* The baseline leaves every cache inert: one domain, fuel far beyond
+   what the run spends on every op and round budget and on the ambient
+   budget around the whole run, so each memo wrapper stands down and
+   the raw algebra runs — what every budgeted step runs. *)
 let test_evolution_cached_equals_uncached () =
-  let model =
-    C.Choreography.Model.of_processes
-      (List.map snd C.Scenario.Procurement.parties)
-  in
-  let run ~cache ~jobs ~handle =
-    let config = { C.Choreography.Evolution.default with jobs; cache } in
+  let ample = { C.Guard.Budget.fuel = Some (1 lsl 40); timeout_s = None } in
+  let lookups = memo_lookups () in
+  let baseline =
     match
-      C.Choreography.Evolution.run ~config ?cache:handle model ~owner:"A"
-        ~changed:C.Scenario.Procurement.accounting_cancel
+      C.Guard.Budget.run (C.Guard.Budget.of_spec ample) (fun () ->
+          evolve_cancel
+            {
+              C.Config.default with
+              jobs = 1;
+              op_budget = ample;
+              round_budget = ample;
+            })
     with
-    | Ok r -> r
-    | Error (`Unknown_party p) -> Alcotest.failf "unknown party %s" p
+    | `Done r -> r
+    | `Exceeded _ -> Alcotest.fail "ample fuel ran out"
   in
-  let baseline = run ~cache:false ~jobs:1 ~handle:None in
+  check_int "memo-inert baseline made no memo lookup" lookups (memo_lookups ());
   List.iter
     (fun jobs ->
       let handle = C.Choreography.Evolution.Cache.create () in
+      let run () = evolve_cancel ~cache:handle { C.Config.default with jobs } in
       (* twice with one handle: the second run replays entirely from
-         the step cache and must still match the uncached baseline *)
-      let first = run ~cache:true ~jobs ~handle:(Some handle) in
-      let second = run ~cache:true ~jobs ~handle:(Some handle) in
+         the step cache and must still match the memo-inert baseline *)
+      let first = run () in
+      let second = run () in
       List.iter
         (fun (name, r) ->
           check_bool
-            (Printf.sprintf "%s report = uncached (jobs=%d)" name jobs)
+            (Printf.sprintf "%s report = memo-inert (jobs=%d)" name jobs)
             true
             (project r = project baseline);
           check_bool
-            (Printf.sprintf "%s publics = uncached (jobs=%d)" name jobs)
+            (Printf.sprintf "%s publics = memo-inert (jobs=%d)" name jobs)
             true
             (List.for_all2 A.structurally_equal (publics_of r)
                (publics_of baseline));
           check_bool
-            (Printf.sprintf "%s privates = uncached (jobs=%d)" name jobs)
+            (Printf.sprintf "%s privates = memo-inert (jobs=%d)" name jobs)
             true
             (privates_of r = privates_of baseline))
         [ ("cached-cold", first); ("cached-warm", second) ];
@@ -349,16 +374,39 @@ let test_evolution_cached_equals_uncached () =
         true (steps.Lru.hits > 0))
     [ 1; 2; 8 ]
 
+(* The step cache must stand down whenever a budget could trip: a
+   reused step would skip the trip. Two runs on one shared handle under
+   each bounded config make no step-cache lookup at all. *)
+let test_step_cache_stands_down () =
+  List.iter
+    (fun (what, config) ->
+      let handle = C.Choreography.Evolution.Cache.create () in
+      ignore (evolve_cancel ~cache:handle config);
+      ignore (evolve_cancel ~cache:handle config);
+      let stats = C.Choreography.Evolution.Cache.stats handle in
+      let s = List.assoc "steps" stats in
+      check_int (what ^ ": no step-cache lookup") 0 (s.Lru.hits + s.Lru.misses))
+    [
+      ( "finite op budget",
+        C.Config.with_budgets
+          ~op_budget:{ C.Guard.Budget.fuel = Some 1_000_000; timeout_s = None }
+          C.Config.default );
+      ( "cancel token",
+        C.Config.with_budgets ~cancel:(C.Guard.Budget.Cancel.create ())
+          C.Config.default );
+      ("repair fuel", C.Config.with_repair ~fuel:1000 C.Config.default);
+    ]
+
 let test_check_all_session () =
   let hub_p, spokes = C.Workload.Scale.hub 5 in
   let model = C.Choreography.Model.of_processes (hub_p :: spokes) in
   let plain = C.Choreography.Consistency.check_all model in
-  let session = C.Cache.Session.create () in
-  let first = C.Choreography.Consistency.check_all ~cache:true ~session model in
-  let second = C.Choreography.Consistency.check_all ~cache:true ~session model in
+  let session = Lru.create ~capacity:64 in
+  let first = C.Choreography.Consistency.check_all ~session model in
+  let second = C.Choreography.Consistency.check_all ~session model in
   check_bool "session first = plain" true (first = plain);
   check_bool "session warm = plain" true (second = plain);
-  let s = C.Cache.Session.stats session in
+  let s = Lru.stats session in
   check_int "warm pass all hits" (List.length plain) s.Lru.hits
 
 (* --------------------- discovery by fingerprint --------------------- *)
@@ -424,6 +472,8 @@ let () =
         [
           Alcotest.test_case "evolution cached = uncached" `Quick
             test_evolution_cached_equals_uncached;
+          Alcotest.test_case "step cache stands down under budgets" `Quick
+            test_step_cache_stands_down;
           Alcotest.test_case "check_all session" `Quick test_check_all_session;
         ] );
       ( "discovery",

@@ -129,7 +129,7 @@ let test_evolution_no_auto_apply () =
   let t = procurement () in
   let rep =
     evolve
-      ~config:{ Ev.default with Ev.auto_apply = false }
+      ~config:{ C.Config.default with auto_apply = false }
       t ~owner:"A" ~changed:P.accounting_cancel
   in
   (* without adaptation the choreography stays inconsistent *)

@@ -148,7 +148,7 @@ let degraded_signature report =
 let run_with ~jobs ~fuel t changed =
   let config =
     {
-      Ev.default with
+      C.Config.default with
       jobs;
       op_budget = { B.fuel; timeout_s = None };
     }
@@ -206,7 +206,7 @@ let test_engine_degrades_not_raises () =
      degrades, nothing raises, and the report says so *)
   let config =
     {
-      Ev.default with
+      C.Config.default with
       op_budget = { B.fuel = Some 2; timeout_s = None };
       round_budget = { B.fuel = Some 4; timeout_s = None };
     }
@@ -260,7 +260,7 @@ let test_protocol_under_starved_budget () =
   let t = procurement () in
   let config =
     {
-      Ev.default with
+      C.Config.default with
       op_budget = { B.fuel = Some 2; timeout_s = None };
     }
   in

@@ -368,7 +368,7 @@ module FM = Forge (E.Kind)
 module FR = Forge (Rollback.Kind)
 
 (* A seal whose digest disagrees with the replayed state is refused by
-   every sealing kind. *)
+   every sealing kind, and so is an evolve seal whose verdict does. *)
 let test_forged_seal () =
   (with_dir @@ fun dir ->
    ignore (ok (JE.run ~dir (procurement ()) ~owner:"A" ~changed:P.accounting_cancel));
@@ -376,6 +376,18 @@ let test_forged_seal () =
    match JE.resume ~dir () with
    | Error _ -> ()
    | Ok o -> Alcotest.failf "forged evolve seal accepted: %s" o.JE.digest);
+  (with_dir @@ fun dir ->
+   let o =
+     ok (JE.run ~dir (procurement ()) ~owner:"A" ~changed:P.accounting_cancel)
+   in
+   let flipped = not o.JE.report.consistent in
+   FE.seal dir (JE.Done { consistent = flipped; digest = o.JE.digest });
+   match JE.resume ~dir () with
+   | Error e ->
+       check_bool "verdict mismatch named" true
+         (String.ends_with e
+            ~suffix:"sealed journal verdict diverges from the replayed state")
+   | Ok _ -> Alcotest.fail "evolve seal with a flipped verdict accepted");
   (with_dir @@ fun dir ->
    ignore (ok (E.run_journaled ~dir (tracking_plan ())));
    FM.seal dir (E.Done { digest = zeros });

@@ -14,15 +14,16 @@ let check_int = Alcotest.(check int)
 
 let procurement () = M.of_processes (List.map snd P.parties)
 
-(* Span-coverage assertions document the *full* Fig. 4 trace, so run
-   uncached: a warm memo (per-domain, shared across tests) legitimately
-   elides steps and their spans. *)
+(* Span-coverage assertions document the *full* Fig. 4 trace, so start
+   from a cold memo: a warm one (per-domain, shared across tests)
+   legitimately elides steps and their spans. *)
 let evolve_traced () =
+  C.Cache.Memo.reset ();
   let sink, events = Sink.memory () in
   let rep =
     match
       Ev.run
-        ~config:{ Ev.default with Ev.obs = Some sink; cache = false }
+        ~config:{ C.Config.default with obs = Some sink }
         (procurement ()) ~owner:"A" ~changed:P.accounting_cancel
     with
     | Ok r -> r

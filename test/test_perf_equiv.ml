@@ -167,7 +167,7 @@ let test_evolution_pool_invariant () =
       (List.map snd C.Scenario.Procurement.parties)
   in
   let run jobs =
-    let config = { C.Choreography.Evolution.default with jobs } in
+    let config = { C.Config.default with jobs } in
     match
       C.Choreography.Evolution.run ~config model ~owner:"A"
         ~changed:C.Scenario.Procurement.accounting_cancel
@@ -625,7 +625,7 @@ let test_fuel_pool_parity () =
   let run jobs =
     let config =
       {
-        C.Choreography.Evolution.default with
+        C.Config.default with
         jobs;
         op_budget = { B.spec_unlimited with fuel = Some 200 };
       }

@@ -60,7 +60,9 @@ let test_localize_no_divergence () =
 
 let test_suggest_additive_receive_to_pick () =
   let o =
-    E.run ~config:{ E.default with E.auto_apply = false } ~direction:E.Additive
+    E.run
+      ~config:{ C.Config.default with auto_apply = false }
+      ~direction:E.Additive
       ~a':(gen P.accounting_cancel) ~partner_private:P.buyer_process ()
   in
   check_bool "has suggestions" true (o.E.analysis.E.suggestions <> []);
@@ -76,7 +78,9 @@ let test_suggest_additive_receive_to_pick () =
 
 let test_suggest_subtractive_unroll () =
   let o =
-    E.run ~config:{ E.default with E.auto_apply = false } ~direction:E.Subtractive
+    E.run
+      ~config:{ C.Config.default with auto_apply = false }
+      ~direction:E.Subtractive
       ~a':(gen P.accounting_once) ~partner_private:P.buyer_process ()
   in
   check_bool "has applicable suggestion" true
@@ -159,7 +163,9 @@ let test_engine_subtractive_end_to_end () =
 
 let test_engine_no_auto_apply () =
   let o =
-    E.run ~config:{ E.default with E.auto_apply = false } ~direction:E.Additive
+    E.run
+      ~config:{ C.Config.default with auto_apply = false }
+      ~direction:E.Additive
       ~a':(gen P.accounting_cancel) ~partner_private:P.buyer_process ()
   in
   check_bool "not adapted" true (o.E.adapted = None);
