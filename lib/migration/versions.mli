@@ -72,7 +72,13 @@ val move_instance : t -> id:string -> to_version:int -> unit
 
 val publish : t -> Afsa.t -> migration_report
 (** New version; compliant instances of all live versions migrate.
-    Classification runs in admission order. *)
+    Classification runs in admission order.
+
+    Off every production path: [chorev serve] and [chorev migrate] both
+    migrate through [Chorev_migrate.Engine] (batched, journaled,
+    budgeted). This one-shot form is the reference that test_migrate,
+    perfbench's check and [examples/dynamic_migration.ml] compare
+    against. *)
 
 val retire_drained : t -> int list
 (** Retire versions with no instances (never the current); returns the

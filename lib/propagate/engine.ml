@@ -25,7 +25,8 @@
 
     Every pipeline step runs inside a trace span named after the
     corresponding Fig. 4 step ([view], [delta], [localize], [suggest],
-    [apply], [re-check]); see DESIGN.md §7. *)
+    [apply] with its last-resort [resynthesize], [re-check]); see
+    DESIGN.md §7. *)
 
 module Afsa = Chorev_afsa.Afsa
 module Obs = Chorev_obs.Obs
@@ -59,7 +60,8 @@ type outcome = {
   adapted_public : Afsa.t option;
   consistent_after : bool;
   degraded : Degrade.t list;
-      (** everything in [analysis.degraded] plus re-check/round trips *)
+      (** everything in [analysis.degraded] plus re-check, resynthesis
+          and round trips *)
 }
 
 let c_runs = Metrics.counter "propagate.runs"
@@ -212,8 +214,9 @@ let run_body (config : Config.t) ~direction ~a' ~partner_private =
         ~public_b ~table_b ()
     in
     (* Re-check under an op budget: `Unknown is treated as inconsistent
-       — a partner is never adapted on a verdict we could not afford. *)
-    let recheck_deg = ref [] in
+       — a partner is never adapted on a verdict we could not afford.
+       [late_deg] collects the re-check and resynthesis trips. *)
+    let late_deg = ref [] in
     let consistent_with p' =
       Obs.span "re-check" @@ fun () ->
       let b = Budget.sub round op_spec in
@@ -228,9 +231,8 @@ let run_body (config : Config.t) ~direction ~a' ~partner_private =
       | `Consistent -> true
       | `Inconsistent -> false
       | `Unknown info ->
-          recheck_deg :=
-            Degrade.Unknown_verdict { step = "re-check"; info }
-            :: !recheck_deg;
+          late_deg :=
+            Degrade.Unknown_verdict { step = "re-check"; info } :: !late_deg;
           false
     in
     let finish ~adapted ~adapted_public ~consistent_after =
@@ -259,7 +261,7 @@ let run_body (config : Config.t) ~direction ~a' ~partner_private =
         adapted;
         adapted_public;
         consistent_after;
-        degraded = analysis.degraded @ List.rev !recheck_deg;
+        degraded = analysis.degraded @ List.rev !late_deg;
       }
     in
     if not config.auto_apply then
@@ -275,18 +277,27 @@ let run_body (config : Config.t) ~direction ~a' ~partner_private =
             if consistent_with pub' then Some (p', pub') else None
       in
       (* last resort: re-synthesize the whole private process from the
-         computed target public process (Skeleton) — guaranteed
-         consistent whenever the target is synthesizable, at the price of
+         computed target public process (Skeleton), at the price of
          discarding the private structure (hence tried only after every
-         targeted edit failed) *)
+         targeted edit failed). The result regenerates the target's
+         plain language, but its annotations are re-derived and the
+         target itself may fall short of the view, so the re-check
+         decides. Synthesis ticks one unit per activity under an op
+         budget; a trip keeps the partner as-is. *)
       let synthesized () =
         match
-          Chorev_mapping.Skeleton.synthesize
-            ~name:(Process.name partner_private ^ "-resynthesized")
-            ~party:me analysis.target_public
+          Obs.span "resynthesize" @@ fun () ->
+          op_run ~round ~op_spec (fun () ->
+              Chorev_mapping.Skeleton.synthesize
+                ~name:(Process.name partner_private ^ "-resynthesized")
+                ~party:me analysis.target_public)
         with
-        | Error _ -> None
-        | Ok p' ->
+        | `Exceeded info ->
+            late_deg :=
+              Degrade.Aborted_step { step = "resynthesize"; info } :: !late_deg;
+            None
+        | `Done (Error _) -> None
+        | `Done (Ok p') ->
             let pub' = Memo.public p' in
             if consistent_with pub' then begin
               Metrics.incr c_resynthesized;

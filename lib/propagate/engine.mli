@@ -37,8 +37,8 @@ type outcome = {
       (** [false] also covers an [`Unknown] re-check verdict — see
           [degraded] to distinguish "inconsistent" from "out of budget" *)
   degraded : Degrade.t list;
-      (** everything in [analysis.degraded] plus re-check and
-          whole-round trips; empty = full-fidelity result *)
+      (** everything in [analysis.degraded] plus re-check, resynthesis
+          and whole-round trips; empty = full-fidelity result *)
 }
 
 val analyze :

@@ -183,7 +183,10 @@ let oracle lines =
                     tn.consistent <- report.Evolution.consistent;
                     tn.evolutions <- tn.evolutions + 1;
                     ignore (advertise tenant tn);
-                    Ok (Wire.evolved_of_report report)
+                    Ok
+                      (Wire.evolved_of_report
+                         ~digest:(Evolve.model_digest report.choreography)
+                         report)
                 | Error (`Unknown_party p) -> Error (`Unknown_party p))))
     | Wire.Query { tenant } -> (
         match Hashtbl.find_opt tenants tenant with

@@ -83,6 +83,9 @@ type tenant = {
   cache : Evolution.Cache.t;
   mutable evolutions : int;
   mutable consistent : bool;
+  mutable digest : string;
+      (** [Evolve.model_digest model], recomputed only when the model
+          changes (register, evolve, recovery) *)
   durable : durable option;  (** the tenant run (durable stores) *)
   migrate : Parties.t;  (** per-party instance populations *)
 }
@@ -187,7 +190,7 @@ let registered_body tn versions =
       tenant = tn.name;
       parties = Model.parties tn.model;
       versions;
-      digest = Evolve.model_digest tn.model;
+      digest = tn.digest;
     }
 
 let validate_model processes =
@@ -224,6 +227,7 @@ let admit t name model ~durable =
       cache = Evolution.Cache.create ();
       evolutions = 0;
       consistent = Consistency.consistent model;
+      digest = Evolve.model_digest model;
       durable;
       migrate = Parties.create model;
     }
@@ -270,6 +274,7 @@ let with_tenant t name f =
 let advance t tn (report : Evolution.report) =
   tn.model <- report.choreography;
   tn.consistent <- report.consistent;
+  tn.digest <- Evolve.model_digest report.choreography;
   tn.evolutions <- tn.evolutions + 1;
   ignore (advertise_publics t tn)
 
@@ -289,7 +294,7 @@ let evolve t ~config ?crash_after name ~owner ~changed =
       Result.map
         (fun report ->
           advance t tn report;
-          Wire.evolved_of_report report)
+          Wire.evolved_of_report ~digest:tn.digest report)
         result)
 
 let query t name =
@@ -299,7 +304,7 @@ let query t name =
            {
              parties = Model.parties tn.model;
              consistent = tn.consistent;
-             digest = Evolve.model_digest tn.model;
+             digest = tn.digest;
              evolutions = tn.evolutions;
            }))
 

@@ -443,11 +443,11 @@ let report_degraded (r : Evolution.report) =
         round.partners)
     r.rounds
 
-let evolved_of_report (r : Evolution.report) =
+let evolved_of_report ~digest (r : Evolution.report) =
   Evolved
     {
       consistent = r.consistent;
       rounds = List.length r.rounds;
-      digest = Chorev_journal.Evolve.model_digest r.choreography;
+      digest;
       degraded = report_degraded r;
     }

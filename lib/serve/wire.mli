@@ -137,5 +137,10 @@ val response_of_string : string -> (response, string) result
     "byte-identical responses" compares the two schedulers, not two
     hand-rolled encoders. *)
 
-val evolved_of_report : Chorev_choreography.Evolution.report -> body
+val evolved_of_report :
+  digest:string -> Chorev_choreography.Evolution.report -> body
+(** [digest] is [Chorev_journal.Evolve.model_digest] of the report's
+    choreography, which the caller computes (the server once per
+    evolve, and caches it for queries). *)
+
 val report_degraded : Chorev_choreography.Evolution.report -> bool

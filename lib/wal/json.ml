@@ -58,8 +58,14 @@ let to_string j =
 
 exception Bad of string
 
+(* Arrays and objects nest at most this deep. The journal and the wire
+   nest a handful of levels; the bound keeps a hostile line of brackets
+   from recursing as deep as it is long. *)
+let max_depth = 512
+
 (* Recursive-descent parser over a cursor. Integers only (the journal
-   never writes floats); [\uXXXX] escapes decode to UTF-8. *)
+   never writes floats); [\uXXXX] escapes decode to UTF-8, a surrogate
+   pair to its one code point. *)
 let of_string s =
   let n = String.length s in
   let pos = ref 0 in
@@ -88,19 +94,45 @@ let of_string s =
   in
   let hex4 () =
     if !pos + 4 > n then fail "truncated \\u escape";
-    let v = int_of_string ("0x" ^ String.sub s !pos 4) in
+    let digit i =
+      match s.[!pos + i] with
+      | '0' .. '9' as c -> Char.code c - Char.code '0'
+      | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+      | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+      | _ -> fail "bad \\u escape"
+    in
+    let v = (digit 0 lsl 12) lor (digit 1 lsl 8) lor (digit 2 lsl 4) lor digit 3 in
     pos := !pos + 4;
     v
   in
+  (* the code point of a [\uXXXX] escape whose [\u] was just read: a
+     high surrogate must be followed by an escaped low one *)
+  let code_point () =
+    let hi = hex4 () in
+    if hi >= 0xDC00 && hi <= 0xDFFF then fail "lone low surrogate"
+    else if hi < 0xD800 || hi > 0xDBFF then hi
+    else if !pos + 2 <= n && s.[!pos] = '\\' && s.[!pos + 1] = 'u' then (
+      pos := !pos + 2;
+      let lo = hex4 () in
+      if lo < 0xDC00 || lo > 0xDFFF then fail "lone high surrogate";
+      0x10000 + ((hi - 0xD800) lsl 10) + (lo - 0xDC00))
+    else fail "lone high surrogate"
+  in
   let add_utf8 buf cp =
+    let cont shift = Char.chr (0x80 lor ((cp lsr shift) land 0x3F)) in
     if cp < 0x80 then Buffer.add_char buf (Char.chr cp)
     else if cp < 0x800 then (
       Buffer.add_char buf (Char.chr (0xC0 lor (cp lsr 6)));
-      Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F))))
-    else (
+      Buffer.add_char buf (cont 0))
+    else if cp < 0x10000 then (
       Buffer.add_char buf (Char.chr (0xE0 lor (cp lsr 12)));
-      Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
-      Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F))))
+      Buffer.add_char buf (cont 6);
+      Buffer.add_char buf (cont 0))
+    else (
+      Buffer.add_char buf (Char.chr (0xF0 lor (cp lsr 18)));
+      Buffer.add_char buf (cont 12);
+      Buffer.add_char buf (cont 6);
+      Buffer.add_char buf (cont 0))
   in
   let parse_string () =
     expect '"';
@@ -124,7 +156,7 @@ let of_string s =
               | 'n' -> Buffer.add_char buf '\n'
               | 'r' -> Buffer.add_char buf '\r'
               | 't' -> Buffer.add_char buf '\t'
-              | 'u' -> add_utf8 buf (hex4 ())
+              | 'u' -> add_utf8 buf (code_point ())
               | _ -> fail "bad escape");
               go ())
       | Some c ->
@@ -135,7 +167,13 @@ let of_string s =
     go ();
     Buffer.contents buf
   in
-  let rec parse_value () =
+  (* step into an array or object opened at [depth] *)
+  let nest depth =
+    if depth >= max_depth then
+      fail (Printf.sprintf "nesting deeper than %d" max_depth);
+    advance ()
+  in
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | None -> fail "unexpected end of input"
@@ -144,14 +182,14 @@ let of_string s =
     | Some 'f' -> literal "false" (Bool false)
     | Some '"' -> Str (parse_string ())
     | Some '[' ->
-        advance ();
+        nest depth;
         skip_ws ();
         if peek () = Some ']' then (
           advance ();
           Arr [])
         else
           let rec items acc =
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             skip_ws ();
             match peek () with
             | Some ',' ->
@@ -164,7 +202,7 @@ let of_string s =
           in
           Arr (items [])
     | Some '{' ->
-        advance ();
+        nest depth;
         skip_ws ();
         if peek () = Some '}' then (
           advance ();
@@ -175,7 +213,7 @@ let of_string s =
             let k = parse_string () in
             skip_ws ();
             expect ':';
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             (k, v)
           in
           let rec fields acc =
@@ -191,20 +229,25 @@ let of_string s =
             | _ -> fail "expected ',' or '}'"
           in
           Obj (fields [])
-    | Some ('-' | '0' .. '9') ->
+    | Some ('-' | '0' .. '9') -> (
         let start = !pos in
         if peek () = Some '-' then advance ();
+        let digits = !pos in
         while
           !pos < n && match s.[!pos] with '0' .. '9' -> true | _ -> false
         do
           advance ()
         done;
-        if !pos = start then fail "bad number";
-        Int (int_of_string (String.sub s start (!pos - start)))
+        if !pos = digits then fail "bad number";
+        match int_of_string_opt (String.sub s start (!pos - start)) with
+        | Some i -> Int i
+        | None ->
+            pos := start;
+            fail "integer out of range")
     | Some _ -> fail "unexpected character"
   in
   match
-    let v = parse_value () in
+    let v = parse_value 0 in
     skip_ws ();
     if !pos <> n then fail "trailing garbage";
     v

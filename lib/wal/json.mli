@@ -1,7 +1,10 @@
 (** Minimal JSON — hand-rolled (the toolchain has no JSON library);
     [to_string] emits no insignificant whitespace and [of_string]
     accepts exactly the JSON grammar (strings with [\uXXXX] escapes,
-    integers, no floats). *)
+    integers, no floats), with arrays and objects nested at most 512
+    deep. An escaped surrogate pair decodes to the UTF-8 of its one
+    code point; a lone surrogate is an error. Every error names the
+    byte offset where parsing stopped. *)
 
 type t =
   | Null

@@ -252,6 +252,60 @@ let test_unlimited_config_unchanged () =
             r.Ev.partners)
         rep.Ev.rounds
 
+(* The engine's last resort under op fuel: seed 16 of the served-script
+   corpus (see test_propagate's compact resynthesis case) reaches
+   resynthesis with every targeted retry failed. Sweeping the op fuel
+   upwards one unit at a time, some value lets every earlier step
+   finish but not the synthesis: the partner is kept and the trip is
+   the only degradation reported. *)
+let resynthesize_sweep () =
+  let _, partner = C.Workload.Gen_process.pair ~seed:16 () in
+  let owner, _ = C.Workload.Gen_process.pair ~seed:(42 + (7919 * 17)) () in
+  let a' = C.Public_gen.public owner in
+  let signature (o : C.Propagate.Engine.outcome) =
+    ( Option.map C.Bpel.Process.name o.adapted,
+      o.consistent_after,
+      List.map
+        (function
+          | C.Guard.Degrade.Skipped_minimization i ->
+              ("skipped-minimization", i.B.reason, i.B.spent)
+          | Unknown_verdict { step; info } -> ("unknown:" ^ step, info.reason, info.spent)
+          | Aborted_step { step; info } -> ("aborted:" ^ step, info.reason, info.spent))
+        o.degraded )
+  in
+  let rec sweep fuel acc =
+    if fuel > 4096 then List.rev acc
+    else
+      let config =
+        { C.Config.default with op_budget = { B.fuel = Some fuel; timeout_s = None } }
+      in
+      let o =
+        C.Propagate.Engine.run ~config ~direction:C.Propagate.Engine.Additive ~a'
+          ~partner_private:partner ()
+      in
+      let acc = (fuel, signature o) :: acc in
+      match o.degraded with
+      | [ C.Guard.Degrade.Aborted_step { step = "resynthesize"; _ } ] ->
+          List.rev acc
+      | _ -> sweep (fuel + 1) acc
+  in
+  sweep 1 []
+
+let test_resynthesis_degrades () =
+  let first = resynthesize_sweep () in
+  (match List.rev first with
+  | (fuel, (adapted, consistent, degraded)) :: _ ->
+      check_bool
+        (Printf.sprintf "op fuel %d aborts resynthesis alone" fuel)
+        true
+        (match degraded with
+        | [ ("aborted:resynthesize", `Fuel, _) ] -> true
+        | _ -> false);
+      check_bool "partner kept" true (adapted = None);
+      check_bool "not consistent" false consistent
+  | [] -> Alcotest.fail "empty sweep");
+  check_bool "sweep is deterministic" true (first = resynthesize_sweep ())
+
 (* ----------------------------- protocol ----------------------------- *)
 
 let test_protocol_under_starved_budget () =
@@ -297,6 +351,11 @@ let () =
         [
           Alcotest.test_case "pool sizes 1/2/8" `Slow
             test_pool_size_determinism;
+        ] );
+      ( "resynthesis",
+        [
+          Alcotest.test_case "op fuel aborts it, deterministically" `Quick
+            test_resynthesis_degrades;
         ] );
       ( "blowup",
         [

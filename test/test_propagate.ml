@@ -218,6 +218,37 @@ let test_engine_skeleton_fallback () =
   check_bool "adapted via re-synthesis" true (Option.is_some o.E.adapted);
   check_bool "consistent after" true o.E.consistent_after
 
+(* The last resort on a generated tenant: seed 16 of the served-script
+   corpus (partner of [Gen_process.pair ~seed:16] facing the owner
+   replacement [Gen_process.pair ~seed:(42 + 7919 * 17)], additive).
+   Every targeted retry set fails, so the engine resynthesizes the
+   partner from the target public process. The old tree-shaped
+   synthesizer built 183 activities for this 35-state, 43-edge target;
+   emitting each shared continuation once keeps it within
+   2 (states + edges). *)
+let resynthesized_case () =
+  let _, partner = C.Workload.Gen_process.pair ~seed:16 () in
+  let owner, _ = C.Workload.Gen_process.pair ~seed:(42 + (7919 * 17)) () in
+  (partner, gen owner)
+
+let test_engine_resynthesizes_compactly () =
+  let partner, a' = resynthesized_case () in
+  let o = E.run ~direction:E.Additive ~a' ~partner_private:partner () in
+  let p = Option.get o.E.adapted in
+  check_bool "adapted by resynthesis" true
+    (Filename.check_suffix (B.Process.name p) "-resynthesized");
+  check_bool "consistent after" true o.E.consistent_after;
+  check_bool "adapted public re-checks consistent" true
+    (C.Consistency.consistent (Option.get o.E.adapted_public)
+       o.E.analysis.E.view_new);
+  let t = o.E.analysis.E.target_public in
+  let bound = 2 * (A.num_states t + A.num_edges t) in
+  check_bool
+    (Printf.sprintf "%d activities within 2 (states + edges) = %d"
+       (B.Process.size p) bound)
+    true
+    (B.Process.size p <= bound)
+
 let test_direction_of_framework () =
   let f_add =
     C.Change.Classify.framework
@@ -266,5 +297,7 @@ let () =
           Alcotest.test_case "direction" `Quick test_direction_of_framework;
           Alcotest.test_case "skeleton fallback" `Quick
             test_engine_skeleton_fallback;
+          Alcotest.test_case "compact resynthesis" `Quick
+            test_engine_resynthesizes_compactly;
         ] );
     ]

@@ -202,6 +202,68 @@ let test_validate_dangling_channel () =
              | _ -> true)
            issues)
 
+(* -------------------------- hostile json ---------------------------- *)
+
+module Json = C.Wal.Json
+
+let check_string = Alcotest.(check string)
+
+(* [e] ends in " at offset N" *)
+let names_offset e =
+  let marker = " at offset " in
+  let m = String.length marker and n = String.length e in
+  let rec find i =
+    i + m <= n
+    && ((String.sub e i m = marker
+        && int_of_string_opt (String.sub e (i + m) (n - i - m)) <> None)
+       || find (i + 1))
+  in
+  find 0
+
+(* [input] is rejected with an error that names an offset *)
+let rejected_at_offset what input =
+  match Json.of_string input with
+  | Ok _ -> Alcotest.fail (what ^ ": accepted")
+  | Error e ->
+      if not (names_offset e) then Alcotest.fail (what ^ ": no offset in " ^ e)
+
+let test_json_lone_surrogates () =
+  rejected_at_offset "lone high surrogate" {|"\ud800"|};
+  rejected_at_offset "lone low surrogate" {|"\udc00x"|};
+  rejected_at_offset "high surrogate before a non-surrogate"
+    {|"\ud800\u0041"|}
+
+let test_json_surrogate_pair () =
+  match Json.of_string {|"\ud83d\ude00"|} with
+  | Ok (Json.Str s) -> check_string "U+1F600 as UTF-8" "\xF0\x9F\x98\x80" s
+  | _ -> Alcotest.fail "surrogate pair not decoded"
+
+let test_json_bad_numbers_and_escapes () =
+  rejected_at_offset "bad hex digit" {|"\u12g4"|};
+  rejected_at_offset "bare minus" "-";
+  rejected_at_offset "minus in an array" "[1,-]";
+  rejected_at_offset "integer overflow" "99999999999999999999"
+
+let test_json_nesting_bound () =
+  let n = 10_000_000 in
+  let t0 = Unix.gettimeofday () in
+  let r = Json.of_string (String.make n '[') in
+  let took = Unix.gettimeofday () -. t0 in
+  (match r with
+  | Ok _ -> Alcotest.fail "unbounded nesting accepted"
+  | Error e ->
+      check_string "names the limit" "nesting deeper than 512 at offset 512" e);
+  check_bool (Printf.sprintf "rejected in %.3fs" took) true (took < 1.0);
+  (* nesting the program writes is far below the bound *)
+  let rec deep k = if k = 0 then Json.Int 1 else Json.Arr [ deep (k - 1) ] in
+  check_bool "64 levels round-trip" true
+    (Json.of_string (Json.to_string (deep 64)) = Ok (deep 64))
+
+let test_json_utf8_roundtrip () =
+  let v = Json.Obj [ ("k\xC3\xA9", Json.Str "caf\xC3\xA9 \xE2\x82\xAC \xF0\x9F\x98\x80") ] in
+  check_bool "of_string (to_string v) = Ok v" true
+    (Json.of_string (Json.to_string v) = Ok v)
+
 let () =
   Alcotest.run "robustness"
     [
@@ -217,5 +279,14 @@ let () =
           Alcotest.test_case "unknown party" `Quick test_validate_unknown_party;
           Alcotest.test_case "dangling channel" `Quick
             test_validate_dangling_channel;
+        ] );
+      ( "hostile json",
+        [
+          Alcotest.test_case "lone surrogates" `Quick test_json_lone_surrogates;
+          Alcotest.test_case "surrogate pair" `Quick test_json_surrogate_pair;
+          Alcotest.test_case "bad numbers and escapes" `Quick
+            test_json_bad_numbers_and_escapes;
+          Alcotest.test_case "nesting bound" `Quick test_json_nesting_bound;
+          Alcotest.test_case "utf-8 round trip" `Quick test_json_utf8_roundtrip;
         ] );
     ]
