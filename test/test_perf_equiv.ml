@@ -4,9 +4,10 @@
    fixpoint and minimization, and the map-shaped ε-elimination and
    subset construction. Budgets are part of the contract: determinize
    and ε-elimination tick exactly like their references at every fuel
-   level, every fuel-bounded run trips exactly at its bound, and the
+   level, every fuel-bounded run trips exactly at its bound, the
    per-input fuel totals of difference, emptiness, determinize and
-   minimize are pinned to recorded values. *)
+   minimize are pinned to recorded values, and so are the exact
+   outputs and fuel totals of the three products. *)
 
 module C = Chorev
 module A = C.Afsa
@@ -601,6 +602,47 @@ let test_fuel_binops () =
   fuel_sweep ~equal:A.structurally_equal "difference" difference
     (List.filter (fun (s, _) -> List.mem s [ 0; 7; 23 ]) pairs)
 
+(* [agree] compares annotated languages only. These pin each binary
+   operation's exact output (the MD5 of its results' concatenated
+   fingerprints: pair numbering, edges, finals, annotations) and its
+   total fuel over [seed_pairs] then [corpus_pairs], recorded before
+   intersection, difference and union shared one product kernel. *)
+let products_pinned =
+  [
+    ( "intersect",
+      (fun a b -> C.Ops.intersect a b),
+      "92f9601fc7b36aac870102dc39c39337",
+      1831 );
+    ( "difference",
+      (fun a b -> C.Ops.difference a b),
+      "3c8c6b5e2fede77bb93d54f25b4cbe57",
+      4406 );
+    ( "union",
+      (fun a b -> C.Ops.union a b),
+      "9a3678f0e78d5ffcb3849faa24cd1181",
+      7282 );
+  ]
+
+let test_products_pinned () =
+  let pairs = List.map snd (seed_pairs () @ corpus_pairs ()) in
+  List.iter
+    (fun (name, op, digest, fuel) ->
+      let op (a, b) = op (A.copy a) (A.copy b) in
+      let spent = ref 0 in
+      let hex x =
+        match fueled op x (B.create ()) with
+        | `Done r, n ->
+            spent := !spent + n;
+            C.Fingerprint.hex r
+        | `Exceeded _, _ -> Alcotest.failf "%s: unbounded run tripped" name
+      in
+      let hexes = String.concat "" (List.map hex pairs) in
+      Alcotest.(check string)
+        (name ^ ": fingerprints") digest
+        (Digest.to_hex (Digest.string hexes));
+      check_int (name ^ ": fuel") fuel !spent)
+    products_pinned
+
 let test_fuel_emptiness () =
   check_totals "emptiness" emptiness (corpus ()) emptiness_fuel;
   fuel_sweep
@@ -706,6 +748,7 @@ let () =
           Alcotest.test_case "determinize" `Quick test_fuel_determinize;
           Alcotest.test_case "eliminate" `Quick test_fuel_eliminate;
           Alcotest.test_case "binops" `Quick test_fuel_binops;
+          Alcotest.test_case "products pinned" `Quick test_products_pinned;
           Alcotest.test_case "emptiness" `Quick test_fuel_emptiness;
           Alcotest.test_case "minimize" `Quick test_fuel_minimize;
           Alcotest.test_case "pool sizes 1/2/8" `Quick test_fuel_pool_parity;
