@@ -96,18 +96,23 @@ let tau_hidden_false ~observer a =
    deep products — which is why the main implementation is a worklist. *)
 let product_ref (spec : Product.spec) a b =
   let next = ref 0 in
-  let ids = ref Product.PMap.empty in
+  let module PMap = Map.Make (struct
+    type t = int * int
+
+    let compare = compare
+  end) in
+  let ids = ref PMap.empty in
   let edges = ref [] in
   let finals = ref [] in
   let anns = ref [] in
   let alpha = Label.Set.of_list spec.alphabet in
   let rec visit ((q1, q2) as p) =
-    match Product.PMap.find_opt p !ids with
+    match PMap.find_opt p !ids with
     | Some id -> id
     | None ->
         let id = !next in
         incr next;
-        ids := Product.PMap.add p id !ids;
+        ids := PMap.add p id !ids;
         if spec.final p then finals := id :: !finals;
         let ann =
           Chorev_formula.Simplify.simplify

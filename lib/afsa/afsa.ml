@@ -612,17 +612,15 @@ let trim a =
        (Packed.reach p [ p.start ])
        ISet.empty)
 
-let renumber ?(start_zero = true) a =
+let renumber a =
   let order =
-    if start_zero then
-      a.start :: List.filter (fun q -> q <> a.start) (ISet.elements a.states)
-    else ISet.elements a.states
+    a.start :: List.filter (fun q -> q <> a.start) (ISet.elements a.states)
   in
   let identity =
     (* already numbered 0..n-1 in [order]'s order: rebuilding would
        produce a structurally identical automaton while throwing away
        its pack *)
-    (not start_zero || a.start = 0)
+    a.start = 0
     && (ISet.is_empty a.states
        || (ISet.min_elt a.states = 0
           && ISet.max_elt a.states = ISet.cardinal a.states - 1))

@@ -159,8 +159,9 @@ val trim : t -> t
     plain language. Both trims walk the pack and return their argument
     itself, pack included, when they drop nothing. *)
 
-val renumber : ?start_zero:bool -> t -> t * int IMap.t
-(** Dense renumbering; returns the old→new map. *)
+val renumber : t -> t * int IMap.t
+(** Dense renumbering: the start becomes 0, the other states follow in
+    ascending order. Returns the old→new map. *)
 
 (** {1 Modification} *)
 

@@ -27,10 +27,10 @@
 
     Empty-language inputs (no co-reachable start) fall back to
     refinement over the virtually-completed table (one sink column
-    instead of |Q|·|Σ| edges): the single dead state the old trim used
-    to leave behind keeps exactly the self-loops and annotation that
-    its equivalence class under the *completed* relation had, and that
-    class is what the fallback computes. *)
+    instead of |Q|·|Σ| edges). Their result is always one dead state,
+    which keeps exactly the self-loops and annotation that the start's
+    class under the *completed* relation has; that class is what the
+    fallback computes, and it builds no quotient beyond it. *)
 
 module F = Chorev_formula.Syntax
 module Budget = Chorev_guard.Budget
@@ -335,97 +335,28 @@ let minimize_completed budget d =
     done;
     split_touched p push
   done;
-  (* Quotient, trimming and the canonical BFS renumbering, fused. *)
-  let nb = p.nblocks in
+  (* The start is not co-reachable, so neither is its block: a path
+     from it to a final block in the stable quotient would be a path
+     from the start to a final state. The language is empty; keep one
+     state, preserving the start block's real self-loops and annotation
+     (what trimming the materialized quotient used to leave behind). *)
   let rep b = p.elems.(p.first.(b)) in
-  let bsucc b c = p.blk.(succ.((rep b * k) + c)) in
-  (* Co-reachability on blocks: reverse BFS from the final blocks.
-     (Finality is uniform within a block by construction.) *)
-  let colive = Array.make nb false in
-  let stack = ref [] in
-  for b = 0 to nb - 1 do
-    if final_d.(rep b) then begin
-      colive.(b) <- true;
-      stack := b :: !stack
+  let sb = p.blk.(pk.P.start) in
+  let edges = ref [] in
+  for c = k - 1 downto 0 do
+    if p.blk.(succ.((rep sb * k) + c)) = sb then begin
+      (* a self-loop survives only if backed by a non-sink target *)
+      let backed = ref false in
+      for i = p.first.(sb) to p.past.(sb) - 1 do
+        let q = p.elems.(i) in
+        if q <> sink && succ.((q * k) + c) <> sink then backed := true
+      done;
+      if !backed then edges := (0, pk.P.syms.(c), 0) :: !edges
     end
   done;
-  let rpreds = Array.make nb [] in
-  for b = 0 to nb - 1 do
-    for c = 0 to k - 1 do
-      let t = bsucc b c in
-      rpreds.(t) <- b :: rpreds.(t)
-    done
-  done;
-  let rec drain () =
-    match !stack with
-    | [] -> ()
-    | b :: rest ->
-        stack := rest;
-        List.iter
-          (fun pb ->
-            if not colive.(pb) then begin
-              colive.(pb) <- true;
-              stack := pb :: !stack
-            end)
-          rpreds.(b);
-        drain ()
-  in
-  drain ();
-  let sb = p.blk.(pk.P.start) in
-  let alpha_list = Afsa.alphabet d in
-  if not colive.(sb) then begin
-    (* Dead start: the language is empty; keep one state, preserving
-       the start block's real self-loops and annotation (what trimming
-       the materialized quotient used to leave behind). *)
-    let edges = ref [] in
-    for c = k - 1 downto 0 do
-      if bsucc sb c = sb then begin
-        (* a self-loop survives only if backed by a non-sink target *)
-        let backed = ref false in
-        for i = p.first.(sb) to p.past.(sb) - 1 do
-          let q = p.elems.(i) in
-          if q <> sink && succ.((q * k) + c) <> sink then backed := true
-        done;
-        if !backed then edges := (0, pk.P.syms.(c), 0) :: !edges
-      end
-    done;
-    let ann = if rep sb = sink then [] else [ (0, ann_d.(rep sb)) ] in
-    Afsa.make ~alphabet:alpha_list ~start:0 ~finals:[] ~edges:!edges ~ann ()
-  end
-  else begin
-    (* Canonical BFS from the start block over live targets, assigning
-       new ids in discovery order; symbols are already in sorted label
-       order, which is exactly the Sym order the reference
-       [canonical_renumber] sorts by. *)
-    let newid = Array.make nb (-1) in
-    let queue = Queue.create () in
-    newid.(sb) <- 0;
-    let next = ref 1 in
-    Queue.add sb queue;
-    let edges = ref [] in
-    let finals = ref [] in
-    let ann = ref [] in
-    while not (Queue.is_empty queue) do
-      let b = Queue.pop queue in
-      let id = newid.(b) in
-      if final_d.(rep b) then finals := id :: !finals;
-      let f = ann_d.(rep b) in
-      if not (F.equal f F.True) then ann := (id, f) :: !ann;
-      for c = 0 to k - 1 do
-        let t = bsucc b c in
-        if colive.(t) then begin
-          if newid.(t) < 0 then begin
-            newid.(t) <- !next;
-            incr next;
-            Queue.add t queue
-          end;
-          edges := (id, pk.P.syms.(c), newid.(t)) :: !edges
-        end
-      done
-    done;
-    Afsa.make ~alphabet:alpha_list ~start:0 ~finals:!finals ~edges:!edges
-      ~ann:!ann ()
-  end
+  let ann = if rep sb = sink then [] else [ (0, ann_d.(rep sb)) ] in
+  Afsa.make ~alphabet:(Afsa.alphabet d) ~start:0 ~finals:[] ~edges:!edges ~ann
+    ()
 
 (* ------------------------------------------------------------------ *)
 (* Main path: trim first, then refine states against transition cords *)

@@ -34,7 +34,7 @@ let intersect ?budget a b =
       combine_ann = F.and_;
     }
   in
-  fst (Product.run ?budget spec a b)
+  Product.run ?budget spec a b
 
 (** Complement over an explicit alphabet (the automaton is determinized
     and completed first; the result is annotation-free since the
@@ -61,8 +61,8 @@ let difference ?budget a b =
   let db = Determinize.determinize ?budget b in
   let sink = Product.sink_of db in
   (* the right side is the complement of [db] completed over [over],
-     kept virtual: the sink and every non-final state of [db] are
-     final in the complement. *)
+     kept virtual by giving only [db] a sink: the sink and every
+     non-final state of [db] are final in the complement. *)
   let spec =
     {
       Product.alphabet = over;
@@ -72,7 +72,7 @@ let difference ?budget a b =
       combine_ann = (fun ann_a _ -> ann_a);
     }
   in
-  fst (Product.run_right_total ?budget spec ~sink a db) |> Afsa.trim
+  Product.run ?budget ~sink_b:sink spec a db |> Afsa.trim
 
 (** Direct union: product of the two automata completed over the union
     alphabet, final when either side is final. Annotations are combined
@@ -87,8 +87,9 @@ let union ?budget a b =
   let da = Determinize.determinize ?budget a in
   let db = Determinize.determinize ?budget b in
   let sink_a = Product.sink_of da and sink_b = Product.sink_of db in
-  (* both sides virtually completed over [over]; a sink is never final,
-     so [is_final] on a sink id is safely [false]. *)
+  (* both sides virtually completed over [over], so a pair with both
+     sides in their sinks is never built; a sink is never final, so
+     [is_final] on a sink id is safely [false]. *)
   let spec =
     {
       Product.alphabet = over;
@@ -96,7 +97,7 @@ let union ?budget a b =
       combine_ann = F.and_;
     }
   in
-  fst (Product.run_both_total ?budget spec ~sink_a ~sink_b da db) |> Afsa.trim
+  Product.run ?budget ~sink_a ~sink_b spec da db |> Afsa.trim
 
 (** Union by De Morgan, as the paper states it:
     [A ∪ B ≡ ¬(¬A ∩ ¬B)]. Language-equivalent to {!union} but

@@ -1,15 +1,10 @@
-(** Generic ε-tolerant product over pair states — the common core of
-    intersection (Def. 3) and difference (Def. 4): synchronize on
-    shared labels, interleave ε-moves, combine annotations with the
-    given operator. Each construction below is one worklist kernel
-    over the packed CSR form ({!Afsa.Packed}); {!Ablation.product_ref}
-    is the seed's map-based oracle. *)
-
-module PMap : Map.S with type key = int * int
-
-(** All constructions tick their [?budget] (default: the ambient
-    {!Chorev_guard.Budget}) once per explored pair state and unwind
-    with [Chorev_guard.Budget.Expired] when it trips. *)
+(** Generic ε-tolerant product over pair states — the one kernel behind
+    intersection (Def. 3), difference (Def. 4) and union (Sec. 5.2,
+    step 2): synchronize on shared labels, interleave ε-moves, combine
+    annotations with the given operator, and optionally complete either
+    side virtually. It is one worklist over the packed CSR form
+    ({!Afsa.Packed}); {!Ablation.product_ref} is the seed's map-based
+    oracle. *)
 
 type spec = {
   alphabet : Label.t list;
@@ -20,37 +15,34 @@ type spec = {
     Chorev_formula.Syntax.t;
 }
 
-val run :
-  ?budget:Chorev_guard.Budget.t -> spec -> Afsa.t -> Afsa.t -> Afsa.t * int PMap.t
-(** Reachable part only; returns the pair ↦ product-state map. *)
-
 val sink_of : Afsa.t -> int
 (** A state id guaranteed outside the automaton's state space, for use
-    as a virtual completion sink below. *)
+    as a virtual completion sink in {!run}. *)
 
-val run_right_total :
+val run :
   ?budget:Chorev_guard.Budget.t ->
+  ?sink_a:int ->
+  ?sink_b:int ->
   spec ->
-  sink:int ->
   Afsa.t ->
   Afsa.t ->
-  Afsa.t * int PMap.t
-(** Like {!run}, but the right automaton is implicitly completed over
-    [spec.alphabet]: a missing (state, proper symbol) pair moves to
-    [sink], which traps and carries annotation [True]. The right
-    automaton must be ε-free. Avoids materializing the |Q|·|Σ| sink
-    edges of {!Complete.complete} — this is what makes difference on
-    large alphabets cheap. *)
+  Afsa.t
+(** The reachable product, pairs numbered in discovery (BFS) order from
+    [(start a, start b)] = 0. Per pair the edges come in a fixed order:
+    the left side's lone ε-moves, then the proper symbols in ascending
+    order, then the right side's lone ε-moves.
 
-val run_both_total :
-  ?budget:Chorev_guard.Budget.t ->
-  spec ->
-  sink_a:int ->
-  sink_b:int ->
-  Afsa.t ->
-  Afsa.t ->
-  Afsa.t * int PMap.t
-(** Both sides implicitly completed over [spec.alphabet]; both must be
-    ε-free. Edges where both sides fall into their sink are pruned —
-    such pairs can never reach a final state, so this is exactly what a
-    subsequent {!Afsa.trim} would remove. *)
+    Giving a side a sink completes it over [spec.alphabet] without
+    materializing the |Q|·|Σ| sink edges of {!Complete.complete}: where
+    only the other side moves on a symbol, this side moves to (or stays
+    in) the sink, which traps and carries annotation [True].
+    [spec.final] and [spec.combine_ann] see the sink as a regular state.
+    A completed side must be ε-free (determinize it first); otherwise
+    raises [Invalid_argument]. A pair with both sides in their sinks is
+    never built, since a symbol neither side moves on gives no edge;
+    when that pair is not final (union's sinks are not), this is
+    exactly what a subsequent {!Afsa.trim} would remove.
+
+    Ticks [?budget] (default: the ambient {!Chorev_guard.Budget}) once
+    per explored pair state and unwinds with
+    [Chorev_guard.Budget.Expired] when it trips. *)

@@ -54,6 +54,11 @@ let labels_of_comm p kind (c : Activity.comm) :
   | `Invoke, Types.Sync -> [ l ~from:me ~to_:other; l ~from:other ~to_:me ]
   | `Reply, _ -> [ l ~from:me ~to_:other ]
 
+let comm_for_label p l =
+  Activity.communications p.body
+  |> List.find_opt (fun (_, kind, c) ->
+         List.exists (Chorev_afsa.Label.equal l) (labels_of_comm p kind c))
+
 (** Alphabet of the process: every label any of its communications can
     put on the wire. *)
 let alphabet p =

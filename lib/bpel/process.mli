@@ -47,5 +47,13 @@ val labels_of_comm :
 (** Messages the communication puts on the wire, in order; synchronous
     operations produce request then response. *)
 
+val comm_for_label :
+  t ->
+  Chorev_afsa.Label.t ->
+  (Activity.path * [ `Receive | `Reply | `Invoke ] * Activity.comm) option
+(** The first communication in preorder that puts the label on the wire
+    (the receive of an incoming message, the invoke or reply of an
+    outgoing one), with its path and kind. *)
+
 val alphabet : t -> Chorev_afsa.Label.t list
 val size : t -> int

@@ -47,6 +47,14 @@ let sexp_to_string s =
 
 exception Parse_error of string
 
+(* Lists nest at most this deep. The processes of a seed-42 serve
+   script, resynthesized ones included, nest at most 32 lists, but a
+   resynthesized chain of stop-or-continue choices nests a few lists
+   per choice, hence the headroom. The bound keeps a hostile string of
+   parentheses (an evolve request's [changed] field, a journal line)
+   from recursing as deep as it is long. *)
+let max_depth = 10_000
+
 let parse_sexp (s : string) : sexp =
   let n = String.length s in
   let pos = ref 0 in
@@ -96,11 +104,15 @@ let parse_sexp (s : string) : sexp =
     go ();
     String.sub s start (!pos - start)
   in
-  let rec read () =
+  (* [depth] lists are open around the value read next *)
+  let rec read depth =
     skip_ws ();
     match peek () with
     | None -> raise (Parse_error "unexpected end of input")
     | Some '(' ->
+        if depth >= max_depth then
+          raise
+            (Parse_error (Printf.sprintf "nesting deeper than %d" max_depth));
         advance ();
         let items = ref [] in
         let rec loop () =
@@ -109,7 +121,7 @@ let parse_sexp (s : string) : sexp =
           | Some ')' -> advance ()
           | None -> raise (Parse_error "unterminated list")
           | _ ->
-              items := read () :: !items;
+              items := read (depth + 1) :: !items;
               loop ()
         in
         loop ();
@@ -118,7 +130,7 @@ let parse_sexp (s : string) : sexp =
     | Some '"' -> Atom (read_quoted ())
     | Some _ -> Atom (read_atom ())
   in
-  let result = read () in
+  let result = read 0 in
   skip_ws ();
   if !pos <> n then raise (Parse_error "trailing input");
   result
@@ -278,6 +290,17 @@ let process_of_sexp = function
 (* ------------------------------ strings ---------------------------- *)
 
 let process_to_string p = sexp_to_string (process_to_sexp p)
+
+let processes_digest named =
+  let buf = Buffer.create 1024 in
+  List.iter
+    (fun (name, sexp) ->
+      Buffer.add_string buf name;
+      Buffer.add_char buf '\000';
+      Buffer.add_string buf sexp;
+      Buffer.add_char buf '\000')
+    named;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
 
 let process_of_string s : (Process.t, string) result =
   try Ok (process_of_sexp (parse_sexp s)) with

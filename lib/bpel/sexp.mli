@@ -7,6 +7,9 @@ exception Parse_error of string
 
 val sexp_to_string : sexp -> string
 val parse_sexp : string -> sexp
+(** Lists nest at most 10,000 deep; deeper input raises
+    [Parse_error "nesting deeper than 10000"] once it passes the bound,
+    without reading further. *)
 
 val to_sexp : Activity.t -> sexp
 val of_sexp : sexp -> Activity.t
@@ -16,5 +19,11 @@ val process_of_sexp : sexp -> Process.t
 
 val process_to_string : Process.t -> string
 val process_of_string : string -> (Process.t, string) result
+val processes_digest : (string * string) list -> string
+(** Hex MD5 over [name ^ "\000" ^ sexp ^ "\000"] for each
+    [(name, sexp)] pair, in list order: the digest of a choreography's
+    private processes, keyed by party, that journals seal and the serve
+    wire reports. *)
+
 val activity_to_string : Activity.t -> string
 val activity_of_string : string -> (Activity.t, string) result

@@ -74,10 +74,9 @@ let update t (p : Process.t) =
 (** Canonical fingerprint of the whole choreography: an MD5 digest over
     the party names, their public-process fingerprints and their
     private-process digests, in party order. Two models have equal
-    fingerprints iff every member is structurally identical — the
-    identity scheme shared by the cache layer and the discovery
-    registry. Computing it fills the members' fingerprint caches, so
-    call it from the owning domain only. *)
+    fingerprints iff every member is structurally identical. Only the
+    [chorev sim] heal tail prints it. Computing it fills the members'
+    fingerprint caches, so call it from the owning domain only. *)
 let fingerprint t =
   let buf = Buffer.create 256 in
   SMap.iter

@@ -34,11 +34,11 @@ val update : t -> Chorev_bpel.Process.t -> t
     through [Chorev_cache.Memo.generate]. *)
 
 val fingerprint : t -> string
-(** Canonical MD5 digest of the whole choreography (party names,
-    public-process fingerprints, private-process digests, in party
-    order): the identity scheme shared with the cache layer and the
-    discovery registry. Fills member fingerprint caches — call from
-    the owning domain. *)
+(** Canonical MD5 digest (raw bytes) of the whole choreography: party
+    names, public-process fingerprints and private-process digests, in
+    party order. Its one caller is the [chorev sim] heal tail, which
+    prints it to compare a healed run with its resumed twin. Fills
+    member fingerprint caches — call from the owning domain. *)
 
 val copy : t -> t
 (** Structurally fresh: public processes pass through

@@ -14,67 +14,93 @@ open Syntax
 
 type token = LPAREN | RPAREN | AND | OR | NOT | TRUE | FALSE | VAR of string
 
-let tokenize s : (token list, string) result =
+exception Parse_error of string
+
+(* Parentheses and [NOT]s nest at most this deep. Annotations nest a
+   handful of levels; the bound keeps a hostile run of ["("] from
+   recursing as deep as it is long. *)
+let max_depth = 512
+
+let is_space = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false
+let is_delim c = is_space c || c = '(' || c = ')'
+
+(* One-token lookahead over [s]. Tokens are read on demand, so a parse
+   that fails early never scans the rest of the input. *)
+let lexer s =
   let n = String.length s in
-  let rec go i acc =
-    if i >= n then Ok (List.rev acc)
+  let pos = ref 0 in
+  let rec next () =
+    if !pos >= n then None
     else
-      match s.[i] with
-      | ' ' | '\t' | '\n' | '\r' -> go (i + 1) acc
-      | '(' -> go (i + 1) (LPAREN :: acc)
-      | ')' -> go (i + 1) (RPAREN :: acc)
+      match s.[!pos] with
+      | '(' ->
+          incr pos;
+          Some LPAREN
+      | ')' ->
+          incr pos;
+          Some RPAREN
+      | c when is_space c ->
+          incr pos;
+          next ()
       | _ ->
-          let j = ref i in
-          while
-            !j < n
-            && not (List.mem s.[!j] [ ' '; '\t'; '\n'; '\r'; '('; ')' ])
-          do
-            incr j
+          let i = !pos in
+          while !pos < n && not (is_delim s.[!pos]) do
+            incr pos
           done;
-          let word = String.sub s i (!j - i) in
-          let tok =
-            match word with
+          Some
+            (match String.sub s i (!pos - i) with
             | "AND" -> AND
             | "OR" -> OR
             | "NOT" -> NOT
             | "true" -> TRUE
             | "false" -> FALSE
-            | v -> VAR v
-          in
-          go !j (tok :: acc)
+            | v -> VAR v)
   in
-  go 0 []
+  let ahead = ref None in
+  let peek () =
+    match !ahead with
+    | Some t -> t
+    | None ->
+        let t = next () in
+        ahead := Some t;
+        t
+  in
+  let advance () = ahead := None in
+  (peek, advance)
 
-exception Parse_error of string
-
-let parse_tokens tokens =
-  let toks = ref tokens in
-  let peek () = match !toks with [] -> None | t :: _ -> Some t in
-  let advance () = match !toks with [] -> () | _ :: tl -> toks := tl in
+let parse s =
+  let peek, advance = lexer s in
   let expect t msg =
     match peek () with
     | Some t' when t' = t -> advance ()
     | _ -> raise (Parse_error msg)
   in
-  let rec disj () =
-    let left = conj () in
+  (* [depth] parentheses and [NOT]s are open around the formula read
+     next *)
+  let nest depth =
+    if depth >= max_depth then
+      raise (Parse_error (Printf.sprintf "nesting deeper than %d" max_depth));
+    advance ()
+  in
+  let rec disj depth =
+    let left = conj depth in
     match peek () with
     | Some OR ->
         advance ();
-        Or (left, disj ())
+        Or (left, disj depth)
     | _ -> left
-  and conj () =
-    let left = atom () in
+  and conj depth =
+    let left = atom depth in
     match peek () with
     | Some AND ->
         advance ();
-        And (left, conj ())
+        And (left, conj depth)
     | _ -> left
-  and atom () =
+  and atom depth =
     match peek () with
     | Some NOT ->
-        advance ();
-        Not (atom ())
+        nest depth;
+        Not (atom (depth + 1))
     | Some TRUE ->
         advance ();
         True
@@ -85,24 +111,21 @@ let parse_tokens tokens =
         advance ();
         Var v
     | Some LPAREN ->
-        advance ();
-        let f = disj () in
+        nest depth;
+        let f = disj (depth + 1) in
         expect RPAREN "expected ')'";
         f
     | Some RPAREN -> raise (Parse_error "unexpected ')'")
     | Some AND | Some OR -> raise (Parse_error "unexpected operator")
     | None -> raise (Parse_error "unexpected end of input")
   in
-  let f = disj () in
-  match !toks with
-  | [] -> f
-  | _ -> raise (Parse_error "trailing input")
+  let f = disj 0 in
+  match peek () with
+  | None -> f
+  | Some _ -> raise (Parse_error "trailing input")
 
 let of_string s : (t, string) result =
-  match tokenize s with
-  | Error e -> Error e
-  | Ok tokens -> (
-      try Ok (parse_tokens tokens) with Parse_error e -> Error e)
+  try Ok (parse s) with Parse_error e -> Error e
 
 let of_string_exn s =
   match of_string s with

@@ -21,15 +21,10 @@ type record =
   | Done of { consistent : bool; digest : string }
 
 let model_digest (t : Model.t) =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun p ->
-      Buffer.add_string buf p;
-      Buffer.add_char buf '\000';
-      Buffer.add_string buf (Sexp.process_to_string (Model.private_ t p));
-      Buffer.add_char buf '\000')
-    (Model.parties t);
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+  Sexp.processes_digest
+    (List.map
+       (fun p -> (p, Sexp.process_to_string (Model.private_ t p)))
+       (Model.parties t))
 
 let ( let* ) = Result.bind
 let str = function Some (Json.Str s) -> Ok s | _ -> Error "missing string"

@@ -46,13 +46,6 @@ let witness_to_string w = Fmt.str "%a" pp_witness w
 
 (* --------------------------- helpers ------------------------------ *)
 
-(* The private communication activity that puts [l] on the wire first
-   (receive of an incoming message / invoke-reply of an outgoing one). *)
-let comm_for_label (p : Process.t) (l : Label.t) =
-  Activity.communications (Process.body p)
-  |> List.find_opt (fun (_, kind, c) ->
-         List.exists (Label.equal l) (Process.labels_of_comm p kind c))
-
 (* Arm body for a newly handled message: if the delta automaton reaches
    a final state with no continuation after [l], the conversation ends
    there — terminate; otherwise continue with the surrounding flow. *)
@@ -89,7 +82,7 @@ let sequential_insertion (p : Process.t) ~old_public ~target
        insert before it in its parent sequence *)
     Label.Set.elements old_labels
     |> List.find_map (fun o ->
-           match comm_for_label p o with
+           match Process.comm_for_label p o with
            | Some (path, _, _) when path <> [] -> (
                let parent = List.filteri (fun i _ -> i < List.length path - 1) path in
                let index = List.nth path (List.length path - 1) in
@@ -118,7 +111,7 @@ let insert_after_predecessor (p : Process.t) ~old_public
   in
   incoming
   |> List.find_map (fun o ->
-         match comm_for_label p o with
+         match Process.comm_for_label p o with
          | Some ([], _, _) | None -> None
          | Some (path, _, _) -> (
              let parent =
@@ -229,7 +222,7 @@ let additive (p : Process.t) ~old_public ~target (d : Localize.divergence) :
               (fun (alt : Label.t) ->
                 if Label.equal alt l then None
                 else
-                  match comm_for_label p alt with
+                  match Process.comm_for_label p alt with
                   | Some (path, `Receive, c) -> Some (path, c)
                   | _ -> None)
               (List.filter

@@ -66,12 +66,6 @@ let first_sequence body =
          | Activity.Sequence (_, items) -> Some (path, List.length items)
          | _ -> None)
 
-(* The communication handling label [l] first, as (path, kind). *)
-let comm_for_label (p : Process.t) (l : Label.t) =
-  Activity.communications (Process.body p)
-  |> List.find_opt (fun (_, kind, c) ->
-         List.exists (Label.equal l) (Process.labels_of_comm p kind c))
-
 let lstr = Label.to_string
 
 (* Candidate edits for one missing label (additive direction): insert
@@ -168,7 +162,7 @@ let additive_singles (p : Process.t) (l : Label.t) : candidate list =
 let subtractive_singles (p : Process.t) (l : Label.t) : candidate list =
   let body = Process.body p in
   let deletions =
-    match comm_for_label p l with
+    match Process.comm_for_label p l with
     | Some (path, _, _) when path <> [] -> (
         let parent = List.filteri (fun i _ -> i < List.length path - 1) path in
         let index = List.nth path (List.length path - 1) in

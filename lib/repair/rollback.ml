@@ -14,6 +14,7 @@
     model types in. *)
 
 module Json = Chorev_wal.Json
+module Sexp = Chorev_bpel.Sexp
 module Obs = Chorev_obs.Obs
 module Metrics = Chorev_obs.Metrics
 
@@ -80,11 +81,6 @@ let final_state plan =
     (fun (party, sexp) ->
       (party, Option.value ~default:sexp (List.assoc_opt party plan.pre)))
     plan.state
-
-let digest_of pairs =
-  Digest.to_hex
-    (Digest.string
-       (String.concat "" (List.map (fun (p, s) -> p ^ "\000" ^ s ^ "\000") pairs)))
 
 let ( let* ) = Result.bind
 
@@ -173,7 +169,8 @@ let restore_all t ~restore =
         Run.commit t.run (Restored party)
       end)
     t.plan.cone;
-  Run.commit t.run (Sealed { digest = digest_of (final_state t.plan) })
+  Run.commit t.run
+    (Sealed { digest = Sexp.processes_digest (final_state t.plan) })
 
 (** Journal-less variant for embedded drivers (the simulator without a
     [--rollback-journal] directory): restore each [(party, pre)] pair
@@ -206,7 +203,8 @@ let restored l =
 let load ~dir =
   let* l = Run.load ~dir in
   match List.rev l.records with
-  | Sealed { digest } :: _ when digest <> digest_of (final_state l.plan) ->
+  | Sealed { digest } :: _
+    when digest <> Sexp.processes_digest (final_state l.plan) ->
       Error
         (Printf.sprintf "%s: sealed journal digest diverges from the plan"
            (Filename.concat dir "journal.jsonl"))

@@ -264,6 +264,66 @@ let test_json_utf8_roundtrip () =
   check_bool "of_string (to_string v) = Ok v" true
     (Json.of_string (Json.to_string v) = Ok v)
 
+(* ------------------------- hostile nesting -------------------------- *)
+
+(* 10M nested parentheses: each parser stops at its nesting bound with
+   an error naming it, in far less than a second. *)
+let nested = lazy (String.make 10_000_000 '(')
+
+let rejected_quickly what expected parse =
+  let input = Lazy.force nested in
+  let t0 = Unix.gettimeofday () in
+  let r = parse input in
+  let took = Unix.gettimeofday () -. t0 in
+  (match r with
+  | Ok () -> Alcotest.fail (what ^ ": unbounded nesting accepted")
+  | Error e -> check_string (what ^ ": names the limit") expected e);
+  check_bool (Printf.sprintf "%s: rejected in %.3fs" what took) true
+    (took < 1.0)
+
+let test_sexp_nesting_bound () =
+  rejected_quickly "sexp" "nesting deeper than 10000" (fun s ->
+      Result.map ignore (C.Bpel.Sexp.process_of_string s))
+
+let test_formula_nesting_bound () =
+  rejected_quickly "formula" "nesting deeper than 512" (fun s ->
+      Result.map ignore (C.Formula.Parse.of_string s));
+  (* nesting annotations use is far below the bound; an [OR] under an
+     [AND] prints in parentheses *)
+  let m = C.Formula.Var "m" in
+  let rec deep k =
+    if k = 0 then C.Formula.Not m
+    else C.Formula.And (m, C.Formula.Or (m, deep (k - 1)))
+  in
+  let f = deep 64 in
+  check_bool "64 levels round-trip" true
+    (C.Formula.Parse.of_string (C.Formula.Pp.to_string f) = Ok f)
+
+(* The JSON depth bound never sees this nesting: [changed] is a JSON
+   string, parsed as a process only by the server. *)
+let test_evolve_nesting_bound () =
+  let server = C.Serve.Server.create () in
+  let register =
+    C.Serve.Wire.Register
+      {
+        tenant = "t";
+        processes =
+          List.map (fun (_, p) -> C.Bpel.Sexp.process_to_string p) P.parties;
+      }
+  in
+  check_bool "tenant registered" true
+    (Result.is_ok (C.Serve.Server.handle server { id = 0; op = register }).result);
+  rejected_quickly "evolve request" "process: nesting deeper than 10000"
+    (fun changed ->
+      let op =
+        C.Serve.Wire.Evolve
+          { tenant = "t"; owner = "A"; changed; klass = C.Serve.Wire.Bulk }
+      in
+      match (C.Serve.Server.handle server { id = 1; op }).result with
+      | Error (`Bad_request e) -> Error e
+      | Error _ -> Error "another error"
+      | Ok _ -> Ok ())
+
 let () =
   Alcotest.run "robustness"
     [
@@ -288,5 +348,11 @@ let () =
             test_json_bad_numbers_and_escapes;
           Alcotest.test_case "nesting bound" `Quick test_json_nesting_bound;
           Alcotest.test_case "utf-8 round trip" `Quick test_json_utf8_roundtrip;
+        ] );
+      ( "hostile nesting",
+        [
+          Alcotest.test_case "sexp" `Quick test_sexp_nesting_bound;
+          Alcotest.test_case "formula" `Quick test_formula_nesting_bound;
+          Alcotest.test_case "evolve request" `Quick test_evolve_nesting_bound;
         ] );
     ]
