@@ -1,26 +1,20 @@
-(** Generic ε-tolerant product construction.
+(** Generic ε-tolerant product construction: intersection (Def. 3),
+    difference (Def. 4) and union (Sec. 5.2, step 2) are all products
+    over the pair state space. The automata synchronize on shared
+    proper labels, either side may take its ε-transitions alone, and
+    either side may be completed virtually by giving it a sink; the
+    final-state predicate and the annotation combiner are parameters.
 
-    Intersection (Def. 3), difference (Def. 4) and union (Sec. 5.2,
-    step 2) of the paper are all products over the pair state space:
-    the automata synchronize on shared proper labels, and either side
-    may take its ε-transitions alone. The final-state predicate and the
-    annotation combiner are parameters, and each side may be virtually
-    completed by giving it a sink. Only the reachable part is built.
-
-    The construction is one explicit worklist over a hash table of
-    int-packed [(l lsl 32) lor r] pair keys (no recursion — deep
-    products such as long ladder protocols cannot overflow the stack).
-    Each popped pair merge-walks the two packed CSR out-rows (see
-    {!Afsa.Packed}) by symbol instead of sweeping the whole product
-    alphabet, and ticks the budget once. The seed's recursive map-based
-    product stays in {!Ablation} as the differential oracle. *)
+    One explicit worklist over int-packed [(l lsl 32) lor r] pair keys
+    builds the reachable part (no recursion, so deep products such as
+    long ladders cannot overflow the stack). Each popped pair ticks the
+    budget once and merge-walks the two packed CSR out-rows
+    ({!Afsa.Packed}) instead of sweeping the product alphabet. The
+    seed's recursive map-based product stays in {!Ablation} as the
+    differential oracle. *)
 
 module F = Chorev_formula.Syntax
 module Budget = Chorev_guard.Budget
-
-(* The loop ticks its budget once per popped pair state, so a fuel
-   bound translates directly into a bound on explored pairs. *)
-let resolve = function Some b -> b | None -> Budget.ambient ()
 
 type spec = {
   alphabet : Label.t list;  (** alphabet of the product *)
@@ -36,10 +30,6 @@ type spec = {
 let c_pairs = Chorev_obs.Metrics.counter "afsa.product.pairs"
 let c_edges = Chorev_obs.Metrics.counter "afsa.product.edges"
 let c_sink_pairs = Chorev_obs.Metrics.counter "afsa.product.sink_pairs"
-
-(* ------------------------------------------------------------------ *)
-(* Pair keys, symbol universe, discovery queue                         *)
-(* ------------------------------------------------------------------ *)
 
 module P = Afsa.Packed
 
@@ -65,8 +55,8 @@ end)
 (* Merge both packs' symbol tables (each ascending in the same global
    order) into one ascending universe; [l2g] / [r2g] lift pack-local
    symbol ids into it. One merge walk per call — no hashing of label
-   strings (the per-call setup used to dominate products over large
-   alphabets with tiny per-pair work). *)
+   strings, which would dominate products over large alphabets with
+   tiny per-pair work. *)
 let universe pa pb =
   let nl = Array.length pa.P.syms and nr = Array.length pb.P.syms in
   let l2g = Array.make (max 1 nl) 0 and r2g = Array.make (max 1 nr) 0 in
@@ -98,39 +88,34 @@ let rec sorted_labels = function
   | a :: (b :: _ as rest) -> Label.compare a b <= 0 && sorted_labels rest
   | _ -> true
 
-(* Per-symbol-id membership in the product alphabet. Product alphabets
-   come from [Label.Set.elements] and arrive sorted, so the common case
-   is another merge walk; unsorted caller-supplied lists fall back to a
-   hash table. *)
+(* Per-symbol-id membership in the product alphabet, by another merge
+   walk. Product alphabets come from [Label.Set.elements] and arrive
+   sorted; other lists are sorted first. *)
 let alpha_mask syms alphabet =
-  if sorted_labels alphabet then begin
-    let n = Array.length syms in
-    let mask = Array.make (max 1 n) false in
-    let al = ref alphabet in
-    for i = 0 to n - 1 do
-      match syms.(i) with
-      | Sym.Eps -> ()
-      | Sym.L l ->
-          let rec skip () =
-            match !al with
-            | x :: rest when Label.compare x l < 0 ->
-                al := rest;
-                skip ()
-            | _ -> ()
-          in
-          skip ();
-          (match !al with
-          | x :: _ when Label.compare x l = 0 -> mask.(i) <- true
-          | _ -> ())
-    done;
-    mask
-  end
-  else begin
-    let tbl = Hashtbl.create 64 in
-    List.iter (fun l -> Hashtbl.replace tbl l ()) alphabet;
-    Array.init (Array.length syms) (fun i ->
-        match syms.(i) with Sym.L l -> Hashtbl.mem tbl l | Sym.Eps -> false)
-  end
+  let n = Array.length syms in
+  let mask = Array.make (max 1 n) false in
+  let al =
+    ref
+      (if sorted_labels alphabet then alphabet
+       else List.sort Label.compare alphabet)
+  in
+  for i = 0 to n - 1 do
+    match syms.(i) with
+    | Sym.Eps -> ()
+    | Sym.L l ->
+        let rec skip () =
+          match !al with
+          | x :: rest when Label.compare x l < 0 ->
+              al := rest;
+              skip ()
+          | _ -> ()
+        in
+        skip ();
+        (match !al with
+        | x :: _ when Label.compare x l = 0 -> mask.(i) <- true
+        | _ -> ())
+  done;
+  mask
 
 (* The discovery array doubles as the FIFO: [disc.(id)] is the pair key
    discovered as [id], and popping is a cursor walk — pairs are pushed
@@ -148,36 +133,21 @@ let grow disc id k =
   in
   d.(id) <- k
 
-(* ------------------------------------------------------------------ *)
-(* Virtual completion                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* Definition 4 (difference) and the direct union assume *complete*
-   automata. Materializing the completion adds |Q|·|Σ| sink edges —
-   160k edges for a 400-state protocol over a 400-label alphabet —
-   which used to dominate the cost of difference and union. The kernel
-   keeps the completion virtual instead: a sink is just a reserved
-   integer outside the automaton's state space, a missing (state,
-   symbol) pair moves to it implicitly, and sink states carry the
-   default annotation [True]. Inside the kernel a side's sink is the
-   dense index [n], one past its dense states. *)
-
-(** A state id guaranteed outside [a]'s state space. *)
+(* Difference (Def. 4) and the direct union assume *complete* automata.
+   Materializing the completion adds |Q|·|Σ| sink edges — 160k edges
+   for a 400-state protocol over a 400-label alphabet — which would
+   dominate their cost. A sink instead is a reserved integer outside
+   the automaton's state space, which a missing (state, symbol) pair
+   moves to implicitly; inside [run] it is the dense index [n], one
+   past the side's dense states. *)
 let sink_of a = 1 + List.fold_left max 0 (Afsa.states a)
 
-(* ------------------------------------------------------------------ *)
-(* The kernel                                                          *)
-(* ------------------------------------------------------------------ *)
-
-(** [run ?sink_a ?sink_b spec a b] builds the reachable product; pairs
-    are numbered densely in discovery (BFS) order, the start is
-    [(start a, start b)] = 0. A side given a sink is completed over
-    [spec.alphabet]: where only the other side moves on a symbol, it
-    moves to (or stays in) its sink. A completed side must be ε-free.
-    A pair with both sides in their sinks is never built: the walk
-    below visits only symbols one of the two rows has. *)
+(* A pair with both sides in their sinks is never built: the merge walk
+   visits only symbols one of the two rows has. *)
 let run ?budget ?sink_a ?sink_b spec a b =
-  let budget = resolve budget in
+  let budget =
+    match budget with Some b -> b | None -> Budget.ambient ()
+  in
   let pa = P.get a and pb = P.get b in
   let eps_free p = p.P.eps_off.(p.P.n) = 0 in
   let completed_a = Option.is_some sink_a
@@ -264,13 +234,11 @@ let run ?budget ?sink_a ?sink_b spec a b =
               edges := (id, sym, id_of t1 pb.P.row_tgt.(f2)) :: !edges
             done
           done
-        else if gl = g then begin
-          if completed_b then
-            for f1 = l0 to !el - 1 do
-              edges := (id, sym, id_of pa.P.row_tgt.(f1) bsink) :: !edges
-            done
-        end
-        else if completed_a then
+        else if gl = g && completed_b then
+          for f1 = l0 to !el - 1 do
+            edges := (id, sym, id_of pa.P.row_tgt.(f1) bsink) :: !edges
+          done
+        else if gr = g && completed_a then
           for f2 = r0 to !er - 1 do
             edges := (id, sym, id_of asink pb.P.row_tgt.(f2)) :: !edges
           done

@@ -1,8 +1,6 @@
 (** Generic ε-tolerant product over pair states — the one kernel behind
     intersection (Def. 3), difference (Def. 4) and union (Sec. 5.2,
-    step 2): synchronize on shared labels, interleave ε-moves, combine
-    annotations with the given operator, and optionally complete either
-    side virtually. It is one worklist over the packed CSR form
+    step 2). It is a worklist over the packed CSR form
     ({!Afsa.Packed}); {!Ablation.product_ref} is the seed's map-based
     oracle. *)
 
@@ -16,8 +14,8 @@ type spec = {
 }
 
 val sink_of : Afsa.t -> int
-(** A state id guaranteed outside the automaton's state space, for use
-    as a virtual completion sink in {!run}. *)
+(** A state id outside the automaton's state space, for use as a
+    virtual completion sink in {!run}. *)
 
 val run :
   ?budget:Chorev_guard.Budget.t ->
@@ -28,21 +26,14 @@ val run :
   Afsa.t ->
   Afsa.t
 (** The reachable product, pairs numbered in discovery (BFS) order from
-    [(start a, start b)] = 0. Per pair the edges come in a fixed order:
-    the left side's lone ε-moves, then the proper symbols in ascending
-    order, then the right side's lone ε-moves.
-
-    Giving a side a sink completes it over [spec.alphabet] without
-    materializing the |Q|·|Σ| sink edges of {!Complete.complete}: where
-    only the other side moves on a symbol, this side moves to (or stays
-    in) the sink, which traps and carries annotation [True].
-    [spec.final] and [spec.combine_ann] see the sink as a regular state.
-    A completed side must be ε-free (determinize it first); otherwise
-    raises [Invalid_argument]. A pair with both sides in their sinks is
-    never built, since a symbol neither side moves on gives no edge;
-    when that pair is not final (union's sinks are not), this is
-    exactly what a subsequent {!Afsa.trim} would remove.
-
-    Ticks [?budget] (default: the ambient {!Chorev_guard.Budget}) once
-    per explored pair state and unwinds with
-    [Chorev_guard.Budget.Expired] when it trips. *)
+    [(start a, start b)] = 0. Each pair emits the left side's lone
+    ε-moves, then the symbols of [spec.alphabet] in ascending order,
+    then the right side's lone ε-moves. A side given a sink is
+    completed over [spec.alphabet] without materializing the |Q|·|Σ|
+    edges of {!Complete.complete}: where only the other side moves, it
+    moves to (or stays in) the sink, which traps and carries annotation
+    [True]; [spec.final] and [spec.combine_ann] see the sink as a
+    regular state. A completed side must be ε-free (determinize it
+    first), else [Invalid_argument]. A pair with both sides in their
+    sinks is never built. Ticks [?budget] (default: the ambient
+    {!Chorev_guard.Budget}) once per explored pair. *)

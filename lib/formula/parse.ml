@@ -14,6 +14,39 @@ open Syntax
 
 type token = LPAREN | RPAREN | AND | OR | NOT | TRUE | FALSE | VAR of string
 
+(* Tokens are read on demand, so a parse that fails early never scans
+   the rest of the input. *)
+let tokenize s : token Seq.t =
+  let n = String.length s in
+  let rec go i () =
+    if i >= n then Seq.Nil
+    else
+      match s.[i] with
+      | ' ' | '\t' | '\n' | '\r' -> go (i + 1) ()
+      | '(' -> Seq.Cons (LPAREN, go (i + 1))
+      | ')' -> Seq.Cons (RPAREN, go (i + 1))
+      | _ ->
+          let j = ref i in
+          while
+            !j < n
+            && not (List.mem s.[!j] [ ' '; '\t'; '\n'; '\r'; '('; ')' ])
+          do
+            incr j
+          done;
+          let word = String.sub s i (!j - i) in
+          let tok =
+            match word with
+            | "AND" -> AND
+            | "OR" -> OR
+            | "NOT" -> NOT
+            | "true" -> TRUE
+            | "false" -> FALSE
+            | v -> VAR v
+          in
+          Seq.Cons (tok, go !j)
+  in
+  Seq.memoize (go 0)
+
 exception Parse_error of string
 
 (* Parentheses and [NOT]s nest at most this deep. Annotations nest a
@@ -21,62 +54,18 @@ exception Parse_error of string
    recursing as deep as it is long. *)
 let max_depth = 512
 
-let is_space = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false
-let is_delim c = is_space c || c = '(' || c = ')'
-
-(* One-token lookahead over [s]. Tokens are read on demand, so a parse
-   that fails early never scans the rest of the input. *)
-let lexer s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let rec next () =
-    if !pos >= n then None
-    else
-      match s.[!pos] with
-      | '(' ->
-          incr pos;
-          Some LPAREN
-      | ')' ->
-          incr pos;
-          Some RPAREN
-      | c when is_space c ->
-          incr pos;
-          next ()
-      | _ ->
-          let i = !pos in
-          while !pos < n && not (is_delim s.[!pos]) do
-            incr pos
-          done;
-          Some
-            (match String.sub s i (!pos - i) with
-            | "AND" -> AND
-            | "OR" -> OR
-            | "NOT" -> NOT
-            | "true" -> TRUE
-            | "false" -> FALSE
-            | v -> VAR v)
+let parse_tokens tokens =
+  let toks = ref tokens in
+  let peek () = match !toks () with Seq.Nil -> None | Cons (t, _) -> Some t in
+  let advance () =
+    match !toks () with Seq.Nil -> () | Cons (_, tl) -> toks := tl
   in
-  let ahead = ref None in
-  let peek () =
-    match !ahead with
-    | Some t -> t
-    | None ->
-        let t = next () in
-        ahead := Some t;
-        t
-  in
-  let advance () = ahead := None in
-  (peek, advance)
-
-let parse s =
-  let peek, advance = lexer s in
   let expect t msg =
     match peek () with
     | Some t' when t' = t -> advance ()
     | _ -> raise (Parse_error msg)
   in
-  (* [depth] parentheses and [NOT]s are open around the formula read
-     next *)
+  (* [depth] parentheses and [NOT]s are open around what is read next *)
   let nest depth =
     if depth >= max_depth then
       raise (Parse_error (Printf.sprintf "nesting deeper than %d" max_depth));
@@ -125,7 +114,7 @@ let parse s =
   | Some _ -> raise (Parse_error "trailing input")
 
 let of_string s : (t, string) result =
-  try Ok (parse s) with Parse_error e -> Error e
+  try Ok (parse_tokens (tokenize s)) with Parse_error e -> Error e
 
 let of_string_exn s =
   match of_string s with
