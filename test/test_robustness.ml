@@ -1,7 +1,9 @@
 (* Degenerate-input hardening: the algebra must neither raise nor loop
    on empty / final-less / unreachable-annotation automata (handcrafted
-   and random), and [Model.validate] must flag malformed choreographies
-   before the pipeline sees them. *)
+   and random), [Model.validate] must flag malformed choreographies
+   before the pipeline sees them, and the JSON, s-expression and
+   formula parsers must reject hostile input fast with an explicit
+   error. *)
 
 module C = Chorev
 module B = C.Guard.Budget
@@ -283,7 +285,17 @@ let rejected_quickly what expected parse =
 
 let test_sexp_nesting_bound () =
   rejected_quickly "sexp" "nesting deeper than 10000" (fun s ->
-      Result.map ignore (C.Bpel.Sexp.process_of_string s))
+      Result.map ignore (C.Bpel.Sexp.process_of_string s));
+  (* the bound itself parses *)
+  let lists k = String.make k '(' ^ String.make k ')' in
+  check_bool "10000 nested lists parse" true
+    (match C.Bpel.Sexp.parse_sexp (lists 10_000) with
+    | C.Bpel.Sexp.List _ -> true
+    | Atom _ -> false);
+  check_bool "10001 do not" true
+    (match C.Bpel.Sexp.parse_sexp (lists 10_001) with
+    | _ -> false
+    | exception C.Bpel.Sexp.Parse_error _ -> true)
 
 let test_formula_nesting_bound () =
   rejected_quickly "formula" "nesting deeper than 512" (fun s ->
@@ -311,18 +323,19 @@ let test_evolve_nesting_bound () =
           List.map (fun (_, p) -> C.Bpel.Sexp.process_to_string p) P.parties;
       }
   in
-  check_bool "tenant registered" true
-    (Result.is_ok (C.Serve.Server.handle server { id = 0; op = register }).result);
+  let registered = C.Serve.Server.handle server { id = 0; op = register } in
+  check_bool "tenant registered" true (Result.is_ok registered.result);
   rejected_quickly "evolve request" "process: nesting deeper than 10000"
     (fun changed ->
       let op =
         C.Serve.Wire.Evolve
           { tenant = "t"; owner = "A"; changed; klass = C.Serve.Wire.Bulk }
       in
-      match (C.Serve.Server.handle server { id = 1; op }).result with
+      let resp = C.Serve.Server.handle server { id = 1; op } in
+      match resp.result with
       | Error (`Bad_request e) -> Error e
-      | Error _ -> Error "another error"
-      | Ok _ -> Ok ())
+      | Ok _ -> Ok ()
+      | Error _ -> Error (C.Serve.Wire.response_to_string resp))
 
 let () =
   Alcotest.run "robustness"
