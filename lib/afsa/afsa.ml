@@ -411,138 +411,138 @@ module Packed = struct
           visit src.(e)
         done)
 
-  (** Per-state ε-closure CSR over dense indexes: row [q] of [(off,
-      tgt)] is the sorted ε-closure of [q] (including [q] itself).
-      Iterative Tarjan over the ε-CSR with int stacks only — SCCs pop
+  (** Iterative Tarjan over the ε-rows with int stacks only — SCCs pop
       in reverse topological order, so each SCC's closure is its
       members unioned (stamp-deduplicated) with the already-finished
-      closures of its successor SCCs. No per-state list or set is ever
-      allocated; cached on the packed form. *)
+      closures of its successor SCCs. No per-state list or set. *)
+  let closure_csr n eps_off eps_tgt =
+    let idx = Array.make n (-1) and low = Array.make n 0 in
+    let on_st = Array.make (max 1 n) false in
+    let st = Array.make (max 1 n) 0 in
+    let sp = ref 0 in
+    let scc_of = Array.make (max 1 n) (-1) in
+    let nscc = ref 0 in
+    let counter = ref 0 in
+    (* explicit DFS frames: state + cursor into its ε-row *)
+    let fstate = Array.make (max 1 n) 0
+    and fedge = Array.make (max 1 n) 0 in
+    let fsp = ref 0 in
+    (* per-SCC closure slices in one growable int buffer *)
+    let scc_start = Array.make (max 1 n) 0
+    and scc_len = Array.make (max 1 n) 0 in
+    let stamp = Array.make (max 1 n) (-1) in
+    let cap = ref (max 16 n) in
+    let buf = ref (Array.make !cap 0) in
+    let len = ref 0 in
+    let push x =
+      if !len = !cap then begin
+        let nb = Array.make (2 * !cap) 0 in
+        Array.blit !buf 0 nb 0 !len;
+        buf := nb;
+        cap := 2 * !cap
+      end;
+      !buf.(!len) <- x;
+      incr len
+    in
+    let push_node q =
+      idx.(q) <- !counter;
+      low.(q) <- !counter;
+      incr counter;
+      st.(!sp) <- q;
+      incr sp;
+      on_st.(q) <- true;
+      fstate.(!fsp) <- q;
+      fedge.(!fsp) <- eps_off.(q);
+      incr fsp
+    in
+    for root = 0 to n - 1 do
+      if idx.(root) < 0 then begin
+        push_node root;
+        while !fsp > 0 do
+          let q = fstate.(!fsp - 1) in
+          let e = fedge.(!fsp - 1) in
+          if e < eps_off.(q + 1) then begin
+            fedge.(!fsp - 1) <- e + 1;
+            let t = eps_tgt.(e) in
+            if idx.(t) < 0 then push_node t
+            else if on_st.(t) && idx.(t) < low.(q) then low.(q) <- idx.(t)
+          end
+          else begin
+            decr fsp;
+            if !fsp > 0 then begin
+              let parent = fstate.(!fsp - 1) in
+              if low.(q) < low.(parent) then low.(parent) <- low.(q)
+            end;
+            if low.(q) = idx.(q) then begin
+              (* pop the SCC rooted at [q]; members stay readable in
+                 [st.(!sp .. mhi-1)] after the pops *)
+              let c = !nscc in
+              incr nscc;
+              let mhi = !sp in
+              let continue_ = ref true in
+              while !continue_ do
+                decr sp;
+                let m = st.(!sp) in
+                on_st.(m) <- false;
+                scc_of.(m) <- c;
+                if m = q then continue_ := false
+              done;
+              let cstart = !len in
+              for k = !sp to mhi - 1 do
+                let m = st.(k) in
+                if stamp.(m) <> c then begin
+                  stamp.(m) <- c;
+                  push m
+                end
+              done;
+              for k = !sp to mhi - 1 do
+                let m = st.(k) in
+                for e = eps_off.(m) to eps_off.(m + 1) - 1 do
+                  let t = eps_tgt.(e) in
+                  let ct = scc_of.(t) in
+                  if ct <> c then
+                    (* [t]'s SCC is already finished (Tarjan pops in
+                       reverse topological order) *)
+                    for j = scc_start.(ct) to scc_start.(ct) + scc_len.(ct) - 1
+                    do
+                      let x = !buf.(j) in
+                      if stamp.(x) <> c then begin
+                        stamp.(x) <- c;
+                        push x
+                      end
+                    done
+                done
+              done;
+              let sz = !len - cstart in
+              let tmp = Array.sub !buf cstart sz in
+              Array.sort (fun (a : int) b -> compare a b) tmp;
+              Array.blit tmp 0 !buf cstart sz;
+              scc_start.(c) <- cstart;
+              scc_len.(c) <- sz
+            end
+          end
+        done
+      end
+    done;
+    let cl_off = Array.make (n + 1) 0 in
+    for q = 0 to n - 1 do
+      cl_off.(q + 1) <- cl_off.(q) + scc_len.(scc_of.(q))
+    done;
+    let cl_tgt = Array.make (max 1 cl_off.(n)) 0 in
+    for q = 0 to n - 1 do
+      let c = scc_of.(q) in
+      Array.blit !buf scc_start.(c) cl_tgt cl_off.(q) scc_len.(c)
+    done;
+    (cl_off, cl_tgt)
+
+  (** {!closure_csr} of the pack's ε-rows, cached on the pack. *)
   let eps_closure_csr p =
     match p.eps_cl_csr with
     | Some c -> c
     | None ->
-        let n = p.n in
-        let idx = Array.make n (-1) and low = Array.make n 0 in
-        let on_st = Array.make (max 1 n) false in
-        let st = Array.make (max 1 n) 0 in
-        let sp = ref 0 in
-        let scc_of = Array.make (max 1 n) (-1) in
-        let nscc = ref 0 in
-        let counter = ref 0 in
-        (* explicit DFS frames: state + cursor into its ε-row *)
-        let fstate = Array.make (max 1 n) 0
-        and fedge = Array.make (max 1 n) 0 in
-        let fsp = ref 0 in
-        (* per-SCC closure slices in one growable int buffer *)
-        let scc_start = Array.make (max 1 n) 0
-        and scc_len = Array.make (max 1 n) 0 in
-        let stamp = Array.make (max 1 n) (-1) in
-        let cap = ref (max 16 n) in
-        let buf = ref (Array.make !cap 0) in
-        let len = ref 0 in
-        let push x =
-          if !len = !cap then begin
-            let nb = Array.make (2 * !cap) 0 in
-            Array.blit !buf 0 nb 0 !len;
-            buf := nb;
-            cap := 2 * !cap
-          end;
-          !buf.(!len) <- x;
-          incr len
-        in
-        let push_node q =
-          idx.(q) <- !counter;
-          low.(q) <- !counter;
-          incr counter;
-          st.(!sp) <- q;
-          incr sp;
-          on_st.(q) <- true;
-          fstate.(!fsp) <- q;
-          fedge.(!fsp) <- p.eps_off.(q);
-          incr fsp
-        in
-        for root = 0 to n - 1 do
-          if idx.(root) < 0 then begin
-            push_node root;
-            while !fsp > 0 do
-              let q = fstate.(!fsp - 1) in
-              let e = fedge.(!fsp - 1) in
-              if e < p.eps_off.(q + 1) then begin
-                fedge.(!fsp - 1) <- e + 1;
-                let t = p.eps_tgt.(e) in
-                if idx.(t) < 0 then push_node t
-                else if on_st.(t) && idx.(t) < low.(q) then low.(q) <- idx.(t)
-              end
-              else begin
-                decr fsp;
-                if !fsp > 0 then begin
-                  let parent = fstate.(!fsp - 1) in
-                  if low.(q) < low.(parent) then low.(parent) <- low.(q)
-                end;
-                if low.(q) = idx.(q) then begin
-                  (* pop the SCC rooted at [q]; members stay readable in
-                     [st.(!sp .. mhi-1)] after the pops *)
-                  let c = !nscc in
-                  incr nscc;
-                  let mhi = !sp in
-                  let continue_ = ref true in
-                  while !continue_ do
-                    decr sp;
-                    let m = st.(!sp) in
-                    on_st.(m) <- false;
-                    scc_of.(m) <- c;
-                    if m = q then continue_ := false
-                  done;
-                  let cstart = !len in
-                  for k = !sp to mhi - 1 do
-                    let m = st.(k) in
-                    if stamp.(m) <> c then begin
-                      stamp.(m) <- c;
-                      push m
-                    end
-                  done;
-                  for k = !sp to mhi - 1 do
-                    let m = st.(k) in
-                    for e = p.eps_off.(m) to p.eps_off.(m + 1) - 1 do
-                      let t = p.eps_tgt.(e) in
-                      let ct = scc_of.(t) in
-                      if ct <> c then
-                        (* [t]'s SCC is already finished (Tarjan pops in
-                           reverse topological order) *)
-                        for j = scc_start.(ct) to scc_start.(ct) + scc_len.(ct) - 1
-                        do
-                          let x = !buf.(j) in
-                          if stamp.(x) <> c then begin
-                            stamp.(x) <- c;
-                            push x
-                          end
-                        done
-                    done
-                  done;
-                  let sz = !len - cstart in
-                  let tmp = Array.sub !buf cstart sz in
-                  Array.sort (fun (a : int) b -> compare a b) tmp;
-                  Array.blit tmp 0 !buf cstart sz;
-                  scc_start.(c) <- cstart;
-                  scc_len.(c) <- sz
-                end
-              end
-            done
-          end
-        done;
-        let cl_off = Array.make (n + 1) 0 in
-        for q = 0 to n - 1 do
-          cl_off.(q + 1) <- cl_off.(q) + scc_len.(scc_of.(q))
-        done;
-        let cl_tgt = Array.make (max 1 cl_off.(n)) 0 in
-        for q = 0 to n - 1 do
-          let c = scc_of.(q) in
-          Array.blit !buf scc_start.(c) cl_tgt cl_off.(q) scc_len.(c)
-        done;
-        let res = (cl_off, cl_tgt) in
-        p.eps_cl_csr <- Some res;
-        res
+        let c = closure_csr p.n p.eps_off p.eps_tgt in
+        p.eps_cl_csr <- Some c;
+        c
 end
 
 (* ------------------------------------------------------------------ *)

@@ -134,11 +134,14 @@ module Packed : sig
   (** Dense states from which a final state is reachable, over
       {!preds_csr}. *)
 
+  val closure_csr : int -> int array -> int array -> int array * int array
+  (** [closure_csr n eps_off eps_tgt]: the ε-closure CSR [(off, tgt)]
+      of the ε-rows [(eps_off, eps_tgt)] over states [0..n-1]; row [q]
+      is the sorted closure of [q], [q] included. One int-only
+      SCC-collapsed Tarjan pass, the one ε-closure algorithm. *)
+
   val eps_closure_csr : t -> int array * int array
-  (** Per-state ε-closure CSR [(off, tgt)] over dense indexes — row [q]
-      is the sorted ε-closure of [q], including [q]. One int-only
-      SCC-collapsed Tarjan pass, built once per packed form. This is
-      the one ε-closure algorithm; {!Epsilon.closure} reads it. *)
+  (** {!closure_csr} of the pack, cached on it. *)
 end
 with type afsa := t
 

@@ -49,7 +49,8 @@ let closure a set =
     ascending (dense ascending == original-id ascending), so the finals
     test, the [F.and_] fold and the budget tick (one per state) happen
     in the same order as the naive [Ablation.eliminate_ref]. An ε-free
-    input is returned unchanged. *)
+    input is returned unchanged. Public-process generation applies the
+    same per-state rule in its own pass; keep the two in step. *)
 let eliminate ?budget a =
   let budget =
     match budget with Some b -> b | None -> Budget.ambient ()

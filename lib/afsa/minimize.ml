@@ -61,9 +61,9 @@ end)
     order (the [Sym] order). Two isomorphic deterministic automata
     renumber to structurally equal ones. States unreachable from the
     start get no number and are dropped. Returns the renamed automaton
-    and the old→new map, like {!Afsa.renumber}. Exposed for
-    public-process generation and kept as the reference the fused pass
-    inside {!minimize} must agree with. *)
+    and the old→new map, like {!Afsa.renumber}. Kept as the reference
+    the fused passes inside {!minimize} and public-process generation
+    must agree with. *)
 let canonical_renumber m =
   let pk = P.get m in
   let order = Array.make (max 1 pk.P.n) 0 in

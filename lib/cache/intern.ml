@@ -34,15 +34,9 @@ let canonical a = W.merge (Domain.DLS.get dls) a
 (* Identity for the process side of the dirty-region tracker.          *)
 (* ------------------------------------------------------------------ *)
 
-(** Canonical digest of a private process: MD5 of its s-expression
-    rendering, which round-trips exactly (see [Chorev_bpel.Sexp]).
-    Structure-sensitive the same way aFSA fingerprints are: equal
-    digests ⟺ equal processes as written. *)
-(* The serialization is linear in the process size and runs once per
-   partner per round on the coordinator's hot path, so digests are
-   memoized per physical process (processes are immutable and shared
-   across rounds by the model). Weak keys: the memo never keeps a
-   process alive. *)
+(* Processes are immutable and shared across rounds by the model, so
+   what is derived from one is memoized on the physical process. Weak
+   keys: a table never keeps a process alive. *)
 module Proc_tbl = Ephemeron.K1.Make (struct
   type t = Chorev_bpel.Process.t
 
@@ -52,6 +46,11 @@ end)
 
 let proc_digests = Domain.DLS.new_key (fun () -> Proc_tbl.create 64)
 
+(** Canonical digest of a private process: MD5 of its s-expression
+    rendering, which round-trips exactly (see [Chorev_bpel.Sexp]).
+    Structure-sensitive the same way aFSA fingerprints are: equal
+    digests ⟺ equal processes as written. The rendering is linear in
+    the process size, so digests are memoized per physical process. *)
 let process_digest (p : Chorev_bpel.Process.t) =
   let tbl = Domain.DLS.get proc_digests in
   match Proc_tbl.find_opt tbl p with

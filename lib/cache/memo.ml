@@ -31,7 +31,9 @@ type tables = {
   tau : (string * string, Afsa.t) Lru.t; (* observer, fp *)
   binop : (char * string * string, Afsa.t) Lru.t; (* op tag, fp, fp *)
   unop : (char * string, Afsa.t) Lru.t; (* op tag, fp *)
-  gen : (string, Afsa.t * Chorev_mapping.Table.t) Lru.t; (* process digest *)
+  gen : (Afsa.t * Chorev_mapping.Table.t) Intern.Proc_tbl.t; (* identity *)
+  mutable gen_hits : int; (* [gen]'s {!Lru.stats} counts *)
+  mutable gen_misses : int;
   pair : (string * string, bool * Label.t list option) Lru.t;
       (* bilateral consistency verdicts on (fp, fp) *)
 }
@@ -41,7 +43,8 @@ let make_tables () =
     tau = Lru.create ~capacity:default_capacity;
     binop = Lru.create ~capacity:default_capacity;
     unop = Lru.create ~capacity:default_capacity;
-    gen = Lru.create ~capacity:default_capacity;
+    gen = Intern.Proc_tbl.create 64;
+    gen_hits = 0; gen_misses = 0;
     pair = Lru.create ~capacity:default_capacity;
   }
 
@@ -80,13 +83,26 @@ let unop tag raw a =
 let minimize a = unop 'm' (fun a -> Chorev_afsa.Minimize.minimize a) a
 let determinize a = unop 'D' (fun a -> Chorev_afsa.Determinize.determinize a) a
 
+(* the global counters the Lru tables bump *)
+let m_hit = Chorev_obs.Metrics.counter "cache.hit"
+let m_miss = Chorev_obs.Metrics.counter "cache.miss"
+
 let generate p =
   if not (active ()) then Chorev_mapping.Public_gen.generate p
   else
     let t = tables () in
-    Lru.get t.gen (Intern.process_digest p) (fun () ->
+    match Intern.Proc_tbl.find_opt t.gen p with
+    | Some r ->
+        t.gen_hits <- t.gen_hits + 1;
+        Chorev_obs.Metrics.incr m_hit;
+        r
+    | None ->
+        t.gen_misses <- t.gen_misses + 1;
+        Chorev_obs.Metrics.incr m_miss;
         let public, table = Chorev_mapping.Public_gen.generate p in
-        (Intern.canonical public, table))
+        let r = (Intern.canonical public, table) in
+        Intern.Proc_tbl.add t.gen p r;
+        r
 
 let public p = fst (generate p)
 
@@ -114,7 +130,9 @@ let stats () =
     ("tau", Lru.stats t.tau);
     ("binop", Lru.stats t.binop);
     ("unop", Lru.stats t.unop);
-    ("generate", Lru.stats t.gen);
+    ( "generate",
+      { Lru.hits = t.gen_hits; misses = t.gen_misses; evictions = 0;
+        size = Intern.Proc_tbl.length t.gen } );
     ("pair", Lru.stats t.pair);
   ]
 
@@ -125,5 +143,5 @@ let reset () =
   Lru.clear t.tau;
   Lru.clear t.binop;
   Lru.clear t.unop;
-  Lru.clear t.gen;
+  Intern.Proc_tbl.reset t.gen;
   Lru.clear t.pair

@@ -25,8 +25,9 @@ val minimize : Afsa.t -> Afsa.t
 val determinize : Afsa.t -> Afsa.t
 
 val generate : Chorev_bpel.Process.t -> Afsa.t * Chorev_mapping.Table.t
-(** Memoized {!Chorev_mapping.Public_gen.generate}, keyed by
-    {!Intern.process_digest}. *)
+(** Memoized {!Chorev_mapping.Public_gen.generate}, keyed on the
+    physical process ({!Intern.Proc_tbl}, weak keys): a fresh process,
+    or a structurally equal copy, misses without being rendered. *)
 
 val public : Chorev_bpel.Process.t -> Afsa.t
 

@@ -2,8 +2,9 @@
     into its public aFSA and mapping table by depth-first traversal of
     the block structure. Internal choices over sends annotate their
     entry state with the conjunctive mandatory formula; picks are the
-    partner's (optional) choice. States are numbered in BFS order from
-    the start, as the paper's figures do (theirs are 1-based). *)
+    partner's (optional) choice. One pass then eliminates ε and numbers
+    the reachable states in BFS order from the start, as the paper's
+    figures do (theirs are 1-based). Generation ticks no fuel. *)
 
 val generate :
   Chorev_bpel.Process.t -> Chorev_afsa.Afsa.t * Table.t

@@ -11,19 +11,17 @@ type entry = {
   block : string;  (** display name, e.g. ["While:tracking"] *)
   path : Chorev_bpel.Activity.path;  (** positional path of that block *)
 }
-[@@deriving eq, ord, show]
 
 module IMap = Map.Make (Int)
 
 type t = { assoc : entry list IMap.t }
 
-let empty = { assoc = IMap.empty }
-
-(** Append an entry for [state] (chronological order, deduplicated). *)
-let add t ~state entry =
-  let cur = Option.value ~default:[] (IMap.find_opt state t.assoc) in
-  if List.exists (fun e -> equal_entry e entry) cur then t
-  else { assoc = IMap.add state (cur @ [ entry ]) t.assoc }
+(** The table whose state [q] carries the entries [a.(q)], in order;
+    states with none are left out. *)
+let of_array a =
+  let assoc = ref IMap.empty in
+  Array.iteri (fun q es -> if es <> [] then assoc := IMap.add q es !assoc) a;
+  { assoc = !assoc }
 
 let entries t state = Option.value ~default:[] (IMap.find_opt state t.assoc)
 
@@ -32,22 +30,6 @@ let anchor t state =
   match entries t state with [] -> None | e :: _ -> Some e
 
 let states t = List.map fst (IMap.bindings t.assoc)
-
-(** Merge the associations of [from] into [into] (used when ε-elimination
-    fuses states) — [into]'s entries first. *)
-let merge t ~into ~from =
-  List.fold_left (fun t e -> add t ~state:into e) t (entries t from)
-
-(** Renumber states through [f], dropping the states it maps to
-    [None]; entries of states mapped to the same new id are
-    concatenated in old-id order. *)
-let renumber t ~f =
-  IMap.fold
-    (fun q es acc ->
-      match f q with
-      | None -> acc
-      | Some q' -> List.fold_left (fun acc e -> add acc ~state:q' e) acc es)
-    t.assoc empty
 
 let pp ppf t =
   Fmt.pf ppf "@[<v>%a@]"

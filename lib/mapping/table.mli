@@ -5,15 +5,12 @@
 
 type entry = { block : string; path : Chorev_bpel.Activity.path }
 
-val equal_entry : entry -> entry -> bool
-val compare_entry : entry -> entry -> int
-val pp_entry : Format.formatter -> entry -> unit
-val show_entry : entry -> string
-
 type t
 
-val empty : t
-val add : t -> state:int -> entry -> t
+val of_array : entry list array -> t
+(** State [q] carries the entries [a.(q)], in order; states with none
+    are left out. *)
+
 val entries : t -> int -> entry list
 
 val anchor : t -> int -> entry option
@@ -21,11 +18,5 @@ val anchor : t -> int -> entry option
     limited to the first block mentioned". *)
 
 val states : t -> int list
-val merge : t -> into:int -> from:int -> t
-val renumber : t -> f:(int -> int option) -> t
-(** Renumber states through [f], dropping those mapped to [None];
-    entries of states mapped to the same new id are concatenated in
-    old-id order. *)
-
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -279,16 +279,44 @@ let handle t r = match cycle t [ r ] with [ resp ] -> resp | _ -> assert false
 
 type item = R of Wire.request | B of int * string
 
+(* The lines of [ic] without their newline, in 64 KiB chunks; one over
+   [Wire.max_line] is never held whole and reads as its error. *)
+let line_reader ic =
+  let chunk = Bytes.create 65536 and pos = ref 0 and len = ref 0 in
+  let line = Buffer.create 4096 in
+  let rec eol i =
+    if i = !len || Bytes.get chunk i = '\n' then i else eol (i + 1)
+  in
+  let rec next over =
+    if !pos = !len then begin
+      len := input ic chunk 0 (Bytes.length chunk);
+      pos := 0
+    end;
+    let stop = eol !pos in
+    let over = over || Buffer.length line + stop - !pos > Wire.max_line in
+    if not over then Buffer.add_subbytes line chunk !pos (stop - !pos);
+    pos := min !len (stop + 1);
+    if stop = !len && !len > 0 then next over
+    else if !len = 0 && (not over) && Buffer.length line = 0 then None
+    else begin
+      let l = Buffer.contents line in
+      Buffer.clear line;
+      Some (if over then Error Wire.line_too_long else Ok l)
+    end
+  in
+  fun () -> next false
+
 let run_pipe t ic oc =
   let served = ref 0 in
+  let next_line = line_reader ic in
   let rec read_cycle k acc =
     if k = 0 then (List.rev acc, false)
     else
-      match input_line ic with
-      | exception End_of_file -> (List.rev acc, true)
-      | line when String.trim line = "" -> read_cycle k acc
-      | line -> (
-          match Wire.request_of_string line with
+      match next_line () with
+      | None -> (List.rev acc, true)
+      | Some (Ok line) when String.trim line = "" -> read_cycle k acc
+      | Some line -> (
+          match Result.bind line Wire.request_of_string with
           | Ok r -> read_cycle (k - 1) (R r :: acc)
           | Error (id, msg) -> read_cycle (k - 1) (B (id, msg) :: acc))
   in

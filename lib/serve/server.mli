@@ -64,7 +64,8 @@ val handle : t -> Wire.request -> Wire.response
 val run_pipe : t -> in_channel -> out_channel -> int
 (** Pipe mode: read newline-delimited requests, cycle, write one
     response line per request (flushed per cycle) until EOF. Malformed
-    lines get a [`Bad_request] response and don't kill the server.
+    lines get a [`Bad_request] response and don't kill the server; a
+    line over {!Wire.max_line} is skipped without being held whole.
     Returns the number of requests served. *)
 
 val stats_fields : t -> (string * Wire.Json.t) list

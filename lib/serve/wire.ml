@@ -111,7 +111,14 @@ let int_field name j =
   | Some (Json.Int i) -> Ok i
   | _ -> Error (Printf.sprintf "missing or non-integer field %S" name)
 
+(* Pipe mode holds at most [max_line] bytes of a request line and
+   answers a longer one with [line_too_long], as the decoder does. *)
+let max_line = 16 * 1024 * 1024
+let line_too_long = (0, Printf.sprintf "line longer than %d bytes" max_line)
+
 let request_of_string line =
+  if String.length line > max_line then Error line_too_long
+  else
   match Json.of_string line with
   | Error e -> Error (0, "malformed JSON: " ^ e)
   | Ok j -> (

@@ -70,7 +70,11 @@ val request_to_string : request -> string
 val request_of_string : string -> (request, int * string) result
 (** [Error (id, msg)]: [id] is the request id when one could still be
     recovered from the malformed line (0 otherwise), so the error
-    response stays correlated. *)
+    response stays correlated. A line over [max_line] bytes (16 MiB)
+    is refused with [line_too_long]. *)
+
+val max_line : int
+val line_too_long : int * string
 
 (** {1 Responses} *)
 

@@ -202,11 +202,12 @@ let test_memo_generate_and_verdict () =
   List.iter
     (fun s ->
       let pa, pb = C.Workload.Gen_process.pair ~seed:s () in
-      let ga, _ = Memo.generate pa in
+      let ga, ta = Memo.generate pa in
+      let ra, rt = C.Public_gen.generate pa in
       check_bool
         (Printf.sprintf "generate memo = raw (seed %d)" s)
         true
-        (C.Equiv.equal_annotated ga (C.Public_gen.public pa));
+        (FP.equal ga ra && C.Table.to_string ta = C.Table.to_string rt);
       let a = Memo.public pa and b = Memo.public pb in
       let consistent, witness = Memo.check_verdict a b in
       let r = C.Consistency.check a b in
@@ -216,6 +217,55 @@ let test_memo_generate_and_verdict () =
         (consistent = r.C.Consistency.consistent
         && witness = r.C.Consistency.witness))
     (List.init 40 Fun.id)
+
+(* Generation is memoized on the physical process: the same process
+   hits, a structurally equal copy misses (with an equal result), no
+   lookup happens under a finite budget, and [reset] empties the
+   table. *)
+let test_memo_generate_identity () =
+  let stats () = List.assoc "generate" (Memo.stats ()) in
+  let lookups () = (stats ()).Lru.hits + (stats ()).Lru.misses in
+  Memo.reset ();
+  let p, _ = C.Workload.Gen_process.pair ~seed:7 () in
+  let s0 = stats () in
+  let r = Memo.generate p in
+  check_bool "same process, same pair" true (Memo.generate p == r);
+  let s1 = stats () in
+  check_int "one miss" (s0.Lru.misses + 1) s1.Lru.misses;
+  check_int "one hit" (s0.Lru.hits + 1) s1.Lru.hits;
+  let copy =
+    Result.get_ok
+      (C.Bpel.Sexp.process_of_string (C.Bpel.Sexp.process_to_string p))
+  in
+  let r' = Memo.generate copy in
+  check_int "a copy misses" (s1.Lru.misses + 1) (stats ()).Lru.misses;
+  check_bool "a copy: equal fingerprint" true (FP.equal (fst r) (fst r'));
+  Alcotest.(check string)
+    "a copy: equal table" (C.Table.to_string (snd r))
+    (C.Table.to_string (snd r'));
+  let before = lookups () in
+  (match
+     C.Guard.Budget.run (C.Guard.Budget.create ~fuel:1_000_000 ()) (fun () ->
+         Memo.generate p)
+   with
+  | `Done (a, _) -> check_bool "raw under a budget" true (FP.equal a (fst r))
+  | `Exceeded _ -> Alcotest.fail "budget tripped unexpectedly");
+  check_int "no lookup under a budget" before (lookups ());
+  check_bool "filled" true ((stats ()).Lru.size > 0);
+  Memo.reset ();
+  check_int "reset empties" 0 (stats ()).Lru.size
+
+(* An entry does not keep its process alive. *)
+let test_memo_generate_weak () =
+  let w = Weak.create 1 in
+  let generate_fresh () =
+    let p, _ = C.Workload.Gen_process.pair ~seed:11 () in
+    Weak.set w 0 (Some p);
+    ignore (Memo.generate p)
+  in
+  generate_fresh ();
+  Gc.full_major ();
+  check_bool "process collected" true (Weak.get w 0 = None)
 
 (* Under a limited ambient budget the wrappers must stand down (so fuel
    accounting stays byte-identical with and without caching). *)
@@ -462,6 +512,10 @@ let () =
             test_memo_generate_and_verdict;
           Alcotest.test_case "inert under budget" `Quick
             test_memo_inert_under_budget;
+          Alcotest.test_case "generate keyed on identity" `Quick
+            test_memo_generate_identity;
+          Alcotest.test_case "generate keys are weak" `Quick
+            test_memo_generate_weak;
         ] );
       ( "churn",
         [

@@ -435,6 +435,117 @@ let test_generation_corpus () =
         "e5c077e3894ec4258d19889aeec6c808" );
     ]
 
+(* --------------------------- differential vs the ref --------------- *)
+
+let agrees name p =
+  if not (Public_gen_ref.agrees p) then
+    Alcotest.failf "%s: automaton or table differs from the ref" name
+
+let test_differential_corpus () =
+  let deeper =
+    { C.Workload.Gen_process.default with depth = 5; width = 3 }
+  in
+  List.iteri (fun i p -> agrees (Printf.sprintf "procurement %d" i) p)
+    (List.map snd P.parties
+    @ [
+        P.accounting_order2; P.accounting_cancel; P.accounting_once;
+        P.buyer_with_cancel; P.buyer_once;
+      ]);
+  List.iteri (fun i p -> agrees (Printf.sprintf "pairs %d" i) p)
+    (pairs_family 2000);
+  List.iteri (fun i p -> agrees (Printf.sprintf "deeper pairs %d" i) p)
+    (pairs_family ~params:deeper 300)
+
+(* Random block structures over [registry] with what the generator
+   families lack: silent activities, [terminate], flows, empty blocks
+   and both loop conditions. Among them are states whose ε-closure
+   holds a lower state whose own closure reaches past another member,
+   the case where the order the table entries fuse in shows. *)
+let random_process seed =
+  let rng = Random.State.make [| seed |] in
+  let k = ref 0 in
+  let name () = incr k; Printf.sprintf "b%d" !k in
+  let some f = List.init (Random.State.int rng 4) (fun _ -> f ()) in
+  let rec act d =
+    match Random.State.int rng (if d <= 0 then 8 else 15) with
+    | 0 -> Act.receive ~partner:"P" ~op:"inOp"
+    | 1 -> Act.receive ~partner:"P" ~op:"in2Op"
+    | 2 -> Act.invoke ~partner:"P" ~op:"aOp"
+    | 3 -> Act.invoke ~partner:"P" ~op:"bOp"
+    | 4 -> Act.invoke ~partner:"P" ~op:"sOp"
+    | 5 -> Act.Assign "x"
+    | 6 -> Act.Empty
+    | 7 -> if Random.State.int rng 4 = 0 then Act.Terminate else Act.Empty
+    | 8 | 9 -> Act.seq (name ()) (some (fun () -> act (d - 1)))
+    | 10 ->
+        Act.switch (name ())
+          (some (fun () -> Act.branch ~cond:"c" (act (d - 1))))
+    | 11 ->
+        let cond = if Random.State.bool rng then "1 = 1" else "c" in
+        Act.while_ (name ()) ~cond (act (d - 1))
+    | 12 -> Act.flow (name ()) (some (fun () -> act (d - 2)))
+    | 13 -> Act.scope (name ()) (act (d - 1))
+    | _ ->
+        Act.pick (name ())
+          (List.init
+             (1 + Random.State.int rng 2)
+             (fun i ->
+               let op = if i = 0 then "inOp" else "in2Op" in
+               Act.on_message ~partner:"P" ~op (act (d - 1))))
+  in
+  proc (Act.seq "root" (List.init (1 + Random.State.int rng 3) (fun _ -> act 4)))
+
+let test_differential_random () =
+  for seed = 0 to 9_999 do
+    agrees (Printf.sprintf "random %d" seed) (random_process seed)
+  done
+
+(* Every [Suggest.apply] result of the retry sets [Engine.analyze]'s
+   suggestions make (all applicable ones together, and each alone) for
+   the partner of a [Gen_change] edit. *)
+let test_differential_suggestions () =
+  let module E = C.Propagate.Engine in
+  let module S = C.Propagate.Suggest in
+  for seed = 0 to 499 do
+    let a, b = C.Workload.Gen_process.pair ~seed () in
+    let public_b, table_b = C.Public_gen.generate b in
+    List.iter
+      (fun (kind, change, direction) ->
+        match Option.map (fun op -> C.Change.Ops.apply op a) (change a) with
+        | None | Some (Error _) -> ()
+        | Some (Ok a') ->
+            let an =
+              E.analyze ~direction ~a':(C.Public_gen.public a')
+                ~partner_private:b ~public_b ~table_b ()
+            in
+            let applicable =
+              List.filter (fun s -> not (S.is_manual s)) an.E.suggestions
+            in
+            let sets =
+              (if List.length applicable > 1 then [ applicable ] else [])
+              @ List.map (fun s -> [ s ]) applicable
+            in
+            List.iteri
+              (fun i set ->
+                match
+                  List.fold_left
+                    (fun acc s -> Result.bind acc (S.apply s))
+                    (Ok b) set
+                with
+                | Ok p ->
+                    agrees (Printf.sprintf "seed %d %s set %d" seed kind i) p
+                | Error _ -> ())
+              sets)
+      [
+        ( "additive",
+          (fun p -> C.Workload.Gen_change.additive ~seed p),
+          E.Additive );
+        ( "subtractive",
+          (fun p -> C.Workload.Gen_change.subtractive ~seed p),
+          E.Subtractive );
+      ]
+  done
+
 (* --------------------------- firsts analysis ----------------------- *)
 
 let test_firsts () =
@@ -518,5 +629,14 @@ let () =
             test_generation_is_deterministic_automaton;
           Alcotest.test_case "generator corpus digests" `Quick
             test_generation_corpus;
+        ] );
+      ( "differential",
+        [
+          Alcotest.test_case "procurement and corpus families" `Quick
+            test_differential_corpus;
+          Alcotest.test_case "suggestion results, seeds 0-499" `Quick
+            test_differential_suggestions;
+          Alcotest.test_case "random block structures" `Quick
+            test_differential_random;
         ] );
     ]

@@ -337,6 +337,80 @@ let test_evolve_nesting_bound () =
       | Ok _ -> Ok ()
       | Error _ -> Error (C.Serve.Wire.response_to_string resp))
 
+(* --------------------------- hostile lines --------------------------- *)
+
+(* [lines] through [Server.run_pipe] on a fresh server, via temp files:
+   the decoded responses and the time the server took. *)
+let pipe lines =
+  let inp = Filename.temp_file "chorev-pipe" ".in"
+  and out = Filename.temp_file "chorev-pipe" ".out" in
+  Out_channel.with_open_bin inp (fun oc ->
+      List.iter (fun l -> output_string oc l; output_char oc '\n') lines);
+  let server = C.Serve.Server.create () in
+  let t0 = Unix.gettimeofday () in
+  In_channel.with_open_bin inp (fun ic ->
+      Out_channel.with_open_bin out (fun oc ->
+          ignore (C.Serve.Server.run_pipe server ic oc)));
+  let took = Unix.gettimeofday () -. t0 in
+  let resps = In_channel.with_open_bin out In_channel.input_lines in
+  Sys.remove inp;
+  Sys.remove out;
+  ( List.map
+      (fun l -> Result.get_ok (C.Serve.Wire.response_of_string l))
+      resps,
+    took )
+
+let bad_request (r : C.Serve.Wire.response) =
+  match r.result with Error (`Bad_request d) -> Some (r.id, d) | _ -> None
+
+let line_cap = 16 * 1024 * 1024
+
+(* A 20 MB line is answered with the length error and skipped; the
+   query after it is still served, and the oracle answers the same. *)
+let test_overlong_line () =
+  let req id op = C.Serve.Wire.request_to_string { id; op } in
+  let register =
+    C.Serve.Wire.Register
+      {
+        tenant = "t";
+        processes =
+          List.map (fun (_, p) -> C.Bpel.Sexp.process_to_string p) P.parties;
+      }
+  in
+  let lines =
+    [
+      req 1 register;
+      String.make 20_000_000 'x';
+      req 2 (C.Serve.Wire.Query { tenant = "t" });
+    ]
+  in
+  let resps, took = pipe lines in
+  check_bool "the oracle's stream" true
+    (List.map C.Serve.Wire.response_to_string resps
+    = C.Serve.Driver.oracle lines);
+  match resps with
+  | [ registered; long; query ] ->
+      check_bool "tenant registered" true (Result.is_ok registered.result);
+      check_bool "length error, id 0" true
+        (bad_request long = Some (0, "line longer than 16777216 bytes"));
+      check_bool "query answered" true
+        (query.id = 2 && Result.is_ok query.result);
+      check_bool (Printf.sprintf "served in %.3fs" took) true (took < 1.0)
+  | _ -> Alcotest.failf "%d responses, expected 3" (List.length resps)
+
+(* A line of exactly the cap still reaches the decoder. *)
+let test_line_at_cap () =
+  let line = String.make line_cap 'x' in
+  let expected =
+    match C.Serve.Wire.request_of_string line with
+    | Error e -> e
+    | Ok _ -> Alcotest.fail "decoded"
+  in
+  match pipe [ line ] with
+  | [ r ], _ ->
+      check_bool "the decoder's error" true (bad_request r = Some expected)
+  | resps, _ -> Alcotest.failf "%d responses, expected 1" (List.length resps)
+
 let () =
   Alcotest.run "robustness"
     [
@@ -367,5 +441,10 @@ let () =
           Alcotest.test_case "sexp" `Quick test_sexp_nesting_bound;
           Alcotest.test_case "formula" `Quick test_formula_nesting_bound;
           Alcotest.test_case "evolve request" `Quick test_evolve_nesting_bound;
+        ] );
+      ( "hostile lines",
+        [
+          Alcotest.test_case "over-long line skipped" `Quick test_overlong_line;
+          Alcotest.test_case "line at the cap decoded" `Quick test_line_at_cap;
         ] );
     ]

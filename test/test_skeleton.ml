@@ -234,8 +234,9 @@ let with_fuel ~party a =
 (* Ok/Error agree with the ref; on Ok, both regenerated publics have the
    input's plain language and the same re-check verdict against
    [view], their minimized forms have equal fingerprints (annotations
-   included), and the fuel spent is between one and two units per
-   activity. *)
+   included), the fuel spent is between one and two units per
+   activity, and generating the synthesized process gives the automaton
+   and table [Public_gen_ref] gives. *)
 let differential (name, party, a, view) =
   match (with_fuel ~party a, Skeleton_ref.synthesize ~party a) with
   | (Ok p, fuel), Ok q ->
@@ -250,7 +251,8 @@ let differential (name, party, a, view) =
       check_bool
         (Printf.sprintf "%s: fuel %d within [%d, %d]" name fuel size (2 * size))
         true
-        (size <= fuel && fuel <= 2 * size)
+        (size <= fuel && fuel <= 2 * size);
+      check_bool (name ^ ": generation = ref") true (Public_gen_ref.agrees p)
   | (Error _, _), Error _ -> ()
   | (Ok _, _), Error e -> Alcotest.failf "%s: ref failed (%s), new did not" name e
   | (Error e, _), Ok _ -> Alcotest.failf "%s: new failed (%s), ref did not" name e
