@@ -450,6 +450,65 @@ let test_complete () =
            (naive_complete ~over x)))
     (corpus ())
 
+(* Everything the automaton shows through its interface, each list in
+   the order the accessor returns it. *)
+let render x =
+  let b = Buffer.create 1024 in
+  let list f l = String.concat "," (List.map f l) in
+  let ints = list string_of_int and labels = list C.Label.to_string in
+  let set s = ints (A.ISet.elements s) in
+  let sym = C.Sym.to_string in
+  Printf.bprintf b "Q%s|A%s|q%d|F%s|N%s|D%s|" (ints (A.states x))
+    (labels (A.alphabet x)) (A.start x) (ints (A.finals x))
+    (list
+       (fun (q, f) -> Printf.sprintf "%d:%s" q (C.Formula.Pp.to_string f))
+       (A.annotations x))
+    (list
+       (fun (s, y, t) -> Printf.sprintf "%d-%s-%d" s (sym y) t)
+       (A.edges x));
+  List.iter
+    (fun q ->
+      Printf.bprintf b "o%d:%s/%s|" q
+        (list (fun (y, t) -> Printf.sprintf "%s>%d" (sym y) t) (A.out_edges x q))
+        (labels (C.Label.Set.elements (A.out_symbols x q)));
+      List.iter
+        (fun y -> Printf.bprintf b "s%d%s:%s|" q (sym y) (set (A.step x q y)))
+        (syms_of x))
+    (A.states x);
+  Printf.bprintf b "e%b|d%b|r%s|c%s|t%s|f%s" (A.has_eps x)
+    (A.is_deterministic x)
+    (set (A.reachable_from x (A.start x)))
+    (set (A.coreachable x))
+    (C.Fingerprint.hex (A.trim x))
+    (C.Fingerprint.hex x);
+  Buffer.contents b
+
+(* One MD5 over the rendering of the corpus inputs, their
+   determinizations, ε-eliminations and minimizations, and the three
+   products over [corpus_pairs]. Recorded before the automaton's
+   representation changed: a new representation must show exactly the
+   same automata through the same accessors. *)
+let representation_pinned = "3bed9d367a6b7b81d2f9e387c2fcf706"
+
+let test_representation_pinned () =
+  let inputs = List.map snd (corpus ()) in
+  let unary op = List.map (fun x -> op (A.copy x)) inputs in
+  let binary op =
+    List.map (fun (_, (a, b)) -> op (A.copy a) (A.copy b)) (corpus_pairs ())
+  in
+  let all =
+    inputs
+    @ unary (fun x -> C.Determinize.determinize x)
+    @ unary (fun x -> C.Epsilon.eliminate x)
+    @ unary (fun x -> C.Minimize.minimize x)
+    @ binary (fun a b -> C.Ops.intersect a b)
+    @ binary (fun a b -> C.Ops.difference a b)
+    @ binary (fun a b -> C.Ops.union a b)
+  in
+  Alcotest.(check string)
+    "rendering digest" representation_pinned
+    (Digest.to_hex (Digest.string (String.concat "\n" (List.map render all))))
+
 (* ------------------------------------------------------------------ *)
 (* Fuel                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -742,6 +801,8 @@ let () =
           Alcotest.test_case "closures" `Quick test_closures;
           Alcotest.test_case "reachability and trims" `Quick test_reachability;
           Alcotest.test_case "complete" `Quick test_complete;
+          Alcotest.test_case "representation pinned" `Quick
+            test_representation_pinned;
         ] );
       ( "fuel parity",
         [
