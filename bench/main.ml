@@ -132,9 +132,9 @@ let ladder_tests ns =
 (* Subset construction, benchmarked directly (it was only ever timed
    inside difference/minimize rows before): a two-label suffix-matching
    NFA over the ladder alphabet whose determinization walks Θ(n)
-   subsets of Θ(n) members each — the determinize-heavy axis the packed
-   kernels target. [Afsa.copy] inside the closure makes every run pay
-   its own index/pack build, so the kernel is timed cold. *)
+   subsets of Θ(n) members each — the determinize-heavy axis the array
+   kernels target. [Afsa.copy] inside the closure empties the lazy
+   CSRs, so every run pays its own. *)
 let determinize_tests ns =
   List.map
     (fun n ->
@@ -142,7 +142,7 @@ let determinize_tests ns =
          labels and the start state also self-loops, so the reachable
          subsets are the saturating prefixes {0..k} — the construction
          merges Θ(n²) member rows into a linear DFA, which is exactly
-         the row-merging work the packed kernel accelerates. *)
+         the row-merging work the array kernel accelerates. *)
       let ping = "A#B#pingOp" and pong = "B#A#pongOp" in
       let chain =
         List.concat_map

@@ -228,7 +228,7 @@ let analyze_ref a =
     let sat' = ISet.filter (fun q -> ISet.mem q reach && holds sat q) sat in
     if ISet.equal sat' sat then (sat, n) else fix (n + 1) sat'
   in
-  let sat, iterations = fix 1 a.Afsa.states in
+  let sat, iterations = fix 1 (ISet.of_list (Afsa.states a)) in
   (sat, ISet.mem (Afsa.start a) sat, iterations)
 
 let is_empty_ref a =
@@ -236,12 +236,13 @@ let is_empty_ref a =
   not nonempty
 
 (* The map-shaped ε-elimination and subset construction that ran next
-   to the packed kernels until those became the only implementation,
+   to the array kernels until those became the only implementation,
    kept as their oracles: same budget ticks (one per state, one per
    discovered subset) in the same order as {!Epsilon} and
-   {!Determinize}. Their closures and rows come from [delta] alone —
-   closures by a naive walk over {!Afsa.step}, rows from
-   {!Afsa.out_edges} — never from the pack the kernels run over. *)
+   {!Determinize}. Their closures and rows come from the accessors
+   alone — closures by a naive walk over {!Afsa.step}, rows from
+   {!Afsa.out_edges} — never from the closure CSR or the rows the
+   kernels walk. *)
 
 let resolve_budget = function
   | Some b -> b

@@ -50,10 +50,11 @@ val minimize_ref : Afsa.t -> Afsa.t
 (** {1 Map-shaped kernel references}
 
     The map-based ε-elimination and subset construction that ran next
-    to the packed kernels until those became the only implementation,
+    to the array kernels until those became the only implementation,
     kept as their oracles. Their closures and rows come from the
-    transition maps (naive ε-walks over {!Afsa.step}, rows from
-    {!Afsa.out_edges}), never from the pack. Same discovery order and
+    accessors (naive ε-walks over {!Afsa.step}, rows from
+    {!Afsa.out_edges}), never from the closure CSR or the rows the
+    kernels walk. Same discovery order and
     budget ticks as the kernels, so results are structurally equal and
     fuel-bounded outcomes identical. *)
 

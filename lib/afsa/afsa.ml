@@ -6,110 +6,270 @@
     expresses which outgoing messages are mandatory: a variable [v]
     evaluates to true iff a [v]-labeled transition leads to a state from
     which acceptance is possible (see {!Emptiness}). States without an
-    entry in [QA] carry the default annotation [true]. *)
+    entry in [QA] carry the default annotation [true].
+
+    The tuple is stored as flat arrays over dense state indexes — a
+    state's position in the ascending original ids. [make] builds them
+    from its arguments, nothing writes them afterwards, and every
+    kernel, walk and accessor reads them. *)
 
 module F = Chorev_formula.Syntax
 module ISet = Set.Make (Int)
 module IMap = Map.Make (Int)
 
-(* The packed (CSR) compilation of an automaton — flat int arrays the
-   algebra's kernels (product, determinize, ε-elimination, emptiness,
-   completion, minimization), reachability and trimming run over
-   instead of the functional maps in [delta]. It is the one derived
-   form of an automaton: defined before [t] so the lazy slot can hold
-   one; the compiler itself ([Packed.get]) lives below. *)
-module Packed0 = struct
-  type t = {
-    n : int;  (* dense state count *)
-    state_ids : int array;  (* dense → original id, strictly ascending *)
-    start : int;  (* dense index of the start state *)
-    finals : Bitset.t;  (* over dense indexes *)
-    syms : Sym.t array;  (* the alphabet, ascending ([Sym.Map] order) *)
-    row_off : int array;  (* n+1: proper out-row extents per dense state *)
-    row_sym : int array;  (* per edge: symbol id; rows sorted by (sym, tgt) *)
-    row_tgt : int array;  (* per edge: dense target *)
-    eps_off : int array;  (* n+1: ε out-row extents *)
-    eps_tgt : int array;  (* per ε-edge: dense target, sorted within row *)
-    ann : F.t array;  (* per dense state; [True] when absent from [ann] *)
-    ann_nontrivial : Bitset.t;  (* states with a non-[True] annotation *)
-    mutable preds : (int array * int array) option;
-        (* distinct-predecessor CSR (off, src), built on first backward
-           traversal *)
-    mutable eps_cl_csr : (int array * int array) option;
-        (* per-state ε-closure CSR (off, tgt) over dense indexes, rows
-           sorted ascending; built on first closure query *)
-  }
-end
-
-type packed = Packed0.t
-
 type t = {
-  states : ISet.t;
-  alphabet : Label.Set.t;
-  delta : ISet.t Sym.Map.t IMap.t; (* state -> symbol -> target set *)
-  start : int;
-  finals : ISet.t;
-  ann : F.t IMap.t; (* absent entry = True *)
-  mutable pack : packed option;
-      (* the lazily-compiled pack, never set by hand: purely derived, so
-         every constructor and modifier resets it and [delta] stays the
-         single source of truth *)
+  n : int;  (* state count *)
+  state_ids : int array;  (* dense → original id, strictly ascending *)
+  start : int;  (* dense index of the start state *)
+  syms : Sym.t array;  (* the alphabet, ascending ([Sym.compare]) *)
+  row_off : int array;  (* n+1: proper out-row extents per dense state *)
+  row_sym : int array;  (* per edge: symbol id; rows sorted by (sym, tgt) *)
+  row_tgt : int array;  (* per edge: dense target *)
+  eps_off : int array;  (* n+1: ε out-row extents *)
+  eps_tgt : int array;  (* per ε-edge: dense target, sorted within row *)
+  finals : Bitset.t;
+  ann : F.t array;  (* per dense state; [True] when not annotated *)
+  ann_nontrivial : Bitset.t;  (* states with a non-[True] annotation *)
+  mutable preds : (int array * int array) option;
+      (* distinct-predecessor CSR (off, src), built on first backward
+         walk *)
+  mutable eps_cl_csr : (int array * int array) option;
+      (* per-state ε-closure CSR (off, tgt), rows sorted ascending;
+         built on first closure query *)
   mutable fp : string option;
-      (* cached structural fingerprint (see {!Fingerprint}); like [pack]
-         purely derived, so every structural modifier resets it — but
-         [copy] keeps it, the structure being shared *)
+      (* structural fingerprint (see {!Fingerprint}), computed on first
+         request *)
 }
+
+(* ------------------------------------------------------------------ *)
+(* Dense indexes                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The index [i] in [0, n) with [cmp i = 0], for [cmp] ascending in
+   [i]; [-1] when there is none. *)
+let bsearch cmp n =
+  let rec go lo hi =
+    if lo > hi then -1
+    else
+      let mid = (lo + hi) / 2 in
+      let c = cmp mid in
+      if c = 0 then mid else if c < 0 then go (mid + 1) hi else go lo (mid - 1)
+  in
+  go 0 (n - 1)
+
+(* Original id → dense index over the ascending [ids], [-1] when
+   absent: an offset when the ids are contiguous (any renumbered
+   automaton), a binary search otherwise. *)
+let dense_in ids q =
+  let n = Array.length ids in
+  if n > 0 && ids.(n - 1) - ids.(0) = n - 1 then
+    if q >= ids.(0) && q <= ids.(n - 1) then q - ids.(0) else -1
+  else bsearch (fun i -> Int.compare ids.(i) q) n
+
+let dense a q = dense_in a.state_ids q
+
+let sym_id syms sym =
+  bsearch (fun i -> Sym.compare syms.(i) sym) (Array.length syms)
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let empty_delta = IMap.empty
+(* The ascending distinct ids among [start] and the lists: a stamp pass
+   over the id range when it is at most four times the number of
+   occurrences, a sort otherwise. *)
+let collect_ids ~start ~states ~finals ~edges ~ann =
+  let lo = ref start and hi = ref start and cnt = ref 1 in
+  let see q =
+    incr cnt;
+    if q < !lo then lo := q else if q > !hi then hi := q
+  in
+  let each f =
+    f start;
+    List.iter f states;
+    List.iter f finals;
+    List.iter
+      (fun (s, _, t) ->
+        f s;
+        f t)
+      edges;
+    List.iter (fun (q, _) -> f q) ann
+  in
+  each see;
+  let lo = !lo and range = !hi - !lo + 1 in
+  if range > 0 && range <= 4 * !cnt then begin
+    let seen = Bitset.create range in
+    each (fun q -> Bitset.add seen (q - lo));
+    let ids = Array.make (Bitset.cardinal seen) 0 in
+    let k = ref 0 in
+    Bitset.iter
+      (fun i ->
+        ids.(!k) <- lo + i;
+        incr k)
+      seen;
+    ids
+  end
+  else begin
+    let all = Array.make !cnt start and k = ref 0 in
+    each (fun q ->
+        all.(!k) <- q;
+        incr k);
+    Array.sort Int.compare all;
+    let w = ref 1 in
+    for i = 1 to !cnt - 1 do
+      if all.(i) <> all.(!w - 1) then begin
+        all.(!w) <- all.(i);
+        incr w
+      end
+    done;
+    Array.sub all 0 !w
+  end
 
-let add_edge_delta delta (s, sym, t) =
-  let row = Option.value ~default:Sym.Map.empty (IMap.find_opt s delta) in
-  let tgts = Option.value ~default:ISet.empty (Sym.Map.find_opt sym row) in
-  IMap.add s (Sym.Map.add sym (ISet.add t tgts) row) delta
+(* [a.(lo .. hi-1)] sorted with repeats dropped, moved down to start at
+   [dst <= lo]; returns the end of the moved run. *)
+let sort_uniq_into (a : int array) ~dst lo hi =
+  if hi - lo <= 16 then
+    for i = lo + 1 to hi - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+  else begin
+    let s = Array.sub a lo (hi - lo) in
+    Array.sort Int.compare s;
+    Array.blit s 0 a lo (hi - lo)
+  end;
+  let w = ref dst in
+  for i = lo to hi - 1 do
+    if !w = dst || a.(!w - 1) <> a.(i) then begin
+      a.(!w) <- a.(i);
+      incr w
+    end
+  done;
+  !w
+
+(* Rows over [n] sources from the first [m] entries of [src] / [key]:
+   the offsets and the keys, each row sorted without repeats. *)
+let csr n m src key =
+  let off = Array.make (n + 1) 0 in
+  for e = 0 to m - 1 do
+    off.(src.(e) + 1) <- off.(src.(e) + 1) + 1
+  done;
+  for i = 0 to n - 1 do
+    off.(i + 1) <- off.(i + 1) + off.(i)
+  done;
+  let buf = Array.make m 0 and cur = Array.sub off 0 n in
+  for e = 0 to m - 1 do
+    let s = src.(e) in
+    buf.(cur.(s)) <- key.(e);
+    cur.(s) <- cur.(s) + 1
+  done;
+  let w = ref 0 in
+  for i = 0 to n - 1 do
+    let lo = off.(i) and hi = off.(i + 1) in
+    off.(i) <- !w;
+    w := sort_uniq_into buf ~dst:!w lo hi
+  done;
+  off.(n) <- !w;
+  (off, if !w = m then buf else Array.sub buf 0 !w)
+
+let rec strictly_ascending = function
+  | a :: (b :: _ as rest) -> Label.compare a b < 0 && strictly_ascending rest
+  | _ -> true
+
+(* The automaton over explicit parts; annotations are taken as given
+   ([True] entries only contribute their state). *)
+let build ~states ~alphabet ~start ~finals ~edges ~ann =
+  let state_ids = collect_ids ~start ~states ~finals ~edges ~ann in
+  let n = Array.length state_ids in
+  let dense = dense_in state_ids in
+  let neps =
+    List.fold_left
+      (fun c (_, sym, _) -> if Sym.is_eps sym then c + 1 else c)
+      0 edges
+  in
+  let ne = List.length edges - neps in
+  let src = Array.make ne 0 and key = Array.make ne 0 in
+  let esrc = Array.make neps 0 and etgt = Array.make neps 0 in
+  (* one pass per symbol table: a label missing from [syms] is
+     collected, and the pass runs again over the completed table *)
+  let fill syms =
+    let missing = ref Sym.Set.empty and k = ref 0 and j = ref 0 in
+    List.iter
+      (fun (s, sym, t) ->
+        match sym with
+        | Sym.Eps ->
+            esrc.(!j) <- dense s;
+            etgt.(!j) <- dense t;
+            incr j
+        | Sym.L _ ->
+            let c = sym_id syms sym in
+            if c < 0 then missing := Sym.Set.add sym !missing;
+            src.(!k) <- dense s;
+            key.(!k) <- (c * n) + dense t;
+            incr k)
+      edges;
+    !missing
+  in
+  let alphabet =
+    if strictly_ascending alphabet then alphabet
+    else List.sort_uniq Label.compare alphabet
+  in
+  let syms = Array.of_list (List.map Sym.label alphabet) in
+  let missing = fill syms in
+  let syms =
+    if Sym.Set.is_empty missing then syms
+    else
+      let syms =
+        Array.of_list
+          (Sym.Set.elements (Array.fold_right Sym.Set.add syms missing))
+      in
+      ignore (fill syms);
+      syms
+  in
+  let row_off, row_key = csr n ne src key in
+  let eps_off, eps_tgt = csr n neps esrc etgt in
+  let finals_set = Bitset.create n in
+  List.iter (fun q -> Bitset.add finals_set (dense q)) finals;
+  let ann_a = Array.make n F.True and ann_nontrivial = Bitset.create n in
+  List.iter
+    (fun (q, f) ->
+      if not (F.equal f F.True) then begin
+        let i = dense q in
+        ann_a.(i) <- f;
+        Bitset.add ann_nontrivial i
+      end)
+    ann;
+  {
+    n;
+    state_ids;
+    start = dense start;
+    syms;
+    row_off;
+    row_sym = Array.map (fun k -> k / n) row_key;
+    row_tgt = Array.map (fun k -> k mod n) row_key;
+    eps_off;
+    eps_tgt;
+    finals = finals_set;
+    ann = ann_a;
+    ann_nontrivial;
+    preds = None;
+    eps_cl_csr = None;
+    fp = None;
+  }
 
 (** [make ~start ~finals ~edges ~ann ()] builds an aFSA. States are
     inferred from [start], [finals], [edges] and [ann]; the alphabet from
     the edge labels (ε excluded) unless [alphabet] is given explicitly
     (it is then unioned with the inferred one). Annotations equal to
-    [True] are dropped. *)
+    [True] are dropped; of several for one state, the last wins. *)
 let make ?(alphabet = []) ~start ~finals ~edges ?(ann = []) () =
-  let states =
-    List.fold_left
-      (fun acc (s, _, t) -> ISet.add s (ISet.add t acc))
-      (ISet.add start (ISet.of_list finals))
-      edges
-  in
-  let states =
-    List.fold_left (fun acc (q, _) -> ISet.add q acc) states ann
-  in
-  let alpha =
-    List.fold_left
-      (fun acc (_, sym, _) ->
-        match sym with Sym.Eps -> acc | Sym.L l -> Label.Set.add l acc)
-      (Label.Set.of_list alphabet) edges
-  in
-  let delta = List.fold_left add_edge_delta empty_delta edges in
-  let ann =
-    List.fold_left
-      (fun acc (q, f) ->
-        let f = Chorev_formula.Simplify.simplify f in
-        if F.equal f F.True then acc else IMap.add q f acc)
-      IMap.empty ann
-  in
-  {
-    states;
-    alphabet = alpha;
-    delta;
-    start;
-    finals = ISet.of_list finals;
-    ann;
-    pack = None;
-    fp = None;
-  }
+  build ~states:[] ~alphabet ~start ~finals ~edges
+    ~ann:(List.map (fun (q, f) -> (q, Chorev_formula.Simplify.simplify f)) ann)
 
 (** Convenience: edges given as [(s, "A#B#msg", t)] with ["" ] for ε. *)
 let of_strings ?alphabet ~start ~finals ~edges ?(ann = []) () =
@@ -127,607 +287,512 @@ let of_strings ?alphabet ~start ~finals ~edges ?(ann = []) () =
 (* Queries                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let states a = ISet.elements a.states
-let num_states a = ISet.cardinal a.states
-let alphabet a = Label.Set.elements a.alphabet
-let start a = a.start
-let finals a = ISet.elements a.finals
-let is_final a q = ISet.mem q a.finals
+let states a = Array.to_list a.state_ids
+let num_states a = a.n
+
+let alphabet a =
+  Array.fold_right
+    (fun sym acc -> match sym with Sym.L l -> l :: acc | Sym.Eps -> acc)
+    a.syms []
+
+let start a = a.state_ids.(a.start)
+let ids_of a marks = List.rev (Bitset.fold (fun i acc -> a.state_ids.(i) :: acc) marks [])
+let finals a = ids_of a a.finals
+
+let is_final a q =
+  let i = dense a q in
+  i >= 0 && Bitset.mem a.finals i
 
 (** Annotation of a state ([True] when absent). *)
-let annotation a q = Option.value ~default:F.True (IMap.find_opt q a.ann)
+let annotation a q =
+  let i = dense a q in
+  if i < 0 then F.True else a.ann.(i)
 
-let annotations a = IMap.bindings a.ann
-let has_annotations a = not (IMap.is_empty a.ann)
+let annotations a =
+  List.rev
+    (Bitset.fold
+       (fun i acc -> (a.state_ids.(i), a.ann.(i)) :: acc)
+       a.ann_nontrivial [])
+
+let has_annotations a = Bitset.cardinal a.ann_nontrivial > 0
+
+(* [f sym target acc] over dense [i]'s out-edges, folded from the last:
+   a consed list comes out ε-edges first, then (symbol, target)
+   ascending. *)
+let fold_out a i f acc =
+  let acc = ref acc in
+  for e = a.row_off.(i + 1) - 1 downto a.row_off.(i) do
+    acc := f a.syms.(a.row_sym.(e)) a.state_ids.(a.row_tgt.(e)) !acc
+  done;
+  for e = a.eps_off.(i + 1) - 1 downto a.eps_off.(i) do
+    acc := f Sym.Eps a.state_ids.(a.eps_tgt.(e)) !acc
+  done;
+  !acc
 
 (** Successors of [q] on symbol [sym]. *)
 let step a q sym =
-  match IMap.find_opt q a.delta with
-  | None -> ISet.empty
-  | Some row -> Option.value ~default:ISet.empty (Sym.Map.find_opt sym row)
+  let i = dense a q and acc = ref ISet.empty in
+  let add t = acc := ISet.add a.state_ids.(t) !acc in
+  (if i >= 0 then
+     match sym with
+     | Sym.Eps ->
+         for e = a.eps_off.(i) to a.eps_off.(i + 1) - 1 do
+           add a.eps_tgt.(e)
+         done
+     | Sym.L _ ->
+         let c = sym_id a.syms sym in
+         for e = a.row_off.(i) to a.row_off.(i + 1) - 1 do
+           if a.row_sym.(e) = c then add a.row_tgt.(e)
+         done);
+  !acc
 
 (** All outgoing edges of [q] as [(symbol, target)] pairs. *)
 let out_edges a q =
-  match IMap.find_opt q a.delta with
-  | None -> []
-  | Some row ->
-      Sym.Map.fold
-        (fun sym tgts acc ->
-          ISet.fold (fun t acc -> (sym, t) :: acc) tgts acc)
-        row []
-      |> List.rev
+  let i = dense a q in
+  if i < 0 then [] else fold_out a i (fun y t acc -> (y, t) :: acc) []
 
 (** Outgoing proper (non-ε) symbols of [q]. *)
 let out_symbols a q =
-  match IMap.find_opt q a.delta with
-  | None -> Label.Set.empty
-  | Some row ->
-      Sym.Map.fold
-        (fun sym _ acc ->
-          match sym with Sym.Eps -> acc | Sym.L l -> Label.Set.add l acc)
-        row Label.Set.empty
+  let i = dense a q in
+  if i < 0 then Label.Set.empty
+  else
+    fold_out a i
+      (fun y _ acc ->
+        match y with Sym.Eps -> acc | Sym.L l -> Label.Set.add l acc)
+      Label.Set.empty
 
 (** Every transition as a list [(source, symbol, target)]. *)
 let edges a =
-  IMap.fold
-    (fun s row acc ->
-      Sym.Map.fold
-        (fun sym tgts acc ->
-          ISet.fold (fun t acc -> (s, sym, t) :: acc) tgts acc)
-        row acc)
-    a.delta []
-  |> List.rev
+  let acc = ref [] in
+  for i = a.n - 1 downto 0 do
+    let s = a.state_ids.(i) in
+    acc := fold_out a i (fun y t acc -> (s, y, t) :: acc) !acc
+  done;
+  !acc
 
-let num_edges a = List.length (edges a)
-
-let has_eps a =
-  IMap.exists (fun _ row -> Sym.Map.mem Sym.Eps row) a.delta
+let num_edges a = a.row_off.(a.n) + a.eps_off.(a.n)
+let has_eps a = a.eps_off.(a.n) > 0
 
 (** A deterministic aFSA has no ε-transition and at most one target per
     (state, symbol). *)
 let is_deterministic a =
-  IMap.for_all
-    (fun _ row ->
-      Sym.Map.for_all
-        (fun sym tgts ->
-          (not (Sym.equal sym Sym.Eps)) && ISet.cardinal tgts <= 1)
-        row)
-    a.delta
+  (not (has_eps a))
+  &&
+  let ok = ref true in
+  for i = 0 to a.n - 1 do
+    for e = a.row_off.(i) + 1 to a.row_off.(i + 1) - 1 do
+      if a.row_sym.(e) = a.row_sym.(e - 1) then ok := false
+    done
+  done;
+  !ok
 
 (* ------------------------------------------------------------------ *)
-(* Packed (CSR) compilation                                            *)
+(* Walks over the rows                                                 *)
 (* ------------------------------------------------------------------ *)
 
-module Packed = struct
-  include Packed0
+(** Distinct-predecessor CSR over any symbol (proper and ε), built on
+    first use: [(off, src)] with [src.(off.(q) .. off.(q+1)-1)] the
+    dense predecessors of [q]. *)
+let preds_csr a =
+  match a.preds with
+  | Some c -> c
+  | None ->
+      let n = a.n in
+      let stamp = Array.make n (-1) in
+      let cnt = Array.make (n + 1) 0 in
+      let pass record =
+        Array.fill stamp 0 n (-1);
+        for s = 0 to n - 1 do
+          for e = a.row_off.(s) to a.row_off.(s + 1) - 1 do
+            let t = a.row_tgt.(e) in
+            if stamp.(t) <> s then begin
+              stamp.(t) <- s;
+              record s t
+            end
+          done;
+          for e = a.eps_off.(s) to a.eps_off.(s + 1) - 1 do
+            let t = a.eps_tgt.(e) in
+            if stamp.(t) <> s then begin
+              stamp.(t) <- s;
+              record s t
+            end
+          done
+        done
+      in
+      pass (fun _ t -> cnt.(t + 1) <- cnt.(t + 1) + 1);
+      for i = 0 to n - 1 do
+        cnt.(i + 1) <- cnt.(i + 1) + cnt.(i)
+      done;
+      let off = Array.copy cnt in
+      let src = Array.make (max 1 off.(n)) 0 in
+      let cur = Array.copy off in
+      pass (fun s t ->
+          src.(cur.(t)) <- s;
+          cur.(t) <- cur.(t) + 1);
+      let c = (off, src) in
+      a.preds <- Some c;
+      c
 
-  let c_builds = Chorev_obs.Metrics.counter "afsa.pack.builds"
+(* Dense states reached from the dense [seeds] through [succs] (which
+   calls its second argument on every neighbor), as a bitset. *)
+let walk a seeds succs =
+  let seen = Bitset.create a.n in
+  let stack = Array.make a.n 0 in
+  let sp = ref 0 in
+  let visit q =
+    if not (Bitset.mem seen q) then begin
+      Bitset.add seen q;
+      stack.(!sp) <- q;
+      incr sp
+    end
+  in
+  List.iter visit seeds;
+  while !sp > 0 do
+    decr sp;
+    succs stack.(!sp) visit
+  done;
+  seen
 
-  (* The index [i] in [0, n) with [cmp i = 0], for [cmp] ascending in
-     [i]; [-1] when there is none. *)
-  let bsearch cmp n =
-    let rec go lo hi =
-      if lo > hi then -1
-      else
-        let mid = (lo + hi) / 2 in
-        let c = cmp mid in
-        if c = 0 then mid else if c < 0 then go (mid + 1) hi else go lo (mid - 1)
-    in
-    go 0 (n - 1)
+(** Dense states reachable from the dense [seeds] over proper and ε
+    out-rows. *)
+let reach a seeds =
+  walk a seeds (fun q visit ->
+      for e = a.row_off.(q) to a.row_off.(q + 1) - 1 do
+        visit a.row_tgt.(e)
+      done;
+      for e = a.eps_off.(q) to a.eps_off.(q + 1) - 1 do
+        visit a.eps_tgt.(e)
+      done)
 
-  (* Original id → dense index over the ascending [ids], [-1] when
-     absent. Lookups avoid hashing: an offset when the ids are
-     contiguous (any renumbered automaton), a binary search otherwise. *)
-  let dense_in ids q =
-    let n = Array.length ids in
-    if n > 0 && ids.(n - 1) - ids.(0) = n - 1 then
-      if q >= ids.(0) && q <= ids.(n - 1) then q - ids.(0) else -1
-    else bsearch (fun i -> Int.compare ids.(i) q) n
+(** Dense states that reach a final state, backward over
+    {!preds_csr}. *)
+let coreach a =
+  let off, src = preds_csr a in
+  walk a (Bitset.elements a.finals) (fun q visit ->
+      for e = off.(q) to off.(q + 1) - 1 do
+        visit src.(e)
+      done)
 
-  let dense p q = dense_in p.state_ids q
-
-  let build a =
-    Chorev_obs.Metrics.incr c_builds;
-    let state_ids = Array.of_list (ISet.elements a.states) in
-    let n = Array.length state_ids in
-    (* every automaton that is walked gets packed, most of them
-       figure-sized: state lookups go through [dense_in], symbol ids
-       binary-search [syms] *)
-    let dense = dense_in state_ids in
-    (* the alphabet covers every edge label (all modifiers keep it so),
-       and [Label.Set] ascends in [Sym.Map]'s order *)
-    let syms =
-      Array.of_list (List.map Sym.label (Label.Set.elements a.alphabet))
-    in
-    let sym_id sym =
-      bsearch (fun i -> Sym.compare syms.(i) sym) (Array.length syms)
-    in
-    (* degree pass *)
-    let deg = Array.make (n + 1) 0 and edeg = Array.make (n + 1) 0 in
-    IMap.iter
-      (fun s row ->
-        let i = dense s in
-        Sym.Map.iter
-          (fun sym tgts ->
-            let c = ISet.cardinal tgts in
-            match sym with
-            | Sym.Eps -> edeg.(i) <- edeg.(i) + c
-            | Sym.L _ -> deg.(i) <- deg.(i) + c)
-          row)
-      a.delta;
-    let row_off = Array.make (n + 1) 0 and eps_off = Array.make (n + 1) 0 in
-    for i = 0 to n - 1 do
-      row_off.(i + 1) <- row_off.(i) + deg.(i);
-      eps_off.(i + 1) <- eps_off.(i) + edeg.(i)
-    done;
-    let ne = row_off.(n) and neps = eps_off.(n) in
-    let row_sym = Array.make (max 1 ne) 0
-    and row_tgt = Array.make (max 1 ne) 0
-    and eps_tgt = Array.make (max 1 neps) 0 in
-    (* fill pass: [IMap] / [Sym.Map] / [ISet] iterate ascending, so each
-       proper row comes out sorted by (symbol id, dense target) and each
-       ε-row by dense target — the order every packed kernel relies
-       on *)
-    let rcur = Array.copy row_off and ecur = Array.copy eps_off in
-    IMap.iter
-      (fun s row ->
-        let i = dense s in
-        Sym.Map.iter
-          (fun sym tgts ->
-            match sym with
-            | Sym.Eps ->
-                ISet.iter
-                  (fun t ->
-                    eps_tgt.(ecur.(i)) <- dense t;
-                    ecur.(i) <- ecur.(i) + 1)
-                  tgts
-            | Sym.L _ ->
-                let sid = sym_id sym in
-                ISet.iter
-                  (fun t ->
-                    row_sym.(rcur.(i)) <- sid;
-                    row_tgt.(rcur.(i)) <- dense t;
-                    rcur.(i) <- rcur.(i) + 1)
-                  tgts)
-          row)
-      a.delta;
-    let finals = Bitset.create n in
-    ISet.iter (fun q -> Bitset.add finals (dense q)) a.finals;
-    let ann = Array.make (max 1 n) F.True in
-    let ann_nontrivial = Bitset.create n in
-    IMap.iter
-      (fun q f ->
-        let i = dense q in
-        ann.(i) <- f;
-        Bitset.add ann_nontrivial i)
-      a.ann;
-    {
-      n;
-      state_ids;
-      start = dense a.start;
-      finals;
-      syms;
-      row_off;
-      row_sym;
-      row_tgt;
-      eps_off;
-      eps_tgt;
-      ann;
-      ann_nontrivial;
-      preds = None;
-      eps_cl_csr = None;
-    }
-
-  (** The packed form of [a], compiled once and cached on the lazy
-      slot — every structural modifier already invalidates it. *)
-  let get a =
-    match a.pack with
-    | Some p -> p
-    | None ->
-        let p = build a in
-        a.pack <- Some p;
-        p
-
-  (** Distinct-predecessor CSR over any symbol (proper and ε), built on
-      first use: [(off, src)] with [src.(off.(q) .. off.(q+1)-1)] the
-      dense predecessors of [q]. *)
-  let preds_csr p =
-    match p.preds with
-    | Some c -> c
-    | None ->
-        let n = p.n in
-        let stamp = Array.make n (-1) in
-        let cnt = Array.make (n + 1) 0 in
-        let pass record =
-          Array.fill stamp 0 n (-1);
-          for s = 0 to n - 1 do
-            for e = p.row_off.(s) to p.row_off.(s + 1) - 1 do
-              let t = p.row_tgt.(e) in
-              if stamp.(t) <> s then begin
-                stamp.(t) <- s;
-                record s t
+(** Iterative Tarjan over the ε-rows with int stacks only — SCCs pop
+    in reverse topological order, so each SCC's closure is its
+    members unioned (stamp-deduplicated) with the already-finished
+    closures of its successor SCCs. No per-state list or set. *)
+let closure_csr n eps_off eps_tgt =
+  let idx = Array.make n (-1) and low = Array.make n 0 in
+  let on_st = Array.make (max 1 n) false in
+  let st = Array.make (max 1 n) 0 in
+  let sp = ref 0 in
+  let scc_of = Array.make (max 1 n) (-1) in
+  let nscc = ref 0 in
+  let counter = ref 0 in
+  (* explicit DFS frames: state + cursor into its ε-row *)
+  let fstate = Array.make (max 1 n) 0
+  and fedge = Array.make (max 1 n) 0 in
+  let fsp = ref 0 in
+  (* per-SCC closure slices in one growable int buffer *)
+  let scc_start = Array.make (max 1 n) 0
+  and scc_len = Array.make (max 1 n) 0 in
+  let stamp = Array.make (max 1 n) (-1) in
+  let cap = ref (max 16 n) in
+  let buf = ref (Array.make !cap 0) in
+  let len = ref 0 in
+  let push x =
+    if !len = !cap then begin
+      let nb = Array.make (2 * !cap) 0 in
+      Array.blit !buf 0 nb 0 !len;
+      buf := nb;
+      cap := 2 * !cap
+    end;
+    !buf.(!len) <- x;
+    incr len
+  in
+  let push_node q =
+    idx.(q) <- !counter;
+    low.(q) <- !counter;
+    incr counter;
+    st.(!sp) <- q;
+    incr sp;
+    on_st.(q) <- true;
+    fstate.(!fsp) <- q;
+    fedge.(!fsp) <- eps_off.(q);
+    incr fsp
+  in
+  for root = 0 to n - 1 do
+    if idx.(root) < 0 then begin
+      push_node root;
+      while !fsp > 0 do
+        let q = fstate.(!fsp - 1) in
+        let e = fedge.(!fsp - 1) in
+        if e < eps_off.(q + 1) then begin
+          fedge.(!fsp - 1) <- e + 1;
+          let t = eps_tgt.(e) in
+          if idx.(t) < 0 then push_node t
+          else if on_st.(t) && idx.(t) < low.(q) then low.(q) <- idx.(t)
+        end
+        else begin
+          decr fsp;
+          if !fsp > 0 then begin
+            let parent = fstate.(!fsp - 1) in
+            if low.(q) < low.(parent) then low.(parent) <- low.(q)
+          end;
+          if low.(q) = idx.(q) then begin
+            (* pop the SCC rooted at [q]; members stay readable in
+               [st.(!sp .. mhi-1)] after the pops *)
+            let c = !nscc in
+            incr nscc;
+            let mhi = !sp in
+            let continue_ = ref true in
+            while !continue_ do
+              decr sp;
+              let m = st.(!sp) in
+              on_st.(m) <- false;
+              scc_of.(m) <- c;
+              if m = q then continue_ := false
+            done;
+            let cstart = !len in
+            for k = !sp to mhi - 1 do
+              let m = st.(k) in
+              if stamp.(m) <> c then begin
+                stamp.(m) <- c;
+                push m
               end
             done;
-            for e = p.eps_off.(s) to p.eps_off.(s + 1) - 1 do
-              let t = p.eps_tgt.(e) in
-              if stamp.(t) <> s then begin
-                stamp.(t) <- s;
-                record s t
-              end
-            done
-          done
-        in
-        pass (fun _ t -> cnt.(t + 1) <- cnt.(t + 1) + 1);
-        for i = 0 to n - 1 do
-          cnt.(i + 1) <- cnt.(i + 1) + cnt.(i)
-        done;
-        let off = Array.copy cnt in
-        let src = Array.make (max 1 off.(n)) 0 in
-        let cur = Array.copy off in
-        pass (fun s t ->
-            src.(cur.(t)) <- s;
-            cur.(t) <- cur.(t) + 1);
-        let c = (off, src) in
-        p.preds <- Some c;
-        c
-
-  (* Dense states reached from the dense [seeds] through [succs] (which
-     calls its second argument on every neighbor), as a bitset. *)
-  let walk p seeds succs =
-    let seen = Bitset.create p.n in
-    let stack = Array.make (max 1 p.n) 0 in
-    let sp = ref 0 in
-    let visit q =
-      if not (Bitset.mem seen q) then begin
-        Bitset.add seen q;
-        stack.(!sp) <- q;
-        incr sp
-      end
-    in
-    List.iter visit seeds;
-    while !sp > 0 do
-      decr sp;
-      succs stack.(!sp) visit
-    done;
-    seen
-
-  (** Dense states reachable from the dense [seeds] over proper and ε
-      out-rows. *)
-  let reach p seeds =
-    walk p seeds (fun q visit ->
-        for e = p.row_off.(q) to p.row_off.(q + 1) - 1 do
-          visit p.row_tgt.(e)
-        done;
-        for e = p.eps_off.(q) to p.eps_off.(q + 1) - 1 do
-          visit p.eps_tgt.(e)
-        done)
-
-  (** Dense states that reach a final state, backward over
-      {!preds_csr}. *)
-  let coreach p =
-    let off, src = preds_csr p in
-    walk p (Bitset.elements p.finals) (fun q visit ->
-        for e = off.(q) to off.(q + 1) - 1 do
-          visit src.(e)
-        done)
-
-  (** Iterative Tarjan over the ε-rows with int stacks only — SCCs pop
-      in reverse topological order, so each SCC's closure is its
-      members unioned (stamp-deduplicated) with the already-finished
-      closures of its successor SCCs. No per-state list or set. *)
-  let closure_csr n eps_off eps_tgt =
-    let idx = Array.make n (-1) and low = Array.make n 0 in
-    let on_st = Array.make (max 1 n) false in
-    let st = Array.make (max 1 n) 0 in
-    let sp = ref 0 in
-    let scc_of = Array.make (max 1 n) (-1) in
-    let nscc = ref 0 in
-    let counter = ref 0 in
-    (* explicit DFS frames: state + cursor into its ε-row *)
-    let fstate = Array.make (max 1 n) 0
-    and fedge = Array.make (max 1 n) 0 in
-    let fsp = ref 0 in
-    (* per-SCC closure slices in one growable int buffer *)
-    let scc_start = Array.make (max 1 n) 0
-    and scc_len = Array.make (max 1 n) 0 in
-    let stamp = Array.make (max 1 n) (-1) in
-    let cap = ref (max 16 n) in
-    let buf = ref (Array.make !cap 0) in
-    let len = ref 0 in
-    let push x =
-      if !len = !cap then begin
-        let nb = Array.make (2 * !cap) 0 in
-        Array.blit !buf 0 nb 0 !len;
-        buf := nb;
-        cap := 2 * !cap
-      end;
-      !buf.(!len) <- x;
-      incr len
-    in
-    let push_node q =
-      idx.(q) <- !counter;
-      low.(q) <- !counter;
-      incr counter;
-      st.(!sp) <- q;
-      incr sp;
-      on_st.(q) <- true;
-      fstate.(!fsp) <- q;
-      fedge.(!fsp) <- eps_off.(q);
-      incr fsp
-    in
-    for root = 0 to n - 1 do
-      if idx.(root) < 0 then begin
-        push_node root;
-        while !fsp > 0 do
-          let q = fstate.(!fsp - 1) in
-          let e = fedge.(!fsp - 1) in
-          if e < eps_off.(q + 1) then begin
-            fedge.(!fsp - 1) <- e + 1;
-            let t = eps_tgt.(e) in
-            if idx.(t) < 0 then push_node t
-            else if on_st.(t) && idx.(t) < low.(q) then low.(q) <- idx.(t)
+            for k = !sp to mhi - 1 do
+              let m = st.(k) in
+              for e = eps_off.(m) to eps_off.(m + 1) - 1 do
+                let t = eps_tgt.(e) in
+                let ct = scc_of.(t) in
+                if ct <> c then
+                  (* [t]'s SCC is already finished (Tarjan pops in
+                     reverse topological order) *)
+                  for j = scc_start.(ct) to scc_start.(ct) + scc_len.(ct) - 1
+                  do
+                    let x = !buf.(j) in
+                    if stamp.(x) <> c then begin
+                      stamp.(x) <- c;
+                      push x
+                    end
+                  done
+              done
+            done;
+            let sz = !len - cstart in
+            let tmp = Array.sub !buf cstart sz in
+            Array.sort (fun (a : int) b -> compare a b) tmp;
+            Array.blit tmp 0 !buf cstart sz;
+            scc_start.(c) <- cstart;
+            scc_len.(c) <- sz
           end
-          else begin
-            decr fsp;
-            if !fsp > 0 then begin
-              let parent = fstate.(!fsp - 1) in
-              if low.(q) < low.(parent) then low.(parent) <- low.(q)
-            end;
-            if low.(q) = idx.(q) then begin
-              (* pop the SCC rooted at [q]; members stay readable in
-                 [st.(!sp .. mhi-1)] after the pops *)
-              let c = !nscc in
-              incr nscc;
-              let mhi = !sp in
-              let continue_ = ref true in
-              while !continue_ do
-                decr sp;
-                let m = st.(!sp) in
-                on_st.(m) <- false;
-                scc_of.(m) <- c;
-                if m = q then continue_ := false
-              done;
-              let cstart = !len in
-              for k = !sp to mhi - 1 do
-                let m = st.(k) in
-                if stamp.(m) <> c then begin
-                  stamp.(m) <- c;
-                  push m
-                end
-              done;
-              for k = !sp to mhi - 1 do
-                let m = st.(k) in
-                for e = eps_off.(m) to eps_off.(m + 1) - 1 do
-                  let t = eps_tgt.(e) in
-                  let ct = scc_of.(t) in
-                  if ct <> c then
-                    (* [t]'s SCC is already finished (Tarjan pops in
-                       reverse topological order) *)
-                    for j = scc_start.(ct) to scc_start.(ct) + scc_len.(ct) - 1
-                    do
-                      let x = !buf.(j) in
-                      if stamp.(x) <> c then begin
-                        stamp.(x) <- c;
-                        push x
-                      end
-                    done
-                done
-              done;
-              let sz = !len - cstart in
-              let tmp = Array.sub !buf cstart sz in
-              Array.sort (fun (a : int) b -> compare a b) tmp;
-              Array.blit tmp 0 !buf cstart sz;
-              scc_start.(c) <- cstart;
-              scc_len.(c) <- sz
-            end
-          end
-        done
-      end
-    done;
-    let cl_off = Array.make (n + 1) 0 in
-    for q = 0 to n - 1 do
-      cl_off.(q + 1) <- cl_off.(q) + scc_len.(scc_of.(q))
-    done;
-    let cl_tgt = Array.make (max 1 cl_off.(n)) 0 in
-    for q = 0 to n - 1 do
-      let c = scc_of.(q) in
-      Array.blit !buf scc_start.(c) cl_tgt cl_off.(q) scc_len.(c)
-    done;
-    (cl_off, cl_tgt)
+        end
+      done
+    end
+  done;
+  let cl_off = Array.make (n + 1) 0 in
+  for q = 0 to n - 1 do
+    cl_off.(q + 1) <- cl_off.(q) + scc_len.(scc_of.(q))
+  done;
+  let cl_tgt = Array.make (max 1 cl_off.(n)) 0 in
+  for q = 0 to n - 1 do
+    let c = scc_of.(q) in
+    Array.blit !buf scc_start.(c) cl_tgt cl_off.(q) scc_len.(c)
+  done;
+  (cl_off, cl_tgt)
 
-  (** {!closure_csr} of the pack's ε-rows, cached on the pack. *)
-  let eps_closure_csr p =
-    match p.eps_cl_csr with
-    | Some c -> c
-    | None ->
-        let c = closure_csr p.n p.eps_off p.eps_tgt in
-        p.eps_cl_csr <- Some c;
-        c
-end
+(** {!closure_csr} of the automaton's ε-rows, built on first use. *)
+let eps_closure_csr a =
+  match a.eps_cl_csr with
+  | Some c -> c
+  | None ->
+      let c = closure_csr a.n a.eps_off a.eps_tgt in
+      a.eps_cl_csr <- Some c;
+      c
 
 (* ------------------------------------------------------------------ *)
 (* Reachability and trimming                                           *)
 (* ------------------------------------------------------------------ *)
 
-let to_set (p : Packed.t) marks =
-  Bitset.fold (fun i acc -> ISet.add p.state_ids.(i) acc) marks ISet.empty
+let to_set a marks =
+  Bitset.fold (fun i acc -> ISet.add a.state_ids.(i) acc) marks ISet.empty
 
 (** States reachable from [q0] over any symbol; [{q0}] when [q0] is not
     a state. *)
 let reachable_from a q0 =
-  let p = Packed.get a in
-  let i = Packed.dense p q0 in
-  if i < 0 then ISet.singleton q0 else to_set p (Packed.reach p [ i ])
+  let i = dense a q0 in
+  if i < 0 then ISet.singleton q0 else to_set a (reach a [ i ])
 
 (** States from which some final state is reachable (co-reachable). *)
-let coreachable a =
-  let p = Packed.get a in
-  to_set p (Packed.coreach p)
+let coreachable a = to_set a (coreach a)
 
-(* [a] restricted to [keep] (and the start); [a] itself, pack and all,
-   when that drops no state. *)
-let restrict_states a keep =
-  let keep = ISet.add a.start keep in
-  if ISet.subset a.states keep then a
-  else
-    let delta =
-    IMap.filter_map
-      (fun s row ->
-        if not (ISet.mem s keep) then None
-        else
-          let row =
-            Sym.Map.filter_map
-              (fun _ tgts ->
-                let tgts = ISet.inter tgts keep in
-                if ISet.is_empty tgts then None else Some tgts)
-              row
-          in
-          if Sym.Map.is_empty row then None else Some row)
-      a.delta
-  in
-  {
-    a with
-    states = ISet.inter a.states keep;
-    delta;
-    finals = ISet.inter a.finals keep;
-    ann = IMap.filter (fun q _ -> ISet.mem q keep) a.ann;
-    pack = None;
-    fp = None;
-  }
+(* [a] restricted to the dense states in [keep] and the start; [a]
+   itself when that drops no state. The renumbering is monotone, so the
+   kept rows stay sorted. *)
+let restrict a keep =
+  Bitset.add keep a.start;
+  let n = Bitset.cardinal keep in
+  if n = a.n then a
+  else begin
+    let newid = Array.make a.n (-1) and state_ids = Array.make n 0 in
+    let k = ref 0 in
+    Bitset.iter
+      (fun i ->
+        newid.(i) <- !k;
+        state_ids.(!k) <- a.state_ids.(i);
+        incr k)
+      keep;
+    (* the kept rows' offsets and the old positions of their edges *)
+    let kept off tgt =
+      let off' = Array.make (n + 1) 0 and pos = ref [] and m = ref 0 in
+      for i = 0 to a.n - 1 do
+        if newid.(i) >= 0 then begin
+          for e = off.(i) to off.(i + 1) - 1 do
+            if newid.(tgt.(e)) >= 0 then begin
+              pos := e :: !pos;
+              incr m
+            end
+          done;
+          off'.(newid.(i) + 1) <- !m
+        end
+      done;
+      (off', Array.of_list (List.rev !pos))
+    in
+    let row_off, rpos = kept a.row_off a.row_tgt in
+    let eps_off, epos = kept a.eps_off a.eps_tgt in
+    let finals = Bitset.create n and ann_nontrivial = Bitset.create n in
+    let ann = Array.make n F.True in
+    Bitset.iter
+      (fun i ->
+        let j = newid.(i) in
+        if Bitset.mem a.finals i then Bitset.add finals j;
+        if Bitset.mem a.ann_nontrivial i then begin
+          Bitset.add ann_nontrivial j;
+          ann.(j) <- a.ann.(i)
+        end)
+      keep;
+    {
+      n;
+      state_ids;
+      start = newid.(a.start);
+      syms = a.syms;
+      row_off;
+      row_sym = Array.map (fun e -> a.row_sym.(e)) rpos;
+      row_tgt = Array.map (fun e -> newid.(a.row_tgt.(e))) rpos;
+      eps_off;
+      eps_tgt = Array.map (fun e -> newid.(a.eps_tgt.(e))) epos;
+      finals;
+      ann;
+      ann_nontrivial;
+      preds = None;
+      eps_cl_csr = None;
+      fp = None;
+    }
+  end
 
 (** Remove unreachable states. *)
-let trim_unreachable a =
-  let p = Packed.get a in
-  restrict_states a (to_set p (Packed.reach p [ p.start ]))
+let trim_unreachable a = restrict a (reach a [ a.start ])
 
 (** Remove states that are unreachable or cannot reach a final state
     (the start state is always kept). Preserves the (plain) language. *)
 let trim a =
-  let p = Packed.get a in
-  let co = Packed.coreach p in
-  restrict_states a
-    (Bitset.fold
-       (fun i acc ->
-         if Bitset.mem co i then ISet.add p.state_ids.(i) acc else acc)
-       (Packed.reach p [ p.start ])
-       ISet.empty)
+  let live = reach a [ a.start ] and co = coreach a in
+  Bitset.iter (fun i -> if not (Bitset.mem co i) then Bitset.remove live i) live;
+  restrict a live
 
 let renumber a =
-  let order =
-    a.start :: List.filter (fun q -> q <> a.start) (ISet.elements a.states)
-  in
-  let identity =
-    (* already numbered 0..n-1 in [order]'s order: rebuilding would
-       produce a structurally identical automaton while throwing away
-       its pack *)
-    a.start = 0
-    && (ISet.is_empty a.states
-       || (ISet.min_elt a.states = 0
-          && ISet.max_elt a.states = ISet.cardinal a.states - 1))
-  in
-  if identity then
-    (a, ISet.fold (fun q m -> IMap.add q q m) a.states IMap.empty)
+  let n = a.n in
+  if start a = 0 && a.state_ids.(0) = 0 && a.state_ids.(n - 1) = n - 1 then
+    (* already numbered 0..n-1 with the start first *)
+    (a, Array.fold_left (fun m q -> IMap.add q q m) IMap.empty a.state_ids)
   else
-  let map =
-    List.fold_left
-      (fun (i, m) q -> (i + 1, IMap.add q i m))
-      (0, IMap.empty) order
-    |> snd
-  in
-  let f q = IMap.find q map in
-  let edges' = List.map (fun (s, sym, t) -> (f s, sym, f t)) (edges a) in
-  ( make
-      ~alphabet:(Label.Set.elements a.alphabet)
-      ~start:(f a.start)
-      ~finals:(List.map f (ISet.elements a.finals))
-      ~edges:edges'
-      ~ann:(List.map (fun (q, e) -> (f q, e)) (IMap.bindings a.ann))
-      (),
-    map )
+    let map = ref IMap.empty in
+    for i = n - 1 downto 0 do
+      let j = if i = a.start then 0 else if i < a.start then i + 1 else i in
+      map := IMap.add a.state_ids.(i) j !map
+    done;
+    let f q = IMap.find q !map in
+    ( make ~alphabet:(alphabet a) ~start:0
+        ~finals:(List.map f (finals a))
+        ~edges:(List.map (fun (s, sym, t) -> (f s, sym, f t)) (edges a))
+        ~ann:(List.map (fun (q, e) -> (f q, e)) (annotations a))
+        (),
+      !map )
 
 (* ------------------------------------------------------------------ *)
 (* Modification                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let add_edge a (s, sym, t) =
-  let alphabet =
-    match sym with
-    | Sym.Eps -> a.alphabet
-    | Sym.L l -> Label.Set.add l a.alphabet
-  in
-  {
-    a with
-    states = ISet.add s (ISet.add t a.states);
-    alphabet;
-    delta = add_edge_delta a.delta (s, sym, t);
-    pack = None;
-    fp = None;
-  }
+(* [a] rebuilt from its parts with [edges] and [ann] replaced; no state
+   is dropped. *)
+let rebuild a ~edges ~ann =
+  build ~states:(states a) ~alphabet:(alphabet a) ~start:(start a)
+    ~finals:(finals a) ~edges ~ann
 
-(** Bulk variant of {!add_edge}: one record (and one pack
-    invalidation) for the whole batch. *)
+(** Bulk variant of {!add_edge}: one new automaton for the whole
+    batch. *)
 let add_edges a es =
-  let states, alphabet =
-    List.fold_left
-      (fun (states, alpha) (s, sym, t) ->
-        ( ISet.add s (ISet.add t states),
-          match sym with
-          | Sym.Eps -> alpha
-          | Sym.L l -> Label.Set.add l alpha ))
-      (a.states, a.alphabet) es
-  in
-  {
-    a with
-    states;
-    alphabet;
-    delta = List.fold_left add_edge_delta a.delta es;
-    pack = None;
-    fp = None;
-  }
+  rebuild a ~edges:(List.rev_append es (edges a)) ~ann:(annotations a)
 
-(** A handle on the same automaton with a private pack slot. The
-    persistent fields are shared (they are immutable); only [pack] is
-    reset. Hand one to each parallel task that reads a shared automaton
-    so each domain builds its pack, and the pack's lazy CSRs, locally.
-    The fingerprint [fp] is kept: it describes the shared structure, and
-    a cached digest is an immutable string safe to read from any
+let add_edge a e = add_edges a [ e ]
+
+(** The same automaton with empty lazy CSRs. The arrays are shared
+    (they are never written). Hand one to each parallel task that reads
+    a shared automaton so each domain builds its lazy CSRs locally. The
+    fingerprint [fp] is kept: it describes the shared structure, and a
+    cached digest is an immutable string safe to read from any
     domain. *)
-let copy a = { a with pack = None }
+let copy a = { a with preds = None; eps_cl_csr = None }
 
 let set_annotation a q f =
-  let f = Chorev_formula.Simplify.simplify f in
-  let ann =
-    if F.equal f F.True then IMap.remove q a.ann else IMap.add q f a.ann
-  in
-  { a with ann; states = ISet.add q a.states; pack = None; fp = None }
+  (* a [True] entry adds [q] as a state and is then dropped *)
+  rebuild a ~edges:(edges a)
+    ~ann:
+      (List.filter (fun (p, _) -> p <> q) (annotations a)
+      @ [ (q, Chorev_formula.Simplify.simplify f) ])
 
-let clear_annotations a = { a with ann = IMap.empty; pack = None; fp = None }
+let clear_annotations a =
+  { a with ann = Array.make a.n F.True; ann_nontrivial = Bitset.create a.n; fp = None }
 
 let set_finals a finals =
-  { a with finals = ISet.of_list finals; pack = None; fp = None }
+  let set = Bitset.create a.n in
+  List.iter
+    (fun q ->
+      let i = dense a q in
+      if i < 0 then invalid_arg "Afsa.set_finals: not a state";
+      Bitset.add set i)
+    finals;
+  { a with finals = set; fp = None }
 
 let widen_alphabet a labels =
-  {
-    a with
-    alphabet = Label.Set.union a.alphabet (Label.Set.of_list labels);
-    pack = None;
-    fp = None;
-  }
+  let extra = List.filter (fun l -> sym_id a.syms (Sym.L l) < 0) labels in
+  if extra = [] then a
+  else
+    let syms =
+      Array.of_list
+        (Sym.Set.elements
+           (Array.fold_right Sym.Set.add a.syms
+              (Sym.Set.of_list (List.map Sym.label extra))))
+    in
+    let old = Array.map (fun sym -> sym_id syms sym) a.syms in
+    { a with syms; row_sym = Array.map (fun c -> old.(c)) a.row_sym; fp = None }
+
+(** [a]'s fingerprint, computed by [compute] on first call and cached
+    in [fp]. *)
+let memo_fp a compute =
+  match a.fp with
+  | Some d -> d
+  | None ->
+      let d = compute a in
+      a.fp <- Some d;
+      d
 
 (* ------------------------------------------------------------------ *)
 (* Structural equality (same states/edges/finals/annotations)          *)
 (* ------------------------------------------------------------------ *)
 
 let structurally_equal a b =
-  ISet.equal a.states b.states
-  && Label.Set.equal a.alphabet b.alphabet
+  a.state_ids = b.state_ids
   && a.start = b.start
-  && ISet.equal a.finals b.finals
-  && IMap.equal ISet.equal
-       (IMap.map (fun row -> Sym.Map.fold (fun _ t acc -> ISet.union t acc) row ISet.empty) a.delta)
-       (IMap.map (fun row -> Sym.Map.fold (fun _ t acc -> ISet.union t acc) row ISet.empty) b.delta)
-  && List.equal
-       (fun (s1, y1, t1) (s2, y2, t2) -> s1 = s2 && Sym.equal y1 y2 && t1 = t2)
-       (List.sort compare (edges a))
-       (List.sort compare (edges b))
-  && IMap.equal F.equal a.ann b.ann
+  && Array.length a.syms = Array.length b.syms
+  && Array.for_all2 Sym.equal a.syms b.syms
+  && Bitset.equal a.finals b.finals
+  && a.row_off = b.row_off && a.row_sym = b.row_sym && a.row_tgt = b.row_tgt
+  && a.eps_off = b.eps_off && a.eps_tgt = b.eps_tgt
+  && Array.for_all2 F.equal a.ann b.ann

@@ -1,7 +1,8 @@
 (** Flat bitsets over dense state indexes [0 .. n-1].
 
-    The packed kernels (see {!Afsa.Packed}) replace [ISet.t] frontiers
-    and membership sets with these: one byte-per-8-states [Bytes.t]
+    The automaton's finals and annotated states are stored as these,
+    and the kernels over its arrays use them for frontiers and
+    membership sets instead of [ISet.t]: one byte-per-8-states [Bytes.t]
     buffer, so membership is a load-and-mask, equality is [Bytes.equal]
     (a memcmp), and a full sweep allocates nothing. Capacity is fixed at
     creation — exactly the dense state count of the automaton being

@@ -1,5 +1,5 @@
 (** Flat bitsets over dense indexes [0 .. n-1], the membership/frontier
-    representation of the packed aFSA kernels: load-and-mask membership,
+    representation of the aFSA arrays and kernels: load-and-mask membership,
     memcmp equality, zero allocation on sweeps. Capacity is fixed at
     creation. *)
 

@@ -18,20 +18,18 @@ let complete ?budget ?(over = []) a =
   if Afsa.has_eps a then
     invalid_arg "Complete.complete: automaton has ε-transitions";
   let alpha = Afsa.alphabet a in
-  (* presence scan over the packed form, whose symbol ids number
-     [alpha] in order: mark the symbol ids of each state's CSR row in a
-     stamp array, then sweep [alpha] — (state ascending, alphabet
-     order) pairs, one tick per state *)
-  let module P = Afsa.Packed in
-  let p = P.get a in
-  let mark = Array.make (max 1 (Array.length p.P.syms)) (-1) in
+  (* presence scan over the rows, whose symbol ids number [alpha] in
+     order: mark the symbol ids of each state's CSR row in a stamp
+     array, then sweep [alpha] — (state ascending, alphabet order)
+     pairs, one tick per state *)
+  let mark = Array.make (max 1 (Array.length a.Afsa.syms)) (-1) in
   let missing = ref [] in
-  for i = 0 to p.P.n - 1 do
+  for i = 0 to a.Afsa.n - 1 do
     Chorev_guard.Budget.tick budget;
-    for e = p.P.row_off.(i) to p.P.row_off.(i + 1) - 1 do
-      mark.(p.P.row_sym.(e)) <- i
+    for e = a.Afsa.row_off.(i) to a.Afsa.row_off.(i + 1) - 1 do
+      mark.(a.Afsa.row_sym.(e)) <- i
     done;
-    let q = p.P.state_ids.(i) in
+    let q = a.Afsa.state_ids.(i) in
     List.iteri
       (fun sid l -> if mark.(sid) <> i then missing := (q, l) :: !missing)
       alpha
@@ -39,7 +37,7 @@ let complete ?budget ?(over = []) a =
   let missing = List.rev !missing in
   if missing = [] then a
   else
-    let sink = 1 + List.fold_left max 0 (Afsa.states a) in
+    let sink = 1 + max 0 a.Afsa.state_ids.(a.Afsa.n - 1) in
     Afsa.add_edges a
       (List.map (fun (q, l) -> (q, Sym.L l, sink)) missing
       @ List.map (fun l -> (sink, Sym.L l, sink)) alpha)

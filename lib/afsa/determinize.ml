@@ -36,7 +36,7 @@ module SubsetTbl = Hashtbl.Make (SubsetKey)
 
 let int_cmp (x : int) (y : int) = if x < y then -1 else if x > y then 1 else 0
 
-(* Subset construction over the packed form: one budget tick per newly
+(* Subset construction over the automaton's rows: one budget tick per newly
    discovered subset, DFS preorder, successor symbols visited ascending
    and member rows merged target-ascending — the same event order as
    the map-based [Ablation.determinize_ref], so the output automaton
@@ -48,9 +48,7 @@ let int_cmp (x : int) (y : int) = if x < y then -1 else if x > y then 1 else 0
    state space (large buckets) — never a [Sym.Map]-of-[ISet]
    accumulation, and no global sort of all merged edges. *)
 let subsets ~budget a =
-  let module P = Afsa.Packed in
-  let p = P.get a in
-  let nsym = Array.length p.P.syms in
+  let nsym = Array.length a.Afsa.syms in
   let next_id = ref 0 in
   let ids : int SubsetTbl.t = SubsetTbl.create 256 in
   let edges = ref [] in
@@ -73,7 +71,7 @@ let subsets ~budget a =
     blen.(s) <- l + 1
   in
   (* stamp array for the counting-scan canonicalization *)
-  let stamp = Array.make (max 1 p.P.n) (-1) in
+  let stamp = Array.make (max 1 a.Afsa.n) (-1) in
   let round = ref 0 in
   let rec visit (members : int array) =
     match SubsetTbl.find_opt ids members with
@@ -84,10 +82,10 @@ let subsets ~budget a =
         let id = !next_id in
         incr next_id;
         SubsetTbl.add ids members id;
-        if Array.exists (fun i -> Bitset.mem p.P.finals i) members then
+        if Array.exists (fun i -> Bitset.mem a.Afsa.finals i) members then
           finals := id :: !finals;
         let ann =
-          Array.fold_left (fun acc i -> F.or_ p.P.ann.(i) acc) F.False members
+          Array.fold_left (fun acc i -> F.or_ a.Afsa.ann.(i) acc) F.False members
         in
         let ann = Chorev_formula.Simplify.simplify ann in
         if not (F.equal ann F.True) then anns := (id, ann) :: !anns;
@@ -95,10 +93,10 @@ let subsets ~budget a =
         let touched = ref [] in
         Array.iter
           (fun i ->
-            for e = p.P.row_off.(i) to p.P.row_off.(i + 1) - 1 do
-              let s = p.P.row_sym.(e) in
+            for e = a.Afsa.row_off.(i) to a.Afsa.row_off.(i + 1) - 1 do
+              let s = a.Afsa.row_sym.(e) in
               if blen.(s) = 0 then touched := s :: !touched;
-              bpush s p.P.row_tgt.(e)
+              bpush s a.Afsa.row_tgt.(e)
             done)
           members;
         let sids = Array.of_list (List.sort int_cmp !touched) in
@@ -111,7 +109,7 @@ let subsets ~budget a =
               blen.(sid) <- 0;
               let b = bucket.(sid) in
               let tgts =
-                if 4 * m >= p.P.n then begin
+                if 4 * m >= a.Afsa.n then begin
                   (* counting scan: mark, then collect ascending *)
                   incr round;
                   let r = !round in
@@ -125,7 +123,7 @@ let subsets ~budget a =
                   done;
                   let out = Array.make !cnt 0 in
                   let k = ref 0 in
-                  for t = 0 to p.P.n - 1 do
+                  for t = 0 to a.Afsa.n - 1 do
                     if stamp.(t) = r then begin
                       out.(!k) <- t;
                       incr k
@@ -152,11 +150,11 @@ let subsets ~budget a =
         Array.iter
           (fun (sid, tgts) ->
             let tid = visit tgts in
-            edges := (id, p.P.syms.(sid), tid) :: !edges)
+            edges := (id, a.Afsa.syms.(sid), tid) :: !edges)
           groups;
         id
   in
-  let s0 = visit [| p.P.start |] in
+  let s0 = visit [| a.Afsa.start |] in
   Afsa.make ~alphabet:(Afsa.alphabet a) ~start:s0 ~finals:!finals
     ~edges:!edges ~ann:!anns ()
 

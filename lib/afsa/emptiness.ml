@@ -30,8 +30,8 @@
     The automaton is non-empty iff sat(q0) — equivalently, iff "the
     annotation of the start state is true" in the paper's phrasing.
 
-    Implementation notes: the loop runs over the packed form
-    ({!Afsa.Packed}). The reverse-edge table is its predecessor CSR,
+    Implementation notes: the loop runs over the automaton's rows. The
+    reverse-edge table is its predecessor CSR ({!Afsa.preds_csr}),
     built once per automaton (not once per fixpoint iteration), and
     each annotated state gets a variable → targets table computed once
     up front, so an iteration is O(V + E) over bitsets with no
@@ -57,8 +57,7 @@ type result = {
       (** set when a non-positive annotation was encountered *)
 }
 
-(* The greatest-fixpoint loop over bitsets and the packed predecessor
-   CSR — [sat]/[reach]/[seen] are flat bitsets over dense indexes, the
+(* The greatest-fixpoint loop over bitsets and the predecessor CSR — [sat]/[reach]/[seen] are flat bitsets over dense indexes, the
    backward closure is an int-array stack, and an iteration allocates
    nothing. Budget: one tick per fixpoint pass plus one per state
    popped in the backward closure. *)
@@ -67,42 +66,43 @@ let analyze ?budget a =
     match budget with Some b -> b | None -> Budget.ambient ()
   in
   let warning =
-    if List.for_all (fun (_, f) -> F.is_positive f) (Afsa.annotations a) then
-      None
+    if
+      Bitset.fold
+        (fun i ok -> ok && F.is_positive a.Afsa.ann.(i))
+        a.Afsa.ann_nontrivial true
+    then None
     else
       Some
         "annotation contains negation: emptiness fixpoint is an \
          approximation only"
   in
-  let module P = Afsa.Packed in
-  let p = P.get a in
-  let n = p.P.n in
+  let n = a.Afsa.n in
   (* per annotated state: variable → dense targets, computed once *)
   let vt_of = Array.make (max 1 n) None in
   Bitset.iter
     (fun i ->
       let vt : (string, int list) Hashtbl.t = Hashtbl.create 8 in
-      let e = ref p.P.row_off.(i) in
-      let hi = p.P.row_off.(i + 1) in
+      let e = ref a.Afsa.row_off.(i) in
+      let hi = a.Afsa.row_off.(i + 1) in
       while !e < hi do
-        let sid = p.P.row_sym.(!e) in
+        let sid = a.Afsa.row_sym.(!e) in
         let g0 = !e in
-        while !e < hi && p.P.row_sym.(!e) = sid do
+        while !e < hi && a.Afsa.row_sym.(!e) = sid do
           incr e
         done;
         let v =
-          match p.P.syms.(sid) with
+          match a.Afsa.syms.(sid) with
           | Sym.L l -> Label.to_string l
           | Sym.Eps -> assert false
         in
         let ts = ref (Option.value ~default:[] (Hashtbl.find_opt vt v)) in
         for f = g0 to !e - 1 do
-          ts := p.P.row_tgt.(f) :: !ts
+          ts := a.Afsa.row_tgt.(f) :: !ts
         done;
         Hashtbl.replace vt v !ts
       done;
       vt_of.(i) <- Some vt)
-    p.P.ann_nontrivial;
+    a.Afsa.ann_nontrivial;
   let holds sat i =
     match vt_of.(i) with
     | None -> true (* default annotation [True] *)
@@ -112,9 +112,9 @@ let analyze ?budget a =
           | None -> false
           | Some ts -> List.exists (fun t -> Bitset.mem sat t) ts
         in
-        Chorev_formula.Eval.eval ~assign p.P.ann.(i)
+        Chorev_formula.Eval.eval ~assign a.Afsa.ann.(i)
   in
-  let poff, psrc = P.preds_csr p in
+  let poff, psrc = Afsa.preds_csr a in
   let stack = Array.make (max 1 n) 0 in
   let seen = Bitset.create n in
   let reach_final_through sat reach =
@@ -128,7 +128,7 @@ let analyze ?budget a =
           stack.(!sp) <- f;
           incr sp
         end)
-      p.P.finals;
+      a.Afsa.finals;
     while !sp > 0 do
       Budget.tick budget;
       decr sp;
@@ -164,11 +164,11 @@ let analyze ?budget a =
   Chorev_obs.Metrics.incr c_runs;
   Chorev_obs.Metrics.add c_iterations !iterations;
   let sat_set =
-    Bitset.fold (fun i acc -> ISet.add p.P.state_ids.(i) acc) sat ISet.empty
+    Bitset.fold (fun i acc -> ISet.add a.Afsa.state_ids.(i) acc) sat ISet.empty
   in
   {
     sat = sat_set;
-    nonempty = Bitset.mem sat p.P.start;
+    nonempty = Bitset.mem sat a.Afsa.start;
     iterations = !iterations;
     warning;
   }

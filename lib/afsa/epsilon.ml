@@ -6,39 +6,35 @@
     conjunction: every obligation of a state silently reachable from [q]
     is already an obligation at [q].
 
-    Closure queries and ε-elimination both read the packed form's
-    ε-closure CSR ({!Afsa.Packed.eps_closure_csr}): one SCC-collapsed
-    O(V+E) pass per automaton, cached on the pack. *)
+    Closure queries and ε-elimination both read the automaton's
+    ε-closure CSR ({!Afsa.eps_closure_csr}): one SCC-collapsed O(V+E)
+    pass per automaton, cached on it. *)
 
 module F = Chorev_formula.Syntax
 module Budget = Chorev_guard.Budget
 module ISet = Afsa.ISet
-module P = Afsa.Packed
 
 (* [acc] plus the ε-closure of original id [q]; a state outside the
    automaton closes to itself. *)
-let add_closure p (cl_off, cl_tgt) q acc =
-  let i = P.dense p q in
+let add_closure a (cl_off, cl_tgt) q acc =
+  let i = Afsa.dense a q in
   if i < 0 then ISet.add q acc
   else begin
     let acc = ref acc in
     for k = cl_off.(i) to cl_off.(i + 1) - 1 do
-      acc := ISet.add p.P.state_ids.(cl_tgt.(k)) !acc
+      acc := ISet.add a.Afsa.state_ids.(cl_tgt.(k)) !acc
     done;
     !acc
   end
 
 (** ε-closure of a single state. States outside the automaton close to
     themselves. *)
-let closure_of a q =
-  let p = P.get a in
-  add_closure p (P.eps_closure_csr p) q ISet.empty
+let closure_of a q = add_closure a (Afsa.eps_closure_csr a) q ISet.empty
 
 (** ε-closure of a state set. *)
 let closure a set =
-  let p = P.get a in
-  let cl = P.eps_closure_csr p in
-  ISet.fold (add_closure p cl) set ISet.empty
+  let cl = Afsa.eps_closure_csr a in
+  ISet.fold (add_closure a cl) set ISet.empty
 
 (** Remove all ε-transitions, preserving the language. For each state
     [q], the new outgoing edges are the proper edges of all states in
@@ -57,20 +53,19 @@ let eliminate ?budget a =
   in
   if not (Afsa.has_eps a) then a
   else
-    let p = P.get a in
-    let cl_off, cl_tgt = P.eps_closure_csr p in
+    let cl_off, cl_tgt = Afsa.eps_closure_csr a in
     let edges = ref [] and finals = ref [] and ann = ref [] in
-    for i = 0 to p.P.n - 1 do
+    for i = 0 to a.Afsa.n - 1 do
       Budget.tick budget;
-      let q = p.P.state_ids.(i) in
+      let q = a.Afsa.state_ids.(i) in
       let fin = ref false and f = ref F.True in
       for k = cl_off.(i) to cl_off.(i + 1) - 1 do
         let m = cl_tgt.(k) in
-        if Bitset.mem p.P.finals m then fin := true;
-        f := F.and_ p.P.ann.(m) !f;
-        for e = p.P.row_off.(m) to p.P.row_off.(m + 1) - 1 do
+        if Bitset.mem a.Afsa.finals m then fin := true;
+        f := F.and_ a.Afsa.ann.(m) !f;
+        for e = a.Afsa.row_off.(m) to a.Afsa.row_off.(m + 1) - 1 do
           edges :=
-            (q, p.P.syms.(p.P.row_sym.(e)), p.P.state_ids.(p.P.row_tgt.(e)))
+            (q, a.Afsa.syms.(a.Afsa.row_sym.(e)), a.Afsa.state_ids.(a.Afsa.row_tgt.(e)))
             :: !edges
         done
       done;

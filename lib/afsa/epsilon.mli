@@ -1,4 +1,4 @@
-(** ε-closure and ε-elimination over the packed form's ε-closure CSR.
+(** ε-closure and ε-elimination over the automaton's ε-closure CSR.
     Annotations of states merged along ε-paths combine by conjunction. *)
 
 val closure : Afsa.t -> Afsa.ISet.t -> Afsa.ISet.t

@@ -11,12 +11,13 @@
     languages collapse to one fingerprint (this is why the cache layer
     computes fingerprints post-minimize).
 
-    The digest is cached in the automaton's [fp] field. Every structural
-    modifier in {!Afsa} resets the field; {!Afsa.copy} keeps it. The
-    cached value is an immutable string, so reading it from several
-    domains is safe; {e computing} it mutates the record and must follow
-    the same single-domain discipline as the lazy pack (compute in the
-    coordinator before fan-out, or on a private {!Afsa.copy}). *)
+    The digest is cached in the automaton's [fp] field. Every function
+    of {!Afsa} that returns a changed automaton returns one without it;
+    {!Afsa.copy} keeps it. The cached value is an immutable string, so
+    reading it from several domains is safe; {e computing} it mutates
+    the record and must follow the same single-domain discipline as the
+    automaton's lazy CSRs (compute in the coordinator before fan-out,
+    or on a private {!Afsa.copy}). *)
 
 module F = Chorev_formula.Syntax
 
@@ -55,49 +56,47 @@ let add_sym buf = function
       Buffer.add_char buf 'l';
       add_str buf (Label.to_string l)
 
-(* All iterations below are over ordered maps/sets, so the rendering is
-   deterministic with no sorting pass. *)
+(* an alphabet entry: the bare label *)
+let add_sym_name buf = function
+  | Sym.Eps -> ()
+  | Sym.L l -> add_str buf (Label.to_string l)
+
+(* The automaton's arrays are already in canonical order (ids, symbols
+   and rows ascending), so the rendering needs no sorting pass. *)
 let serialize (a : Afsa.t) =
   let buf = Buffer.create 512 in
+  let id i = add_int buf a.Afsa.state_ids.(i) in
   Buffer.add_char buf 'q';
-  add_int buf a.Afsa.start;
+  id a.Afsa.start;
   Buffer.add_char buf 'Q';
-  Afsa.ISet.iter (fun q -> add_int buf q) a.Afsa.states;
+  Array.iter (add_int buf) a.Afsa.state_ids;
   Buffer.add_char buf 'A';
-  Label.Set.iter (fun l -> add_str buf (Label.to_string l)) a.Afsa.alphabet;
+  Array.iter (add_sym_name buf) a.Afsa.syms;
   Buffer.add_char buf 'D';
-  Afsa.IMap.iter
-    (fun s row ->
-      Sym.Map.iter
-        (fun sym tgts ->
-          Afsa.ISet.iter
-            (fun t ->
-              add_int buf s;
-              add_sym buf sym;
-              add_int buf t)
-            tgts)
-        row)
-    a.Afsa.delta;
+  for s = 0 to a.Afsa.n - 1 do
+    for e = a.Afsa.eps_off.(s) to a.Afsa.eps_off.(s + 1) - 1 do
+      id s;
+      add_sym buf Sym.Eps;
+      id a.Afsa.eps_tgt.(e)
+    done;
+    for e = a.Afsa.row_off.(s) to a.Afsa.row_off.(s + 1) - 1 do
+      id s;
+      add_sym buf a.Afsa.syms.(a.Afsa.row_sym.(e));
+      id a.Afsa.row_tgt.(e)
+    done
+  done;
   Buffer.add_char buf 'F';
-  Afsa.ISet.iter (fun q -> add_int buf q) a.Afsa.finals;
+  Bitset.iter id a.Afsa.finals;
   Buffer.add_char buf 'N';
-  Afsa.IMap.iter
-    (fun q f ->
-      add_int buf q;
-      add_formula buf f)
-    a.Afsa.ann;
+  Bitset.iter
+    (fun i ->
+      id i;
+      add_formula buf a.Afsa.ann.(i))
+    a.Afsa.ann_nontrivial;
   Buffer.contents buf
 
 let compute a = Digest.string (serialize a)
-
-let digest (a : Afsa.t) =
-  match a.Afsa.fp with
-  | Some d -> d
-  | None ->
-      let d = compute a in
-      a.Afsa.fp <- Some d;
-      d
-
+let digest a = Afsa.memo_fp a compute
 let peek (a : Afsa.t) = a.Afsa.fp
 let hex a = Digest.to_hex (digest a)
 let equal a b = a == b || String.equal (digest a) (digest b)

@@ -5,8 +5,9 @@
     minimized} automata to get a language-canonical key, since
     {!Minimize.minimize} numbers states canonically. The digest is
     cached in the automaton ([fp] field): computing it mutates the
-    record, so follow the same single-domain discipline as the lazy
-    pack; reading a cached digest is safe from any domain. *)
+    record, so follow the same single-domain discipline as the
+    automaton's lazy CSRs; reading a cached digest is safe from any
+    domain. *)
 
 val digest : Afsa.t -> string
 (** The 16-byte raw digest, computed on first call and cached. *)

@@ -35,7 +35,6 @@
 module F = Chorev_formula.Syntax
 module Budget = Chorev_guard.Budget
 module IMap = Afsa.IMap
-module P = Afsa.Packed
 
 (* Instrumentation (DESIGN.md §7): minimization runs, the cells of the
    virtually-completed transition table (states × symbols) that the
@@ -56,7 +55,7 @@ module ClassTbl = Hashtbl.Make (struct
   let hash (b, f) = Hashtbl.hash (b, F.hash f)
 end)
 
-(** Canonical state numbering: BFS from the start over the pack, each
+(** Canonical state numbering: BFS from the start over the rows, each
     state's ε-edges first and then its proper edges in sorted label
     order (the [Sym] order). Two isomorphic deterministic automata
     renumber to structurally equal ones. States unreachable from the
@@ -65,9 +64,8 @@ end)
     the fused passes inside {!minimize} and public-process generation
     must agree with. *)
 let canonical_renumber m =
-  let pk = P.get m in
-  let order = Array.make (max 1 pk.P.n) 0 in
-  let newid = Array.make (max 1 pk.P.n) (-1) in
+  let order = Array.make (max 1 m.Afsa.n) 0 in
+  let newid = Array.make (max 1 m.Afsa.n) (-1) in
   let next = ref 0 in
   let visit q =
     if newid.(q) < 0 then begin
@@ -76,31 +74,31 @@ let canonical_renumber m =
       incr next
     end
   in
-  visit pk.P.start;
+  visit m.Afsa.start;
   let head = ref 0 in
   while !head < !next do
     let s = order.(!head) in
     incr head;
-    for e = pk.P.eps_off.(s) to pk.P.eps_off.(s + 1) - 1 do
-      visit pk.P.eps_tgt.(e)
+    for e = m.Afsa.eps_off.(s) to m.Afsa.eps_off.(s + 1) - 1 do
+      visit m.Afsa.eps_tgt.(e)
     done;
-    for e = pk.P.row_off.(s) to pk.P.row_off.(s + 1) - 1 do
-      visit pk.P.row_tgt.(e)
+    for e = m.Afsa.row_off.(s) to m.Afsa.row_off.(s + 1) - 1 do
+      visit m.Afsa.row_tgt.(e)
     done
   done;
   let edges = ref [] and finals = ref [] and ann = ref [] in
   let map = ref IMap.empty in
   for i = !next - 1 downto 0 do
     let s = order.(i) in
-    map := IMap.add pk.P.state_ids.(s) i !map;
-    if Bitset.mem pk.P.finals s then finals := i :: !finals;
-    if Bitset.mem pk.P.ann_nontrivial s then ann := (i, pk.P.ann.(s)) :: !ann;
-    for e = pk.P.eps_off.(s) to pk.P.eps_off.(s + 1) - 1 do
-      edges := (i, Sym.Eps, newid.(pk.P.eps_tgt.(e))) :: !edges
+    map := IMap.add m.Afsa.state_ids.(s) i !map;
+    if Bitset.mem m.Afsa.finals s then finals := i :: !finals;
+    if Bitset.mem m.Afsa.ann_nontrivial s then ann := (i, m.Afsa.ann.(s)) :: !ann;
+    for e = m.Afsa.eps_off.(s) to m.Afsa.eps_off.(s + 1) - 1 do
+      edges := (i, Sym.Eps, newid.(m.Afsa.eps_tgt.(e))) :: !edges
     done;
-    for e = pk.P.row_off.(s) to pk.P.row_off.(s + 1) - 1 do
+    for e = m.Afsa.row_off.(s) to m.Afsa.row_off.(s + 1) - 1 do
       edges :=
-        (i, pk.P.syms.(pk.P.row_sym.(e)), newid.(pk.P.row_tgt.(e))) :: !edges
+        (i, m.Afsa.syms.(m.Afsa.row_sym.(e)), newid.(m.Afsa.row_tgt.(e))) :: !edges
     done
   done;
   ( Afsa.make ~alphabet:(Afsa.alphabet m) ~start:0 ~finals:!finals
@@ -250,18 +248,17 @@ let initial_classes nstates final_of ann_of =
    size is whatever the automaton is, and empty-language automata are
    small in practice, so the |Q|·|Σ| table is affordable here. *)
 let minimize_completed budget d =
-  let pk = P.get d in
-  let n = pk.P.n and k = Array.length pk.P.syms in
+  let n = d.Afsa.n and k = Array.length d.Afsa.syms in
   Chorev_obs.Metrics.add c_table_cells (k * (n + 1));
   let sink = n in
   let m = n + 1 in
   (* Transition table of the virtually-completed DFA: succ.(q*k + c),
-     missing transitions go to the sink column; the pack's symbol ids
-     are the columns. *)
+     missing transitions go to the sink column; the symbol ids are the
+     columns. *)
   let succ = Array.make (max 1 (m * k)) sink in
   for q = 0 to n - 1 do
-    for e = pk.P.row_off.(q) to pk.P.row_off.(q + 1) - 1 do
-      succ.((q * k) + pk.P.row_sym.(e)) <- pk.P.row_tgt.(e)
+    for e = d.Afsa.row_off.(q) to d.Afsa.row_off.(q + 1) - 1 do
+      succ.((q * k) + d.Afsa.row_sym.(e)) <- d.Afsa.row_tgt.(e)
     done
   done;
   (* Per-symbol CSR predecessor table: the c-predecessors of dense
@@ -296,8 +293,8 @@ let minimize_completed budget d =
   let final_d = Array.make m false in
   let ann_d = Array.make m F.True in
   for q = 0 to n - 1 do
-    final_d.(q) <- Bitset.mem pk.P.finals q;
-    ann_d.(q) <- Chorev_formula.Simplify.simplify pk.P.ann.(q)
+    final_d.(q) <- Bitset.mem d.Afsa.finals q;
+    ann_d.(q) <- Chorev_formula.Simplify.simplify d.Afsa.ann.(q)
   done;
   let cls, ncls = initial_classes m (Array.get final_d) (Array.get ann_d) in
   let p = partition_make ~cap:m m cls ncls in
@@ -341,7 +338,7 @@ let minimize_completed budget d =
      state, preserving the start block's real self-loops and annotation
      (what trimming the materialized quotient used to leave behind). *)
   let rep b = p.elems.(p.first.(b)) in
-  let sb = p.blk.(pk.P.start) in
+  let sb = p.blk.(d.Afsa.start) in
   let edges = ref [] in
   for c = k - 1 downto 0 do
     if p.blk.(succ.((rep sb * k) + c)) = sb then begin
@@ -351,7 +348,7 @@ let minimize_completed budget d =
         let q = p.elems.(i) in
         if q <> sink && succ.((q * k) + c) <> sink then backed := true
       done;
-      if !backed then edges := (0, pk.P.syms.(c), 0) :: !edges
+      if !backed then edges := (0, d.Afsa.syms.(c), 0) :: !edges
     end
   done;
   let ann = if rep sb = sink then [] else [ (0, ann_d.(rep sb)) ] in
@@ -378,27 +375,26 @@ let minimize ?budget a =
     end
     else Determinize.determinize ~budget a
   in
-  let pk = P.get d in
-  let n = pk.P.n in
+  let n = d.Afsa.n in
   Chorev_obs.Metrics.observe h_states (float_of_int n);
-  let k = Array.length pk.P.syms in
+  let k = Array.length d.Afsa.syms in
   if n = 0 then minimize_completed budget d
   else begin
-    (* Real transitions are the pack's proper edges, one per (state,
+    (* Real transitions are the proper edges, one per (state,
        symbol): edge [t] runs from dense [tt.(t)] to dense [th.(t)] on
        label column [tl.(t)] (the symbol id). *)
-    let t0 = pk.P.row_off.(n) in
+    let t0 = d.Afsa.row_off.(n) in
     let tt = Array.make (max 1 t0) 0 in
     for q = 0 to n - 1 do
-      Array.fill tt pk.P.row_off.(q) (pk.P.row_off.(q + 1) - pk.P.row_off.(q)) q
+      Array.fill tt d.Afsa.row_off.(q) (d.Afsa.row_off.(q + 1) - d.Afsa.row_off.(q)) q
     done;
-    let tl = pk.P.row_sym and th = pk.P.row_tgt in
+    let tl = d.Afsa.row_sym and th = d.Afsa.row_tgt in
     (* Reachability from the start and co-reachability from the finals
        over the real edges; only their intersection (the live core)
        takes part in refinement. Any path from the start to a live
        state runs through live states, so the quotient stays connected. *)
-    let start_d = pk.P.start in
-    let reach = P.reach pk [ start_d ] and coreach = P.coreach pk in
+    let start_d = d.Afsa.start in
+    let reach = Afsa.reach d [ start_d ] and coreach = Afsa.coreach d in
     if not (Bitset.mem reach start_d && Bitset.mem coreach start_d) then
       minimize_completed budget d
     else begin
@@ -471,8 +467,8 @@ let minimize ?budget a =
       let ann_l = Array.make (max 1 nl) F.True in
       for li = 0 to nl - 1 do
         let q = lstate.(li) in
-        final_l.(li) <- Bitset.mem pk.P.finals q;
-        ann_l.(li) <- Chorev_formula.Simplify.simplify pk.P.ann.(q)
+        final_l.(li) <- Bitset.mem d.Afsa.finals q;
+        ann_l.(li) <- Chorev_formula.Simplify.simplify d.Afsa.ann.(q)
       done;
       let cls, ncls = initial_classes nl (Array.get final_l) (Array.get ann_l) in
       let pb = partition_make ~cap:nl nl cls ncls in
@@ -543,7 +539,7 @@ let minimize ?budget a =
             incr next;
             Queue.add tb bqueue
           end;
-          edges := (id, pk.P.syms.(fl.(t)), newid.(tb)) :: !edges
+          edges := (id, d.Afsa.syms.(fl.(t)), newid.(tb)) :: !edges
         done
       done;
       Afsa.make ~alphabet:(Afsa.alphabet d) ~start:0 ~finals:!finals

@@ -8,8 +8,8 @@
     One explicit worklist over int-packed [(l lsl 32) lor r] pair keys
     builds the reachable part (no recursion, so deep products such as
     long ladders cannot overflow the stack). Each popped pair ticks the
-    budget once and merge-walks the two packed CSR out-rows
-    ({!Afsa.Packed}) instead of sweeping the product alphabet. The
+    budget once and merge-walks the two automata's CSR out-rows
+    instead of sweeping the product alphabet. The
     seed's recursive map-based product stays in {!Ablation} as the
     differential oracle. *)
 
@@ -31,8 +31,6 @@ let c_pairs = Chorev_obs.Metrics.counter "afsa.product.pairs"
 let c_edges = Chorev_obs.Metrics.counter "afsa.product.edges"
 let c_sink_pairs = Chorev_obs.Metrics.counter "afsa.product.sink_pairs"
 
-module P = Afsa.Packed
-
 (* Dense pair keys. Dense indexes are bounded by the state counts, far
    below 2^31, so the packing is exact. *)
 let key i1 i2 = (i1 lsl 32) lor i2
@@ -52,13 +50,13 @@ module PairTbl = Hashtbl.Make (struct
   let hash k = (k * 0x2545F4914F6CDD1D) lsr 32 land 0x3FFFFFFF
 end)
 
-(* Merge both packs' symbol tables (each ascending in the same global
-   order) into one ascending universe; [l2g] / [r2g] lift pack-local
-   symbol ids into it. One merge walk per call — no hashing of label
+(* Merge both symbol tables (each ascending in the same global order)
+   into one ascending universe; [l2g] / [r2g] lift each side's symbol
+   ids into it. One merge walk per call — no hashing of label
    strings, which would dominate products over large alphabets with
    tiny per-pair work. *)
-let universe pa pb =
-  let nl = Array.length pa.P.syms and nr = Array.length pb.P.syms in
+let universe a b =
+  let nl = Array.length a.Afsa.syms and nr = Array.length b.Afsa.syms in
   let l2g = Array.make (max 1 nl) 0 and r2g = Array.make (max 1 nr) 0 in
   let g_syms = Array.make (max 1 (nl + nr)) Sym.Eps in
   let ng = ref 0 in
@@ -67,16 +65,16 @@ let universe pa pb =
     let c =
       if !i >= nl then 1
       else if !j >= nr then -1
-      else Sym.compare pa.P.syms.(!i) pb.P.syms.(!j)
+      else Sym.compare a.Afsa.syms.(!i) b.Afsa.syms.(!j)
     in
     let g = !ng in
     if c <= 0 then begin
-      g_syms.(g) <- pa.P.syms.(!i);
+      g_syms.(g) <- a.Afsa.syms.(!i);
       l2g.(!i) <- g;
       incr i
     end;
     if c >= 0 then begin
-      g_syms.(g) <- pb.P.syms.(!j);
+      g_syms.(g) <- b.Afsa.syms.(!j);
       r2g.(!j) <- g;
       incr j
     end;
@@ -140,7 +138,7 @@ let grow disc id k =
    the automaton's state space, which a missing (state, symbol) pair
    moves to implicitly; inside [run] it is the dense index [n], one
    past the side's dense states. *)
-let sink_of a = 1 + List.fold_left max 0 (Afsa.states a)
+let sink_of a = 1 + max 0 a.Afsa.state_ids.(a.Afsa.n - 1)
 
 (* A pair with both sides in their sinks is never built: the merge walk
    visits only symbols one of the two rows has. *)
@@ -148,19 +146,19 @@ let run ?budget ?sink_a ?sink_b spec a b =
   let budget =
     match budget with Some b -> b | None -> Budget.ambient ()
   in
-  let pa = P.get a and pb = P.get b in
-  let eps_free p = p.P.eps_off.(p.P.n) = 0 in
   let completed_a = Option.is_some sink_a
   and completed_b = Option.is_some sink_b in
-  if (completed_a && not (eps_free pa)) || (completed_b && not (eps_free pb))
+  if (completed_a && Afsa.has_eps a) || (completed_b && Afsa.has_eps b)
   then invalid_arg "Product.run: a completed side has ε-transitions";
-  let l2g, r2g, g_syms = universe pa pb in
+  let l2g, r2g, g_syms = universe a b in
   let alpha_g = alpha_mask g_syms spec.alphabet in
-  let asink = pa.P.n and bsink = pb.P.n in
-  let orig1 i1 = if i1 = asink then Option.get sink_a else pa.P.state_ids.(i1)
-  and orig2 i2 = if i2 = bsink then Option.get sink_b else pb.P.state_ids.(i2)
-  and ann1 i1 = if i1 = asink then F.True else pa.P.ann.(i1)
-  and ann2 i2 = if i2 = bsink then F.True else pb.P.ann.(i2) in
+  let asink = a.Afsa.n and bsink = b.Afsa.n in
+  let orig1 i1 =
+    if i1 = asink then Option.get sink_a else a.Afsa.state_ids.(i1)
+  and orig2 i2 =
+    if i2 = bsink then Option.get sink_b else b.Afsa.state_ids.(i2)
+  and ann1 i1 = if i1 = asink then F.True else a.Afsa.ann.(i1)
+  and ann2 i2 = if i2 = bsink then F.True else b.Afsa.ann.(i2) in
   let next = ref 0 in
   let ids : int PairTbl.t = PairTbl.create 256 in
   let disc = ref (Array.make 256 0) in
@@ -185,7 +183,7 @@ let run ?budget ?sink_a ?sink_b spec a b =
         if not (F.equal ann F.True) then anns := (id, ann) :: !anns;
         id
   in
-  let s0 = id_of pa.P.start pb.P.start in
+  let s0 = id_of a.Afsa.start b.Afsa.start in
   let cursor = ref 0 in
   while !cursor < !next do
     Budget.tick budget;
@@ -195,33 +193,33 @@ let run ?budget ?sink_a ?sink_b spec a b =
     let i1 = key_fst k and i2 = key_snd k in
     (* lone ε-moves of the left (a completed side has none) *)
     if not completed_a then
-      for e = pa.P.eps_off.(i1) to pa.P.eps_off.(i1 + 1) - 1 do
-        edges := (id, Sym.Eps, id_of pa.P.eps_tgt.(e) i2) :: !edges
+      for e = a.Afsa.eps_off.(i1) to a.Afsa.eps_off.(i1 + 1) - 1 do
+        edges := (id, Sym.Eps, id_of a.Afsa.eps_tgt.(e) i2) :: !edges
       done;
     (* merge-walk both out-rows by global symbol id: a shared symbol
        gives the cross product, a one-sided symbol moves the other side
        to its sink if it has one and gives nothing otherwise *)
-    let el = ref (if i1 = asink then 0 else pa.P.row_off.(i1)) in
-    let ehl = if i1 = asink then 0 else pa.P.row_off.(i1 + 1) in
-    let er = ref (if i2 = bsink then 0 else pb.P.row_off.(i2)) in
-    let ehr = if i2 = bsink then 0 else pb.P.row_off.(i2 + 1) in
+    let el = ref (if i1 = asink then 0 else a.Afsa.row_off.(i1)) in
+    let ehl = if i1 = asink then 0 else a.Afsa.row_off.(i1 + 1) in
+    let er = ref (if i2 = bsink then 0 else b.Afsa.row_off.(i2)) in
+    let ehr = if i2 = bsink then 0 else b.Afsa.row_off.(i2 + 1) in
     while
       (!el < ehl && (!er < ehr || completed_b)) || (!er < ehr && completed_a)
     do
-      let gl = if !el < ehl then l2g.(pa.P.row_sym.(!el)) else max_int in
-      let gr = if !er < ehr then r2g.(pb.P.row_sym.(!er)) else max_int in
+      let gl = if !el < ehl then l2g.(a.Afsa.row_sym.(!el)) else max_int in
+      let gr = if !er < ehr then r2g.(b.Afsa.row_sym.(!er)) else max_int in
       let g = min gl gr in
       let l0 = !el in
       if gl = g then begin
-        let sid = pa.P.row_sym.(!el) in
-        while !el < ehl && pa.P.row_sym.(!el) = sid do
+        let sid = a.Afsa.row_sym.(!el) in
+        while !el < ehl && a.Afsa.row_sym.(!el) = sid do
           incr el
         done
       end;
       let r0 = !er in
       if gr = g then begin
-        let sid = pb.P.row_sym.(!er) in
-        while !er < ehr && pb.P.row_sym.(!er) = sid do
+        let sid = b.Afsa.row_sym.(!er) in
+        while !er < ehr && b.Afsa.row_sym.(!er) = sid do
           incr er
         done
       end;
@@ -229,25 +227,25 @@ let run ?budget ?sink_a ?sink_b spec a b =
         let sym = g_syms.(g) in
         if gl = g && gr = g then
           for f1 = l0 to !el - 1 do
-            let t1 = pa.P.row_tgt.(f1) in
+            let t1 = a.Afsa.row_tgt.(f1) in
             for f2 = r0 to !er - 1 do
-              edges := (id, sym, id_of t1 pb.P.row_tgt.(f2)) :: !edges
+              edges := (id, sym, id_of t1 b.Afsa.row_tgt.(f2)) :: !edges
             done
           done
         else if gl = g && completed_b then
           for f1 = l0 to !el - 1 do
-            edges := (id, sym, id_of pa.P.row_tgt.(f1) bsink) :: !edges
+            edges := (id, sym, id_of a.Afsa.row_tgt.(f1) bsink) :: !edges
           done
         else if gr = g && completed_a then
           for f2 = r0 to !er - 1 do
-            edges := (id, sym, id_of asink pb.P.row_tgt.(f2)) :: !edges
+            edges := (id, sym, id_of asink b.Afsa.row_tgt.(f2)) :: !edges
           done
       end
     done;
     (* lone ε-moves of the right *)
     if not completed_b then
-      for e = pb.P.eps_off.(i2) to pb.P.eps_off.(i2 + 1) - 1 do
-        edges := (id, Sym.Eps, id_of i1 pb.P.eps_tgt.(e)) :: !edges
+      for e = b.Afsa.eps_off.(i2) to b.Afsa.eps_off.(i2 + 1) - 1 do
+        edges := (id, Sym.Eps, id_of i1 b.Afsa.eps_tgt.(e)) :: !edges
       done
   done;
   Chorev_obs.Metrics.add c_pairs !next;

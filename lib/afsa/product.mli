@@ -1,8 +1,7 @@
 (** Generic ε-tolerant product over pair states — the one kernel behind
     intersection (Def. 3), difference (Def. 4) and union (Sec. 5.2,
-    step 2). It is a worklist over the packed CSR form
-    ({!Afsa.Packed}); {!Ablation.product_ref} is the seed's map-based
-    oracle. *)
+    step 2). It is a worklist over the two automata's CSR rows;
+    {!Ablation.product_ref} is the seed's map-based oracle. *)
 
 type spec = {
   alphabet : Label.t list;

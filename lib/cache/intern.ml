@@ -4,7 +4,7 @@
 
     Mirrors the hash-consing of [Chorev_formula.Syntax]: a [Weak.Make]
     table per domain (weak tables are not thread-safe, and a shared
-    automaton's lazy pack must not be built from two domains — see
+    automaton's lazy CSRs must not be built from two domains — see
     [Chorev_parallel.Pool]), accessed through [Domain.DLS]. The weak
     semantics means interning never leaks: an automaton no longer
     reachable elsewhere is collected, table entry included. The memo

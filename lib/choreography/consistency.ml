@@ -46,7 +46,7 @@ let consistent_pair t p1 p2 = Result.map (fun v -> v.consistent) (check_pair t p
     skipped rather than raising. Pairs fan out over the domain pool
     ([?pool], default {!Pool.default}); each task works on a private
     {!Chorev_afsa.Afsa.copy} of the public processes so concurrent
-    pack builds stay domain-local, and order preservation makes the
+    lazy-CSR builds stay domain-local, and order preservation makes the
     result structurally equal to the sequential one. *)
 let check_all ?pool ?session t =
   let tasks =

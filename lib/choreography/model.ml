@@ -90,9 +90,8 @@ let fingerprint t =
 
 (** A structurally fresh model: every member's public process goes
     through {!Chorev_afsa.Afsa.copy}, so the copy can be handed to
-    another domain (the lazy pack of a shared automaton must not be
-    built concurrently — see
-    [Chorev_parallel.Pool]). Private processes and tables are immutable
+    another domain (the lazy CSRs of a shared automaton must not be
+    built concurrently — see [Chorev_parallel.Pool]). Private processes and tables are immutable
     and stay shared. *)
 let copy t =
   {

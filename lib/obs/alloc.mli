@@ -1,6 +1,6 @@
 (** Allocation accounting over [Gc.quick_stat] deltas.
 
-    The packed-kernel work (DESIGN.md §12) is as much about allocation
+    The array-kernel work (DESIGN.md §12) is as much about allocation
     as wall-clock: the map-shaped algebra allocates a fresh set/map node
     per explored state and the GC becomes the hot path at serve volume.
     This module makes that cost observable: snapshot the GC counters,

@@ -274,14 +274,12 @@ let rec compile (p : Process.t) b ~ctx ~path ~entry ~exit act =
    is part of the table: states ascending, members ascending, each
    merge reading the table as the earlier merges left it. *)
 let merge_closures (a : Afsa.t) (table : Table.t) =
-  let module P = Afsa.Packed in
-  let p = P.get a in
-  let cl_off, cl_tgt = P.eps_closure_csr p in
+  let cl_off, cl_tgt = Afsa.eps_closure_csr a in
   let table = ref table in
-  for i = 0 to p.P.n - 1 do
-    let q = p.P.state_ids.(i) in
+  for i = 0 to a.Afsa.n - 1 do
+    let q = a.Afsa.state_ids.(i) in
     for k = cl_off.(i) to cl_off.(i + 1) - 1 do
-      let s = p.P.state_ids.(cl_tgt.(k)) in
+      let s = a.Afsa.state_ids.(cl_tgt.(k)) in
       if s <> q then table := Table.merge !table ~into:q ~from:s
     done
   done;

@@ -45,7 +45,7 @@ let test_difference_agrees () =
 let test_union_agrees () =
   agree "union" C.Ops.union C.Ablation.union_ref (seed_pairs ())
 
-(* The emptiness rewrite (packed predecessor CSR, per-state
+(* The emptiness rewrite (predecessor CSR, per-state
    variable→targets tables) must not change the fixpoint: same sat set,
    same verdict, same number of iterations as the seed loop that
    rebuilds its reverse table every round. *)
@@ -277,7 +277,7 @@ let corpus =
 
 let corpus () = Lazy.force corpus
 
-(* Every run gets a fresh copy (a private pack), so no run
+(* Every run gets a fresh copy (private lazy CSRs), so no run
    sees caches another one built. *)
 let structural name op reference =
   List.iter
@@ -515,7 +515,7 @@ let test_representation_pinned () =
 
 (* Fuel an unbounded run spends, per input: [difference_fuel] over the
    80 [pair_of_seed] pairs, the others over [corpus] in order. Recorded
-   while the map-shaped kernels still ran next to the packed ones —
+   while the map-shaped kernels still ran next to the array ones —
    every kernel mode spent exactly these totals — so a change to any
    kernel's tick discipline shows up here. *)
 let difference_fuel =
