@@ -231,10 +231,6 @@ let analyze_ref a =
   let sat, iterations = fix 1 (ISet.of_list (Afsa.states a)) in
   (sat, ISet.mem (Afsa.start a) sat, iterations)
 
-let is_empty_ref a =
-  let _, nonempty, _ = analyze_ref a in
-  not nonempty
-
 (* The map-shaped ε-elimination and subset construction that ran next
    to the array kernels until those became the only implementation,
    kept as their oracles: same budget ticks (one per state, one per

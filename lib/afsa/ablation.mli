@@ -38,8 +38,6 @@ val analyze_ref : Afsa.t -> Afsa.ISet.t * bool * int
     iteration: [(sat, nonempty, iterations)], same iteration-counting
     convention as {!Emptiness.analyze}. *)
 
-val is_empty_ref : Afsa.t -> bool
-
 val minimize_ref : Afsa.t -> Afsa.t
 (** The pre-rewrite minimization (list/Hashtbl Hopcroft, string class
     keys, unconditional determinize + double renumbering), kept

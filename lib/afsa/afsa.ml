@@ -177,10 +177,6 @@ let csr n m src key =
   off.(n) <- !w;
   (off, if !w = m then buf else Array.sub buf 0 !w)
 
-let rec strictly_ascending = function
-  | a :: (b :: _ as rest) -> Label.compare a b < 0 && strictly_ascending rest
-  | _ -> true
-
 (* The automaton over explicit parts; annotations are taken as given
    ([True] entries only contribute their state). *)
 let build ~states ~alphabet ~start ~finals ~edges ~ann =
@@ -193,44 +189,30 @@ let build ~states ~alphabet ~start ~finals ~edges ~ann =
       0 edges
   in
   let ne = List.length edges - neps in
+  (* the symbol table: [alphabet] plus the edge labels *)
+  let syms =
+    List.fold_left
+      (fun set (_, sym, _) ->
+        if Sym.is_eps sym then set else Sym.Set.add sym set)
+      (Sym.Set.of_list (List.map Sym.label alphabet))
+      edges
+    |> Sym.Set.elements |> Array.of_list
+  in
   let src = Array.make ne 0 and key = Array.make ne 0 in
   let esrc = Array.make neps 0 and etgt = Array.make neps 0 in
-  (* one pass per symbol table: a label missing from [syms] is
-     collected, and the pass runs again over the completed table *)
-  let fill syms =
-    let missing = ref Sym.Set.empty and k = ref 0 and j = ref 0 in
-    List.iter
-      (fun (s, sym, t) ->
-        match sym with
-        | Sym.Eps ->
-            esrc.(!j) <- dense s;
-            etgt.(!j) <- dense t;
-            incr j
-        | Sym.L _ ->
-            let c = sym_id syms sym in
-            if c < 0 then missing := Sym.Set.add sym !missing;
-            src.(!k) <- dense s;
-            key.(!k) <- (c * n) + dense t;
-            incr k)
-      edges;
-    !missing
-  in
-  let alphabet =
-    if strictly_ascending alphabet then alphabet
-    else List.sort_uniq Label.compare alphabet
-  in
-  let syms = Array.of_list (List.map Sym.label alphabet) in
-  let missing = fill syms in
-  let syms =
-    if Sym.Set.is_empty missing then syms
-    else
-      let syms =
-        Array.of_list
-          (Sym.Set.elements (Array.fold_right Sym.Set.add syms missing))
-      in
-      ignore (fill syms);
-      syms
-  in
+  let k = ref 0 and j = ref 0 in
+  List.iter
+    (fun (s, sym, t) ->
+      match sym with
+      | Sym.Eps ->
+          esrc.(!j) <- dense s;
+          etgt.(!j) <- dense t;
+          incr j
+      | Sym.L _ ->
+          src.(!k) <- dense s;
+          key.(!k) <- (sym_id syms sym * n) + dense t;
+          incr k)
+    edges;
   let row_off, row_key = csr n ne src key in
   let eps_off, eps_tgt = csr n neps esrc etgt in
   let finals_set = Bitset.create n in
@@ -296,8 +278,9 @@ let alphabet a =
     a.syms []
 
 let start a = a.state_ids.(a.start)
-let ids_of a marks = List.rev (Bitset.fold (fun i acc -> a.state_ids.(i) :: acc) marks [])
-let finals a = ids_of a a.finals
+
+let finals a =
+  List.rev (Bitset.fold (fun i acc -> a.state_ids.(i) :: acc) a.finals [])
 
 let is_final a q =
   let i = dense a q in
@@ -623,68 +606,18 @@ let reachable_from a q0 =
 let coreachable a = to_set a (coreach a)
 
 (* [a] restricted to the dense states in [keep] and the start; [a]
-   itself when that drops no state. The renumbering is monotone, so the
-   kept rows stay sorted. *)
+   itself when that drops no state. *)
 let restrict a keep =
   Bitset.add keep a.start;
-  let n = Bitset.cardinal keep in
-  if n = a.n then a
-  else begin
-    let newid = Array.make a.n (-1) and state_ids = Array.make n 0 in
-    let k = ref 0 in
-    Bitset.iter
-      (fun i ->
-        newid.(i) <- !k;
-        state_ids.(!k) <- a.state_ids.(i);
-        incr k)
-      keep;
-    (* the kept rows' offsets and the old positions of their edges *)
-    let kept off tgt =
-      let off' = Array.make (n + 1) 0 and pos = ref [] and m = ref 0 in
-      for i = 0 to a.n - 1 do
-        if newid.(i) >= 0 then begin
-          for e = off.(i) to off.(i + 1) - 1 do
-            if newid.(tgt.(e)) >= 0 then begin
-              pos := e :: !pos;
-              incr m
-            end
-          done;
-          off'.(newid.(i) + 1) <- !m
-        end
-      done;
-      (off', Array.of_list (List.rev !pos))
-    in
-    let row_off, rpos = kept a.row_off a.row_tgt in
-    let eps_off, epos = kept a.eps_off a.eps_tgt in
-    let finals = Bitset.create n and ann_nontrivial = Bitset.create n in
-    let ann = Array.make n F.True in
-    Bitset.iter
-      (fun i ->
-        let j = newid.(i) in
-        if Bitset.mem a.finals i then Bitset.add finals j;
-        if Bitset.mem a.ann_nontrivial i then begin
-          Bitset.add ann_nontrivial j;
-          ann.(j) <- a.ann.(i)
-        end)
-      keep;
-    {
-      n;
-      state_ids;
-      start = newid.(a.start);
-      syms = a.syms;
-      row_off;
-      row_sym = Array.map (fun e -> a.row_sym.(e)) rpos;
-      row_tgt = Array.map (fun e -> newid.(a.row_tgt.(e))) rpos;
-      eps_off;
-      eps_tgt = Array.map (fun e -> newid.(a.eps_tgt.(e))) epos;
-      finals;
-      ann;
-      ann_nontrivial;
-      preds = None;
-      eps_cl_csr = None;
-      fp = None;
-    }
-  end
+  if Bitset.cardinal keep = a.n then a
+  else
+    let mem q = Bitset.mem keep (dense a q) in
+    build
+      ~states:(List.filter mem (states a))
+      ~alphabet:(alphabet a) ~start:(start a)
+      ~finals:(List.filter mem (finals a))
+      ~edges:(List.filter (fun (s, _, t) -> mem s && mem t) (edges a))
+      ~ann:(List.filter (fun (q, _) -> mem q) (annotations a))
 
 (** Remove unreachable states. *)
 let trim_unreachable a = restrict a (reach a [ a.start ])
@@ -693,7 +626,9 @@ let trim_unreachable a = restrict a (reach a [ a.start ])
     (the start state is always kept). Preserves the (plain) language. *)
 let trim a =
   let live = reach a [ a.start ] and co = coreach a in
-  Bitset.iter (fun i -> if not (Bitset.mem co i) then Bitset.remove live i) live;
+  Bitset.iter
+    (fun i -> if not (Bitset.mem co i) then Bitset.remove live i)
+    live;
   restrict a live
 
 let renumber a =
@@ -748,7 +683,12 @@ let set_annotation a q f =
       @ [ (q, Chorev_formula.Simplify.simplify f) ])
 
 let clear_annotations a =
-  { a with ann = Array.make a.n F.True; ann_nontrivial = Bitset.create a.n; fp = None }
+  {
+    a with
+    ann = Array.make a.n F.True;
+    ann_nontrivial = Bitset.create a.n;
+    fp = None;
+  }
 
 let set_finals a finals =
   let set = Bitset.create a.n in
@@ -762,7 +702,7 @@ let set_finals a finals =
 
 let widen_alphabet a labels =
   let extra = List.filter (fun l -> sym_id a.syms (Sym.L l) < 0) labels in
-  if extra = [] then a
+  if extra = [] then { a with fp = None }
   else
     let syms =
       Array.of_list
@@ -771,7 +711,12 @@ let widen_alphabet a labels =
               (Sym.Set.of_list (List.map Sym.label extra))))
     in
     let old = Array.map (fun sym -> sym_id syms sym) a.syms in
-    { a with syms; row_sym = Array.map (fun c -> old.(c)) a.row_sym; fp = None }
+    {
+      a with
+      syms;
+      row_sym = Array.map (fun c -> old.(c)) a.row_sym;
+      fp = None;
+    }
 
 (** [a]'s fingerprint, computed by [compute] on first call and cached
     in [fp]. *)

@@ -38,9 +38,10 @@ type t = private {
       (** the structural fingerprint, through {!memo_fp} *)
 }
 (** The arrays are never written after construction. {!copy} shares
-    them, resets the lazy CSRs and keeps [fp]; every other function
-    returning a changed automaton returns a fresh one with empty lazy
-    fields. *)
+    them, resets the lazy CSRs and keeps [fp]. Every modifier returns
+    an automaton without [fp]; those that leave the rows alone
+    ({!clear_annotations}, {!set_finals}, {!widen_alphabet}) share
+    them together with their lazy CSRs. *)
 
 (** {1 Construction} *)
 

@@ -85,7 +85,9 @@ let subsets ~budget a =
         if Array.exists (fun i -> Bitset.mem a.Afsa.finals i) members then
           finals := id :: !finals;
         let ann =
-          Array.fold_left (fun acc i -> F.or_ a.Afsa.ann.(i) acc) F.False members
+          Array.fold_left
+            (fun acc i -> F.or_ a.Afsa.ann.(i) acc)
+            F.False members
         in
         let ann = Chorev_formula.Simplify.simplify ann in
         if not (F.equal ann F.True) then anns := (id, ann) :: !anns;

@@ -57,7 +57,8 @@ type result = {
       (** set when a non-positive annotation was encountered *)
 }
 
-(* The greatest-fixpoint loop over bitsets and the predecessor CSR — [sat]/[reach]/[seen] are flat bitsets over dense indexes, the
+(* The greatest-fixpoint loop over bitsets and the predecessor CSR —
+   [sat]/[reach]/[seen] are flat bitsets over dense indexes, the
    backward closure is an int-array stack, and an iteration allocates
    nothing. Budget: one tick per fixpoint pass plus one per state
    popped in the backward closure. *)

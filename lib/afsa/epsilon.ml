@@ -65,7 +65,9 @@ let eliminate ?budget a =
         f := F.and_ a.Afsa.ann.(m) !f;
         for e = a.Afsa.row_off.(m) to a.Afsa.row_off.(m + 1) - 1 do
           edges :=
-            (q, a.Afsa.syms.(a.Afsa.row_sym.(e)), a.Afsa.state_ids.(a.Afsa.row_tgt.(e)))
+            ( q,
+              a.Afsa.syms.(a.Afsa.row_sym.(e)),
+              a.Afsa.state_ids.(a.Afsa.row_tgt.(e)) )
             :: !edges
         done
       done;

@@ -92,13 +92,15 @@ let canonical_renumber m =
     let s = order.(i) in
     map := IMap.add m.Afsa.state_ids.(s) i !map;
     if Bitset.mem m.Afsa.finals s then finals := i :: !finals;
-    if Bitset.mem m.Afsa.ann_nontrivial s then ann := (i, m.Afsa.ann.(s)) :: !ann;
+    if Bitset.mem m.Afsa.ann_nontrivial s then
+      ann := (i, m.Afsa.ann.(s)) :: !ann;
     for e = m.Afsa.eps_off.(s) to m.Afsa.eps_off.(s + 1) - 1 do
       edges := (i, Sym.Eps, newid.(m.Afsa.eps_tgt.(e))) :: !edges
     done;
     for e = m.Afsa.row_off.(s) to m.Afsa.row_off.(s + 1) - 1 do
       edges :=
-        (i, m.Afsa.syms.(m.Afsa.row_sym.(e)), newid.(m.Afsa.row_tgt.(e))) :: !edges
+        (i, m.Afsa.syms.(m.Afsa.row_sym.(e)), newid.(m.Afsa.row_tgt.(e)))
+        :: !edges
     done
   done;
   ( Afsa.make ~alphabet:(Afsa.alphabet m) ~start:0 ~finals:!finals
@@ -386,7 +388,8 @@ let minimize ?budget a =
     let t0 = d.Afsa.row_off.(n) in
     let tt = Array.make (max 1 t0) 0 in
     for q = 0 to n - 1 do
-      Array.fill tt d.Afsa.row_off.(q) (d.Afsa.row_off.(q + 1) - d.Afsa.row_off.(q)) q
+      let lo = d.Afsa.row_off.(q) in
+      Array.fill tt lo (d.Afsa.row_off.(q + 1) - lo) q
     done;
     let tl = d.Afsa.row_sym and th = d.Afsa.row_tgt in
     (* Reachability from the start and co-reachability from the finals

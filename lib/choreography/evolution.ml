@@ -150,11 +150,7 @@ let run_partner_step (config : Config.t) ~owner ~old_public ~new_public
           Engine.direction_of_framework verdict.Classify.framework
         in
         let outcome =
-          (* the evolve-level sink (if any) is already installed; the engine
-             must not re-install it *)
-          Engine.run
-            ~config:{ config with obs = None }
-            ~direction ~a':new_public ~partner_private ()
+          Engine.run ~config ~direction ~a':new_public ~partner_private ()
         in
         (* Self-healing: when the engine's own retry loop could not
            restore consistency, run the amendment search on the failure
@@ -315,9 +311,6 @@ let run_round ?cache (config : Config.t) t owner (changed : Process.t) =
       t'',
       adapted )
 
-let with_config_sink (config : Config.t) f =
-  match config.obs with None -> f () | Some sink -> Obs.with_sink sink f
-
 (* Which of a round's auto-adapted partners still propagate: those
    whose regenerated public differs from what the *pre-round* model [t]
    records for them. *)
@@ -363,7 +356,6 @@ let replay_round (p : progress) ~adapted =
         adapted
 
 let run_from ?(config = Config.default) ?cache ?(on_round = fun _ _ -> ()) p =
-  with_config_sink config @@ fun () ->
   Metrics.incr c_runs;
   Obs.span "evolve"
     ~attrs:[ ("owner", str p.owner); ("max_rounds", int config.max_rounds) ]
@@ -404,8 +396,7 @@ let dry_run ?(config = Config.default) t ~owner ~changed =
   | Error e -> Error e
   | Ok m ->
       Ok
-        ( with_config_sink config @@ fun () ->
-          Obs.span "dry_run" ~attrs:[ ("owner", str owner) ] @@ fun () ->
+        ( Obs.span "dry_run" ~attrs:[ ("owner", str owner) ] @@ fun () ->
           let old_public = m.Model.public_process in
           let new_public = Memo.public changed in
           if Classify.public_unchanged ~old_public ~new_public () then []
@@ -424,8 +415,7 @@ let dry_run ?(config = Config.default) t ~owner ~changed =
                      if Classify.requires_propagation verdict then
                        Some
                          (Engine.run
-                            ~config:
-                              { config with auto_apply = false; obs = None }
+                            ~config:{ config with auto_apply = false }
                             ~direction:
                               (Engine.direction_of_framework
                                  verdict.Classify.framework)

@@ -119,12 +119,6 @@ let announce_all n =
     (fun q -> Send { to_ = q; payload = Announce { public = n.public } })
     (partners n)
 
-(** Has this node mutually agreed with every partner it knows of? Used
-    by the simulator's timeout-driven round termination; the
-    synchronous runner instead detects the drained queue. *)
-let settled n =
-  List.for_all (fun q -> List.assoc_opt q n.acked = Some true) (partners n)
-
 (* Adopt [p'] as this node's private process, re-deriving the public
    exactly as [Model.update] would so both drivers see the same
    automaton. The first adoption of a protocol run snapshots the

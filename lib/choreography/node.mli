@@ -80,7 +80,3 @@ val handle :
     budget — if it trips, the verdict is unknown and the node nacks
     without adapting — and the propagation engine runs under [config]'s
     budgets with its usual degrade policies. *)
-
-val settled : t -> bool
-(** Mutually agreed with every known partner (used for timeout-driven
-    termination in the simulator). *)

@@ -18,7 +18,6 @@ let repair_off =
 type t = {
   auto_apply : bool;
   max_rounds : int;
-  obs : Chorev_obs.Sink.t option;
   jobs : int;
   op_budget : Budget.spec;
   round_budget : Budget.spec;
@@ -30,7 +29,6 @@ let default =
   {
     auto_apply = true;
     max_rounds = 8;
-    obs = None;
     jobs = 0;
     op_budget = Budget.spec_unlimited;
     round_budget = Budget.spec_unlimited;

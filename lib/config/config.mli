@@ -33,9 +33,6 @@ type t = {
   max_rounds : int;
       (** transitive-propagation bound for the whole-choreography
           pipeline (default 8) *)
-  obs : Chorev_obs.Sink.t option;
-      (** trace sink installed for the duration of a run; [None]
-          (default) inherits the ambient {!Chorev_obs.Obs} sink *)
   jobs : int;
       (** domain-pool size for per-partner fan-out and consistency
           sweeps; [0] (default) defers to
@@ -60,7 +57,7 @@ type t = {
 }
 
 val default : t
-(** [auto_apply = true], [max_rounds = 8], no sink, [jobs = 0],
+(** [auto_apply = true], [max_rounds = 8], [jobs = 0],
     unlimited budgets, no cancellation token, [repair = repair_off]. *)
 
 val with_repair :

@@ -84,8 +84,8 @@ let dispose ~old_public ~new_public inst =
     instance — fine for one verdict, ruinous for a million. A {!ctx}
     precomputes everything a verdict needs (ε-closures, the annotated
     emptiness [sat] set) once per public process. After [context]
-    returns the value is sealed: every later operation only reads
-    immutable maps and fully-built hash tables, so one ctx can be
+    returns the value is sealed: every later operation only reads the
+    automaton's arrays and fully-built hash tables, so one ctx can be
     shared by every pool domain without {!Afsa.copy}-per-task. *)
 type ctx = {
   public : Afsa.t;
@@ -108,8 +108,6 @@ let context public =
     closures;
     sat;
   }
-
-let ctx_public ctx = ctx.public
 
 let close ctx set =
   ISet.fold

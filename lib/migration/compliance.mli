@@ -44,9 +44,6 @@ val context : Afsa.t -> ctx
 (** Build the shared verdict context for one public process (takes a
     private {!Afsa.copy}; the argument is not retained). *)
 
-val ctx_public : ctx -> Afsa.t
-(** The context's private copy of the public process (read-only). *)
-
 val check_ctx : ctx -> Instance.t -> verdict
 (** Same verdict as [check (ctx's public)]. Ticks the ambient
     {!Chorev_guard.Budget} once per instance plus once per consumed

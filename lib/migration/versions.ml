@@ -62,7 +62,6 @@ let version_instances v =
   |> List.map snd
 
 let current t = List.hd t.versions
-let current_public t = (current t).public
 let version_numbers t = List.map (fun v -> v.number) t.versions
 let find_version t n = List.find_opt (fun v -> v.number = n) t.versions
 

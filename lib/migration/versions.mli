@@ -23,7 +23,6 @@ type migration_report = {
 
 val create : Afsa.t -> t
 val current : t -> version
-val current_public : t -> Afsa.t
 val version_numbers : t -> int list
 val find_version : t -> int -> version option
 

@@ -45,15 +45,6 @@ let measure f =
   let r = f () in
   (r, diff before (snap ()))
 
-let counters_of d =
-  [
-    ("gc.minor_words", d.minor_w);
-    ("gc.major_words", d.major_w);
-    ("gc.promoted_words", d.promoted_w);
-    ("gc.minor_collections", d.minor_gcs);
-    ("gc.major_collections", d.major_gcs);
-  ]
-
 let c_minor = Metrics.counter "gc.minor_words"
 let c_major = Metrics.counter "gc.major_words"
 let c_promoted = Metrics.counter "gc.promoted_words"

@@ -33,9 +33,6 @@ val diff : snap -> snap -> delta
 val measure : (unit -> 'a) -> 'a * delta
 (** Run the thunk and report what it allocated. *)
 
-val counters_of : delta -> (string * int) list
-(** The delta as [gc.*] counter pairs, in the registry's naming. *)
-
 val record : delta -> unit
 (** Accumulate the delta into the [gc.*] {!Metrics} counters (a no-op
     while metrics are disabled, like every counter bump). *)

@@ -5,7 +5,7 @@
     directly (one load-and-branch of overhead), so instrumentation is
     safe on hot paths. A sink is installed globally ({!set_sink}, used
     by the CLI flags) or for the dynamic extent of one computation
-    ({!with_sink}, used by the [obs] field of [Chorev_config.Config.t]).
+    ({!with_sink}).
 
     Spans nest: the span opened most recently on this execution path is
     the parent of the next one. IDs are unique per process and the

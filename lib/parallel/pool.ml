@@ -224,6 +224,3 @@ let map ?pool f xs =
   | Sequential -> List.map f xs
   | Domains _ when in_worker () -> List.map f xs
   | Domains d -> map_domains d f xs
-
-let map_reduce ?pool ~map:fm ~reduce init xs =
-  List.fold_left reduce init (map ?pool fm xs)

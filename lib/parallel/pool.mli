@@ -4,9 +4,8 @@
 
     Design constraints, in order:
 
-    - {b Determinism.} [map] preserves input order and [map_reduce]
-      folds results in input order, so parallel runs return values
-      structurally equal to sequential ones. Tasks must be pure up to
+    - {b Determinism.} [map] preserves input order, so parallel runs
+      return values structurally equal to sequential ones. Tasks must be pure up to
       the domain-local caches of the lower layers (formula hash-consing
       and simplification memoization are per-domain; automata handed to
       several domains should be passed through {!Chorev_afsa.Afsa.copy}
@@ -66,12 +65,6 @@ val map : ?pool:t -> ('a -> 'b) -> 'a list -> 'b list
     executes chunks alongside the workers. The first exception raised
     by any task is re-raised in the caller after the batch drains.
     Without [?pool], uses {!default}. *)
-
-val map_reduce :
-  ?pool:t -> map:('a -> 'b) -> reduce:('c -> 'b -> 'c) -> 'c -> 'a list -> 'c
-(** [map_reduce ~map ~reduce init xs]: parallel {!map}, then a
-    sequential in-order fold — deterministic even for non-commutative
-    [reduce]. *)
 
 val in_worker : unit -> bool
 (** Is the current domain executing a pool task? (Nested [map]s check

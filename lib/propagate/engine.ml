@@ -80,7 +80,7 @@ let direction_name = function
 (* One algebra step under its own budget, drawn from the round budget:
    the child's spend is charged back, so round fuel bounds the sum of
    all steps. [Budget.charge] re-raises at round level when the round
-   itself trips — caught by the [`Round]-level run in {!run_body}. *)
+   itself trips — caught by the [`Round]-level run in {!run}. *)
 let op_run ~round ~op_spec f =
   let b = Budget.sub round op_spec in
   let r = Budget.run b f in
@@ -197,8 +197,8 @@ let apply_all set p =
     (fun acc s -> Result.bind acc (Suggest.apply s))
     (Ok p) set
 
-(* The pipeline body, once a sink (if any) is installed. *)
-let run_body (config : Config.t) ~direction ~a' ~partner_private =
+(** Run the full pipeline for one partner under [config]. *)
+let run ?(config = Config.default) ~direction ~a' ~partner_private () =
   Metrics.incr c_runs;
   let me = Process.party partner_private in
   Obs.span "propagate"
@@ -345,14 +345,6 @@ let run_body (config : Config.t) ~direction ~a' ~partner_private =
         consistent_after = false;
         degraded;
       }
-
-(** Run the full pipeline for one partner under [config]. *)
-let run ?(config = Config.default) ~direction ~a' ~partner_private () =
-  match config.obs with
-  | None -> run_body config ~direction ~a' ~partner_private
-  | Some sink ->
-      Obs.with_sink sink (fun () ->
-          run_body config ~direction ~a' ~partner_private)
 
 (** Decide the direction from the classification verdict: a purely
     subtractive change propagates subtractively, anything that adds

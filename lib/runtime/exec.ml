@@ -201,9 +201,3 @@ let random_run ?rng ?(max_steps = 1_000) ~seed (s : system) : run =
             go c' (l :: trace) (steps + 1)
   in
   go (initial s) [] 0
-
-let pp_config ppf c =
-  Fmt.pf ppf "{%a}"
-    (Fmt.list ~sep:(Fmt.any "; ") (fun ppf ps ->
-         Fmt.pf ppf "%s@%d" ps.party ps.state))
-    c

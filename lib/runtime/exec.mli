@@ -39,5 +39,3 @@ val random_run :
     pass a caller-owned [Random.State] to thread one stream through
     composed runs (each domain of a pool fan-out must own its own
     state). *)
-
-val pp_config : Format.formatter -> config -> unit

@@ -210,14 +210,16 @@ let oracle lines =
         | Some tn -> Parties.publish tn.migrate tn.model ~party ~instances ~seed)
     | Wire.Stats -> Ok (Wire.Stats_snapshot [])
   in
-  List.map
+  List.filter_map
     (fun line ->
-      let resp =
-        match Wire.request_of_string line with
-        | Error (id, msg) -> { Wire.id; result = Error (`Bad_request msg) }
-        | Ok { Wire.id; op } -> { Wire.id; result = exec op }
-      in
-      Wire.response_to_string resp)
+      if Wire.blank line then None
+      else
+        let resp =
+          match Wire.request_of_string line with
+          | Error (id, msg) -> { Wire.id; result = Error (`Bad_request msg) }
+          | Ok { Wire.id; op } -> { Wire.id; result = exec op }
+        in
+        Some (Wire.response_to_string resp))
     lines
 
 (* ------------------------------------------------------------------ *)
@@ -267,7 +269,7 @@ let replay ?(options = Server.default_options) lines =
           (Server.cycle server reqs);
         batches rest
   in
-  batches lines;
+  batches (List.filter (fun l -> not (Wire.blank l)) lines);
   let elapsed_s = Unix.gettimeofday () -. t0 in
   {
     requests = !total;

@@ -24,9 +24,10 @@ val gen_script :
     1-based stream positions. *)
 
 val oracle : string list -> string list
-(** Expected response lines (one per script line, order preserved),
-    via the direct sequential path. Malformed lines yield the same
-    [bad-request] responses the server would emit. *)
+(** Expected response lines (one per script line that is not
+    {!Wire.blank}, order preserved), via the direct sequential path.
+    Malformed lines yield the same [bad-request] responses the server
+    would emit. *)
 
 type report = {
   requests : int;
@@ -40,9 +41,10 @@ type report = {
 }
 
 val replay : ?options:Server.options -> string list -> report
-(** Push a script through a fresh server in [Server.options.batch]-
-    sized cycles and measure: end-to-end wall time, throughput, shed
-    and error counts, per-op tail latency. *)
+(** Push a script's non-blank lines through a fresh server in
+    [Server.options.batch]-sized cycles, as pipe mode does, and
+    measure: end-to-end wall time, throughput, shed and error counts,
+    per-op tail latency. *)
 
 val pp_report : Format.formatter -> report -> unit
 

@@ -314,7 +314,7 @@ let run_pipe t ic oc =
     else
       match next_line () with
       | None -> (List.rev acc, true)
-      | Some (Ok line) when String.trim line = "" -> read_cycle k acc
+      | Some (Ok line) when Wire.blank line -> read_cycle k acc
       | Some line -> (
           match Result.bind line Wire.request_of_string with
           | Ok r -> read_cycle (k - 1) (R r :: acc)

@@ -76,6 +76,10 @@ val request_of_string : string -> (request, int * string) result
 val max_line : int
 val line_too_long : int * string
 
+val blank : string -> bool
+(** An empty or all-whitespace line: pipe mode, the oracle and replay
+    skip it, and it gets no response. *)
+
 (** {1 Responses} *)
 
 type party_status = {

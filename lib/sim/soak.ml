@@ -193,8 +193,6 @@ let run_inject ?pool ?(runs = 60) ?(inject_at = 10)
       })
     (List.init runs Fun.id)
 
-let inject_all_ok checks = List.for_all inject_ok checks
-
 let pp_inject_check ppf c =
   Fmt.pf ppf "seed=%d class=%s converged=%b agreed=%b repairs=%d cone=%d ok=%b"
     c.i_seed c.i_class c.i_converged c.i_agreed c.i_repairs c.i_cone c.i_ok

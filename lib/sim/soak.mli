@@ -78,5 +78,4 @@ val run_inject :
     no-adapt / generous-repair / fuel-starved. Results are in seed
     order — and identical — at every pool size. *)
 
-val inject_all_ok : inject_check list -> bool
 val pp_inject_check : Format.formatter -> inject_check -> unit

@@ -22,9 +22,8 @@ let evolve_traced () =
   let sink, events = Sink.memory () in
   let rep =
     match
-      Ev.run
-        ~config:{ C.Config.default with obs = Some sink }
-        (procurement ()) ~owner:"A" ~changed:P.accounting_cancel
+      C.Obs.with_sink sink (fun () ->
+          Ev.run (procurement ()) ~owner:"A" ~changed:P.accounting_cancel)
     with
     | Ok r -> r
     | Error (`Unknown_party p) -> failwith p

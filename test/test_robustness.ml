@@ -365,18 +365,19 @@ let bad_request (r : C.Serve.Wire.response) =
 
 let line_cap = 16 * 1024 * 1024
 
+let req id op = C.Serve.Wire.request_to_string { id; op }
+
+let register =
+  C.Serve.Wire.Register
+    {
+      tenant = "t";
+      processes =
+        List.map (fun (_, p) -> C.Bpel.Sexp.process_to_string p) P.parties;
+    }
+
 (* A 20 MB line is answered with the length error and skipped; the
    query after it is still served, and the oracle answers the same. *)
 let test_overlong_line () =
-  let req id op = C.Serve.Wire.request_to_string { id; op } in
-  let register =
-    C.Serve.Wire.Register
-      {
-        tenant = "t";
-        processes =
-          List.map (fun (_, p) -> C.Bpel.Sexp.process_to_string p) P.parties;
-      }
-  in
   let lines =
     [
       req 1 register;
@@ -410,6 +411,29 @@ let test_line_at_cap () =
   | [ r ], _ ->
       check_bool "the decoder's error" true (bad_request r = Some expected)
   | resps, _ -> Alcotest.failf "%d responses, expected 1" (List.length resps)
+
+(* Blank and whitespace-only lines get no response: the pipe, the
+   oracle and replay all skip them. *)
+let test_blank_lines () =
+  let lines =
+    [
+      "";
+      req 1 register;
+      "   ";
+      "\t";
+      req 2 (C.Serve.Wire.Query { tenant = "t" });
+      " \t ";
+      "";
+    ]
+  in
+  let resps, _ = pipe lines in
+  check_bool "the oracle's stream" true
+    (List.map C.Serve.Wire.response_to_string resps
+    = C.Serve.Driver.oracle lines);
+  Alcotest.(check int) "one response per request" 2 (List.length resps);
+  let r = C.Serve.Driver.replay lines in
+  Alcotest.(check int) "replay requests" 2 r.requests;
+  Alcotest.(check int) "replay errors" 0 r.errors
 
 let () =
   Alcotest.run "robustness"
@@ -446,5 +470,6 @@ let () =
         [
           Alcotest.test_case "over-long line skipped" `Quick test_overlong_line;
           Alcotest.test_case "line at the cap decoded" `Quick test_line_at_cap;
+          Alcotest.test_case "blank lines skipped" `Quick test_blank_lines;
         ] );
     ]
