@@ -36,13 +36,13 @@ module SubsetTbl = Hashtbl.Make (SubsetKey)
 
 let int_cmp (x : int) (y : int) = if x < y then -1 else if x > y then 1 else 0
 
-(* Subset construction over the automaton's rows: one budget tick per newly
-   discovered subset, DFS preorder, successor symbols visited ascending
-   and member rows merged target-ascending — the same event order as
-   the map-based [Ablation.determinize_ref], so the output automaton
-   (state numbering, edges, annotation formula structure) and every
-   fuel-bounded outcome are identical to it. Member out-rows are merged
-   into reusable per-symbol target buckets; each bucket is then
+(* Subset construction over the automaton's rows: one budget tick per
+   newly discovered subset, DFS preorder, successor symbols visited
+   ascending and member rows merged target-ascending — the same event
+   order as the map-based [Ablation.determinize_ref], so the output
+   automaton (state numbering, edges, annotation formula structure) and
+   every fuel-bounded outcome are identical to it. Member out-rows are
+   merged into reusable per-symbol target buckets; each bucket is then
    canonicalized to a sorted distinct subset either by an int sort
    (small buckets) or by a stamp-marked counting scan over the dense
    state space (large buckets) — never a [Sym.Map]-of-[ISet]

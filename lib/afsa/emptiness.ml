@@ -67,11 +67,8 @@ let analyze ?budget a =
     match budget with Some b -> b | None -> Budget.ambient ()
   in
   let warning =
-    if
-      Bitset.fold
-        (fun i ok -> ok && F.is_positive a.Afsa.ann.(i))
-        a.Afsa.ann_nontrivial true
-    then None
+    if List.for_all (fun (_, f) -> F.is_positive f) (Afsa.annotations a) then
+      None
     else
       Some
         "annotation contains negation: emptiness fixpoint is an \

@@ -56,11 +56,6 @@ let add_sym buf = function
       Buffer.add_char buf 'l';
       add_str buf (Label.to_string l)
 
-(* an alphabet entry: the bare label *)
-let add_sym_name buf = function
-  | Sym.Eps -> ()
-  | Sym.L l -> add_str buf (Label.to_string l)
-
 (* The automaton's arrays are already in canonical order (ids, symbols
    and rows ascending), so the rendering needs no sorting pass. *)
 let serialize (a : Afsa.t) =
@@ -71,7 +66,7 @@ let serialize (a : Afsa.t) =
   Buffer.add_char buf 'Q';
   Array.iter (add_int buf) a.Afsa.state_ids;
   Buffer.add_char buf 'A';
-  Array.iter (add_sym_name buf) a.Afsa.syms;
+  List.iter (fun l -> add_str buf (Label.to_string l)) (Afsa.alphabet a);
   Buffer.add_char buf 'D';
   for s = 0 to a.Afsa.n - 1 do
     for e = a.Afsa.eps_off.(s) to a.Afsa.eps_off.(s + 1) - 1 do

@@ -8,10 +8,9 @@
     One explicit worklist over int-packed [(l lsl 32) lor r] pair keys
     builds the reachable part (no recursion, so deep products such as
     long ladders cannot overflow the stack). Each popped pair ticks the
-    budget once and merge-walks the two automata's CSR out-rows
-    instead of sweeping the product alphabet. The
-    seed's recursive map-based product stays in {!Ablation} as the
-    differential oracle. *)
+    budget once and merge-walks the two automata's CSR out-rows instead
+    of sweeping the product alphabet. The seed's recursive map-based
+    product stays in {!Ablation} as the differential oracle. *)
 
 module F = Chorev_formula.Syntax
 module Budget = Chorev_guard.Budget
