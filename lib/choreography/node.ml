@@ -3,8 +3,8 @@
 
     One value of {!t} is the *durable* state a party keeps between
     protocol messages: its own private and public process, the last
-    public process each partner announced, and which partners it has
-    (n)acked. The step functions are pure in the network: they never
+    public process each partner announced, and the snapshot an abort
+    restores. The step functions are pure in the network: they never
     send anything themselves — they return a list of {!effect_}s for
     the driver to realize. Two drivers share this module:
 
@@ -61,7 +61,6 @@ type t = {
   mutable public : Afsa.t;
   mutable known_publics : (string * Afsa.t) list;
       (** last public process announced by each partner *)
-  mutable acked : (string * bool) list;  (** partner -> agreed *)
   mutable adapt_log : snapshot option;
       (** state before this node's {e first} adaptation of the current
           protocol run; what an [Abort] restores *)
@@ -77,8 +76,6 @@ let find_known n p = List.assoc_opt p n.known_publics
 
 let set_known n p pub =
   n.known_publics <- (p, pub) :: List.remove_assoc p n.known_publics
-
-let set_acked n p v = n.acked <- (p, v) :: List.remove_assoc p n.acked
 
 (** The node for [party]: private and public process from [current]
     (the owner's node is created after its change is applied), partner
@@ -96,7 +93,6 @@ let of_model ~(before : Model.t) ~(current : Model.t) party =
     private_process = Model.private_ current party;
     public = Model.public current party;
     known_publics = known;
-    acked = [];
     adapt_log = None;
   }
 
@@ -128,7 +124,6 @@ let adopt n ~from_ p' =
   let pre_private = n.private_process and pre_public = n.public in
   n.private_process <- p';
   n.public <- Chorev_mapping.Public_gen.public p';
-  set_acked n from_ true;
   let announces = announce_all n in
   let targets =
     List.filter_map
@@ -158,7 +153,6 @@ let withdraw n ~pre =
   n.private_process <- pre;
   n.public <- Chorev_mapping.Public_gen.public pre;
   n.adapt_log <- None;
-  n.acked <- [];
   List.map (fun q -> Send { to_ = q; payload = Abort }) targets
   @ (Adapted pre :: announce_all n)
 
@@ -172,12 +166,7 @@ let withdraw n ~pre =
 let handle ?(adapt = true) ?(config = Config.default) n ~from_ payload :
     effect_ list =
   match payload with
-  | Ack ->
-      set_acked n from_ true;
-      []
-  | Nack ->
-      set_acked n from_ false;
-      []
+  | Ack | Nack -> []
   | Abort -> (
       (* Withdrawal of a change upstream of us: restore the pre-change
          snapshot if (and only if) we adapted, cascade the abort along
@@ -212,9 +201,7 @@ let handle ?(adapt = true) ?(config = Config.default) n ~from_ payload :
              an adaptation computed against an unverified view could
              diverge between runs *)
           [ Send { to_ = from_; payload = Nack } ]
-      | `Done (true, _) ->
-          set_acked n from_ true;
-          [ Send { to_ = from_; payload = Ack } ]
+      | `Done (true, _) -> [ Send { to_ = from_; payload = Ack } ]
       | `Done (false, their_view) -> (
           let nack = Send { to_ = from_; payload = Nack } in
           if not adapt then [ nack ]

@@ -40,7 +40,6 @@ type t = {
   mutable private_process : Chorev_bpel.Process.t;
   mutable public : Afsa.t;
   mutable known_publics : (string * Afsa.t) list;
-  mutable acked : (string * bool) list;
   mutable adapt_log : snapshot option;
       (** state before this node's first adaptation of the current
           protocol run; what an [Abort] restores *)
