@@ -177,7 +177,8 @@ let csr n m src key =
   off.(n) <- !w;
   (off, if !w = m then buf else Array.sub buf 0 !w)
 
-(* The automaton over explicit parts; annotations are taken as given
+(* The automaton over explicit parts: [states] lists ids to keep even
+   when nothing else mentions them, and annotations are taken as given
    ([True] entries only contribute their state). *)
 let build ~states ~alphabet ~start ~finals ~edges ~ann =
   let state_ids = collect_ids ~start ~states ~finals ~edges ~ann in

@@ -210,17 +210,15 @@ let oracle lines =
         | Some tn -> Parties.publish tn.migrate tn.model ~party ~instances ~seed)
     | Wire.Stats -> Ok (Wire.Stats_snapshot [])
   in
-  List.filter_map
+  List.map
     (fun line ->
-      if Wire.blank line then None
-      else
-        let resp =
-          match Wire.request_of_string line with
-          | Error (id, msg) -> { Wire.id; result = Error (`Bad_request msg) }
-          | Ok { Wire.id; op } -> { Wire.id; result = exec op }
-        in
-        Some (Wire.response_to_string resp))
-    lines
+      let resp =
+        match Wire.request_of_string line with
+        | Error (id, msg) -> { Wire.id; result = Error (`Bad_request msg) }
+        | Ok { Wire.id; op } -> { Wire.id; result = exec op }
+      in
+      Wire.response_to_string resp)
+    (List.filter (fun l -> not (Wire.blank l)) lines)
 
 (* ------------------------------------------------------------------ *)
 (* Replay                                                              *)
