@@ -79,7 +79,7 @@ let sym_id syms sym =
    over the id range when it is at most four times the number of
    occurrences, a sort otherwise. *)
 let collect_ids ~start ~states ~finals ~edges ~ann =
-  let lo = ref start and hi = ref start and cnt = ref 1 in
+  let lo = ref start and hi = ref start and cnt = ref 0 in
   let see q =
     incr cnt;
     if q < !lo then lo := q else if q > !hi then hi := q
