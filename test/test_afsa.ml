@@ -36,7 +36,20 @@ let test_annotations () =
   check_bool "true ann dropped" true (F.equal (A.annotation a 1) F.True);
   check_bool "has ann" true (A.has_annotations a);
   let b = A.clear_annotations a in
-  check_bool "cleared" false (A.has_annotations b)
+  check_bool "cleared" false (A.has_annotations b);
+  (* of several entries for one state the last non-[True] one wins; a
+     state only annotated [True] is still a state *)
+  let c =
+    afsa ~start:0 ~finals:[ 1 ]
+      [ (0, "A#B#x", 1) ]
+      ~ann:
+        [
+          (0, F.var "A#B#x"); (0, F.var "A#B#y"); (0, F.True); (5, F.True);
+        ]
+  in
+  check_bool "last non-true wins" true
+    (F.equal (A.annotation c 0) (F.var "A#B#y"));
+  check_bool "true-annotated state kept" true (List.mem 5 (A.states c))
 
 let test_step_out () =
   let a =
