@@ -128,28 +128,16 @@ let collect_ids ~start ~states ~finals ~edges ~ann =
 (* [a.(lo .. hi-1)] sorted with repeats dropped, moved down to start at
    [dst <= lo]; returns the end of the moved run. *)
 let sort_uniq_into (a : int array) ~dst lo hi =
-  if hi - lo <= 16 then
-    for i = lo + 1 to hi - 1 do
-      let x = a.(i) in
-      let j = ref (i - 1) in
-      while !j >= lo && a.(!j) > x do
-        a.(!j + 1) <- a.(!j);
-        decr j
-      done;
-      a.(!j + 1) <- x
-    done
-  else begin
-    let s = Array.sub a lo (hi - lo) in
-    Array.sort Int.compare s;
-    Array.blit s 0 a lo (hi - lo)
-  end;
+  let s = Array.sub a lo (hi - lo) in
+  Array.sort Int.compare s;
   let w = ref dst in
-  for i = lo to hi - 1 do
-    if !w = dst || a.(!w - 1) <> a.(i) then begin
-      a.(!w) <- a.(i);
-      incr w
-    end
-  done;
+  Array.iter
+    (fun x ->
+      if !w = dst || a.(!w - 1) <> x then begin
+        a.(!w) <- x;
+        incr w
+      end)
+    s;
   !w
 
 (* Rows over [n] sources from the first [m] entries of [src] / [key]:
@@ -315,20 +303,36 @@ let fold_out a i f acc =
 
 (** Successors of [q] on symbol [sym]. *)
 let step a q sym =
-  let i = dense a q and acc = ref ISet.empty in
-  let add t = acc := ISet.add a.state_ids.(t) !acc in
-  (if i >= 0 then
-     match sym with
-     | Sym.Eps ->
-         for e = a.eps_off.(i) to a.eps_off.(i + 1) - 1 do
-           add a.eps_tgt.(e)
-         done
-     | Sym.L _ ->
-         let c = sym_id a.syms sym in
-         for e = a.row_off.(i) to a.row_off.(i + 1) - 1 do
-           if a.row_sym.(e) = c then add a.row_tgt.(e)
-         done);
-  !acc
+  let i = dense a q in
+  let targets tgt lo hi =
+    let acc = ref ISet.empty in
+    for e = lo to hi - 1 do
+      acc := ISet.add a.state_ids.(tgt.(e)) !acc
+    done;
+    !acc
+  in
+  if i < 0 then ISet.empty
+  else
+    match sym with
+    | Sym.Eps -> targets a.eps_tgt a.eps_off.(i) a.eps_off.(i + 1)
+    | Sym.L _ ->
+        (* rows are sorted by symbol id, which orders as [Sym.compare]:
+           [sym]'s run starts at the row's first entry not below it *)
+        let row_end = a.row_off.(i + 1) in
+        let sym_at e = a.syms.(a.row_sym.(e)) in
+        let rec first lo hi =
+          if lo >= hi then lo
+          else
+            let mid = (lo + hi) / 2 in
+            if Sym.compare (sym_at mid) sym < 0 then first (mid + 1) hi
+            else first lo mid
+        in
+        let lo = first a.row_off.(i) row_end in
+        let hi = ref lo in
+        while !hi < row_end && Sym.equal (sym_at !hi) sym do
+          incr hi
+        done;
+        targets a.row_tgt lo !hi
 
 (** All outgoing edges of [q] as [(symbol, target)] pairs. *)
 let out_edges a q =
@@ -703,7 +707,7 @@ let set_finals a finals =
 
 let widen_alphabet a labels =
   let extra = List.filter (fun l -> sym_id a.syms (Sym.L l) < 0) labels in
-  if extra = [] then { a with fp = None }
+  if extra = [] then a
   else
     let syms =
       Array.of_list

@@ -115,7 +115,7 @@ let int_field name j =
    answers a longer one with [line_too_long], as the decoder does. *)
 let max_line = 16 * 1024 * 1024
 let line_too_long = (0, Printf.sprintf "line longer than %d bytes" max_line)
-let blank line = String.trim line = ""
+let blank line = String.length line <= max_line && String.trim line = ""
 
 let request_of_string line =
   if String.length line > max_line then Error line_too_long

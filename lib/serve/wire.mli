@@ -77,8 +77,9 @@ val max_line : int
 val line_too_long : int * string
 
 val blank : string -> bool
-(** An empty or all-whitespace line: pipe mode, the oracle and replay
-    skip it, and it gets no response. *)
+(** An empty or all-whitespace line of at most [max_line] bytes: pipe
+    mode, the oracle and replay skip it, and it gets no response. A
+    longer one is answered with [line_too_long] like any other. *)
 
 (** {1 Responses} *)
 

@@ -413,27 +413,45 @@ let test_line_at_cap () =
   | resps, _ -> Alcotest.failf "%d responses, expected 1" (List.length resps)
 
 (* Blank and whitespace-only lines get no response: the pipe, the
-   oracle and replay all skip them. *)
+   oracle and replay all skip them. A whitespace line over the cap is
+   not blank: all three answer it with the length error. *)
 let test_blank_lines () =
-  let lines =
-    [
-      "";
-      req 1 register;
-      "   ";
-      "\t";
-      req 2 (C.Serve.Wire.Query { tenant = "t" });
-      " \t ";
-      "";
-    ]
+  let same_streams what lines ~responses ~requests ~errors =
+    let resps, _ = pipe lines in
+    check_bool (what ^ ": the oracle's stream") true
+      (List.map C.Serve.Wire.response_to_string resps
+      = C.Serve.Driver.oracle lines);
+    Alcotest.(check int) (what ^ ": responses") responses (List.length resps);
+    let r = C.Serve.Driver.replay lines in
+    Alcotest.(check int) (what ^ ": replay requests") requests r.requests;
+    Alcotest.(check int) (what ^ ": replay errors") errors r.errors;
+    resps
   in
-  let resps, _ = pipe lines in
-  check_bool "the oracle's stream" true
-    (List.map C.Serve.Wire.response_to_string resps
-    = C.Serve.Driver.oracle lines);
-  Alcotest.(check int) "one response per request" 2 (List.length resps);
-  let r = C.Serve.Driver.replay lines in
-  Alcotest.(check int) "replay requests" 2 r.requests;
-  Alcotest.(check int) "replay errors" 0 r.errors
+  ignore
+    (same_streams "short blanks"
+       [
+         "";
+         req 1 register;
+         "   ";
+         "\t";
+         req 2 (C.Serve.Wire.Query { tenant = "t" });
+         " \t ";
+         "";
+       ]
+       ~responses:2 ~requests:2 ~errors:0);
+  match
+    same_streams "blank over the cap"
+      [
+        req 1 register;
+        String.make (line_cap + 1024 * 1024) ' ';
+        req 2 (C.Serve.Wire.Query { tenant = "t" });
+      ]
+      ~responses:3 ~requests:2 ~errors:1
+  with
+  | [ _; long; _ ] ->
+      check_bool "length error, id 0" true
+        (bad_request long = Some (0, "line longer than 16777216 bytes"))
+  | resps -> Alcotest.failf "%d responses, expected 3" (List.length resps)
 
 let () =
   Alcotest.run "robustness"
