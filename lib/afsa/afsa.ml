@@ -131,13 +131,12 @@ let sort_uniq_into (a : int array) ~dst lo hi =
   let s = Array.sub a lo (hi - lo) in
   Array.sort Int.compare s;
   let w = ref dst in
-  Array.iter
-    (fun x ->
-      if !w = dst || a.(!w - 1) <> x then begin
-        a.(!w) <- x;
-        incr w
-      end)
-    s;
+  for k = 0 to hi - lo - 1 do
+    if !w = dst || a.(!w - 1) <> s.(k) then begin
+      a.(!w) <- s.(k);
+      incr w
+    end
+  done;
   !w
 
 (* Rows over [n] sources from the first [m] entries of [src] / [key]:

@@ -41,7 +41,8 @@ type t = private {
     them, resets the lazy CSRs and keeps [fp]. Every modifier returns
     an automaton without [fp]; those that leave the rows alone
     ({!clear_annotations}, {!set_finals}, {!widen_alphabet}) share
-    them together with their lazy CSRs. *)
+    them together with their lazy CSRs. {!widen_alphabet} with no new
+    label returns its argument, as a trim that drops nothing does. *)
 
 (** {1 Construction} *)
 
