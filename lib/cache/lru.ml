@@ -38,7 +38,7 @@ let create ~capacity =
   if capacity < 1 then invalid_arg "Lru.create: capacity must be >= 1";
   {
     capacity;
-    tbl = Hashtbl.create (min capacity 1024);
+    tbl = Hashtbl.create 16; (* grows on demand: most tables stay small *)
     head = None;
     tail = None;
     hits = 0;

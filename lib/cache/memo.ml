@@ -69,7 +69,6 @@ let binop tag raw a b =
       (tag, Fingerprint.digest a, Fingerprint.digest b)
       (fun () -> Intern.canonical (raw a b))
 
-let intersect a b = binop 'i' (fun a b -> Chorev_afsa.Ops.intersect a b) a b
 let difference a b = binop 'd' (fun a b -> Chorev_afsa.Ops.difference a b) a b
 let union a b = binop 'u' (fun a b -> Chorev_afsa.Ops.union a b) a b
 
@@ -81,7 +80,6 @@ let unop tag raw a =
         Intern.canonical (raw a))
 
 let minimize a = unop 'm' (fun a -> Chorev_afsa.Minimize.minimize a) a
-let determinize a = unop 'D' (fun a -> Chorev_afsa.Determinize.determinize a) a
 
 (* the global counters the Lru tables bump *)
 let m_hit = Chorev_obs.Metrics.counter "cache.hit"

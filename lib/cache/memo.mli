@@ -14,26 +14,29 @@ val active : unit -> bool
 (** Is memoization in force right now (ambient budget unlimited)? *)
 
 val tau : observer:string -> Afsa.t -> Afsa.t
-(** Memoized {!Chorev_afsa.View.tau}. *)
+(** Memoized {!Chorev_afsa.View.tau} (the [tau] table). *)
 
-val intersect : Afsa.t -> Afsa.t -> Afsa.t
 val difference : Afsa.t -> Afsa.t -> Afsa.t
 val union : Afsa.t -> Afsa.t -> Afsa.t
-(** Memoized {!Chorev_afsa.Ops}. *)
+(** Memoized {!Chorev_afsa.Ops} (the [binop] table). *)
 
 val minimize : Afsa.t -> Afsa.t
-val determinize : Afsa.t -> Afsa.t
+(** Memoized {!Chorev_afsa.Minimize.minimize} (the [unop] table). *)
 
 val generate : Chorev_bpel.Process.t -> Afsa.t * Chorev_mapping.Table.t
-(** Memoized {!Chorev_mapping.Public_gen.generate}, keyed on the
-    physical process ({!Intern.Proc_tbl}, weak keys): a fresh process,
-    or a structurally equal copy, misses without being rendered. *)
+(** Memoized {!Chorev_mapping.Public_gen.generate} (the [generate]
+    table), keyed on the physical process ({!Intern.Proc_tbl}, weak
+    keys): a fresh process, or a structurally equal copy, misses
+    without being rendered. The choreography model derives every
+    public through it. *)
 
 val public : Chorev_bpel.Process.t -> Afsa.t
 
 val check_verdict : Afsa.t -> Afsa.t -> bool * Label.t list option
 (** Memoized bilateral consistency verdict (consistent?, witness) —
-    the intersection automaton is not retained. *)
+    the [pair] table, keyed by the two views' fingerprints; the
+    intersection automaton is not retained. A repeated all-pairs check
+    is answered here. *)
 
 val consistent : Afsa.t -> Afsa.t -> bool
 

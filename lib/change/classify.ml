@@ -17,12 +17,7 @@
 
 module Afsa = Chorev_afsa.Afsa
 
-type framework = {
-  additive : bool;
-  subtractive : bool;
-  added : Afsa.t;  (** A' \ A — the added message sequences *)
-  removed : Afsa.t;  (** A \ A' — the removed message sequences *)
-}
+type framework = { additive : bool; subtractive : bool }
 
 type propagation = Invariant | Variant [@@deriving eq, show]
 
@@ -32,18 +27,16 @@ type verdict = {
   propagation : propagation;
 }
 
-(** Def. 5 on two versions of (a view of) a public process. The two
-    differences go through the fingerprint-keyed memo tables (inert
-    under a limited ambient budget — see [Chorev_cache.Memo]). *)
+(** Def. 5 on two versions of (a view of) a public process: A′ ∖ A
+    and A ∖ A′ are built and tested for emptiness, and only the two
+    booleans are returned. The differences go through the
+    fingerprint-keyed memo tables (inert under a limited ambient
+    budget — see [Chorev_cache.Memo]). *)
 let framework ~old_public ~new_public () =
+  let nonempty a = not (Chorev_afsa.Emptiness.is_empty_plain a) in
   let added = Chorev_cache.Memo.difference new_public old_public in
   let removed = Chorev_cache.Memo.difference old_public new_public in
-  {
-    additive = not (Chorev_afsa.Emptiness.is_empty_plain added);
-    subtractive = not (Chorev_afsa.Emptiness.is_empty_plain removed);
-    added;
-    removed;
-  }
+  { additive = nonempty added; subtractive = nonempty removed }
 
 (** Def. 6 against one partner. *)
 let propagation ~new_public ~partner_public () =

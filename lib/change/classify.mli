@@ -7,11 +7,11 @@
 module Afsa = Chorev_afsa.Afsa
 
 type framework = {
-  additive : bool;
-  subtractive : bool;
-  added : Afsa.t;  (** A′ ∖ A *)
-  removed : Afsa.t;  (** A ∖ A′ *)
+  additive : bool;  (** A′ ∖ A ≠ ∅ *)
+  subtractive : bool;  (** A ∖ A′ ≠ ∅ *)
 }
+(** Def. 5's two verdicts, without the difference automata they are
+    decided on. *)
 
 type propagation = Invariant | Variant
 

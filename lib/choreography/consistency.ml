@@ -8,7 +8,6 @@ module View = Chorev_afsa.View
 module Metrics = Chorev_obs.Metrics
 module Pool = Chorev_parallel.Pool
 module Memo = Chorev_cache.Memo
-module Lru = Chorev_cache.Lru
 
 type pair_verdict = {
   party_a : string;
@@ -18,8 +17,6 @@ type pair_verdict = {
 }
 
 let c_pairs = Metrics.counter "choreography.consistency.pairs"
-
-type session = (string * string, bool * Chorev_afsa.Label.t list option) Lru.t
 
 (* Bilateral consistency on two members whose names are already
    resolved: each side's view of the other is intersected. The views and
@@ -48,7 +45,7 @@ let consistent_pair t p1 p2 = Result.map (fun v -> v.consistent) (check_pair t p
     {!Chorev_afsa.Afsa.copy} of the public processes so concurrent
     lazy-CSR builds stay domain-local, and order preservation makes the
     result structurally equal to the sequential one. *)
-let check_all ?pool ?session t =
+let check_all ?pool t =
   let tasks =
     List.filter_map
       (fun (a, b) ->
@@ -57,58 +54,18 @@ let check_all ?pool ?session t =
         | Error _, _ | _, Error _ -> None)
       (Model.pairs t)
   in
-  let compute tasks =
-    Pool.map ?pool
-      (fun (a, (m1 : Model.member), b, (m2 : Model.member)) ->
-        check_members a
-          { m1 with public_process = Chorev_afsa.Afsa.copy m1.public_process }
-          b
-          { m2 with public_process = Chorev_afsa.Afsa.copy m2.public_process })
-      tasks
-  in
-  match session with
-  | None -> compute tasks
-  | Some s ->
-      (* Dirty-region pre-pass, in the coordinator: fingerprint each
-         pair's publics (cached digests after the first round) and
-         reuse the session verdict when both fingerprints are
-         unchanged; only dirty pairs fan out. The stitch preserves
-         [Model.pairs] order, so the result is structurally equal to
-         a session-less one. *)
-      let keyed =
-        List.map
-          (fun ((_, (m1 : Model.member), _, (m2 : Model.member)) as task) ->
-            let fp_a = Chorev_afsa.Fingerprint.digest m1.Model.public_process
-            and fp_b = Chorev_afsa.Fingerprint.digest m2.Model.public_process in
-            (task, fp_a, fp_b, Lru.find s (fp_a, fp_b)))
-          tasks
-      in
-      let miss_tasks =
-        List.filter_map
-          (fun (task, _, _, hit) ->
-            if Option.is_none hit then Some task else None)
-          keyed
-      in
-      let computed = compute miss_tasks in
-      let rec stitch keyed computed acc =
-        match keyed with
-        | [] -> List.rev acc
-        | ((a, _, b, _), _, _, Some (consistent, witness)) :: rest ->
-            stitch rest computed
-              ({ party_a = a; party_b = b; consistent; witness } :: acc)
-        | (_, fp_a, fp_b, None) :: rest -> (
-            match computed with
-            | v :: more ->
-                Lru.add s (fp_a, fp_b) (v.consistent, v.witness);
-                stitch rest more (v :: acc)
-            | [] -> assert false)
-      in
-      stitch keyed computed []
+  Pool.map ?pool
+    (fun (a, (m1 : Model.member), b, (m2 : Model.member)) ->
+      check_members a
+        { m1 with public_process = Chorev_afsa.Afsa.copy m1.public_process }
+        b
+        { m2 with public_process = Chorev_afsa.Afsa.copy m2.public_process })
+    tasks
 
 (** The choreography is consistent iff all interacting pairs are. *)
-let consistent ?pool ?session t =
+let consistent ?pool t =
   Chorev_obs.Obs.span "consistency.check_all" @@ fun () ->
-  List.for_all (fun v -> v.consistent) (check_all ?pool ?session t)
+  List.for_all (fun v -> v.consistent) (check_all ?pool t)
 
 (** The protocol agreed between two parties — the paper's
     "A ∩ B ≠ ∅ … the protocol (choreography) between them" (Sec. 4.2):

@@ -10,12 +10,6 @@ type pair_verdict = {
   witness : Chorev_afsa.Label.t list option;
 }
 
-type session =
-  (string * string, bool * Chorev_afsa.Label.t list option) Chorev_cache.Lru.t
-(** Verdicts (consistent?, witness) of earlier {!check_all} calls, keyed
-    by the two public processes' fingerprints. Coordinator-confined:
-    never touched from inside a pool task. *)
-
 val check_pair :
   Model.t ->
   string ->
@@ -25,24 +19,17 @@ val check_pair :
 val consistent_pair :
   Model.t -> string -> string -> (bool, [ `Unknown_party of string ]) result
 
-val check_all :
-  ?pool:Chorev_parallel.Pool.t ->
-  ?session:session ->
-  Model.t ->
-  pair_verdict list
+val check_all : ?pool:Chorev_parallel.Pool.t -> Model.t -> pair_verdict list
 (** One verdict per interacting pair, in [Model.pairs] order. Total:
     broken member entries are skipped, never raised on. The per-pair
     checks fan out over the pool (default {!Chorev_parallel.Pool.default},
     which is sequential unless [--jobs]/[CHOREV_DOMAINS] say otherwise);
     the result is structurally equal to the sequential one for every
     pool size. Views and verdicts go through [Chorev_cache.Memo]'s
-    per-domain tables; [session] additionally reuses verdicts of pairs
-    whose public-process fingerprints are unchanged since an earlier
-    [check_all] with the same session (dirty-region tracking) — only
-    dirty pairs are recomputed. Results are identical either way. *)
+    per-domain tables, so a pair whose views are unchanged since an
+    earlier check in the same domain is answered by the [pair] table. *)
 
-val consistent :
-  ?pool:Chorev_parallel.Pool.t -> ?session:session -> Model.t -> bool
+val consistent : ?pool:Chorev_parallel.Pool.t -> Model.t -> bool
 
 val protocol :
   Model.t ->

@@ -64,24 +64,18 @@ type report = {
 }
 
 (* Cross-round incremental state, owned by the coordinator of one
-   [run] (or one journal replay): a session of bilateral consistency
-   verdicts keyed by public fingerprints, plus a cache of whole
-   per-partner pipeline steps keyed by everything the step reads. Both
-   are LRU-bounded and confined to the coordinator domain — pool tasks
-   never touch them. *)
+   [run] (or one journal replay): a cache of whole per-partner pipeline
+   steps keyed by everything the step reads, LRU-bounded and confined
+   to the coordinator domain — pool tasks never touch it. Repeated pair
+   checks are answered by [Memo]'s [pair] table. *)
 module Cache = struct
   type step = partner_report * Process.t option
   (** Everything a per-partner pipeline step produces. *)
 
-  type t = { session : Consistency.session; steps : (string, step) Lru.t }
+  type t = (string, step) Lru.t
 
-  let capacity = 4096
-
-  let create () =
-    { session = Lru.create ~capacity; steps = Lru.create ~capacity }
-
-  let stats c =
-    [ ("session", Lru.stats c.session); ("steps", Lru.stats c.steps) ]
+  let create () = Lru.create ~capacity:4096
+  let stats c = [ ("steps", Lru.stats c) ]
 end
 
 let c_rounds = Metrics.counter "evolution.rounds"
@@ -120,17 +114,10 @@ let run_partner_step (config : Config.t) ~owner ~old_public ~new_public
   | `Exceeded info ->
       (* Unclassifiable within budget: conservatively leave the partner
          untouched and mark the report as degraded. *)
-      let empty = Afsa.make ~alphabet:[] ~start:0 ~finals:[] ~edges:[] ~ann:[] () in
       let verdict =
         {
           Classify.partner;
-          framework =
-            {
-              Classify.additive = false;
-              subtractive = false;
-              added = empty;
-              removed = empty;
-            };
+          framework = { Classify.additive = false; subtractive = false };
           propagation = Classify.Invariant;
         }
       in
@@ -247,11 +234,7 @@ let run_round ?cache (config : Config.t) t owner (changed : Process.t) =
        steps whose inputs changed. The stitch below preserves partner
        order, so the round report is structurally identical to one
        computed without the step cache. *)
-    let steps =
-      match cache with
-      | Some c when not (Config.budgeted config) -> Some c.Cache.steps
-      | _ -> None
-    in
+    let steps = if Config.budgeted config then None else cache in
     let keyed =
       match steps with
       | None -> List.map (fun task -> (task, None, None)) tasks
@@ -360,13 +343,11 @@ let run_from ?(config = Config.default) ?cache ?(on_round = fun _ _ -> ()) p =
   Obs.span "evolve"
     ~attrs:[ ("owner", str p.owner); ("max_rounds", int config.max_rounds) ]
   @@ fun () ->
-  let session = Option.map (fun c -> c.Cache.session) cache in
   let finish t rounds =
     {
       rounds = List.rev rounds;
       choreography = t;
-      consistent =
-        Consistency.consistent ~pool:(round_pool config) ?session t;
+      consistent = Consistency.consistent ~pool:(round_pool config) t;
     }
   in
   let rec go (p : progress) rounds =

@@ -37,26 +37,22 @@ type report = {
   consistent : bool;
 }
 
-(** Cross-round incremental state for {!run}: a session of bilateral
-    consistency verdicts plus a cache of whole per-partner pipeline
-    steps, both keyed by input fingerprints and LRU-bounded. Owned by
-    the coordinator — create one per logical evolution history and pass
-    it to successive {!run} calls to reuse the work of rounds whose
-    inputs did not change. The step cache stands down when
+(** Cross-round incremental state for {!run}: a cache of whole
+    per-partner pipeline steps, keyed by input fingerprints and
+    LRU-bounded. Owned by the coordinator — create one per logical
+    evolution history and pass it to successive {!run} calls to reuse
+    the work of rounds whose inputs did not change. It stands down when
     [Chorev_config.Config.budgeted config] holds (a cached step could
-    mask a budget trip). *)
+    mask a budget trip). Repeated bilateral checks need no handle: the
+    memo's [pair] table answers them. *)
 module Cache : sig
-  type step = partner_report * Chorev_bpel.Process.t option
-
-  type t = {
-    session : Consistency.session;
-    steps : (string, step) Chorev_cache.Lru.t;
-  }
+  type t
 
   val create : unit -> t
-  (** 4,096 entries per table. *)
+  (** 4,096 entries. *)
 
   val stats : t -> (string * Chorev_cache.Lru.stats) list
+  (** One row, [steps]. *)
 end
 
 val run :
@@ -67,10 +63,10 @@ val run :
   changed:Chorev_bpel.Process.t ->
   (report, [ `Unknown_party of string ]) result
 (** Evolve the choreography by replacing [owner]'s private process with
-    [changed]. Total in [owner]. With [cache], per-partner steps and
-    bilateral verdicts whose fingerprinted inputs are unchanged since
-    an earlier run with the same handle are reused verbatim; the
-    report is structurally identical to a cache-less run. *)
+    [changed]. Total in [owner]. With [cache], per-partner steps whose
+    fingerprinted inputs are unchanged since an earlier run with the
+    same handle are reused verbatim; the report is structurally
+    identical to a cache-less run. *)
 
 (** {2 Resumable runs}
 

@@ -20,11 +20,14 @@ type member = {
 
 type t = { members : member SMap.t }
 
+(* Publics are derived through [Chorev_cache.Memo.generate] here as in
+   {!update}, so the engine's later [Memo.generate] of a registered
+   partner finds the public this model already holds. *)
 let of_processes procs =
   let members =
     List.fold_left
       (fun acc (p : Process.t) ->
-        let public_process, table = Chorev_mapping.Public_gen.generate p in
+        let public_process, table = Chorev_cache.Memo.generate p in
         if SMap.mem (Process.party p) acc then
           invalid_arg
             (Printf.sprintf "Choreography.of_processes: duplicate party %s"

@@ -14,7 +14,8 @@ type member = {
 type t
 
 val of_processes : Chorev_bpel.Process.t list -> t
-(** Raises [Invalid_argument] on duplicate parties. *)
+(** Publics and tables come from [Chorev_cache.Memo.generate], as in
+    {!update}. Raises [Invalid_argument] on duplicate parties. *)
 
 val parties : t -> string list
 val member : t -> string -> member option

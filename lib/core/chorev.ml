@@ -174,8 +174,8 @@ end
 
 module Discovery = Chorev_discovery.Registry
 
-(* Incremental re-checking: interning, memoization, dirty-region
-   sessions (DESIGN.md §10) *)
+(* Incremental re-checking: interning and memoization (DESIGN.md §10);
+   the cross-round step cache is [Choreography.Evolution.Cache] *)
 module Cache = struct
   module Lru = Chorev_cache.Lru
   module Intern = Chorev_cache.Intern

@@ -2,9 +2,9 @@
 
     Tenants (one evolving choreography each, keyed by name) are spread
     over [shards] hash shards; each shard's mutex guards the models and
-    per-tenant {!Chorev_choreography.Evolution.Cache} sessions inside
-    it, so requests for different tenants proceed concurrently while a
-    tenant's own history stays strictly ordered. A single
+    per-tenant {!Chorev_choreography.Evolution.Cache} step caches
+    inside it, so requests for different tenants proceed concurrently
+    while a tenant's own history stays strictly ordered. A single
     {!Chorev_discovery.Registry} (behind its own lock) spans all
     shards: every party's public process is registered under
     ["tenant/party"], interned and fingerprint-deduped across tenants,

@@ -174,7 +174,6 @@ let memo_agrees name memo raw =
     (List.init n_seeds Fun.id)
 
 let test_memo_binops () =
-  memo_agrees "intersect" Memo.intersect C.Ops.intersect;
   memo_agrees "difference" Memo.difference C.Ops.difference;
   memo_agrees "union" Memo.union C.Ops.union
 
@@ -186,10 +185,6 @@ let test_memo_unops_and_tau () =
         (Printf.sprintf "minimize memo = raw (seed %d)" s)
         true
         (A.structurally_equal (Memo.minimize x) (C.Minimize.minimize x));
-      check_bool
-        (Printf.sprintf "determinize memo = raw (seed %d)" s)
-        true
-        (C.Equiv.equal_annotated (Memo.determinize x) (C.Determinize.determinize x));
       check_bool
         (Printf.sprintf "tau memo = raw (seed %d)" s)
         true
@@ -278,7 +273,7 @@ let test_memo_inert_under_budget () =
     C.Guard.Budget.run b (fun () ->
         check_bool "inactive under finite fuel" false (Memo.active ());
         let a, b = pair_of_seed 3 in
-        C.Equiv.equal_annotated (Memo.intersect a b) (C.Ops.intersect a b))
+        C.Equiv.equal_annotated (Memo.difference a b) (C.Ops.difference a b))
   with
   | `Done ok -> check_bool "raw path still correct" true ok
   | `Exceeded _ -> Alcotest.fail "budget tripped unexpectedly"
@@ -323,17 +318,9 @@ let test_never_stale_under_churn () =
 
 (* ----------------- cached vs memo-inert end-to-end ------------------ *)
 
-(* Verdicts hold automata, whose cached-digest field differs between
-   memoized and raw runs; project them down to plain data plus the
-   structural content of added/removed. *)
-let project_verdict (v : C.Change.Classify.verdict) =
-  ( v.partner,
-    v.framework.additive,
-    v.framework.subtractive,
-    FP.digest v.framework.added,
-    FP.digest v.framework.removed,
-    v.propagation )
-
+(* Verdicts are plain data; outcomes hold automata, whose cached-digest
+   field differs between memoized and raw runs, so only their presence
+   is compared. *)
 let project (r : C.Choreography.Evolution.report) =
   ( r.consistent,
     List.map
@@ -342,7 +329,7 @@ let project (r : C.Choreography.Evolution.report) =
           rd.public_changed,
           List.map
             (fun (p : C.Choreography.Evolution.partner_report) ->
-              (p.partner, project_verdict p.verdict, Option.is_some p.outcome))
+              (p.partner, p.verdict, Option.is_some p.outcome))
             rd.partners ))
       r.rounds )
 
@@ -447,17 +434,57 @@ let test_step_cache_stands_down () =
       ("repair fuel", C.Config.with_repair ~fuel:1000 C.Config.default);
     ]
 
-let test_check_all_session () =
+(* A repeated all-pairs check is answered by the memo's [pair] table:
+   the second pass equals the first, takes one [pair] hit per pair and
+   builds no product. Sequential, so every lookup lands in this
+   domain's tables. *)
+let test_check_all_repeat () =
   let hub_p, spokes = C.Workload.Scale.hub 5 in
   let model = C.Choreography.Model.of_processes (hub_p :: spokes) in
-  let plain = C.Choreography.Consistency.check_all model in
-  let session = Lru.create ~capacity:64 in
-  let first = C.Choreography.Consistency.check_all ~session model in
-  let second = C.Choreography.Consistency.check_all ~session model in
-  check_bool "session first = plain" true (first = plain);
-  check_bool "session warm = plain" true (second = plain);
-  let s = Lru.stats session in
-  check_int "warm pass all hits" (List.length plain) s.Lru.hits
+  let check_all () =
+    C.Choreography.Consistency.check_all ~pool:C.Parallel.Pool.sequential model
+  in
+  let pair_hits () = (List.assoc "pair" (Memo.stats ())).Lru.hits in
+  let products () =
+    List.assoc "afsa.product.pairs" (C.Obs.Metrics.counters ())
+  in
+  C.Obs.Metrics.enabled := true;
+  Fun.protect ~finally:(fun () -> C.Obs.Metrics.enabled := false) @@ fun () ->
+  let first = check_all () in
+  check_int "hub 5: five pairs" 5 (List.length first);
+  let hits = pair_hits () and pairs = products () in
+  let second = check_all () in
+  check_bool "second pass = first" true (second = first);
+  check_int "one pair hit per pair" (hits + 5) (pair_hits ());
+  check_int "no product pair" pairs (products ())
+
+(* [Model.of_processes] derives publics through [Memo.generate]: its
+   publics and tables equal the raw generator's, and a later generation
+   of a registered process is a hit returning the public the model
+   holds. *)
+let test_of_processes_memoized () =
+  Memo.reset ();
+  let procs = List.map snd C.Scenario.Procurement.parties in
+  let model = C.Choreography.Model.of_processes procs in
+  let generate = List.assoc "generate" (Memo.stats ()) in
+  List.iter
+    (fun p ->
+      let party = C.Bpel.Process.party p in
+      let public, table = C.Public_gen.generate p in
+      Alcotest.(check string)
+        (party ^ ": public = raw") (FP.hex public)
+        (FP.hex (C.Choreography.Model.public model party));
+      Alcotest.(check string)
+        (party ^ ": table = raw") (C.Table.to_string table)
+        (C.Table.to_string (C.Choreography.Model.table model party));
+      check_bool (party ^ ": memo returns the model's public") true
+        (fst (Memo.generate p) == C.Choreography.Model.public model party))
+    procs;
+  let after = List.assoc "generate" (Memo.stats ()) in
+  check_int "a hit per process"
+    (generate.Lru.hits + List.length procs)
+    after.Lru.hits;
+  check_int "no further miss" generate.Lru.misses after.Lru.misses
 
 (* --------------------- discovery by fingerprint --------------------- *)
 
@@ -528,7 +555,10 @@ let () =
             test_evolution_cached_equals_uncached;
           Alcotest.test_case "step cache stands down under budgets" `Quick
             test_step_cache_stands_down;
-          Alcotest.test_case "check_all session" `Quick test_check_all_session;
+          Alcotest.test_case "check_all repeat hits the pair table" `Quick
+            test_check_all_repeat;
+          Alcotest.test_case "of_processes goes through the memo" `Quick
+            test_of_processes_memoized;
         ] );
       ( "discovery",
         [

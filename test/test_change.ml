@@ -172,9 +172,7 @@ let test_framework_additive () =
   let new_public = C.View.tau ~observer:"B" (gen P.accounting_cancel) in
   let f = Cl.framework ~old_public ~new_public () in
   check_bool "additive" true f.Cl.additive;
-  check_bool "not subtractive" false f.Cl.subtractive;
-  check_bool "added automaton nonempty" false
-    (C.Emptiness.is_empty_plain f.Cl.added)
+  check_bool "not subtractive" false f.Cl.subtractive
 
 let test_framework_subtractive () =
   let old_public = C.View.tau ~observer:"B" (gen P.accounting_process) in

@@ -159,6 +159,9 @@ let test_counters_fig5_product () =
     (counter_value "afsa.emptiness.iterations" >= 1)
 
 let test_counters_evolution_pipeline () =
+  (* the memo is shared by this executable's tests: start it cold, so
+     the generation count below does not depend on test order *)
+  C.Cache.Memo.reset ();
   with_metrics @@ fun () ->
   (match Ev.run (procurement ()) ~owner:"A" ~changed:P.accounting_cancel with
   | Ok rep -> check_bool "consistent" true rep.Ev.consistent
