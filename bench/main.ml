@@ -540,10 +540,9 @@ let repair_changes =
 let repair_amend_test ~name changed =
   t name (fun () ->
       let direction, outcome = repair_failed_check changed in
-      let policy = (C.Config.with_repair C.Config.default).C.Config.repair in
       let t' = Lazy.force procurement in
       let r =
-        C.Repair.Amend.search ~policy ~direction
+        C.Repair.Amend.search ~budget:C.Guard.Budget.spec_unlimited ~direction
           ~partner_private:(C.Choreography.Model.private_ t' "B")
           ~view_new:outcome.C.Propagate.Engine.analysis.C.Propagate.Engine.view_new
           ~delta:outcome.C.Propagate.Engine.analysis.C.Propagate.Engine.delta ()

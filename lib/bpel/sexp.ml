@@ -306,7 +306,5 @@ let process_of_string s : (Process.t, string) result =
   try Ok (process_of_sexp (parse_sexp s)) with
   | Parse_error e -> Error e
 
-let activity_to_string a = sexp_to_string (to_sexp a)
-
 let activity_of_string s : (t, string) result =
   try Ok (of_sexp (parse_sexp s)) with Parse_error e -> Error e

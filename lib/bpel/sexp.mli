@@ -25,5 +25,4 @@ val processes_digest : (string * string) list -> string
     private processes, keyed by party, that journals seal and the serve
     wire reports. *)
 
-val activity_to_string : Activity.t -> string
 val activity_of_string : string -> (Activity.t, string) result

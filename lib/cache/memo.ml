@@ -51,7 +51,7 @@ let make_tables () =
 let dls = Domain.DLS.new_key make_tables
 let tables () = Domain.DLS.get dls
 
-(** Memoize only when no fuel/deadline/cancellation is in force. *)
+(** Memoize only when no fuel or deadline is in force. *)
 let active () = Budget.is_unlimited (Budget.ambient ())
 
 let tau ~observer a =

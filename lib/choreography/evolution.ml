@@ -16,7 +16,7 @@
     Auto-applied partner adaptations themselves count as changes of
     those partners' private processes; the pipeline re-runs for them
     (transitive propagation) until the choreography is quiescent or
-    [config.max_rounds] is reached.
+    [max_rounds] (8) rounds have run.
 
     Tracing: one span per Fig. 4 step — [evolve] wraps the whole run,
     each round is a [round] span containing [regenerate] (public aFSA
@@ -44,7 +44,7 @@ type partner_report = {
   outcome : Engine.outcome option;  (** [None] for invariant changes *)
   repair : Chorev_repair.Amend.result option;
       (** the amendment search run when the engine left this partner
-          inconsistent and [config.repair.enabled] — [Some] with
+          inconsistent and [config.repair] is set — [Some] with
           [repaired = Some _] means the partner was self-healed *)
   degraded : Degrade.t list;
       (** classification-level budget trips; engine-level ones are on
@@ -78,6 +78,8 @@ module Cache = struct
   let stats c = [ ("steps", Lru.stats c) ]
 end
 
+let max_rounds = 8
+
 let c_rounds = Metrics.counter "evolution.rounds"
 let c_runs = Metrics.counter "evolution.runs"
 
@@ -101,7 +103,7 @@ let run_partner_step (config : Config.t) ~owner ~old_public ~new_public
   (* Classification runs under its own op budget, minted here — inside
      the pool task — so the same (input, fuel) pair trips identically
      at every pool size. *)
-  let class_budget = Budget.of_spec ?cancel:config.cancel config.op_budget in
+  let class_budget = Budget.of_spec config.op_budget in
   match
     Budget.run class_budget (fun () ->
         (* [Memo] wrappers stand down by themselves when the ambient
@@ -145,18 +147,17 @@ let run_partner_step (config : Config.t) ~owner ~old_public ~new_public
            [Amend.search], i.e. inside this pool task — fuel
            determinism across pool sizes is preserved. *)
         let repair =
-          if
-            config.auto_apply && config.repair.enabled
-            && Option.is_none outcome.Engine.adapted
-            && not outcome.Engine.consistent_after
-          then
-            Some
-              (Chorev_repair.Amend.search ?cancel:config.cancel
-                 ~policy:config.repair ~direction
-                 ~partner_private
-                 ~view_new:outcome.Engine.analysis.Engine.view_new
-                 ~delta:outcome.Engine.analysis.Engine.delta ())
-          else None
+          match config.repair with
+          | Some budget
+            when config.auto_apply
+                 && Option.is_none outcome.Engine.adapted
+                 && not outcome.Engine.consistent_after ->
+              Some
+                (Chorev_repair.Amend.search ~budget ~direction
+                   ~partner_private
+                   ~view_new:outcome.Engine.analysis.Engine.view_new
+                   ~delta:outcome.Engine.analysis.Engine.delta ())
+          | _ -> None
         in
         let adapted =
           match outcome.Engine.adapted with
@@ -166,12 +167,6 @@ let run_partner_step (config : Config.t) ~owner ~old_public ~new_public
         in
         ({ partner; verdict; outcome = Some outcome; repair; degraded = [] },
          adapted)
-
-(* The pool a round fans out over: [config.jobs] if positive, else the
-   process default ([--jobs] / [CHOREV_DOMAINS], sequential when
-   unset). *)
-let round_pool (config : Config.t) =
-  Pool.sized (if config.jobs > 0 then config.jobs else Pool.default_size ())
 
 (* One round: [changed] replaces [owner]'s private process; returns the
    round report, the updated choreography, and the list of partners
@@ -187,7 +182,7 @@ let round_pool (config : Config.t) =
 (* A whole per-partner step is reusable across rounds iff nothing it
    reads changed and nothing non-deterministic could perturb it: the
    key covers every input ([owner]'s old/new publics, the partner's
-   public and private processes, [auto_apply], the repair policy), and
+   public and private processes, [auto_apply], whether repair is on), and
    the step cache is armed only when no budget could trip
    ([Config.budgeted]) — a cached report would silently skip the
    trip. *)
@@ -202,9 +197,7 @@ let step_key (config : Config.t) ~owner ~old_fp ~new_fp ~partner ~partner_public
       Chorev_afsa.Fingerprint.digest partner_public;
       Chorev_cache.Intern.process_digest partner_private;
       (if config.auto_apply then "1" else "0");
-      (if config.repair.enabled then
-         Fmt.str "r%d/%d" config.repair.max_candidates config.repair.max_edits
-       else "r0");
+      (if Option.is_some config.repair then "r1" else "r0");
     ]
 
 let run_round ?cache (config : Config.t) t owner (changed : Process.t) =
@@ -256,7 +249,7 @@ let run_round ?cache (config : Config.t) t owner (changed : Process.t) =
         keyed
     in
     let computed =
-      Pool.map ~pool:(round_pool config)
+      Pool.map
         (fun (partner, partner_public, partner_private) ->
           run_partner_step config ~owner
             ~old_public:(Afsa.copy old_public)
@@ -341,19 +334,19 @@ let replay_round (p : progress) ~adapted =
 let run_from ?(config = Config.default) ?cache ?(on_round = fun _ _ -> ()) p =
   Metrics.incr c_runs;
   Obs.span "evolve"
-    ~attrs:[ ("owner", str p.owner); ("max_rounds", int config.max_rounds) ]
+    ~attrs:[ ("owner", str p.owner); ("max_rounds", int max_rounds) ]
   @@ fun () ->
   let finish t rounds =
     {
       rounds = List.rev rounds;
       choreography = t;
-      consistent = Consistency.consistent ~pool:(round_pool config) t;
+      consistent = Consistency.consistent t;
     }
   in
   let rec go (p : progress) rounds =
     match p.pending with
     | [] -> finish p.model rounds
-    | _ when p.rounds_run >= config.max_rounds -> finish p.model rounds
+    | _ when p.rounds_run >= max_rounds -> finish p.model rounds
     | (owner, proc) :: _ ->
         let round, t', adapted = run_round ?cache config p.model owner proc in
         on_round round adapted;

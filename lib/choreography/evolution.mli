@@ -1,8 +1,8 @@
 (** The controlled-evolution pipeline of the paper's Fig. 4 across all
     partners, with transitive propagation: auto-applied partner
     adaptations are themselves changes and re-enter the pipeline until
-    quiescence or [config.max_rounds]. Every Fig. 4 step runs inside a
-    trace span (see DESIGN.md §7).
+    quiescence or 8 rounds. Every Fig. 4 step runs inside a trace span
+    (see DESIGN.md §7).
 
     Every entry point takes one {!Chorev_config.Config.t} (default
     [Chorev_config.Config.default]). Algebra steps go through
@@ -16,7 +16,7 @@ type partner_report = {
       (** [None] for invariant changes *)
   repair : Chorev_repair.Amend.result option;
       (** the amendment search run when the engine left this partner
-          inconsistent and [config.repair.enabled]; [Some] with
+          inconsistent and [config.repair] is set; [Some] with
           [repaired = Some _] means the partner was self-healed and
           the amended process propagated like any auto-adaptation *)
   degraded : Chorev_guard.Degrade.t list;
@@ -100,11 +100,10 @@ val run_from :
   ?on_round:(round -> (string * Chorev_bpel.Process.t) list -> unit) ->
   progress ->
   report
-(** {!run}'s loop from [progress]: at most [config.max_rounds] rounds
-    in all, counting those already run. [on_round round adapted] sees
-    each round and its auto-adapted partners before the loop moves on —
-    a durable driver's commit point. The report's [rounds] are the
-    rounds this call ran. *)
+(** {!run}'s loop from [progress]: at most 8 rounds in all, counting
+    those already run. [on_round round adapted] sees each round and its
+    auto-adapted partners before the loop moves on — a durable driver's
+    commit point. The report's [rounds] are the rounds this call ran. *)
 
 val dry_run :
   ?config:Chorev_config.Config.t ->

@@ -123,7 +123,7 @@ let announce_all n =
 let adopt n ~from_ p' =
   let pre_private = n.private_process and pre_public = n.public in
   n.private_process <- p';
-  n.public <- Chorev_mapping.Public_gen.public p';
+  n.public <- Chorev_cache.Memo.public p';
   let announces = announce_all n in
   let targets =
     List.filter_map
@@ -151,7 +151,7 @@ let adopt n ~from_ p' =
 let withdraw n ~pre =
   let targets = partners n in
   n.private_process <- pre;
-  n.public <- Chorev_mapping.Public_gen.public pre;
+  n.public <- Chorev_cache.Memo.public pre;
   n.adapt_log <- None;
   List.map (fun q -> Send { to_ = q; payload = Abort }) targets
   @ (Adapted pre :: announce_all n)
@@ -185,7 +185,7 @@ let handle ?(adapt = true) ?(config = Config.default) n ~from_ payload :
       let previous = find_known n from_ in
       set_known n from_ public;
       (* local bilateral check on views, under an op budget *)
-      let budget = Budget.of_spec ?cancel:config.cancel config.op_budget in
+      let budget = Budget.of_spec config.op_budget in
       let checked =
         Budget.run budget (fun () ->
             let my_view = Chorev_afsa.View.tau ~budget ~observer:from_ n.public in
@@ -208,9 +208,7 @@ let handle ?(adapt = true) ?(config = Config.default) n ~from_ payload :
           else
             (* run the local propagation engine; on success, adopt the
                adaptation and announce it *)
-            let fb =
-              Budget.of_spec ?cancel:config.cancel config.op_budget
-            in
+            let fb = Budget.of_spec config.op_budget in
             match
               Budget.run fb (fun () ->
                   Chorev_change.Classify.framework
@@ -232,21 +230,20 @@ let handle ?(adapt = true) ?(config = Config.default) n ~from_ payload :
                     (* self-healing fallback: the engine's retry loop is
                        exhausted — search for a partner amendment on the
                        failure counterexample *)
-                    let policy = config.repair in
-                    if not policy.Config.enabled then [ nack ]
-                    else
-                      let r =
-                        Chorev_repair.Amend.search ?cancel:config.cancel
-                          ~policy ~direction
-                          ~partner_private:n.private_process
-                          ~view_new:outcome.Engine.analysis.Engine.view_new
-                          ~delta:outcome.Engine.analysis.Engine.delta ()
-                      in
-                      (match r.Chorev_repair.Amend.repaired with
-                      | None -> [ nack ]
-                      | Some (p', _) ->
-                          let description =
-                            Option.value ~default:"amended"
-                              r.Chorev_repair.Amend.chosen
-                          in
-                          nack :: Repaired description :: adopt n ~from_ p')))
+                    match config.repair with
+                    | None -> [ nack ]
+                    | Some budget -> (
+                        let r =
+                          Chorev_repair.Amend.search ~budget ~direction
+                            ~partner_private:n.private_process
+                            ~view_new:outcome.Engine.analysis.Engine.view_new
+                            ~delta:outcome.Engine.analysis.Engine.delta ()
+                        in
+                        match r.Chorev_repair.Amend.repaired with
+                        | None -> [ nack ]
+                        | Some (p', _) ->
+                            let description =
+                              Option.value ~default:"amended"
+                                r.Chorev_repair.Amend.chosen
+                            in
+                            nack :: Repaired description :: adopt n ~from_ p')))

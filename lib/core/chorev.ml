@@ -40,9 +40,8 @@
       (DESIGN.md §10)
 
     {2 Robustness}
-    - {!Guard} — fuel/deadline budgets, cooperative cancellation and
-      graceful-degradation markers for the algebra hot loops
-      (DESIGN.md §9)
+    - {!Guard} — fuel/deadline budgets and graceful-degradation
+      markers for the algebra hot loops (DESIGN.md §9)
     - {!Wal} — durable runs (plan.json + checksummed journal.jsonl)
       under every crash-safe driver, and {!Journal} — the resumable
       evolution driver on top of them (DESIGN.md §9.3)
@@ -83,7 +82,6 @@ module Trace = Chorev_afsa.Trace
 module Fingerprint = Chorev_afsa.Fingerprint
 module Equiv = Chorev_afsa.Equiv
 module Dot = Chorev_afsa.Dot
-module Serialize = Chorev_afsa.Serialize
 
 (* Process substrate *)
 module Bpel = struct
@@ -117,7 +115,6 @@ module Choreography = struct
   module Model = Chorev_choreography.Model
   module Consistency = Chorev_choreography.Consistency
   module Evolution = Chorev_choreography.Evolution
-  module Node = Chorev_choreography.Node
   module Protocol = Chorev_choreography.Protocol
   module Global = Chorev_choreography.Global
 end
@@ -126,7 +123,7 @@ end
    per-request server overrides are all the same type) *)
 module Config = Chorev_config.Config
 
-(* Resource governance: budgets, cancellation, degrade markers *)
+(* Resource governance: budgets and degrade markers *)
 module Guard = struct
   module Budget = Chorev_guard.Budget
   module Degrade = Chorev_guard.Degrade

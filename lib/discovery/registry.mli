@@ -7,9 +7,10 @@
     every advertised public process is interned (structurally equal
     publics share one physical aFSA) and keyed by its structural
     fingerprint, entries carry a {e stable id} and a {e version}, and
-    {!find_by_structure} is a hash lookup — no automata algebra — so a
-    tenant store holding thousands of choreographies can dedup and
-    re-advertise on every evolution at O(1) cost. *)
+    {!find_by_structure} is a hash lookup — no automata algebra. The
+    tenant store re-advertises every party through {!register} after
+    each evolution and reads ids and versions back with
+    {!find_by_name}. *)
 
 module Afsa = Chorev_afsa.Afsa
 module Label = Chorev_afsa.Label
@@ -78,8 +79,7 @@ val find_by_structure : t -> Afsa.t -> entry list
     the equivalence [structurally_equal] decides), looked up in the
     fingerprint index: O(1) plus the digest of the probe automaton
     (itself cached on the automaton), never an automata-algebra
-    operation. The serving layer's tenant store keys on this to dedup
-    identical publics across tenants. *)
+    operation. *)
 
 val mem_structure : t -> Afsa.t -> bool
 

@@ -1,22 +1,14 @@
-(** Budgets: fuel + deadline + cancellation (see budget.mli). *)
+(** Budgets: fuel + deadline (see budget.mli). *)
 
 module Metrics = Chorev_obs.Metrics
 
-module Cancel = struct
-  type t = bool Atomic.t
-
-  let create () = Atomic.make false
-  let cancel t = Atomic.set t true
-  let cancelled t = Atomic.get t
-end
-
-type reason = [ `Fuel | `Deadline | `Cancelled ]
+type reason = [ `Fuel | `Deadline ]
 type info = { reason : reason; spent : int; elapsed_s : float }
 
 exception Expired of info
 
-(* Deadline and cancellation are only polled every [poll_mask + 1]
-   ticks so the hot path stays a decrement and two compares. *)
+(* The deadline is only polled every [poll_mask + 1] ticks so the hot
+   path stays a decrement and two compares. *)
 let poll_mask = 255
 
 type t = {
@@ -26,7 +18,6 @@ type t = {
   mutable tripped : info option;
   deadline : float; (* absolute, infinity = none *)
   started : float;
-  cancel : Cancel.t option;
 }
 
 let now () = Unix.gettimeofday ()
@@ -39,10 +30,9 @@ let unlimited =
     tripped = None;
     deadline = infinity;
     started = 0.;
-    cancel = None;
   }
 
-let create ?fuel ?timeout_s ?cancel () =
+let create ?fuel ?timeout_s () =
   let started = now () in
   {
     fuel_left = (match fuel with Some f -> max 0 f | None -> max_int);
@@ -52,7 +42,6 @@ let create ?fuel ?timeout_s ?cancel () =
     deadline =
       (match timeout_s with Some s -> started +. s | None -> infinity);
     started;
-    cancel;
   }
 
 type spec = { fuel : int option; timeout_s : float option }
@@ -60,9 +49,9 @@ type spec = { fuel : int option; timeout_s : float option }
 let spec_unlimited = { fuel = None; timeout_s = None }
 let spec_is_unlimited s = s.fuel = None && s.timeout_s = None
 
-let of_spec ?cancel spec =
-  if spec_is_unlimited spec && cancel = None then unlimited
-  else create ?fuel:spec.fuel ?timeout_s:spec.timeout_s ?cancel ()
+let of_spec spec =
+  if spec_is_unlimited spec then unlimited
+  else create ?fuel:spec.fuel ?timeout_s:spec.timeout_s ()
 
 let is_unlimited b = b == unlimited
 let spent b = b.spent
@@ -76,13 +65,7 @@ let trip b reason =
   Metrics.incr exceeded_total;
   raise (Expired info)
 
-let poll b =
-  (match b.cancel with
-  | Some c when Cancel.cancelled c -> trip b `Cancelled
-  | _ -> ());
-  if now () > b.deadline then trip b `Deadline
-
-let check b = if b != unlimited then poll b
+let poll b = if now () > b.deadline then trip b `Deadline
 
 let tick_slow b =
   (* trip when a tick is {e attempted} with no fuel left, so a fuel-N
@@ -119,7 +102,6 @@ let sub b spec =
       tripped = None;
       deadline;
       started;
-      cancel = b.cancel;
     }
 
 let charge b n =
@@ -167,7 +149,6 @@ let run b f =
 let pp_reason ppf = function
   | `Fuel -> Fmt.string ppf "fuel"
   | `Deadline -> Fmt.string ppf "deadline"
-  | `Cancelled -> Fmt.string ppf "cancelled"
 
 let pp_info ppf i =
   Fmt.pf ppf "%a after %d units (%.3fs)" pp_reason i.reason i.spent

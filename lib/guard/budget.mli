@@ -1,25 +1,16 @@
 (** Resource budgets for the aFSA algebra and the evolution pipeline.
 
-    A budget bounds a computation three ways at once: a {e fuel} counter
-    (deterministic — one unit per worklist iteration), a wall-clock
-    {e deadline}, and a cooperative {e cancellation} token. Hot loops
-    call {!tick} once per iteration; when any bound trips, the loop is
+    A budget bounds a computation two ways at once: a {e fuel} counter
+    (deterministic — one unit per worklist iteration) and a wall-clock
+    {e deadline}. Hot loops call {!tick} once per iteration; when
+    either bound trips, the loop is
     unwound with {!Expired} and {!run} converts that into a typed
     [`Exceeded] result instead of a hang or a crash.
 
     The {!unlimited} budget is a physical singleton and {!tick} on it is
     a single pointer comparison, so un-budgeted callers pay nothing. *)
 
-(** Cooperative cancellation token, safe to trip from any domain. *)
-module Cancel : sig
-  type t
-
-  val create : unit -> t
-  val cancel : t -> unit
-  val cancelled : t -> bool
-end
-
-type reason = [ `Fuel | `Deadline | `Cancelled ]
+type reason = [ `Fuel | `Deadline ]
 
 type info = {
   reason : reason;  (** which bound tripped *)
@@ -36,7 +27,7 @@ type t
 val unlimited : t
 (** The no-op budget (physical singleton — never mutated). *)
 
-val create : ?fuel:int -> ?timeout_s:float -> ?cancel:Cancel.t -> unit -> t
+val create : ?fuel:int -> ?timeout_s:float -> unit -> t
 (** Fresh budget; omitted bounds are unbounded. [timeout_s] is measured
     from creation. *)
 
@@ -47,18 +38,14 @@ type spec = { fuel : int option; timeout_s : float option }
 val spec_unlimited : spec
 val spec_is_unlimited : spec -> bool
 
-val of_spec : ?cancel:Cancel.t -> spec -> t
+val of_spec : spec -> t
 (** Mint a fresh budget from a spec. Returns {!unlimited} (the
-    singleton) when the spec has no bounds and no cancel token. *)
+    singleton) when the spec has no bounds. *)
 
 val is_unlimited : t -> bool
 val tick : t -> unit [@@inline]
 (** Consume one unit of fuel and (amortized, every ~256 ticks) poll the
-    deadline and cancellation token. @raise Expired when a bound trips. *)
-
-val check : t -> unit
-(** Poll deadline/cancellation immediately without consuming fuel.
-    @raise Expired when a bound trips. *)
+    deadline. @raise Expired when a bound trips. *)
 
 val spent : t -> int
 (** Fuel consumed so far. *)
@@ -69,7 +56,7 @@ val exceeded : t -> info option
 val sub : t -> spec -> t
 (** [sub parent spec] mints a child budget: fuel capped by both the
     spec and the parent's remaining fuel, deadline the earlier of the
-    two, sharing the parent's cancellation token. The child's spend is
+    two. The child's spend is
     not reflected in the parent automatically — account it back with
     [charge parent (spent child)] once the child step finishes. *)
 

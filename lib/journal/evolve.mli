@@ -70,7 +70,8 @@ val resume :
 (** Finish a (possibly interrupted) run: committed rounds are replayed,
     the rest run live and are committed; a sealed run is replayed and
     its digest and verdict checked. [config] must match the original run's
-    ([auto_apply] and budgets change results; [jobs] does not). *)
+    ([auto_apply], budgets and [repair] change results; the pool size
+    does not). *)
 
 val model_digest : Chorev_choreography.Model.t -> string
 (** Hex digest over every party's name and private-process sexp, in

@@ -206,7 +206,7 @@ let run ?(config = Config.default) ~direction ~a' ~partner_private () =
       [ ("partner", str me); ("direction", str (direction_name direction)) ]
   @@ fun () ->
   let public_b, table_b = Memo.generate partner_private in
-  let round = Budget.of_spec ?cancel:config.cancel config.round_budget in
+  let round = Budget.of_spec config.round_budget in
   let op_spec = config.op_budget in
   let pipeline () =
     let analysis =

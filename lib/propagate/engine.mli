@@ -67,9 +67,9 @@ val run :
   unit ->
   outcome
 (** Run the full pipeline for one partner under [config] (default
-    [Chorev_config.Config.default]): its budgets, cancellation token,
-    [auto_apply] and [obs]. [max_rounds], [jobs] and [repair] are read
-    by [Evolution], not by [run]. *)
+    [Chorev_config.Config.default]): its op and round budgets and
+    [auto_apply]. [repair] is read by [Evolution] and [Node], not by
+    [run]. *)
 
 val direction_of_framework : Chorev_change.Classify.framework -> direction
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -42,6 +42,8 @@ type result = {
           the candidate queue *)
 }
 
+let max_candidates = 64
+
 let c_attempts = Metrics.counter "repair.attempts"
 let c_repaired = Metrics.counter "repair.repaired"
 
@@ -233,23 +235,18 @@ let pairs singles =
     singles
 
 (** The bounded candidate queue for one witness, smallest edit first:
-    every single-edit candidate (in witness-label order), then — when
-    the policy allows a second edit — every ordered pair, the whole
-    queue truncated at [max_candidates]. Deterministic: depends only on
-    the process, the witness and the policy. *)
-let candidates ~(policy : Chorev_config.Config.repair)
-    ~(direction : Engine.direction) (p : Process.t) (w : Label.t list) :
-    candidate list =
+    every single-edit candidate (in witness-label order), then every
+    ordered pair, the whole queue truncated at [max_candidates].
+    Deterministic: depends only on the process and the witness. *)
+let candidates ~(direction : Engine.direction) (p : Process.t)
+    (w : Label.t list) : candidate list =
   let per_label =
     match direction with
     | Engine.Additive -> additive_singles p
     | Engine.Subtractive -> subtractive_singles p
   in
   let singles = List.concat_map per_label (distinct_labels w) in
-  let all =
-    if policy.max_edits >= 2 then singles @ pairs singles else singles
-  in
-  List.filteri (fun i _ -> i < policy.max_candidates) all
+  List.filteri (fun i _ -> i < max_candidates) (singles @ pairs singles)
 
 (* --------------------------- the search --------------------------- *)
 
@@ -260,21 +257,20 @@ let apply_ops ops p =
 
     [view_new] is what the partner must be consistent with (τ_P(A')),
     [delta] the difference automaton the witness is extracted from.
-    The search budget is minted here from [policy.repair_budget] — the
-    caller invokes [search] inside the pool task, so fuel-only budgets
-    trip identically at every pool size. *)
-let search ?cancel ~(policy : Chorev_config.Config.repair)
-    ~direction ~partner_private ~view_new ~delta () : result =
+    The search budget is minted here from [budget] — the caller invokes
+    [search] inside the pool task, so fuel-only budgets trip
+    identically at every pool size. *)
+let search ~budget ~direction ~partner_private ~view_new ~delta () : result =
   let me = Process.party partner_private in
   Obs.span "repair.amend" ~attrs:[ ("partner", str me) ] @@ fun () ->
   let witness = Suggest.witness delta in
-  let b = Budget.of_spec ?cancel policy.repair_budget in
+  let b = Budget.of_spec budget in
   let attempts = ref 0 in
   let searched () =
     match witness with
     | None -> None
     | Some w ->
-        let queue = candidates ~policy ~direction partner_private w in
+        let queue = candidates ~direction partner_private w in
         Obs.span "repair.queue"
           ~attrs:[ ("candidates", int (List.length queue)) ] (fun () -> ());
         List.find_map

@@ -8,8 +8,11 @@
     branch) / delete / unroll, smallest edit first. Each candidate is
     re-verified with the same consistency decision procedure the
     engine uses. The whole search runs under one budget minted from
-    the policy, so it is fuel-deterministic across pool sizes and
-    degrades to "unrepairable" rather than hanging. *)
+    the caller's spec, so it is fuel-deterministic across pool sizes
+    and degrades to "unrepairable" rather than hanging. *)
+
+val max_candidates : int
+(** Bound on the candidate queue per failed step: 64. *)
 
 type candidate = {
   ops : Chorev_change.Ops.t list;
@@ -35,19 +38,17 @@ type result = {
 }
 
 val candidates :
-  policy:Chorev_config.Config.repair ->
   direction:Chorev_propagate.Engine.direction ->
   Chorev_bpel.Process.t ->
   Chorev_afsa.Label.t list ->
   candidate list
 (** The bounded queue for one witness, smallest edit first: cost-1
-    candidates in witness-label order, then (when [max_edits >= 2])
-    ordered pairs, truncated at [max_candidates]. Deterministic in the
-    process, witness and policy. Exposed for tests and the bench. *)
+    candidates in witness-label order, then ordered pairs, truncated
+    at {!max_candidates}. Deterministic in the process and witness.
+    Exposed for tests and the bench. *)
 
 val search :
-  ?cancel:Chorev_guard.Budget.Cancel.t ->
-  policy:Chorev_config.Config.repair ->
+  budget:Chorev_guard.Budget.spec ->
   direction:Chorev_propagate.Engine.direction ->
   partner_private:Chorev_bpel.Process.t ->
   view_new:Chorev_afsa.Afsa.t ->
@@ -57,9 +58,9 @@ val search :
 (** Run the amendment search for one failed bilateral check:
     [view_new] is what the partner must be consistent with (τ_P(A')),
     [delta] the difference automaton the witness is extracted from.
-    The search budget is minted inside this call from
-    [policy.repair_budget] — invoke it inside the pool task and
-    fuel-only budgets trip identically at every pool size.
+    The search budget is minted inside this call from [budget] —
+    invoke it inside the pool task and fuel-only budgets trip
+    identically at every pool size.
     Verification goes through [Chorev_cache.Memo.consistent] when the
     search budget is unlimited; a bounded search ticks its budget on
     every check instead.

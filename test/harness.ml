@@ -1,7 +1,8 @@
 (* Shared by the durable-run suites (journal, migrate, repair, serve):
    scratch directories and the kill-and-resume harness that crashes a
    run after each of its records through the one
-   [Chorev_wal.Run.Simulated_crash] hook. *)
+   [Chorev_wal.Run.Simulated_crash] hook. The pool-size suites (guard,
+   cache, perf_equiv, repair) share [with_jobs]. *)
 
 let counter = ref 0
 
@@ -48,3 +49,11 @@ let every_crash_point ~name ~records ~crashed ~resume expected =
       (Printf.sprintf "%s: kill@%d + resume byte-identical" name k)
       expected (resume k dir)
   done
+
+(* Run [f] with the process-wide default pool size set to [n] (what
+   [--jobs n] does), restoring the previous size afterwards. *)
+let with_jobs n f =
+  let module Pool = Chorev.Parallel.Pool in
+  let previous = Pool.default_size () in
+  Pool.set_default_size n;
+  Fun.protect ~finally:(fun () -> Pool.set_default_size previous) f

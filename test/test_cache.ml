@@ -368,14 +368,10 @@ let test_evolution_cached_equals_uncached () =
   let lookups = memo_lookups () in
   let baseline =
     match
+      Harness.with_jobs 1 @@ fun () ->
       C.Guard.Budget.run (C.Guard.Budget.of_spec ample) (fun () ->
           evolve_cancel
-            {
-              C.Config.default with
-              jobs = 1;
-              op_budget = ample;
-              round_budget = ample;
-            })
+            { C.Config.default with op_budget = ample; round_budget = ample })
     with
     | `Done r -> r
     | `Exceeded _ -> Alcotest.fail "ample fuel ran out"
@@ -384,7 +380,10 @@ let test_evolution_cached_equals_uncached () =
   List.iter
     (fun jobs ->
       let handle = C.Choreography.Evolution.Cache.create () in
-      let run () = evolve_cancel ~cache:handle { C.Config.default with jobs } in
+      let run () =
+        Harness.with_jobs jobs (fun () ->
+            evolve_cancel ~cache:handle C.Config.default)
+      in
       (* twice with one handle: the second run replays entirely from
          the step cache and must still match the memo-inert baseline *)
       let first = run () in
@@ -413,26 +412,37 @@ let test_evolution_cached_equals_uncached () =
 
 (* The step cache must stand down whenever a budget could trip: a
    reused step would skip the trip. Two runs on one shared handle under
-   each bounded config make no step-cache lookup at all. *)
+   each bounded config make no step-cache lookup at all; repair with an
+   unlimited search budget keeps the cache armed. *)
 let test_step_cache_stands_down () =
+  let steps config =
+    let handle = C.Choreography.Evolution.Cache.create () in
+    ignore (evolve_cancel ~cache:handle config);
+    ignore (evolve_cancel ~cache:handle config);
+    List.assoc "steps" (C.Choreography.Evolution.Cache.stats handle)
+  in
   List.iter
     (fun (what, config) ->
-      let handle = C.Choreography.Evolution.Cache.create () in
-      ignore (evolve_cancel ~cache:handle config);
-      ignore (evolve_cancel ~cache:handle config);
-      let stats = C.Choreography.Evolution.Cache.stats handle in
-      let s = List.assoc "steps" stats in
+      let s = steps config in
       check_int (what ^ ": no step-cache lookup") 0 (s.Lru.hits + s.Lru.misses))
     [
       ( "finite op budget",
         C.Config.with_budgets
           ~op_budget:{ C.Guard.Budget.fuel = Some 1_000_000; timeout_s = None }
           C.Config.default );
-      ( "cancel token",
-        C.Config.with_budgets ~cancel:(C.Guard.Budget.Cancel.create ())
+      ( "finite round budget",
+        C.Config.with_budgets
+          ~round_budget:
+            { C.Guard.Budget.fuel = Some 1_000_000; timeout_s = None }
+          C.Config.default );
+      ( "deadline-only op budget",
+        C.Config.with_budgets
+          ~op_budget:{ C.Guard.Budget.fuel = None; timeout_s = Some 3600. }
           C.Config.default );
       ("repair fuel", C.Config.with_repair ~fuel:1000 C.Config.default);
-    ]
+    ];
+  check_bool "unlimited repair: the step cache hits" true
+    ((steps (C.Config.with_repair C.Config.default)).Lru.hits > 0)
 
 (* A repeated all-pairs check is answered by the memo's [pair] table:
    the second pass equals the first, takes one [pair] hit per pair and
@@ -485,6 +495,28 @@ let test_of_processes_memoized () =
     (generate.Lru.hits + List.length procs)
     after.Lru.hits;
   check_int "no further miss" generate.Lru.misses after.Lru.misses
+
+(* A node adopting an adaptation derives its public through the memo:
+   the buyer answering the cancel change's announce holds the very
+   automaton [Memo.public] returns for the adapted process. *)
+let test_node_adopts_through_memo () =
+  let module Node = Chorev_choreography.Node in
+  let module P = C.Scenario.Procurement in
+  let before = procurement_model () in
+  let current = C.Choreography.Model.update before P.accounting_cancel in
+  let node = Node.of_model ~before ~current P.buyer in
+  let effects =
+    Node.handle node ~from_:P.accounting
+      (Node.Announce
+         { public = C.Choreography.Model.public current P.accounting })
+  in
+  match
+    List.find_map (function Node.Adapted p -> Some p | _ -> None) effects
+  with
+  | None -> Alcotest.fail "the buyer must adapt to the cancel change"
+  | Some p' ->
+      check_bool "node public is the memo's" true
+        (node.Node.public == Memo.public p')
 
 (* --------------------- discovery by fingerprint --------------------- *)
 
@@ -559,6 +591,8 @@ let () =
             test_check_all_repeat;
           Alcotest.test_case "of_processes goes through the memo" `Quick
             test_of_processes_memoized;
+          Alcotest.test_case "node adopts through the memo" `Quick
+            test_node_adopts_through_memo;
         ] );
       ( "discovery",
         [

@@ -213,7 +213,7 @@ let test_unknown_party_total () =
    unknown parties come back as typed errors, never exceptions. *)
 let test_config_entry_points () =
   let t = procurement () in
-  let config = { C.Config.default with max_rounds = 4 } in
+  let config = C.Config.default in
   (match Ev.run ~config t ~owner:"A" ~changed:P.accounting_cancel with
   | Ok rep -> check_bool "run with config consistent" true rep.Ev.consistent
   | Error (`Unknown_party p) -> Alcotest.fail ("unknown party " ^ p));

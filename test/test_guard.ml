@@ -71,18 +71,6 @@ let test_run_does_not_eat_foreign_trips () =
   | `Done () | `Exceeded _ -> Alcotest.fail "outer trip must escape inner run"
   | exception B.Expired info -> check_bool "outer's info" true (info.B.reason = `Fuel)
 
-let test_cancellation () =
-  let c = B.Cancel.create () in
-  let b = B.create ~cancel:c () in
-  (* not cancelled: check passes *)
-  B.check b;
-  B.Cancel.cancel c;
-  check_bool "token cancelled" true (B.Cancel.cancelled c);
-  match B.check b with
-  | () -> Alcotest.fail "check after cancel must raise"
-  | exception B.Expired info ->
-      check_bool "cancelled reason" true (info.B.reason = `Cancelled)
-
 let test_sub_and_charge () =
   let parent = B.create ~fuel:100 () in
   let child = B.sub parent { B.fuel = Some 1_000; timeout_s = None } in
@@ -147,13 +135,11 @@ let degraded_signature report =
 
 let run_with ~jobs ~fuel t changed =
   let config =
-    {
-      C.Config.default with
-      jobs;
-      op_budget = { B.fuel; timeout_s = None };
-    }
+    { C.Config.default with op_budget = { B.fuel; timeout_s = None } }
   in
-  match Ev.run ~config t ~owner:"A" ~changed with
+  match
+    Harness.with_jobs jobs (fun () -> Ev.run ~config t ~owner:"A" ~changed)
+  with
   | Ok rep -> rep
   | Error (`Unknown_party p) -> Alcotest.failf "unknown party %s" p
 
@@ -338,7 +324,6 @@ let () =
             test_run_converts_expired;
           Alcotest.test_case "foreign trips escape" `Quick
             test_run_does_not_eat_foreign_trips;
-          Alcotest.test_case "cancellation" `Quick test_cancellation;
           Alcotest.test_case "sub/charge composition" `Quick
             test_sub_and_charge;
         ] );

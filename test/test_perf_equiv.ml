@@ -168,9 +168,9 @@ let test_evolution_pool_invariant () =
       (List.map snd C.Scenario.Procurement.parties)
   in
   let run jobs =
-    let config = { C.Config.default with jobs } in
+    Harness.with_jobs jobs @@ fun () ->
     match
-      C.Choreography.Evolution.run ~config model ~owner:"A"
+      C.Choreography.Evolution.run model ~owner:"A"
         ~changed:C.Scenario.Procurement.accounting_cancel
     with
     | Ok r -> r
@@ -727,10 +727,10 @@ let test_fuel_pool_parity () =
     let config =
       {
         C.Config.default with
-        jobs;
         op_budget = { B.spec_unlimited with fuel = Some 200 };
       }
     in
+    Harness.with_jobs jobs @@ fun () ->
     match
       C.Choreography.Evolution.run ~config model ~owner:"A"
         ~changed:C.Scenario.Procurement.accounting_cancel

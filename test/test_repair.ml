@@ -105,13 +105,13 @@ let test_witness () =
 
 (* --------------------------- Amend.search -------------------------- *)
 
-let policy_of c = c.C.Config.repair
+let budget_of c = Option.get c.C.Config.repair
 
 let test_amend_success () =
   let t, a', direction, outcome = failed_check () in
-  let policy = policy_of C.Config.(with_repair default) in
+  let budget = budget_of C.Config.(with_repair default) in
   let r =
-    Amend.search ~policy ~direction
+    Amend.search ~budget ~direction
       ~partner_private:(M.private_ t P.buyer)
       ~view_new:outcome.E.analysis.E.view_new ~delta:outcome.E.analysis.E.delta
       ()
@@ -133,11 +133,11 @@ let test_amend_success () =
 
 let test_amend_unrepairable () =
   let t, _, direction, outcome = failed_check () in
-  let policy = policy_of C.Config.(with_repair default) in
+  let budget = budget_of C.Config.(with_repair default) in
   (* a language-empty delta: no counterexample to anchor candidates on *)
   let empty = C.Afsa.make ~start:0 ~finals:[] ~edges:[] () in
   let r =
-    Amend.search ~policy ~direction
+    Amend.search ~budget ~direction
       ~partner_private:(M.private_ t P.buyer)
       ~view_new:outcome.E.analysis.E.view_new ~delta:empty ()
   in
@@ -147,9 +147,9 @@ let test_amend_unrepairable () =
 
 let test_amend_starved () =
   let t, _, direction, outcome = failed_check () in
-  let policy = policy_of C.Config.(with_repair ~fuel:5 default) in
+  let budget = budget_of C.Config.(with_repair ~fuel:5 default) in
   let r =
-    Amend.search ~policy ~direction
+    Amend.search ~budget ~direction
       ~partner_private:(M.private_ t P.buyer)
       ~view_new:outcome.E.analysis.E.view_new ~delta:outcome.E.analysis.E.delta
       ()
@@ -160,9 +160,9 @@ let test_amend_starved () =
 
 let test_amend_deterministic () =
   let t, _, direction, outcome = failed_check () in
-  let policy = policy_of C.Config.(with_repair default) in
+  let budget = budget_of C.Config.(with_repair default) in
   let search () =
-    Amend.search ~policy ~direction
+    Amend.search ~budget ~direction
       ~partner_private:(M.private_ t P.buyer)
       ~view_new:outcome.E.analysis.E.view_new ~delta:outcome.E.analysis.E.delta
       ()
@@ -175,29 +175,20 @@ let test_amend_deterministic () =
 
 let test_candidates_queue () =
   let t, _, direction, outcome = failed_check () in
-  let policy = policy_of C.Config.(with_repair default) in
   let witness =
     match C.Propagate.Suggest.witness outcome.E.analysis.E.delta with
     | Some w -> w
     | None -> Alcotest.fail "no witness"
   in
-  let cs = Amend.candidates ~policy ~direction (M.private_ t P.buyer) witness in
+  let cs = Amend.candidates ~direction (M.private_ t P.buyer) witness in
   check_bool "queue is non-empty" true (cs <> []);
   check_bool "bounded by max_candidates" true
-    (List.length cs <= policy.C.Config.max_candidates);
+    (List.length cs <= Amend.max_candidates);
   let costs = List.map (fun c -> c.Amend.cost) cs in
   check_bool "smallest edit first (cost monotone)" true
     (List.sort compare costs = costs);
-  check_bool "costs within max_edits" true
-    (List.for_all (fun k -> k >= 1 && k <= policy.C.Config.max_edits) costs);
-  (* max_edits = 1 disables pair candidates *)
-  let singles =
-    Amend.candidates
-      ~policy:(policy_of C.Config.(with_repair ~max_edits:1 default))
-      ~direction (M.private_ t P.buyer) witness
-  in
-  check_bool "max_edits=1 keeps only singletons" true
-    (List.for_all (fun c -> c.Amend.cost = 1) singles)
+  check_bool "costs are one or two edits" true
+    (List.for_all (fun k -> k = 1 || k = 2) costs)
 
 (* --------------------------- Rollback.cone ------------------------- *)
 
@@ -416,12 +407,11 @@ let deletion_change () =
 let test_evolution_repair_jobs () =
   let t, a' = deletion_change () in
   let report jobs =
-    let config =
-      { (C.Config.with_repair C.Config.default) with C.Config.jobs = jobs }
-    in
+    Harness.with_jobs jobs @@ fun () ->
     match
-      C.Choreography.Evolution.run ~config (M.copy t) ~owner:P.accounting
-        ~changed:a'
+      C.Choreography.Evolution.run
+        ~config:(C.Config.with_repair C.Config.default)
+        (M.copy t) ~owner:P.accounting ~changed:a'
     with
     | Error (`Unknown_party p) -> Alcotest.failf "unknown party %s" p
     | Ok r -> r
