@@ -120,6 +120,27 @@ let test_snapshot_roundtrip () =
     (C.Bpel.Sexp.process_to_string l.ER.plan.JE.changed);
   check_bool "records are empty" true (l.ER.records = [])
 
+(* [model_digest] is on the serve wire and in every evolve seal, so its
+   bytes are pinned: the procurement model, and the two-party models of
+   [Gen_process.pair] seeds 0-9. *)
+let test_model_digest_pinned () =
+  check_string "procurement" "622726fcef7c10d8f22a80c3883a1cd1"
+    (JE.model_digest (procurement ()));
+  List.iteri
+    (fun seed expected ->
+      let a, b = C.Workload.Gen_process.pair ~seed () in
+      check_string
+        (Printf.sprintf "pair seed %d" seed)
+        expected
+        (JE.model_digest (M.of_processes [ a; b ])))
+    [
+      "2c331e2d4f4843103f5b208ffd83cc22"; "59d884d664e9c9bb2d1e8e2a9b00cfc7";
+      "b910454ea24e6b5ee64e1f1ac4239baf"; "8682945496a9b1348299075a05dc4774";
+      "43f9f2118a683a1f08db187cf9b36dc9"; "8d3e52c8f1dfe90e350c3e727c17a94b";
+      "78e9b1dcb62f2b49135853d81e94d2c8"; "262fb5735bc511fe93b76a387040b024";
+      "08394eb82ae5976a2088ea578505f9e4"; "4edc4964b84d74120e9ba4885cf0e518";
+    ]
+
 (* A crashed run whose plan is missing, unreadable or edited is
    damaged: loading it — and so resuming it — is an [Error], never an
    escaping exception. *)
@@ -465,6 +486,8 @@ let () =
             test_torn_at_every_offset;
           Alcotest.test_case "snapshot round-trip" `Quick
             test_snapshot_roundtrip;
+          Alcotest.test_case "model digest pinned" `Quick
+            test_model_digest_pinned;
           Alcotest.test_case "damaged snapshot is an error" `Quick
             test_damaged_snapshot_is_error;
         ] );

@@ -437,9 +437,13 @@ let test_generation_corpus () =
 
 (* --------------------------- differential vs the ref --------------- *)
 
+(* Each input is also printed by both process printers, which must
+   write the same bytes (test/sexp_ref.ml keeps the tree printer). *)
 let agrees name p =
   if not (Public_gen_ref.agrees p) then
-    Alcotest.failf "%s: automaton or table differs from the ref" name
+    Alcotest.failf "%s: automaton or table differs from the ref" name;
+  if not (Sexp_ref.agrees p) then
+    Alcotest.failf "%s: printed process differs from the tree printer" name
 
 let test_differential_corpus () =
   let deeper =
@@ -498,6 +502,23 @@ let random_process seed =
 let test_differential_random () =
   for seed = 0 to 9_999 do
     agrees (Printf.sprintf "random %d" seed) (random_process seed)
+  done
+
+(* The same block structures with every atom redrawn from all bytes but
+   the carriage return, which only the tree printer leaves bare. The
+   redrawn names need not be in the registry, so only the printers are
+   compared. *)
+let test_differential_random_atoms () =
+  for seed = 0 to 9_999 do
+    let rng = Random.State.make [| seed; 1 |] in
+    let p =
+      Sexp_ref.map_atoms
+        (fun _ -> Sexp_ref.random_atom rng Sexp_ref.all_but_cr ())
+        (random_process seed)
+    in
+    if not (Sexp_ref.agrees p) then
+      Alcotest.failf "random %d: printed process differs from the tree printer"
+        seed
   done
 
 (* Every [Suggest.apply] result of the retry sets [Engine.analyze]'s
@@ -638,5 +659,7 @@ let () =
             test_differential_suggestions;
           Alcotest.test_case "random block structures" `Quick
             test_differential_random;
+          Alcotest.test_case "random block structures, random atoms" `Quick
+            test_differential_random_atoms;
         ] );
     ]

@@ -179,6 +179,37 @@ let test_pp_stability () =
     (X.process_to_string P.buyer_process)
     (X.process_to_string P.buyer_process)
 
+(* ------------------------------ printer ---------------------------- *)
+
+(* Every process of the benchmark-sized serve script
+   ([serve --gen-script --tenants 1000 --requests 5000 --seed 42]):
+   both printers write the same bytes, and printing what was read gives
+   back the bytes the script carries. test_mapping's differential group
+   compares the printers on the procurement processes, the generator
+   families, suggestion results and random block structures. *)
+let test_printer_serve_script () =
+  let module W = C.Serve.Wire in
+  let sexps =
+    List.concat_map
+      (fun line ->
+        match W.request_of_string line with
+        | Ok { W.op = W.Register { processes; _ }; _ } -> processes
+        | Ok { W.op = W.Evolve { changed; _ }; _ } -> [ changed ]
+        | _ -> [])
+      (C.Serve.Driver.gen_script ~tenants:1000 ~requests:5000 ~seed:42 ())
+  in
+  Alcotest.(check int) "processes in the script" 2996 (List.length sexps);
+  List.iteri
+    (fun i s ->
+      match X.process_of_string s with
+      | Error e -> Alcotest.failf "process %d: %s" i e
+      | Ok p ->
+          if not (Sexp_ref.agrees p) then
+            Alcotest.failf "process %d: differs from the tree printer" i;
+          if not (String.equal (X.process_to_string p) s) then
+            Alcotest.failf "process %d: reprinted bytes differ" i)
+    sexps
+
 let () =
   Alcotest.run "serialize"
     [
@@ -207,5 +238,10 @@ let () =
             test_roundtrip_preserves_public;
           Alcotest.test_case "stable" `Quick test_pp_stability;
           QCheck_alcotest.to_alcotest prop_process_roundtrip;
+        ] );
+      ( "printer",
+        [
+          Alcotest.test_case "seed-42 serve script" `Quick
+            test_printer_serve_script;
         ] );
     ]
