@@ -1,47 +1,18 @@
 (** S-expression persistence for private processes.
 
-    A minimal self-contained s-expression reader/printer (atoms are
-    quoted when they contain whitespace or parentheses) plus encoders
-    and decoders for {!Activity.t}, {!Types.registry} and
-    {!Process.t}. [Process.t ⇄ string] round-trips exactly. *)
+    A minimal self-contained s-expression reader, a printer that writes
+    a {!Process.t} straight into one buffer, and decoders for
+    {!Activity.t}, {!Types.registry} and {!Process.t}.
+    [Process.t ⇄ string] round-trips exactly, for every atom. *)
 
 type sexp = Atom of string | List of sexp list
 
-(* ------------------------------ printing --------------------------- *)
-
-let needs_quotes s =
-  s = ""
-  || String.exists (fun c -> List.mem c [ ' '; '\t'; '\n'; '('; ')'; '"' ]) s
-
-let quote s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
-
-let rec print_sexp buf = function
-  | Atom s -> Buffer.add_string buf (if needs_quotes s then quote s else s)
-  | List items ->
-      Buffer.add_char buf '(';
-      List.iteri
-        (fun i item ->
-          if i > 0 then Buffer.add_char buf ' ';
-          print_sexp buf item)
-        items;
-      Buffer.add_char buf ')'
-
-let sexp_to_string s =
-  let buf = Buffer.create 256 in
-  print_sexp buf s;
-  Buffer.contents buf
+(* The bytes that end a bare atom: whitespace, both parentheses and the
+   double quote. The reader stops a bare atom at one and the printer
+   quotes an atom holding one, so every atom reads back as written. *)
+let is_delimiter = function
+  | ' ' | '\t' | '\n' | '\r' | '(' | ')' | '"' -> true
+  | _ -> false
 
 (* ------------------------------ parsing ---------------------------- *)
 
@@ -93,15 +64,9 @@ let parse_sexp (s : string) : sexp =
   in
   let read_atom () =
     let start = !pos in
-    let rec go () =
-      match peek () with
-      | Some c when not (List.mem c [ ' '; '\t'; '\n'; '\r'; '('; ')'; '"' ])
-        ->
-          advance ();
-          go ()
-      | _ -> ()
-    in
-    go ();
+    while !pos < n && not (is_delimiter s.[!pos]) do
+      incr pos
+    done;
     String.sub s start (!pos - start)
   in
   (* [depth] lists are open around the value read next *)
@@ -139,38 +104,9 @@ let parse_sexp (s : string) : sexp =
 
 open Activity
 
-let comm_to_sexp (c : comm) = List [ Atom c.partner; Atom c.op ]
-
 let comm_of_sexp = function
   | List [ Atom partner; Atom op ] -> { partner; op }
   | _ -> raise (Parse_error "bad comm")
-
-let rec to_sexp (a : t) : sexp =
-  match a with
-  | Receive c -> List [ Atom "receive"; comm_to_sexp c ]
-  | Reply c -> List [ Atom "reply"; comm_to_sexp c ]
-  | Invoke c -> List [ Atom "invoke"; comm_to_sexp c ]
-  | Assign n -> List [ Atom "assign"; Atom n ]
-  | Empty -> Atom "empty"
-  | Terminate -> Atom "terminate"
-  | Sequence (n, body) ->
-      List (Atom "sequence" :: Atom n :: List.map to_sexp body)
-  | Flow (n, body) -> List (Atom "flow" :: Atom n :: List.map to_sexp body)
-  | While { name; cond; body } ->
-      List [ Atom "while"; Atom name; Atom cond; to_sexp body ]
-  | Switch { name; branches } ->
-      List
-        (Atom "switch" :: Atom name
-        :: List.map
-             (fun (b : branch) -> List [ Atom b.cond; to_sexp b.body ])
-             branches)
-  | Pick { name; on_messages } ->
-      List
-        (Atom "pick" :: Atom name
-        :: List.map
-             (fun (c, body) -> List [ comm_to_sexp c; to_sexp body ])
-             on_messages)
-  | Scope (n, body) -> List [ Atom "scope"; Atom n; to_sexp body ]
 
 let rec of_sexp (s : sexp) : t =
   match s with
@@ -212,26 +148,6 @@ let rec of_sexp (s : sexp) : t =
 
 (* --------------------------- process codec ------------------------- *)
 
-let registry_to_sexp (r : Types.registry) =
-  List
-    (Atom "registry"
-    :: List.map
-         (fun (party, (pt : Types.port_type)) ->
-           List
-             (Atom party :: Atom pt.pt_name
-             :: List.map
-                  (fun (o : Types.operation) ->
-                    List
-                      [
-                        Atom o.op_name;
-                        Atom
-                          (match o.mode with
-                          | Types.Async -> "async"
-                          | Types.Sync -> "sync");
-                      ])
-                  pt.ops))
-         r.Types.port_types)
-
 let registry_of_sexp = function
   | List (Atom "registry" :: entries) ->
       Types.registry
@@ -255,25 +171,10 @@ let registry_of_sexp = function
            entries)
   | _ -> raise (Parse_error "bad registry")
 
-let link_to_sexp (l : Types.partner_link) =
-  List
-    [ Atom l.link_name; Atom l.partner; Atom l.my_role; Atom l.partner_role ]
-
 let link_of_sexp = function
   | List [ Atom link_name; Atom partner; Atom my_role; Atom partner_role ] ->
       { Types.link_name; partner; my_role; partner_role }
   | _ -> raise (Parse_error "bad partner link")
-
-let process_to_sexp (p : Process.t) =
-  List
-    [
-      Atom "process";
-      Atom (Process.name p);
-      Atom (Process.party p);
-      List (Atom "links" :: List.map link_to_sexp (Process.links p));
-      registry_to_sexp (Process.registry p);
-      to_sexp (Process.body p);
-    ]
 
 let process_of_sexp = function
   | List
@@ -287,20 +188,158 @@ let process_of_sexp = function
         (of_sexp body)
   | _ -> raise (Parse_error "bad process")
 
+(* ------------------------------ printing --------------------------- *)
+
+(* One walk of the process writes its s-expression into [buf]: a list
+   opens with ["("] and its keyword, items are separated by one space,
+   and an atom is written bare unless it is empty or holds a
+   delimiter. No tree is built. *)
+
+let add_atom buf s =
+  if s = "" || String.exists is_delimiter s then begin
+    Buffer.add_char buf '"';
+    String.iter
+      (function
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.add_char buf '"'
+  end
+  else Buffer.add_string buf s
+
+(* [" " ^ atom] *)
+let add_item buf s =
+  Buffer.add_char buf ' ';
+  add_atom buf s
+
+let close buf = Buffer.add_char buf ')'
+
+let add_comm buf (c : comm) =
+  Buffer.add_char buf '(';
+  add_atom buf c.partner;
+  add_item buf c.op;
+  close buf
+
+let add_keyed_comm buf keyword c =
+  Buffer.add_string buf keyword;
+  add_comm buf c;
+  close buf
+
+let rec add_activity buf (a : t) =
+  match a with
+  | Receive c -> add_keyed_comm buf "(receive " c
+  | Reply c -> add_keyed_comm buf "(reply " c
+  | Invoke c -> add_keyed_comm buf "(invoke " c
+  | Assign n ->
+      Buffer.add_string buf "(assign ";
+      add_atom buf n;
+      close buf
+  | Empty -> Buffer.add_string buf "empty"
+  | Terminate -> Buffer.add_string buf "terminate"
+  | Sequence (n, body) -> add_block buf "(sequence " n body
+  | Flow (n, body) -> add_block buf "(flow " n body
+  | While { name; cond; body } ->
+      Buffer.add_string buf "(while ";
+      add_atom buf name;
+      add_item buf cond;
+      add_child buf body;
+      close buf
+  | Switch { name; branches } ->
+      Buffer.add_string buf "(switch ";
+      add_atom buf name;
+      List.iter
+        (fun (b : branch) ->
+          Buffer.add_string buf " (";
+          add_atom buf b.cond;
+          add_child buf b.body;
+          close buf)
+        branches;
+      close buf
+  | Pick { name; on_messages } ->
+      Buffer.add_string buf "(pick ";
+      add_atom buf name;
+      List.iter
+        (fun (c, body) ->
+          Buffer.add_string buf " (";
+          add_comm buf c;
+          add_child buf body;
+          close buf)
+        on_messages;
+      close buf
+  | Scope (n, body) ->
+      Buffer.add_string buf "(scope ";
+      add_atom buf n;
+      add_child buf body;
+      close buf
+
+(* [" " ^ activity] *)
+and add_child buf a =
+  Buffer.add_char buf ' ';
+  add_activity buf a
+
+and add_block buf keyword n body =
+  Buffer.add_string buf keyword;
+  add_atom buf n;
+  List.iter (add_child buf) body;
+  close buf
+
+let add_process buf (p : Process.t) =
+  Buffer.add_string buf "(process ";
+  add_atom buf p.name;
+  add_item buf p.party;
+  Buffer.add_string buf " (links";
+  List.iter
+    (fun (l : Types.partner_link) ->
+      Buffer.add_string buf " (";
+      add_atom buf l.link_name;
+      add_item buf l.partner;
+      add_item buf l.my_role;
+      add_item buf l.partner_role;
+      close buf)
+    p.links;
+  Buffer.add_string buf ") (registry";
+  List.iter
+    (fun (party, (pt : Types.port_type)) ->
+      Buffer.add_string buf " (";
+      add_atom buf party;
+      add_item buf pt.pt_name;
+      List.iter
+        (fun (o : Types.operation) ->
+          Buffer.add_string buf " (";
+          add_atom buf o.op_name;
+          Buffer.add_string buf
+            (match o.mode with Types.Async -> " async)" | Types.Sync -> " sync)"))
+        pt.ops;
+      close buf)
+    p.registry.port_types;
+  Buffer.add_string buf ") ";
+  add_activity buf p.body;
+  close buf
+
 (* ------------------------------ strings ---------------------------- *)
 
-let process_to_string p = sexp_to_string (process_to_sexp p)
-
-let processes_digest named =
+let process_to_string p =
   let buf = Buffer.create 1024 in
+  add_process buf p;
+  Buffer.contents buf
+
+(* Hex MD5 over [name \000 x \000] for each [(name, x)] pair, in list
+   order, [add buf x] writing [x] into the one buffer hashed. *)
+let digest_pairs add named =
+  let buf = Buffer.create 4096 in
   List.iter
-    (fun (name, sexp) ->
+    (fun (name, x) ->
       Buffer.add_string buf name;
       Buffer.add_char buf '\000';
-      Buffer.add_string buf sexp;
+      add buf x;
       Buffer.add_char buf '\000')
     named;
   Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let processes_digest named = digest_pairs Buffer.add_string named
+let parties_digest named = digest_pairs add_process named
 
 let process_of_string s : (Process.t, string) result =
   try Ok (process_of_sexp (parse_sexp s)) with

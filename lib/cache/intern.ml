@@ -36,12 +36,15 @@ let canonical a = W.merge (Domain.DLS.get dls) a
 
 (* Processes are immutable and shared across rounds by the model, so
    what is derived from one is memoized on the physical process. Weak
-   keys: a table never keeps a process alive. *)
+   keys: a table never keeps a process alive. The hash reads the body
+   alone: [Hashtbl.hash] stops after ten meaningful values, and a whole
+   process spends them on its name, party, links and registry, which a
+   partner's retry candidates share. *)
 module Proc_tbl = Ephemeron.K1.Make (struct
   type t = Chorev_bpel.Process.t
 
   let equal = ( == )
-  let hash = Hashtbl.hash
+  let hash (p : t) = Hashtbl.hash p.body
 end)
 
 let proc_digests = Domain.DLS.new_key (fun () -> Proc_tbl.create 64)

@@ -14,6 +14,11 @@ open Syntax
 
 type token = LPAREN | RPAREN | AND | OR | NOT | TRUE | FALSE | VAR of string
 
+(* The bytes that end a word: whitespace and both parentheses. *)
+let ends_word = function
+  | ' ' | '\t' | '\n' | '\r' | '(' | ')' -> true
+  | _ -> false
+
 (* Tokens are read on demand, so a parse that fails early never scans
    the rest of the input. *)
 let tokenize s : token Seq.t =
@@ -27,10 +32,7 @@ let tokenize s : token Seq.t =
       | ')' -> Seq.Cons (RPAREN, go (i + 1))
       | _ ->
           let j = ref i in
-          while
-            !j < n
-            && not (List.mem s.[!j] [ ' '; '\t'; '\n'; '\r'; '('; ')' ])
-          do
+          while !j < n && not (ends_word s.[!j]) do
             incr j
           done;
           let word = String.sub s i (!j - i) in

@@ -21,10 +21,8 @@ type record =
   | Done of { consistent : bool; digest : string }
 
 let model_digest (t : Model.t) =
-  Sexp.processes_digest
-    (List.map
-       (fun p -> (p, Sexp.process_to_string (Model.private_ t p)))
-       (Model.parties t))
+  Sexp.parties_digest
+    (List.map (fun p -> (p, Model.private_ t p)) (Model.parties t))
 
 let ( let* ) = Result.bind
 let str = function Some (Json.Str s) -> Ok s | _ -> Error "missing string"

@@ -155,6 +155,39 @@ let test_process_parse_errors () =
   check_bool "activity garbage" true
     (Result.is_error (X.activity_of_string "(frobnicate x)"))
 
+(* A carriage return ends a bare atom, so an atom holding one must be
+   quoted: in a process name, an assignment and a comm. *)
+let test_process_carriage_return () =
+  let module Act = C.Bpel.Activity in
+  List.iter
+    (fun (what, p) ->
+      check_bool (what ^ " round-trips") true
+        (X.process_of_string (X.process_to_string p) = Ok p))
+    [
+      ("name", C.Bpel.Process.with_name P.buyer_process "buyer\rv1");
+      ( "assign",
+        C.Bpel.Process.with_body P.buyer_process
+          (Act.seq "s" [ Act.Assign "a\rb"; Act.Assign "\r" ]) );
+      ( "comm",
+        C.Bpel.Process.with_body P.buyer_process
+          (Act.seq "s" [ Act.invoke ~partner:"A\r" ~op:"order\rOp" ]) );
+    ]
+
+(* Every atom round-trips: generator processes with each atom redrawn
+   from all 256 byte values, or empty. *)
+let prop_process_roundtrip_any_atom =
+  QCheck.Test.make ~name:"any atom round-trips" ~count:200
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 10_000))
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let pa, _ = C.Workload.Gen_process.pair ~seed () in
+      let p =
+        Sexp_ref.map_atoms
+          (fun _ -> Sexp_ref.random_atom rng Sexp_ref.all_bytes ())
+          pa
+      in
+      X.process_of_string (X.process_to_string p) = Ok p)
+
 let prop_process_roundtrip =
   QCheck.Test.make ~name:"random process sexp round-trips" ~count:50
     (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 10_000))
@@ -237,7 +270,10 @@ let () =
           Alcotest.test_case "public preserved" `Quick
             test_roundtrip_preserves_public;
           Alcotest.test_case "stable" `Quick test_pp_stability;
+          Alcotest.test_case "carriage return" `Quick
+            test_process_carriage_return;
           QCheck_alcotest.to_alcotest prop_process_roundtrip;
+          QCheck_alcotest.to_alcotest prop_process_roundtrip_any_atom;
         ] );
       ( "printer",
         [

@@ -499,6 +499,30 @@ let test_tenant_killed_before_first_record () =
         (what ^ ": recovered state") uninterrupted (final store))
     [ ("empty journal", ""); ("torn first line", {|{"crc":"0f|}) ]
 
+(* The reader ends a bare atom at a carriage return, so an atom holding
+   one must be written quoted for the tenant's plan to read back: a
+   durable tenant whose buyer process is named ["buyer\rv1"] recovers. *)
+let test_recover_cr_atom () =
+  with_dir @@ fun root ->
+  let processes =
+    List.map
+      (fun (_, p) ->
+        if p == P.buyer_process then C.Bpel.Process.with_name p "buyer\rv1"
+        else p)
+      P.parties
+  in
+  let store = S.Tenant.create ~journal_root:root () in
+  (match S.Tenant.register store "acme" ~processes with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "register failed");
+  let query store =
+    W.response_to_string { W.id = 0; result = S.Tenant.query store "acme" }
+  in
+  let store', n = recover root in
+  check_int "tenants recovered" 1 n;
+  check_string "recovered tenant answers as before" (query store)
+    (query store')
+
 (* A damaged journal root is an [Error] naming the file — and
    [Server.create] raises the documented [Invalid_argument] — never an
    uncaught exception. *)
@@ -603,6 +627,8 @@ let () =
           Alcotest.test_case "damaged root is an error" `Quick test_damaged_root;
           Alcotest.test_case "durable degraded equals in-memory" `Quick
             test_durable_degraded;
+          Alcotest.test_case "carriage return in a process name" `Quick
+            test_recover_cr_atom;
         ] );
       ("pipe", [ Alcotest.test_case "ndjson loop" `Quick test_pipe_mode ]);
     ]
