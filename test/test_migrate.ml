@@ -310,6 +310,77 @@ let test_journal_plan_mismatch () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected a replay mismatch error"
 
+(* ---------------------------- pinned bytes --------------------------- *)
+
+(* Two specs sharing a prefix: the second re-starts ids s-000000 ..
+   s-000999 on v2, which moves them to the back of admission order. *)
+let shared_prefix_plan =
+  {
+    (tracking_plan ~batch:200 ()) with
+    E.pops =
+      [
+        { Pop.version = 1; count = 1_500; seed = 5; max_len = 12; prefix = "s-" };
+        { Pop.version = 2; count = 1_000; seed = 2_000_005; max_len = 12; prefix = "s-" };
+      ];
+  }
+
+let three_version_plan =
+  {
+    (tracking_plan ~batch:200 ()) with
+    E.publics = [ buyer_pub; buyer_once_pub; buyer_cancel_pub ];
+    target = buyer_once_pub;
+    pops =
+      [
+        { Pop.version = 1; count = 800; seed = 31; max_len = 12; prefix = "p-" };
+        { Pop.version = 3; count = 800; seed = 3_000_031; max_len = 12; prefix = "r-" };
+        { Pop.version = 2; count = 800; seed = 2_000_031; max_len = 12; prefix = "q-" };
+      ];
+  }
+
+(* MD5s of [pp_report], recorded before the store became one admission
+   log and the engine keyed each distinct trace once per run. The plans
+   cover constant eviction, every batch deferred, only the first six
+   deferred, re-started ids and a three-version history. A change to
+   these bytes updates the literal and says why in CHANGES.md. *)
+let pinned_reports =
+  [
+    ("tracking", tracking_plan (), "56082d5d39fa2a1600fef60a2a6b6a67");
+    ("memo 2", tracking_plan ~memo:2 (), "114c15ba1096fce8dd4e20fcac1dd6c4");
+    ("fuel 3", tracking_plan ~batch_fuel:3 (), "3414d53c4cc72eba5b8158601c1783b2");
+    ("fuel 150", tracking_plan ~batch_fuel:150 (), "63c8a7654e131a25c2d28c48f1866476");
+    ("shared prefix", shared_prefix_plan, "f7dc768acdf2ee4f746203c43850298c");
+    ("three versions", three_version_plan, "1510dd05de42ebce0284583770d921fd");
+  ]
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+let test_reports_pinned () =
+  List.iter
+    (fun (name, plan, want) ->
+      let rep, vs = run_plan plan in
+      check_string (name ^ ": report bytes") want (md5 (report_string rep));
+      check_string (name ^ ": report digest = final_digest") (E.final_digest vs)
+        rep.E.digest)
+    pinned_reports
+
+(* The same bytes from a run killed after any of its records and
+   resumed. *)
+let test_reports_pinned_resumed () =
+  List.iter
+    (fun (name, plan, want) ->
+      with_dir @@ fun full ->
+      (match E.run_journaled ~dir:full plan with
+      | Ok r -> check_string (name ^ ": journaled report bytes") want (md5 (report_string r))
+      | Error e -> Alcotest.fail e);
+      Harness.every_crash_point ~name ~records:(Harness.records full)
+        ~crashed:(fun ~crash_after dir -> ignore (E.run_journaled ~crash_after ~dir plan))
+        ~resume:(fun _ dir ->
+          match E.resume ~dir () with
+          | Ok { E.report; _ } -> md5 (report_string report)
+          | Error e -> Alcotest.fail e)
+        want)
+    pinned_reports
+
 let () =
   Alcotest.run "migrate"
     [
@@ -326,6 +397,7 @@ let () =
           Alcotest.test_case "pool invariance" `Quick test_pool_invariance;
           Alcotest.test_case "memo and eviction" `Quick test_memo_determinism;
           Alcotest.test_case "budget deferral" `Quick test_budget_deferral;
+          Alcotest.test_case "reports pinned" `Quick test_reports_pinned;
         ] );
       ( "journal",
         [
@@ -336,5 +408,7 @@ let () =
             test_resume_with_deferrals;
           Alcotest.test_case "plan mismatch refused" `Quick
             test_journal_plan_mismatch;
+          Alcotest.test_case "pinned reports across kill-and-resume" `Quick
+            test_reports_pinned_resumed;
         ] );
     ]

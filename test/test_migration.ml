@@ -248,6 +248,140 @@ let test_versions_store_ops () =
   check_bool "remove again" false (V.remove v ~id:"a");
   check_int "after remove" 2 (V.instance_count v)
 
+(* ------------------------ store differential ----------------------- *)
+
+module R = Versions_ref
+
+(* [f ()] or the message of the [Invalid_argument] it raises. *)
+let outcome f = match f () with x -> Ok x | exception Invalid_argument e -> Error e
+
+let store_labels =
+  [|
+    l "B#A#orderOp"; l "A#B#deliveryOp"; l "B#A#get_statusOp";
+    l "A#B#statusOp"; l "B#A#terminateOp";
+  |]
+
+(* Every observable of both stores, compared after an operation. *)
+let check_stores ~what ids a b =
+  let same name x y = check_bool (Printf.sprintf "%s: %s" what name) true (x = y) in
+  same "in_admission_order" (V.in_admission_order a) (R.in_admission_order b);
+  same "all_instances" (V.all_instances a) (R.all_instances b);
+  same "version_numbers" (V.version_numbers a) (R.version_numbers b);
+  List.iter
+    (fun n ->
+      match (V.find_version a n, R.find_version b n) with
+      | Some va, Some vb ->
+          same (Printf.sprintf "v%d instances" n) (V.version_instances va)
+            (R.version_instances vb);
+          same (Printf.sprintf "v%d count" n) (V.version_count va)
+            (R.version_count vb)
+      | _ -> Alcotest.failf "%s: v%d not live in both stores" what n)
+    (R.version_numbers b);
+  same "counts" (V.counts a) (R.counts b);
+  same "instance_count" (V.instance_count a) (R.instance_count b);
+  List.iter
+    (fun id ->
+      same ("find_instance " ^ id) (V.find_instance a id) (R.find_instance b id))
+    ("unknown" :: ids)
+
+(* The same seeded sequence of operations on the store and on its
+   oracle, test/versions_ref.ml: new and re-started ids, starts on live
+   and dead version numbers, observations, removals heavy enough that
+   removed entries come to outnumber live ones (the store compacts its
+   log then), moves, new versions, retirement and publishing. Results,
+   raised [Invalid_argument] messages and every observable agree. *)
+let test_store_differential () =
+  let publics = [| buyer_pub; buyer_cancel_pub; buyer_once_pub |] in
+  let outnumbered = ref 0 in
+  for seed = 0 to 249 do
+    let rng = Random.State.make [| seed |] in
+    let int n = Random.State.int rng n in
+    let a = V.create buyer_pub and b = R.create buyer_pub in
+    let ids = ref [] and next = ref 0 in
+    (* removed or re-started entries since the store last had more live
+       entries than dead ones *)
+    let dead = ref 0 and reached = ref false in
+    let new_id () =
+      incr next;
+      let id = Printf.sprintf "i%d" !next in
+      ids := id :: !ids;
+      id
+    in
+    let some_id () =
+      match !ids with
+      | [] -> "unknown"
+      | l -> List.nth l (int (List.length l))
+    in
+    let any_id () = if int 4 = 0 then new_id () else some_id () in
+    let version () = int (List.hd (R.version_numbers b) + 2) in
+    let inst id =
+      I.make ~id ~trace:(List.init (int 4) (fun _ -> store_labels.(int 5))) ()
+    in
+    let kill id = if R.find_instance b id <> None then incr dead in
+    for k = 1 to 80 do
+      let op = int 100 in
+      let what = Printf.sprintf "seed %d op %d (%d)" seed k op in
+      let agree name x y = check_bool (what ^ ": " ^ name) true (x = y) in
+      (if op < 25 then begin
+         let i = inst (new_id ()) in
+         V.start a i;
+         R.start b i
+       end
+       else if op < 35 then begin
+         let i = inst (any_id ()) and n = version () in
+         let before = R.find_instance b i.I.id in
+         let ra = outcome (fun () -> V.start_on a n i) in
+         let rb = outcome (fun () -> R.start_on b n i) in
+         agree "start_on" ra rb;
+         if Result.is_ok rb && before <> None then incr dead
+       end
+       else if op < 45 then begin
+         let i = inst (some_id ()) in
+         kill i.I.id;
+         V.start a i;
+         R.start b i
+       end
+       else if op < 55 then begin
+         let id = some_id () and lb = store_labels.(int 5) in
+         V.observe a ~id lb;
+         R.observe b ~id lb
+       end
+       else if op < 80 then begin
+         let id = some_id () in
+         kill id;
+         agree "remove" (V.remove a ~id) (R.remove b ~id)
+       end
+       else if op < 90 then begin
+         let id = any_id () and to_version = version () in
+         agree "move_instance"
+           (outcome (fun () -> V.move_instance a ~id ~to_version))
+           (outcome (fun () -> R.move_instance b ~id ~to_version))
+       end
+       else if op < 95 then begin
+         let p = publics.(int 3) in
+         agree "add_version" (V.add_version a p) (R.add_version b p)
+       end
+       else if op < 98 then agree "retire_drained" (V.retire_drained a) (R.retire_drained b)
+       else begin
+         let p = publics.(int 3) in
+         let ra = V.publish a p and rb = R.publish b p in
+         agree "publish"
+           (ra.V.to_version, ra.V.migrated, ra.V.finishing_on_old, ra.V.stuck)
+           (rb.R.to_version, rb.R.migrated, rb.R.finishing_on_old, rb.R.stuck)
+       end);
+      if !dead > R.instance_count b then begin
+        reached := true;
+        dead := 0
+      end;
+      check_stores ~what !ids a b
+    done;
+    if !reached then incr outnumbered
+  done;
+  check_bool
+    (Printf.sprintf "removed entries outnumber live ones in %d of 250 seeds"
+       !outnumbered)
+    true (!outnumbered >= 100)
+
 (* ---------------------- choreography-level story ------------------- *)
 
 let test_migration_after_evolution () =
@@ -301,6 +435,7 @@ let () =
           Alcotest.test_case "retire keeps current" `Quick
             test_retire_keeps_current;
           Alcotest.test_case "store operations" `Quick test_versions_store_ops;
+          Alcotest.test_case "store differential" `Quick test_store_differential;
         ] );
       ( "end-to-end",
         [
