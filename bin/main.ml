@@ -863,8 +863,11 @@ let migrate_run () scenario instances batch seed max_len batch_fuel memo
       (float_of_int rep.total /. Float.max dt 1e-9);
     0
   in
-  match journal with
-  | None ->
+  match (journal, C.Migrate.Engine.check_plan plan) with
+  | _, Error e ->
+      Fmt.epr "%s@." e;
+      2
+  | None, Ok () ->
       if crash_after <> None then begin
         Fmt.epr "--crash-after requires --journal@.";
         2
@@ -877,7 +880,7 @@ let migrate_run () scenario instances batch seed max_len batch_fuel memo
             vs plan.C.Migrate.Engine.target
         in
         finish rep
-  | Some dir -> (
+  | Some dir, Ok () -> (
       match C.Wal.Dir.validate_root (Filename.dirname dir) with
       | Error e ->
           Fmt.epr "%s@." e;

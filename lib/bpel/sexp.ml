@@ -29,34 +29,31 @@ let max_depth = 10_000
 let parse_sexp (s : string) : sexp =
   let n = String.length s in
   let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
   let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
+    if !pos < n then
+      match s.[!pos] with
+      | ' ' | '\t' | '\n' | '\r' ->
+          incr pos;
+          skip_ws ()
+      | _ -> ()
   in
   let read_quoted () =
-    advance ();
+    incr pos;
     (* opening quote *)
     let buf = Buffer.create 16 in
     let rec go () =
-      match peek () with
-      | None -> raise (Parse_error "unterminated string")
-      | Some '"' -> advance ()
-      | Some '\\' ->
-          advance ();
-          (match peek () with
-          | Some 'n' -> Buffer.add_char buf '\n'
-          | Some c -> Buffer.add_char buf c
-          | None -> raise (Parse_error "dangling escape"));
-          advance ();
+      if !pos >= n then raise (Parse_error "unterminated string");
+      match s.[!pos] with
+      | '"' -> incr pos
+      | '\\' ->
+          incr pos;
+          if !pos >= n then raise (Parse_error "dangling escape");
+          Buffer.add_char buf (match s.[!pos] with 'n' -> '\n' | c -> c);
+          incr pos;
           go ()
-      | Some c ->
+      | c ->
           Buffer.add_char buf c;
-          advance ();
+          incr pos;
           go ()
     in
     go ();
@@ -72,28 +69,28 @@ let parse_sexp (s : string) : sexp =
   (* [depth] lists are open around the value read next *)
   let rec read depth =
     skip_ws ();
-    match peek () with
-    | None -> raise (Parse_error "unexpected end of input")
-    | Some '(' ->
+    if !pos >= n then raise (Parse_error "unexpected end of input");
+    match s.[!pos] with
+    | '(' ->
         if depth >= max_depth then
           raise
             (Parse_error (Printf.sprintf "nesting deeper than %d" max_depth));
-        advance ();
+        incr pos;
         let items = ref [] in
         let rec loop () =
           skip_ws ();
-          match peek () with
-          | Some ')' -> advance ()
-          | None -> raise (Parse_error "unterminated list")
-          | _ ->
-              items := read (depth + 1) :: !items;
-              loop ()
+          if !pos >= n then raise (Parse_error "unterminated list");
+          if s.[!pos] = ')' then incr pos
+          else begin
+            items := read (depth + 1) :: !items;
+            loop ()
+          end
         in
         loop ();
         List (List.rev !items)
-    | Some ')' -> raise (Parse_error "unexpected ')'")
-    | Some '"' -> Atom (read_quoted ())
-    | Some _ -> Atom (read_atom ())
+    | ')' -> raise (Parse_error "unexpected ')'")
+    | '"' -> Atom (read_quoted ())
+    | _ -> Atom (read_atom ())
   in
   let result = read 0 in
   skip_ws ();

@@ -5,9 +5,15 @@
     fan out over the domain pool under per-verdict budgets, distinct
     traces are classified once through a fingerprint-keyed LRU, and a
     batch that exceeds its budget is {e deferred} — left entirely in
-    place — rather than half-migrated. The whole run is deterministic:
-    the same plan yields byte-identical reports at any pool size, and
-    a journaled run killed between batches resumes to the same bytes. *)
+    place — rather than half-migrated. Each distinct (source version,
+    trace) of a run is keyed and rendered once, and the report digest
+    takes every rendering from the run's items. The whole run is
+    deterministic: the same plan yields byte-identical reports at any
+    pool size, and a journaled run killed between batches resumes to
+    the same bytes.
+
+    Spans: [migrate.prepare], one [migrate.batch] per batch (attribute
+    [index]) and [migrate.report]. *)
 
 module Afsa = Chorev_afsa.Afsa
 module Instance = Chorev_migration.Instance
@@ -63,7 +69,9 @@ val pp_report : Format.formatter -> report -> unit
 
 val final_digest : Versions.t -> string
 (** Hex digest over every live instance's (version, id, trace) in
-    admission order. *)
+    admission order. A run's [digest] equals [final_digest] of the store
+    it leaves; the run takes each trace's rendering from its items
+    instead of rendering every label again. *)
 
 (** {1 In-memory runs} *)
 
@@ -85,10 +93,19 @@ type plan = {
   memo_capacity : int;
 }
 
+val check_plan : plan -> (unit, string) result
+(** [Error] naming the first field out of range: a batch size below 1,
+    an empty history, a spec whose version is not in the history, or a
+    spec whose [max_len] is outside [0 .. 2^30 - 2] (the lengths the
+    sampler can draw). A plan that passes builds and runs.
+    {!run_journaled} checks before it writes anything, and
+    {!Kind.plan_of_json} rejects the same plans. *)
+
 val build_plan : plan -> Versions.t
 (** Rebuild the populated version store a plan describes — pure in the
     plan, which is what lets a journal persist specs instead of traces.
-    @raise Invalid_argument on an empty history or a bad spec. *)
+    @raise Invalid_argument with {!check_plan}'s message on a plan it
+    rejects. *)
 
 val options_of_plan : ?pool:Pool.t -> plan -> options
 
@@ -122,7 +139,8 @@ type journaled = { report : report; replayed : int }
 val run_journaled :
   ?pool:Pool.t -> ?crash_after:int -> dir:string -> plan -> (report, string) result
 (** Write the plan, run every batch committing one record per batch,
-    seal with [Done]. [Error] if [dir] already holds a run.
+    seal with [Done]. [Error], with nothing written, if {!check_plan}
+    rejects the plan or [dir] already holds a run.
     [crash_after] is the {!Chorev_wal.Run.Simulated_crash} hook. *)
 
 val resume :

@@ -8,29 +8,40 @@
     finish on their version; fully drained old versions can be
     retired.
 
-    Instances live in per-version hash tables keyed by id, with one
-    global id → version index, so [start]/[observe]/[move_instance]
-    are O(1) and a 1M-instance population never pays the linear scans
-    of the original list representation. Every admission stamps a
-    monotone sequence number; enumeration orders ([version_instances],
-    [all_instances], [in_admission_order]) are defined from those
-    stamps, never from hash-table iteration, so they are deterministic
-    and survive re-building the same population in the same order. *)
+    Every instance lives in one admission log shared by all versions:
+    a growable array of entries [{ host; inst }], oldest admission
+    first, where [host] is the hosting version's number and [0] marks a
+    removed entry. An id → entry index makes [start]/[observe]/
+    [move_instance] one hash lookup, and each version keeps its
+    instance count. Every enumeration order ([version_instances],
+    [all_instances], [in_admission_order]) is a scan of the log, never
+    hash-table iteration, so it is deterministic and survives
+    re-building the same population in the same order. Moving an
+    instance rewrites its entry's [host] in place; re-starting an id
+    appends a fresh entry. The log compacts itself, keeping order, once
+    removed entries outnumber live ones. *)
 
 module Afsa = Chorev_afsa.Afsa
+
+type entry = { mutable host : int; mutable inst : Instance.t }
+
+type log = {
+  mutable entries : entry array;  (** oldest admission first *)
+  mutable len : int;  (** entries in use, removed ones included *)
+  mutable live : int;  (** entries with [host <> 0] *)
+}
 
 type version = {
   number : int;
   public : Afsa.t;
-  tbl : (string, int * Instance.t) Hashtbl.t;
-      (** id → (admission seq, instance) *)
+  mutable count : int;  (** live entries hosted here *)
+  log : log;  (** the store's log, shared by every version *)
 }
 
 type t = {
   mutable versions : version list;  (** newest first *)
-  mutable retired : int list;
-  mutable next_seq : int;
-  index : (string, int) Hashtbl.t;  (** instance id → hosting version *)
+  log : log;
+  index : (string, entry) Hashtbl.t;  (** instance id → its live entry *)
 }
 
 type migration_report = {
@@ -40,39 +51,71 @@ type migration_report = {
   stuck : string list;
 }
 
-let mk_version number public = { number; public; tbl = Hashtbl.create 64 }
+(* Fills unused slots; never indexed, never mutated. *)
+let vacant = { host = 0; inst = Instance.make ~id:"" () }
+
+let mk_version log number public = { number; public; count = 0; log }
 
 let create public =
+  let log = { entries = Array.make 64 vacant; len = 0; live = 0 } in
   {
-    versions = [ mk_version 1 public ];
-    retired = [];
-    next_seq = 0;
+    versions = [ mk_version log 1 public ];
+    log;
     index = Hashtbl.create 256;
   }
 
 let version_number v = v.number
 let version_public v = v.public
-let version_count v = Hashtbl.length v.tbl
+let version_count v = v.count
 
-(* Most recently admitted first — the order the old list representation
-   (which prepended on [start]) exposed. *)
-let version_instances v =
-  Hashtbl.fold (fun _ entry acc -> entry :: acc) v.tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare (b : int) a)
-  |> List.map snd
+(* Most recently admitted first — the order the original list
+   representation (which prepended on [start]) exposed. *)
+let version_instances (v : version) =
+  let acc = ref [] in
+  for i = 0 to v.log.len - 1 do
+    let e = v.log.entries.(i) in
+    if e.host = v.number then acc := e.inst :: !acc
+  done;
+  !acc
 
 let current t = List.hd t.versions
 let version_numbers t = List.map (fun v -> v.number) t.versions
 let find_version t n = List.find_opt (fun v -> v.number = n) t.versions
 
+let append log e =
+  if log.len = Array.length log.entries then begin
+    let bigger = Array.make (2 * log.len) vacant in
+    Array.blit log.entries 0 bigger 0 log.len;
+    log.entries <- bigger
+  end;
+  log.entries.(log.len) <- e;
+  log.len <- log.len + 1;
+  log.live <- log.live + 1
+
+(* Drop removed entries, keeping the order of the live ones. *)
+let compact log =
+  let j = ref 0 in
+  for i = 0 to log.len - 1 do
+    let e = log.entries.(i) in
+    if e.host <> 0 then begin
+      log.entries.(!j) <- e;
+      incr j
+    end
+  done;
+  Array.fill log.entries !j (log.len - !j) vacant;
+  log.len <- !j
+
 let remove t ~id =
   match Hashtbl.find_opt t.index id with
   | None -> false
-  | Some n ->
-      (match find_version t n with
-      | Some v -> Hashtbl.remove v.tbl id
+  | Some e ->
+      (match find_version t e.host with
+      | Some v -> v.count <- v.count - 1
       | None -> ());
+      e.host <- 0;
       Hashtbl.remove t.index id;
+      t.log.live <- t.log.live - 1;
+      if t.log.len - t.log.live > t.log.live then compact t.log;
       true
 
 (** Start a new instance on a specific live version. Ids are unique
@@ -83,10 +126,10 @@ let start_on t n inst =
       invalid_arg (Printf.sprintf "Versions.start_on: no live version %d" n)
   | Some v ->
       ignore (remove t ~id:inst.Instance.id);
-      let seq = t.next_seq in
-      t.next_seq <- seq + 1;
-      Hashtbl.replace v.tbl inst.Instance.id (seq, inst);
-      Hashtbl.replace t.index inst.Instance.id n
+      let e = { host = n; inst } in
+      append t.log e;
+      v.count <- v.count + 1;
+      Hashtbl.replace t.index inst.Instance.id e
 
 (** Start a new instance on the current version. *)
 let start t inst = start_on t (current t).number inst
@@ -95,26 +138,13 @@ let start t inst = start_on t (current t).number inst
 let observe t ~id label =
   match Hashtbl.find_opt t.index id with
   | None -> ()
-  | Some n -> (
-      match find_version t n with
-      | None -> ()
-      | Some v -> (
-          match Hashtbl.find_opt v.tbl id with
-          | None -> ()
-          | Some (seq, i) ->
-              Hashtbl.replace v.tbl id (seq, Instance.extend i label)))
+  | Some e -> e.inst <- Instance.extend e.inst label
 
 let find_instance t id =
-  match Hashtbl.find_opt t.index id with
-  | None -> None
-  | Some n ->
-      Option.bind (find_version t n) (fun v ->
-          Option.map (fun (_, i) -> (n, i)) (Hashtbl.find_opt v.tbl id))
+  Option.map (fun e -> (e.host, e.inst)) (Hashtbl.find_opt t.index id)
 
-let instance_count t =
-  List.fold_left (fun acc v -> acc + Hashtbl.length v.tbl) 0 t.versions
-
-let counts t = List.map (fun v -> (v.number, Hashtbl.length v.tbl)) t.versions
+let instance_count t = t.log.live
+let counts t = List.map (fun v -> (v.number, v.count)) t.versions
 
 let all_instances t =
   List.concat_map
@@ -122,34 +152,33 @@ let all_instances t =
     t.versions
 
 let in_admission_order t =
-  List.concat_map
-    (fun v ->
-      Hashtbl.fold (fun _ (seq, i) acc -> (v.number, seq, i) :: acc) v.tbl [])
-    t.versions
-  |> List.sort (fun (_, a, _) (_, b, _) -> compare (a : int) b)
-  |> List.map (fun (n, _, i) -> (n, i))
+  let acc = ref [] in
+  for i = t.log.len - 1 downto 0 do
+    let e = t.log.entries.(i) in
+    if e.host <> 0 then acc := (e.host, e.inst) :: !acc
+  done;
+  !acc
 
 (** Open a fresh (empty) current version without classifying anything —
     the batched migrator publishes first and then moves instances batch
     by batch. *)
 let add_version t public =
   let number = (current t).number + 1 in
-  t.versions <- mk_version number public :: t.versions;
+  t.versions <- mk_version t.log number public :: t.versions;
   number
 
-(** Re-pin an instance to another live version, keeping its admission
-    stamp (enumeration order is stable under migration). *)
+(** Re-pin an instance to another live version, keeping its place in
+    the log (enumeration order is stable under migration). *)
 let move_instance t ~id ~to_version =
   match Hashtbl.find_opt t.index id with
   | None -> invalid_arg ("Versions.move_instance: unknown instance " ^ id)
-  | Some n ->
-      if n <> to_version then (
-        match (find_version t n, find_version t to_version) with
+  | Some e ->
+      if e.host <> to_version then (
+        match (find_version t e.host, find_version t to_version) with
         | Some src, Some dst ->
-            let entry = Hashtbl.find src.tbl id in
-            Hashtbl.remove src.tbl id;
-            Hashtbl.replace dst.tbl id entry;
-            Hashtbl.replace t.index id to_version
+            src.count <- src.count - 1;
+            dst.count <- dst.count + 1;
+            e.host <- to_version
         | _ ->
             invalid_arg
               (Printf.sprintf "Versions.move_instance: no live version %d"
@@ -187,12 +216,9 @@ let publish t new_public =
 let retire_drained t =
   let cur = (current t).number in
   let keep, drop =
-    List.partition
-      (fun v -> v.number = cur || Hashtbl.length v.tbl > 0)
-      t.versions
+    List.partition (fun v -> v.number = cur || v.count > 0) t.versions
   in
   t.versions <- keep;
-  t.retired <- List.map (fun v -> v.number) drop @ t.retired;
   List.map (fun v -> v.number) drop
 
 let pp_report ppf r =

@@ -3,11 +3,12 @@
     one party's public process with instances pinned to versions;
     publishing migrates compliant instances, drained versions retire.
 
-    Instances are stored in per-version hash tables keyed by id (all
-    single-instance operations are O(1)); every admission stamps a
-    monotone sequence number, and all enumeration orders are defined
-    from those stamps — deterministic, never hash order. Ids are
-    unique across the store: starting an existing id moves it. *)
+    Instances are stored in one admission log shared by every version,
+    oldest first, with an id index (all single-instance operations are
+    amortized O(1)) and a per-version instance count. All enumeration orders are
+    scans of that log — deterministic, never hash order. Ids are
+    unique across the store: starting an existing id moves it to the
+    back of the log. *)
 
 module Afsa = Chorev_afsa.Afsa
 
@@ -31,7 +32,8 @@ val version_public : version -> Afsa.t
 val version_count : version -> int
 
 val version_instances : version -> Instance.t list
-(** Hosted instances, most recently admitted first. *)
+(** Hosted instances, most recently admitted first (one scan of the
+    store's log). *)
 
 val start : t -> Instance.t -> unit
 (** New instance on the current version. *)
@@ -66,7 +68,8 @@ val add_version : t -> Afsa.t -> int
     returns its number. *)
 
 val move_instance : t -> id:string -> to_version:int -> unit
-(** Re-pin an instance to another live version (admission stamp kept).
+(** Re-pin an instance to another live version (its place in admission
+    order kept).
     @raise Invalid_argument on unknown instance or version. *)
 
 val publish : t -> Afsa.t -> migration_report

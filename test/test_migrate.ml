@@ -310,6 +310,94 @@ let test_journal_plan_mismatch () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected a replay mismatch error"
 
+(* ------------------------------ bad plans ---------------------------- *)
+
+module Json = C.Wal.Json
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+let with_specs f =
+  let plan = tracking_plan ~instances:200 () in
+  { plan with E.pops = List.map f plan.E.pops }
+
+(* A plan out of range is refused with a message naming the field,
+   before a journaled run writes anything: a bad plan must not leave a
+   run directory that neither resume nor a new run can use, so the same
+   directory then takes a good run. *)
+let test_bad_plans_refused () =
+  List.iter
+    (fun (name, plan, field) ->
+      (match E.check_plan plan with
+      | Error e -> check_bool (name ^ ": names " ^ field) true (contains e field)
+      | Ok () -> Alcotest.failf "%s: accepted" name);
+      check_bool (name ^ ": build_plan raises") true
+        (match E.build_plan plan with
+        | _ -> false
+        | exception Invalid_argument e -> contains e field);
+      with_dir @@ fun dir ->
+      (match E.run_journaled ~dir plan with
+      | Error e ->
+          check_bool (name ^ ": journaled run names " ^ field) true (contains e field)
+      | Ok _ -> Alcotest.failf "%s: journaled run accepted" name);
+      check_bool (name ^ ": nothing written") false (Sys.file_exists dir);
+      match E.run_journaled ~dir (tracking_plan ~instances:200 ()) with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%s: a good plan into the same dir: %s" name e)
+    [
+      ("batch 0", tracking_plan ~instances:200 ~batch:0 (), "batch size 0");
+      ("max_len -1", with_specs (fun s -> { s with Pop.max_len = -1 }), "max_len -1");
+      ( "max_len 2^30 - 1",
+        with_specs (fun s -> { s with Pop.max_len = (1 lsl 30) - 1 }),
+        "max_len 1073741823" );
+      ("version 3 of 2", with_specs (fun s -> { s with Pop.version = 3 }), "version 3");
+      ("version 0", with_specs (fun s -> { s with Pop.version = 0 }), "version 0");
+      ( "empty history",
+        { (tracking_plan ~instances:200 ()) with E.publics = []; pops = [] },
+        "empty version history" );
+    ];
+  List.iter
+    (fun max_len ->
+      check_bool
+        (Printf.sprintf "max_len %d passes" max_len)
+        true
+        (E.check_plan (with_specs (fun s -> { s with Pop.max_len })) = Ok ()))
+    [ 0; (1 lsl 30) - 2 ]
+
+(* plan.json edited by hand, with its digest recomputed, to a max_len
+   the sampler cannot draw: resume names the field. *)
+let test_edited_plan_refused () =
+  with_dir @@ fun dir ->
+  (match E.run_journaled ~crash_after:0 ~dir (tracking_plan ~instances:200 ()) with
+  | exception Run.Simulated_crash 0 -> ()
+  | _ -> Alcotest.fail "expected a crash after the plan");
+  let path = Filename.concat dir "plan.json" in
+  let rec edit = function
+    | Json.Obj fields ->
+        Json.Obj
+          (List.map
+             (fun (k, v) -> (k, if k = "max_len" then Json.Int (-1) else edit v))
+             fields)
+    | Json.Arr xs -> Json.Arr (List.map edit xs)
+    | j -> j
+  in
+  (match Json.of_string (Harness.read path) with
+  | Ok (Json.Obj [ kind; _; ("plan", body) ]) ->
+      let body = edit body in
+      let digest = Digest.to_hex (Digest.string (Json.to_string body)) in
+      Harness.write path
+        (Json.to_string
+           (Json.Obj [ kind; ("digest", Json.Str digest); ("plan", body) ]))
+  | _ -> Alcotest.fail "unexpected plan.json layout");
+  match E.resume ~dir () with
+  | Error e ->
+      check_bool ("names the field: " ^ e) true (contains e "pops[0].max_len -1")
+  | Ok _ -> Alcotest.fail "expected the edited plan to be refused"
+
 (* ---------------------------- pinned bytes --------------------------- *)
 
 (* Two specs sharing a prefix: the second re-starts ids s-000000 ..
@@ -337,10 +425,10 @@ let three_version_plan =
       ];
   }
 
-(* MD5s of [pp_report], recorded before the store became one admission
-   log and the engine keyed each distinct trace once per run. The plans
-   cover constant eviction, every batch deferred, only the first six
-   deferred, re-started ids and a three-version history. A change to
+(* [pp_report] is the byte-identity anchor of the pool-size and resume
+   tests, so its bytes are pinned, as MD5s, for plans that take every
+   engine path: constant eviction, every batch deferred, only the first
+   six deferred, re-started ids and a three-version history. A change to
    these bytes updates the literal and says why in CHANGES.md. *)
 let pinned_reports =
   [
@@ -370,7 +458,8 @@ let test_reports_pinned_resumed () =
     (fun (name, plan, want) ->
       with_dir @@ fun full ->
       (match E.run_journaled ~dir:full plan with
-      | Ok r -> check_string (name ^ ": journaled report bytes") want (md5 (report_string r))
+      | Ok r ->
+          check_string (name ^ ": journaled report bytes") want (md5 (report_string r))
       | Error e -> Alcotest.fail e);
       Harness.every_crash_point ~name ~records:(Harness.records full)
         ~crashed:(fun ~crash_after dir -> ignore (E.run_journaled ~crash_after ~dir plan))
@@ -410,5 +499,7 @@ let () =
             test_journal_plan_mismatch;
           Alcotest.test_case "pinned reports across kill-and-resume" `Quick
             test_reports_pinned_resumed;
+          Alcotest.test_case "bad plans refused" `Quick test_bad_plans_refused;
+          Alcotest.test_case "edited plan refused" `Quick test_edited_plan_refused;
         ] );
     ]

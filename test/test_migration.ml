@@ -361,7 +361,8 @@ let test_store_differential () =
          let p = publics.(int 3) in
          agree "add_version" (V.add_version a p) (R.add_version b p)
        end
-       else if op < 98 then agree "retire_drained" (V.retire_drained a) (R.retire_drained b)
+       else if op < 98 then
+         agree "retire_drained" (V.retire_drained a) (R.retire_drained b)
        else begin
          let p = publics.(int 3) in
          let ra = V.publish a p and rb = R.publish b p in
