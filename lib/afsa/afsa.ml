@@ -10,8 +10,9 @@
 
     The tuple is stored as flat arrays over dense state indexes — a
     state's position in the ascending original ids. [make] builds them
-    from its arguments, nothing writes them afterwards, and every
-    kernel, walk and accessor reads them. *)
+    from its arguments ([of_rows] takes rows that are already
+    canonical), nothing writes them afterwards, and every kernel, walk
+    and accessor reads them. *)
 
 module F = Chorev_formula.Syntax
 module ISet = Set.Make (Int)
@@ -125,15 +126,32 @@ let collect_ids ~start ~states ~finals ~edges ~ann =
     Array.sub all 0 !w
   end
 
+(* Rows of at most this many entries are insertion-sorted in place. *)
+let short_row = 16
+
 (* [a.(lo .. hi-1)] sorted with repeats dropped, moved down to start at
-   [dst <= lo]; returns the end of the moved run. *)
+   [dst <= lo]; returns the end of the moved run. A short row is sorted
+   in place, a longer one through a sorted copy. *)
 let sort_uniq_into (a : int array) ~dst lo hi =
-  let s = Array.sub a lo (hi - lo) in
-  Array.sort Int.compare s;
+  if hi - lo <= short_row then
+    for i = lo + 1 to hi - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+  else begin
+    let s = Array.sub a lo (hi - lo) in
+    Array.sort Int.compare s;
+    Array.blit s 0 a lo (hi - lo)
+  end;
   let w = ref dst in
-  for k = 0 to hi - lo - 1 do
-    if !w = dst || a.(!w - 1) <> s.(k) then begin
-      a.(!w) <- s.(k);
+  for k = lo to hi - 1 do
+    if !w = dst || a.(!w - 1) <> a.(k) then begin
+      a.(!w) <- a.(k);
       incr w
     end
   done;
@@ -164,9 +182,34 @@ let csr n m src key =
   off.(n) <- !w;
   (off, if !w = m then buf else Array.sub buf 0 !w)
 
+(* [alphabet] as a symbol table: the list itself when it is strictly
+   ascending, as every kernel's is, sorted without repeats otherwise. *)
+let sorted_syms alphabet =
+  let syms = Array.make (List.length alphabet) Sym.Eps in
+  List.iteri (fun i l -> syms.(i) <- Sym.L l) alphabet;
+  let k = Array.length syms and i = ref 1 in
+  while !i < k && Sym.compare syms.(!i - 1) syms.(!i) < 0 do
+    incr i
+  done;
+  if !i >= k then syms
+  else Array.of_list (Sym.Set.elements (Sym.Set.of_list (Array.to_list syms)))
+
+(* [syms] with the labels of [edges] it misses merged in. *)
+let widen_syms syms edges =
+  List.fold_left
+    (fun set (_, sym, _) ->
+      match sym with
+      | Sym.L _ when sym_id syms sym < 0 -> Sym.Set.add sym set
+      | _ -> set)
+    Sym.Set.empty edges
+  |> Array.fold_right Sym.Set.add syms
+  |> Sym.Set.elements |> Array.of_list
+
 (* The automaton over explicit parts: [states] lists ids to keep even
    when nothing else mentions them, and annotations are taken as given
-   ([True] entries only contribute their state). *)
+   ([True] entries only contribute their state). The symbol table is
+   the sorted [alphabet]; only when an edge label is missing from it are
+   the edge labels merged in and the symbol ids looked up again. *)
 let build ~states ~alphabet ~start ~finals ~edges ~ann =
   let state_ids = collect_ids ~start ~states ~finals ~edges ~ann in
   let n = Array.length state_ids in
@@ -177,30 +220,36 @@ let build ~states ~alphabet ~start ~finals ~edges ~ann =
       0 edges
   in
   let ne = List.length edges - neps in
-  (* the symbol table: [alphabet] plus the edge labels *)
-  let syms =
-    List.fold_left
-      (fun set (_, sym, _) ->
-        if Sym.is_eps sym then set else Sym.Set.add sym set)
-      (Sym.Set.of_list (List.map Sym.label alphabet))
-      edges
-    |> Sym.Set.elements |> Array.of_list
-  in
   let src = Array.make ne 0 and key = Array.make ne 0 in
   let esrc = Array.make neps 0 and etgt = Array.make neps 0 in
-  let k = ref 0 and j = ref 0 in
-  List.iter
-    (fun (s, sym, t) ->
-      match sym with
-      | Sym.Eps ->
-          esrc.(!j) <- dense s;
-          etgt.(!j) <- dense t;
-          incr j
-      | Sym.L _ ->
-          src.(!k) <- dense s;
-          key.(!k) <- (sym_id syms sym * n) + dense t;
-          incr k)
-    edges;
+  (* fills the rows' sources and keys against [syms]; false when an edge
+     label is not in it *)
+  let fill syms =
+    let k = ref 0 and j = ref 0 and complete = ref true in
+    List.iter
+      (fun (s, sym, t) ->
+        match sym with
+        | Sym.Eps ->
+            esrc.(!j) <- dense s;
+            etgt.(!j) <- dense t;
+            incr j
+        | Sym.L _ ->
+            let c = sym_id syms sym in
+            if c < 0 then complete := false;
+            src.(!k) <- dense s;
+            key.(!k) <- (c * n) + dense t;
+            incr k)
+      edges;
+    !complete
+  in
+  let syms = sorted_syms alphabet in
+  let syms =
+    if fill syms then syms
+    else
+      let syms = widen_syms syms edges in
+      ignore (fill syms);
+      syms
+  in
   let row_off, row_key = csr n ne src key in
   let eps_off, eps_tgt = csr n neps esrc etgt in
   let finals_set = Bitset.create n in
@@ -240,6 +289,41 @@ let build ~states ~alphabet ~start ~finals ~edges ~ann =
 let make ?(alphabet = []) ~start ~finals ~edges ?(ann = []) () =
   build ~states:[] ~alphabet ~start ~finals ~edges
     ~ann:(List.map (fun (q, f) -> (q, Chorev_formula.Simplify.simplify f)) ann)
+
+(** The automaton over canonical rows, taken as they are: states
+    [0 .. n-1] for [n = Array.length row_off - 1], start 0, no ε-edge,
+    each row sorted by (symbol id, target) without repeats, [syms]
+    strictly ascending and [ann] simplified with [True] for none. *)
+let of_rows ~syms ~row_off ~row_sym ~row_tgt ~finals ~ann =
+  let n = Array.length row_off - 1 in
+  if
+    n < 1
+    || Array.length ann <> n
+    || Bitset.length finals <> n
+    || Array.length row_sym <> row_off.(n)
+    || Array.length row_tgt <> row_off.(n)
+  then invalid_arg "Afsa.of_rows: inconsistent row arrays";
+  let ann_nontrivial = Bitset.create n in
+  Array.iteri
+    (fun i f -> if not (F.equal f F.True) then Bitset.add ann_nontrivial i)
+    ann;
+  {
+    n;
+    state_ids = Array.init n Fun.id;
+    start = 0;
+    syms;
+    row_off;
+    row_sym;
+    row_tgt;
+    eps_off = Array.make (n + 1) 0;
+    eps_tgt = [||];
+    finals;
+    ann;
+    ann_nontrivial;
+    preds = None;
+    eps_cl_csr = None;
+    fp = None;
+  }
 
 (** Convenience: edges given as [(s, "A#B#msg", t)] with ["" ] for ε. *)
 let of_strings ?alphabet ~start ~finals ~edges ?(ann = []) () =

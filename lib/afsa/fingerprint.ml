@@ -21,76 +21,165 @@
 
 module F = Chorev_formula.Syntax
 
+(* The one writer: a per-domain byte buffer. A serialization first
+   renders each state id and each symbol of the automaton once at the
+   front of the buffer, then writes the serialization after them,
+   copying a rendering wherever its id or symbol occurs. *)
+type writer = { mutable buf : Bytes.t; mutable len : int }
+
+let writer =
+  Domain.DLS.new_key (fun () -> { buf = Bytes.create 4096; len = 0 })
+
+(* A buffer grown past this is dropped after use. *)
+let keep_max = 1 lsl 20
+
+let reserve w k =
+  if w.len + k > Bytes.length w.buf then begin
+    let b = Bytes.create (max (2 * Bytes.length w.buf) (w.len + k)) in
+    Bytes.blit w.buf 0 b 0 w.len;
+    w.buf <- b
+  end
+
+let add_char w c =
+  reserve w 1;
+  Bytes.unsafe_set w.buf w.len c;
+  w.len <- w.len + 1
+
+let add_string w s =
+  let k = String.length s in
+  reserve w k;
+  Bytes.blit_string s 0 w.buf w.len k;
+  w.len <- w.len + k
+
+(* [i] in decimal, as [string_of_int] writes it. The digits are taken
+   from the non-positive [-|i|], which cannot overflow. *)
+let add_decimal w i =
+  let v = if i < 0 then i else -i in
+  let digits = ref 1 and x = ref (v / 10) in
+  while !x <> 0 do
+    incr digits;
+    x := !x / 10
+  done;
+  let k = if i < 0 then !digits + 1 else !digits in
+  reserve w k;
+  if i < 0 then Bytes.unsafe_set w.buf w.len '-';
+  let x = ref v in
+  for p = w.len + k - 1 downto w.len + k - !digits do
+    Bytes.unsafe_set w.buf p (Char.unsafe_chr (48 - (!x mod 10)));
+    x := !x / 10
+  done;
+  w.len <- w.len + k
+
+(* [w.buf.(off .. off+k-1)], a rendering earlier in the buffer, copied
+   to its end. *)
+let add_copy w off k =
+  reserve w k;
+  Bytes.blit w.buf off w.buf w.len k;
+  w.len <- w.len + k
+
 (* Unambiguous: every variable-length piece is length-prefixed, every
    construct starts with a distinct tag character. *)
-let add_str buf s =
-  Buffer.add_string buf (string_of_int (String.length s));
-  Buffer.add_char buf ':';
-  Buffer.add_string buf s
+let add_str w s =
+  add_decimal w (String.length s);
+  add_char w ':';
+  add_string w s
 
-let add_int buf i =
-  Buffer.add_string buf (string_of_int i);
-  Buffer.add_char buf ';'
-
-let rec add_formula buf = function
-  | F.True -> Buffer.add_char buf 'T'
-  | F.False -> Buffer.add_char buf 'F'
+let rec add_formula w = function
+  | F.True -> add_char w 'T'
+  | F.False -> add_char w 'F'
   | F.Var v ->
-      Buffer.add_char buf 'v';
-      add_str buf v
+      add_char w 'v';
+      add_str w v
   | F.Not f ->
-      Buffer.add_char buf '!';
-      add_formula buf f
+      add_char w '!';
+      add_formula w f
   | F.And (l, r) ->
-      Buffer.add_char buf '&';
-      add_formula buf l;
-      add_formula buf r
+      add_char w '&';
+      add_formula w l;
+      add_formula w r
   | F.Or (l, r) ->
-      Buffer.add_char buf '|';
-      add_formula buf l;
-      add_formula buf r
+      add_char w '|';
+      add_formula w l;
+      add_formula w r
 
-let add_sym buf = function
-  | Sym.Eps -> Buffer.add_char buf 'e'
-  | Sym.L l ->
-      Buffer.add_char buf 'l';
-      add_str buf (Label.to_string l)
+(* A symbol: [e] for ε, else [l] and its label's length-prefixed
+   [sender#receiver#msg]. *)
+let add_sym w = function
+  | Sym.Eps -> add_char w 'e'
+  | Sym.L { Label.sender; receiver; msg } ->
+      add_char w 'l';
+      add_decimal w
+        (String.length sender + String.length receiver + String.length msg + 2);
+      add_char w ':';
+      add_string w sender;
+      add_char w '#';
+      add_string w receiver;
+      add_char w '#';
+      add_string w msg
 
-(* The automaton's arrays are already in canonical order (ids, symbols
-   and rows ascending), so the rendering needs no sorting pass. *)
-let serialize (a : Afsa.t) =
-  let buf = Buffer.create 512 in
-  let id i = add_int buf a.Afsa.state_ids.(i) in
-  Buffer.add_char buf 'q';
+(* Writes [a]'s serialization into this domain's buffer and passes the
+   buffer, the serialization's offset and its length to [k]. The
+   automaton's arrays are already in canonical order (ids, symbols and
+   rows ascending), so the rendering needs no sorting pass. *)
+let with_serialization (a : Afsa.t) k =
+  let w = Domain.DLS.get writer in
+  w.len <- 0;
+  let n = a.Afsa.n and syms = a.Afsa.syms in
+  (* state id [i] is [id_at.(i) .. id_at.(i+1)-1], symbol [c] is
+     [sym_at.(c) .. sym_at.(c+1)-1] *)
+  let id_at = Array.make (n + 1) 0 in
+  for i = 0 to n - 1 do
+    add_decimal w a.Afsa.state_ids.(i);
+    add_char w ';';
+    id_at.(i + 1) <- w.len
+  done;
+  let sym_at = Array.make (Array.length syms + 1) w.len in
+  Array.iteri
+    (fun c sym ->
+      add_sym w sym;
+      sym_at.(c + 1) <- w.len)
+    syms;
+  let base = w.len in
+  let id i = add_copy w id_at.(i) (id_at.(i + 1) - id_at.(i)) in
+  let sym c = add_copy w sym_at.(c) (sym_at.(c + 1) - sym_at.(c)) in
+  add_char w 'q';
   id a.Afsa.start;
-  Buffer.add_char buf 'Q';
-  Array.iter (add_int buf) a.Afsa.state_ids;
-  Buffer.add_char buf 'A';
-  List.iter (fun l -> add_str buf (Label.to_string l)) (Afsa.alphabet a);
-  Buffer.add_char buf 'D';
-  for s = 0 to a.Afsa.n - 1 do
+  add_char w 'Q';
+  add_copy w 0 id_at.(n);
+  add_char w 'A';
+  Array.iteri
+    (fun c s ->
+      (* a label's rendering without its tag *)
+      if not (Sym.is_eps s) then
+        add_copy w (sym_at.(c) + 1) (sym_at.(c + 1) - sym_at.(c) - 1))
+    syms;
+  add_char w 'D';
+  for s = 0 to n - 1 do
     for e = a.Afsa.eps_off.(s) to a.Afsa.eps_off.(s + 1) - 1 do
       id s;
-      add_sym buf Sym.Eps;
+      add_char w 'e';
       id a.Afsa.eps_tgt.(e)
     done;
     for e = a.Afsa.row_off.(s) to a.Afsa.row_off.(s + 1) - 1 do
       id s;
-      add_sym buf a.Afsa.syms.(a.Afsa.row_sym.(e));
+      sym a.Afsa.row_sym.(e);
       id a.Afsa.row_tgt.(e)
     done
   done;
-  Buffer.add_char buf 'F';
+  add_char w 'F';
   Bitset.iter id a.Afsa.finals;
-  Buffer.add_char buf 'N';
+  add_char w 'N';
   Bitset.iter
     (fun i ->
       id i;
-      add_formula buf a.Afsa.ann.(i))
+      add_formula w a.Afsa.ann.(i))
     a.Afsa.ann_nontrivial;
-  Buffer.contents buf
+  let r = k w.buf base (w.len - base) in
+  if Bytes.length w.buf > keep_max then w.buf <- Bytes.create 4096;
+  r
 
-let compute a = Digest.string (serialize a)
+let serialize a = with_serialization a Bytes.sub_string
+let compute a = with_serialization a Digest.subbytes
 let digest a = Afsa.memo_fp a compute
 let peek (a : Afsa.t) = a.Afsa.fp
 let hex a = Digest.to_hex (digest a)

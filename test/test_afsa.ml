@@ -286,6 +286,126 @@ let test_dot () =
   check_bool "final double circle" true (contains dot "doublecircle");
   check_bool "annotation box" true (contains dot "shape=box")
 
+(* --------------------------- make vs the ref ---------------------- *)
+
+(* [Afsa.make]'s arguments in every shape its callers use and more: an
+   alphabet left out, unsorted or with repeats, edge labels missing
+   from it; duplicate edges and finals; ε-edges; a hub state whose rows
+   outgrow the in-place sort's cutoff (16 entries); dense, sparse,
+   negative and 10-digit state ids; annotations, some on states nothing
+   else mentions. *)
+let random_make_input seed =
+  let rng = Random.State.make [| seed |] in
+  let int k = Random.State.int rng k in
+  let pool =
+    Array.init 14 (fun i ->
+        C.Label.make
+          ~sender:[| "A"; "B"; "Cc" |].(i mod 3)
+          ~receiver:[| "B"; "A"; "D" |].(i mod 3)
+          (Printf.sprintf "m%d" (i * 7 mod 10)))
+  in
+  let nstates = 1 + int 12 in
+  let ids =
+    match int 4 with
+    | 0 -> Array.init nstates Fun.id
+    | 1 -> Array.init nstates (fun i -> (1000 * i) + int 900)
+    | 2 -> Array.init nstates (fun i -> (i * 3) - 20)
+    | _ -> Array.init nstates (fun i -> 9_000_000_000 + (i * 1_000_003) + int 7)
+  in
+  let q () = ids.(int nstates) in
+  let sym () = if int 6 = 0 then C.Sym.Eps else C.Sym.L pool.(int 14) in
+  let edges = List.init (int 30) (fun _ -> (q (), sym (), q ())) in
+  let hub =
+    if int 3 = 0 then
+      let h = q () in
+      List.init (17 + int 30) (fun _ -> (h, sym (), q ()))
+    else []
+  in
+  let edges = edges @ hub @ List.filteri (fun i _ -> i mod 4 = 0) edges in
+  let alphabet =
+    match int 4 with
+    | 0 -> None
+    | 1 -> Some (List.sort_uniq C.Label.compare (List.init (int 14) (fun _ -> pool.(int 14))))
+    | _ -> Some (List.init (int 20) (fun _ -> pool.(int 14)))
+  in
+  let finals = List.init (int 5) (fun _ -> q ()) in
+  let finals = finals @ finals in
+  let formula () =
+    match int 5 with
+    | 0 -> F.True
+    | 1 -> F.False
+    | 2 -> F.var (C.Label.to_string pool.(int 14))
+    | 3 -> F.not_ (F.var "A#B#m1")
+    | _ -> F.or_ (F.var "A#B#m1") (F.and_ (F.var "B#A#m8") (F.var "Cc#D#m4"))
+  in
+  let loner () = if int 2 = 0 then q () else ids.(0) - 1 - int 50 in
+  let ann = List.init (int 6) (fun _ -> (loner (), formula ())) in
+  (alphabet, ids.(int nstates), finals, edges, ann)
+
+(* Which of [random_make_input]'s cases an input hits. *)
+let make_cases (alphabet, start, finals, edges, ann) =
+  let given = Option.value ~default:[] alphabet in
+  let rec ascending = function
+    | a :: (b :: _ as rest) -> C.Label.compare a b < 0 && ascending rest
+    | _ -> true
+  in
+  let mentioned q =
+    q = start || List.mem q finals
+    || List.exists (fun (s, _, t) -> s = q || t = q) edges
+  in
+  let longest_row =
+    List.fold_left
+      (fun m (s, _, _) ->
+        max m
+          (List.length
+             (List.filter (fun (s', y, _) -> s' = s && not (C.Sym.is_eps y)) edges)))
+      0 edges
+  in
+  let ids = start :: List.concat_map (fun (s, _, t) -> [ s; t ]) edges in
+  [
+    ("unsorted or repeated alphabet", not (ascending given));
+    ( "edge label missing from a given alphabet",
+      alphabet <> None
+      && List.exists
+           (function
+             | _, C.Sym.L l, _ -> not (List.exists (C.Label.equal l) given)
+             | _ -> false)
+           edges );
+    ("duplicate edge", List.length (List.sort_uniq compare edges) < List.length edges);
+    ("duplicate final", List.length (List.sort_uniq compare finals) < List.length finals);
+    ("row of at most 16 entries", longest_row > 1 && longest_row <= 16);
+    ("row of more than 16 entries", longest_row > 16);
+    ("negative id", List.exists (fun q -> q < 0) ids);
+    ("10-digit id", List.exists (fun q -> q >= 1_000_000_000) ids);
+    ("sparse ids", List.exists (fun q -> q >= 1000 && q < 1_000_000_000) ids);
+    ( "annotation on an otherwise unmentioned state",
+      List.exists (fun (q, f) -> (not (F.equal f F.True)) && not (mentioned q)) ann );
+  ]
+
+let test_make_matches_ref () =
+  let hits = Hashtbl.create 16 in
+  for seed = 0 to 499 do
+    let ((alphabet, start, finals, edges, ann) as input) =
+      random_make_input seed
+    in
+    List.iter
+      (fun (case, hit) -> if hit then Hashtbl.replace hits case ())
+      (make_cases input);
+    let made = A.make ?alphabet ~start ~finals ~edges ~ann () in
+    let ref_parts = Afsa_make_ref.make ?alphabet ~start ~finals ~edges ~ann () in
+    check_bool
+      (Printf.sprintf "seed %d: structurally equal to the ref" seed)
+      true
+      (Fingerprint_ref.equal_parts ref_parts (Fingerprint_ref.parts made));
+    Alcotest.(check string)
+      (Printf.sprintf "seed %d: same serialization as the ref" seed)
+      (Fingerprint_ref.serialize_parts ref_parts)
+      (C.Fingerprint.serialize made)
+  done;
+  List.iter
+    (fun (case, _) -> check_bool ("covered: " ^ case) true (Hashtbl.mem hits case))
+    (make_cases (None, 0, [], [], []))
+
 let () =
   Alcotest.run "afsa"
     [
@@ -297,6 +417,8 @@ let () =
           Alcotest.test_case "reachability/trim" `Quick test_reachability_trim;
           Alcotest.test_case "renumber" `Quick test_renumber;
           Alcotest.test_case "structural equality" `Quick test_structural_equal;
+          Alcotest.test_case "make = ref, 500 random inputs" `Quick
+            test_make_matches_ref;
         ] );
       ( "labels",
         [

@@ -438,12 +438,22 @@ let test_generation_corpus () =
 (* --------------------------- differential vs the ref --------------- *)
 
 (* Each input is also printed by both process printers, which must
-   write the same bytes (test/sexp_ref.ml keeps the tree printer). *)
+   write the same bytes (test/sexp_ref.ml keeps the tree printer), and
+   its public, which generation writes through [Afsa.of_rows], must
+   equal [Afsa.make] over the same parts. *)
 let agrees name p =
   if not (Public_gen_ref.agrees p) then
     Alcotest.failf "%s: automaton or table differs from the ref" name;
   if not (Sexp_ref.agrees p) then
-    Alcotest.failf "%s: printed process differs from the tree printer" name
+    Alcotest.failf "%s: printed process differs from the tree printer" name;
+  let a = C.Public_gen.public p in
+  let made =
+    A.make ~alphabet:(A.alphabet a) ~start:(A.start a) ~finals:(A.finals a)
+      ~edges:(A.edges a) ~ann:(A.annotations a) ()
+  in
+  if not (A.structurally_equal a made) then
+    Alcotest.failf "%s: canonical rows differ from make over the same parts"
+      name
 
 let test_differential_corpus () =
   let deeper =
@@ -459,6 +469,74 @@ let test_differential_corpus () =
     (pairs_family 2000);
   List.iteri (fun i p -> agrees (Printf.sprintf "deeper pairs %d" i) p)
     (pairs_family ~params:deeper 300)
+
+(* Generation collects the alphabet while it compiles. It must still
+   be the whole process alphabet where the compiled automaton loses
+   labels or never had them: after a [terminate], inside flow branches
+   (one of them terminating before its communication), on a
+   synchronous pick trigger, in empty blocks and under a loop with no
+   exit. *)
+let test_differential_alphabet () =
+  let sync_reg =
+    B.Types.registry
+      [
+        ("me", { B.Types.pt_name = "p"; ops = [ B.Types.sync "rpcOp" ] });
+        ("P", { B.Types.pt_name = "q"; ops = [ B.Types.async "aOp" ] });
+      ]
+  in
+  List.iter
+    (fun (name, p) ->
+      Alcotest.(check (list string))
+        (name ^ ": alphabet")
+        (List.map C.Label.to_string (B.Process.alphabet p))
+        (List.map C.Label.to_string (A.alphabet (C.Public_gen.public p)));
+      agrees name p)
+    [
+      ( "communication after terminate",
+        proc
+          (Act.seq "s"
+             [
+               Act.receive ~partner:"P" ~op:"inOp";
+               Act.Terminate;
+               Act.invoke ~partner:"P" ~op:"aOp";
+             ]) );
+      ( "communications only in flow branches",
+        proc
+          (Act.seq "s"
+             [
+               Act.Assign "x";
+               Act.flow "f"
+                 [
+                   Act.invoke ~partner:"P" ~op:"sOp";
+                   Act.seq "t"
+                     [ Act.Terminate; Act.invoke ~partner:"P" ~op:"bOp" ];
+                   Act.receive ~partner:"P" ~op:"in2Op";
+                 ];
+             ]) );
+      ( "synchronous pick trigger",
+        B.Process.make ~name:"t" ~party:"me" ~registry:sync_reg
+          (Act.pick "pk"
+             [
+               Act.on_message ~partner:"P" ~op:"rpcOp"
+                 (Act.invoke ~partner:"P" ~op:"aOp");
+             ]) );
+      ( "empty switch, pick and sequence",
+        proc
+          (Act.seq "s"
+             [
+               Act.switch "sw" [];
+               Act.pick "pk" [];
+               Act.seq "e" [];
+               Act.invoke ~partner:"P" ~op:"cOp";
+             ]) );
+      ( "non-terminating while",
+        proc
+          (Act.seq "s"
+             [
+               Act.while_ "w" ~cond:"1 = 1" (Act.invoke ~partner:"P" ~op:"aOp");
+               Act.receive ~partner:"P" ~op:"inOp";
+             ]) );
+    ]
 
 (* Random block structures over [registry] with what the generator
    families lack: silent activities, [terminate], flows, empty blocks
@@ -657,6 +735,8 @@ let () =
             test_differential_corpus;
           Alcotest.test_case "suggestion results, seeds 0-499" `Quick
             test_differential_suggestions;
+          Alcotest.test_case "alphabet edge cases" `Quick
+            test_differential_alphabet;
           Alcotest.test_case "random block structures" `Quick
             test_differential_random;
           Alcotest.test_case "random block structures, random atoms" `Quick

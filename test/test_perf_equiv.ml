@@ -490,24 +490,151 @@ let render x =
    same automata through the same accessors. *)
 let representation_pinned = "3bed9d367a6b7b81d2f9e387c2fcf706"
 
-let test_representation_pinned () =
+(* The corpus inputs, their determinizations, ε-eliminations and
+   minimizations, and the three products over [corpus_pairs]. *)
+let corpus_outputs () =
   let inputs = List.map snd (corpus ()) in
   let unary op = List.map (fun x -> op (A.copy x)) inputs in
   let binary op =
     List.map (fun (_, (a, b)) -> op (A.copy a) (A.copy b)) (corpus_pairs ())
   in
-  let all =
-    inputs
-    @ unary (fun x -> C.Determinize.determinize x)
-    @ unary (fun x -> C.Epsilon.eliminate x)
-    @ unary (fun x -> C.Minimize.minimize x)
-    @ binary (fun a b -> C.Ops.intersect a b)
-    @ binary (fun a b -> C.Ops.difference a b)
-    @ binary (fun a b -> C.Ops.union a b)
-  in
+  inputs
+  @ unary (fun x -> C.Determinize.determinize x)
+  @ unary (fun x -> C.Epsilon.eliminate x)
+  @ unary (fun x -> C.Minimize.minimize x)
+  @ binary (fun a b -> C.Ops.intersect a b)
+  @ binary (fun a b -> C.Ops.difference a b)
+  @ binary (fun a b -> C.Ops.union a b)
+
+let test_representation_pinned () =
   Alcotest.(check string)
     "rendering digest" representation_pinned
-    (Digest.to_hex (Digest.string (String.concat "\n" (List.map render all))))
+    (Digest.to_hex
+       (Digest.string
+          (String.concat "\n" (List.map render (corpus_outputs ())))))
+
+(* ------------------------------------------------------------------ *)
+(* Fingerprint writer                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* [Fingerprint.serialize] renders each state id and symbol once into
+   a per-domain buffer; test/fingerprint_ref.ml keeps the [Buffer]
+   serializer it replaced, and both must write the same bytes. *)
+let writer_agrees name x =
+  Alcotest.(check string)
+    (name ^ ": serialization") (Fingerprint_ref.serialize x)
+    (C.Fingerprint.serialize x);
+  Alcotest.(check string)
+    (name ^ ": digest")
+    (Digest.string (Fingerprint_ref.serialize x))
+    (C.Fingerprint.compute x)
+
+let test_writer_corpus () =
+  List.iteri
+    (fun i x -> writer_agrees (Printf.sprintf "corpus output %d" i) x)
+    (corpus_outputs ())
+
+(* Every formula constructor, [True] nested included: [Afsa.of_rows]
+   keeps annotations as given, where [make] would simplify them. *)
+let rec random_formula rng d =
+  let open C.Formula in
+  match Random.State.int rng (if d = 0 then 3 else 6) with
+  | 0 -> True
+  | 1 -> False
+  | 2 -> Var (Printf.sprintf "A#B#op%d" (Random.State.int rng 200))
+  | 3 -> Not (random_formula rng (d - 1))
+  | 4 -> And (random_formula rng (d - 1), random_formula rng (d - 1))
+  | _ -> Or (random_formula rng (d - 1), random_formula rng (d - 1))
+
+(* Labels of 5 to 130 bytes, so that length prefixes have one to
+   three digits. *)
+let random_label rng =
+  let name () = String.make (1 + Random.State.int rng 60) 'p' in
+  C.Label.make ~sender:(name ()) ~receiver:(name ())
+    (Printf.sprintf "m%d" (Random.State.int rng 10))
+
+(* Through [make]: negative, small and 10-digit state ids, ε-edges and
+   long labels. *)
+let writer_random_make seed =
+  let rng = Random.State.make [| seed |] in
+  let int k = Random.State.int rng k in
+  let id () =
+    match int 3 with
+    | 0 -> int 40 - 20
+    | 1 -> -1_000_000_000 - int 1_000_000
+    | _ -> 1_000_000_000 + (int 1_000_000 * 1000)
+  in
+  let ids = Array.init (1 + int 8) (fun _ -> id ()) in
+  let q () = ids.(int (Array.length ids)) in
+  let labels = Array.init (1 + int 5) (fun _ -> random_label rng) in
+  let sym () =
+    if int 5 = 0 then C.Sym.Eps else C.Sym.L labels.(int (Array.length labels))
+  in
+  A.make
+    ~alphabet:[ random_label rng ]
+    ~start:(q ())
+    ~finals:(List.init (int 4) (fun _ -> q ()))
+    ~edges:(List.init (int 20) (fun _ -> (q (), sym (), q ())))
+    ~ann:(List.init (int 4) (fun _ -> (q (), random_formula rng 3)))
+    ()
+
+(* Through [of_rows]: canonical rows with raw annotations. *)
+let writer_random_rows seed =
+  let rng = Random.State.make [| seed; 1 |] in
+  let int k = Random.State.int rng k in
+  let n = 1 + int 12 in
+  let syms =
+    Array.of_list
+      (List.sort_uniq C.Sym.compare
+         (List.init (1 + int 6) (fun _ -> C.Sym.L (random_label rng))))
+  in
+  let k = Array.length syms in
+  let row_off = Array.make (n + 1) 0 and keys = ref [] in
+  for i = 0 to n - 1 do
+    let row =
+      List.sort_uniq compare (List.init (int 5) (fun _ -> (int k * n) + int n))
+    in
+    keys := List.rev_append row !keys;
+    row_off.(i + 1) <- row_off.(i) + List.length row
+  done;
+  let keys = Array.of_list (List.rev !keys) in
+  let finals =
+    Chorev_afsa.Bitset.of_list n (List.init (int 3) (fun _ -> int n))
+  in
+  A.of_rows ~syms ~row_off
+    ~row_sym:(Array.map (fun key -> key / n) keys)
+    ~row_tgt:(Array.map (fun key -> key mod n) keys)
+    ~finals
+    ~ann:(Array.init n (fun _ -> if int 2 = 0 then C.Formula.True else random_formula rng 4))
+
+let test_writer_random () =
+  for seed = 0 to 299 do
+    writer_agrees (Printf.sprintf "make seed %d" seed) (writer_random_make seed);
+    writer_agrees (Printf.sprintf "rows seed %d" seed) (writer_random_rows seed)
+  done
+
+(* The buffer is per domain: fingerprints taken on two domains at once
+   equal those taken one after the other. *)
+let test_writer_two_domains () =
+  let xs =
+    corpus_outputs ()
+    @ List.init 200 writer_random_make
+    @ List.init 200 writer_random_rows
+  in
+  let sequential = List.map C.Fingerprint.compute xs in
+  let on_domain () =
+    Domain.spawn (fun () ->
+        List.init 5 (fun _ -> List.map C.Fingerprint.compute xs))
+  in
+  let d1 = on_domain () and d2 = on_domain () in
+  List.iter
+    (fun runs ->
+      List.iter
+        (fun got ->
+          check_bool "fingerprints on two domains = sequential" true
+            (List.equal String.equal sequential got))
+        runs)
+    [ Domain.join d1; Domain.join d2 ]
 
 (* ------------------------------------------------------------------ *)
 (* Fuel                                                                *)
@@ -803,6 +930,14 @@ let () =
           Alcotest.test_case "complete" `Quick test_complete;
           Alcotest.test_case "representation pinned" `Quick
             test_representation_pinned;
+        ] );
+      ( "fingerprint writer",
+        [
+          Alcotest.test_case "corpus and kernel outputs" `Quick
+            test_writer_corpus;
+          Alcotest.test_case "random automata" `Quick test_writer_random;
+          Alcotest.test_case "two domains at once" `Quick
+            test_writer_two_domains;
         ] );
       ( "fuel parity",
         [
