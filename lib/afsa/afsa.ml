@@ -10,9 +10,8 @@
 
     The tuple is stored as flat arrays over dense state indexes — a
     state's position in the ascending original ids. [make] builds them
-    from its arguments ([of_rows] takes rows that are already
-    canonical), nothing writes them afterwards, and every kernel, walk
-    and accessor reads them. *)
+    from its arguments, nothing writes them afterwards, and every
+    kernel, walk and accessor reads them. *)
 
 module F = Chorev_formula.Syntax
 module ISet = Set.Make (Int)
@@ -126,28 +125,22 @@ let collect_ids ~start ~states ~finals ~edges ~ann =
     Array.sub all 0 !w
   end
 
-(* Rows of at most this many entries are insertion-sorted in place. *)
-let short_row = 16
-
 (* [a.(lo .. hi-1)] sorted with repeats dropped, moved down to start at
-   [dst <= lo]; returns the end of the moved run. A short row is sorted
-   in place, a longer one through a sorted copy. *)
+   [dst <= lo]; returns the end of the moved run. The row is
+   insertion-sorted where it lies, which is quadratic in its length but
+   copies nothing: a row is one state's out-edges, at most 8 entries in
+   every workload measured, where this beats a copying [Array.sort]
+   (DESIGN.md §12). *)
 let sort_uniq_into (a : int array) ~dst lo hi =
-  if hi - lo <= short_row then
-    for i = lo + 1 to hi - 1 do
-      let x = a.(i) in
-      let j = ref (i - 1) in
-      while !j >= lo && a.(!j) > x do
-        a.(!j + 1) <- a.(!j);
-        decr j
-      done;
-      a.(!j + 1) <- x
-    done
-  else begin
-    let s = Array.sub a lo (hi - lo) in
-    Array.sort Int.compare s;
-    Array.blit s 0 a lo (hi - lo)
-  end;
+  for i = lo + 1 to hi - 1 do
+    let x = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= lo && a.(!j) > x do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- x
+  done;
   let w = ref dst in
   for k = lo to hi - 1 do
     if !w = dst || a.(!w - 1) <> a.(k) then begin
@@ -208,8 +201,8 @@ let widen_syms syms edges =
 (* The automaton over explicit parts: [states] lists ids to keep even
    when nothing else mentions them, and annotations are taken as given
    ([True] entries only contribute their state). The symbol table is
-   the sorted [alphabet]; only when an edge label is missing from it are
-   the edge labels merged in and the symbol ids looked up again. *)
+   the sorted [alphabet]; when there is none, or an edge label is
+   missing from it, the edge labels are merged in first. *)
 let build ~states ~alphabet ~start ~finals ~edges ~ann =
   let state_ids = collect_ids ~start ~states ~finals ~edges ~ann in
   let n = Array.length state_ids in
@@ -244,7 +237,7 @@ let build ~states ~alphabet ~start ~finals ~edges ~ann =
   in
   let syms = sorted_syms alphabet in
   let syms =
-    if fill syms then syms
+    if Array.length syms > 0 && fill syms then syms
     else
       let syms = widen_syms syms edges in
       ignore (fill syms);
@@ -289,41 +282,6 @@ let build ~states ~alphabet ~start ~finals ~edges ~ann =
 let make ?(alphabet = []) ~start ~finals ~edges ?(ann = []) () =
   build ~states:[] ~alphabet ~start ~finals ~edges
     ~ann:(List.map (fun (q, f) -> (q, Chorev_formula.Simplify.simplify f)) ann)
-
-(** The automaton over canonical rows, taken as they are: states
-    [0 .. n-1] for [n = Array.length row_off - 1], start 0, no ε-edge,
-    each row sorted by (symbol id, target) without repeats, [syms]
-    strictly ascending and [ann] simplified with [True] for none. *)
-let of_rows ~syms ~row_off ~row_sym ~row_tgt ~finals ~ann =
-  let n = Array.length row_off - 1 in
-  if
-    n < 1
-    || Array.length ann <> n
-    || Bitset.length finals <> n
-    || Array.length row_sym <> row_off.(n)
-    || Array.length row_tgt <> row_off.(n)
-  then invalid_arg "Afsa.of_rows: inconsistent row arrays";
-  let ann_nontrivial = Bitset.create n in
-  Array.iteri
-    (fun i f -> if not (F.equal f F.True) then Bitset.add ann_nontrivial i)
-    ann;
-  {
-    n;
-    state_ids = Array.init n Fun.id;
-    start = 0;
-    syms;
-    row_off;
-    row_sym;
-    row_tgt;
-    eps_off = Array.make (n + 1) 0;
-    eps_tgt = [||];
-    finals;
-    ann;
-    ann_nontrivial;
-    preds = None;
-    eps_cl_csr = None;
-    fp = None;
-  }
 
 (** Convenience: edges given as [(s, "A#B#msg", t)] with ["" ] for ε. *)
 let of_strings ?alphabet ~start ~finals ~edges ?(ann = []) () =

@@ -7,10 +7,9 @@
     (a state's position in the ascending original ids): proper
     out-edges as one compressed sparse row (CSR) per state sorted by
     (symbol id, target), a separate ε CSR, finals and annotated states
-    as bitsets. {!make} (or {!of_rows}, for rows already canonical)
-    builds them and nothing writes them afterwards; the algebra's
-    kernels read them directly, everyone else goes through the
-    accessors, which speak original ids. *)
+    as bitsets. {!make} builds them and nothing writes them afterwards;
+    the algebra's kernels read them directly, everyone else goes
+    through the accessors, which speak original ids. *)
 
 module F = Chorev_formula.Syntax
 module ISet : Set.S with type elt = int
@@ -60,25 +59,6 @@ val make :
     is [alphabet] plus the edge labels. Annotations are simplified and
     [True] entries dropped; for a state with several, the last non-[True]
     one wins. *)
-
-val of_rows :
-  syms:Sym.t array ->
-  row_off:int array ->
-  row_sym:int array ->
-  row_tgt:int array ->
-  finals:Bitset.t ->
-  ann:F.t array ->
-  t
-(** The automaton over canonical rows: states [0 .. n-1] for
-    [n = Array.length row_off - 1] (at least 1), start 0, no ε-edge.
-    Each row must be sorted by (symbol id, target) without repeats,
-    [syms] strictly ascending, [finals] of capacity [n] and [ann]
-    simplified, with [True] for a state without an annotation; under
-    those conditions the result is {!structurally_equal} to {!make} over
-    the same parts. The arrays become the automaton's, so the caller
-    must not write them afterwards. Nothing else is checked beyond the
-    array lengths.
-    @raise Invalid_argument when the lengths disagree. *)
 
 val of_strings :
   ?alphabet:string list ->
@@ -157,8 +137,9 @@ val eps_closure_csr : t -> int array * int array
 val sort_uniq_into : int array -> dst:int -> int -> int -> int
 (** [sort_uniq_into a ~dst lo hi] sorts [a.(lo .. hi-1)], drops repeats
     and moves the run down to start at [dst <= lo]; returns the run's
-    end. Rows of at most 16 entries are insertion-sorted in place. The
-    one row sort of {!make} and of public generation. *)
+    end. The run is insertion-sorted in place, which is quadratic in its
+    length: meant for rows of a state's out-edges. The one row sort of
+    {!make} and of public generation. *)
 
 (** {1 Reachability and trimming} *)
 

@@ -24,7 +24,10 @@ module F = Chorev_formula.Syntax
 (* The one writer: a per-domain byte buffer. A serialization first
    renders each state id and each symbol of the automaton once at the
    front of the buffer, then writes the serialization after them,
-   copying a rendering wherever its id or symbol occurs. *)
+   copying a rendering wherever its id or symbol occurs. Not a
+   [Buffer]: copying a rendering reads the buffer's own bytes, and the
+   digest is taken where the bytes lie rather than on a copy (DESIGN.md
+   §10.1 has the measurement). *)
 type writer = { mutable buf : Bytes.t; mutable len : int }
 
 let writer =
@@ -103,19 +106,12 @@ let rec add_formula w = function
       add_formula w r
 
 (* A symbol: [e] for ε, else [l] and its label's length-prefixed
-   [sender#receiver#msg]. *)
+   rendering. *)
 let add_sym w = function
   | Sym.Eps -> add_char w 'e'
-  | Sym.L { Label.sender; receiver; msg } ->
+  | Sym.L l ->
       add_char w 'l';
-      add_decimal w
-        (String.length sender + String.length receiver + String.length msg + 2);
-      add_char w ':';
-      add_string w sender;
-      add_char w '#';
-      add_string w receiver;
-      add_char w '#';
-      add_string w msg
+      add_str w (Label.to_string l)
 
 (* Writes [a]'s serialization into this domain's buffer and passes the
    buffer, the serialization's offset and its length to [k]. The

@@ -17,17 +17,16 @@
     {!Chorev_afsa.Epsilon.eliminate} and
     {!Chorev_afsa.Minimize.canonical_renumber} would: a BFS from the
     start fuses each state with its ε-closure and numbers the states it
-    reaches, as the paper's figures do (theirs are 1-based), writing
-    each numbered state's row straight into the arrays of
-    {!Chorev_afsa.Afsa.of_rows}. Each state's table entries absorb those
-    of its closure, so they survive; unreached states (after a
-    [terminate]) are dropped. *)
+    reaches, as the paper's figures do (theirs are 1-based), and the
+    numbered edges become the public aFSA through one
+    {!Chorev_afsa.Afsa.make} over the sorted alphabet. Each state's
+    table entries absorb those of its closure, so they survive;
+    unreached states (after a [terminate]) are dropped. *)
 
 module F = Chorev_formula.Syntax
 module Afsa = Chorev_afsa.Afsa
 module Sym = Chorev_afsa.Sym
 module Label = Chorev_afsa.Label
-module Bitset = Chorev_afsa.Bitset
 open Chorev_bpel
 
 (* The labels a compilation meets, numbered in order of first
@@ -280,8 +279,7 @@ let rec compile (p : Process.t) b ~ctx ~path ~entry ~exit act =
           List.iter (fun q -> edge b (emb q) eps exit) (Afsa.finals prod))
 
 (* The public aFSA and table of a compiled builder, from [start]: its
-   ε-elimination, canonical numbering and table in one pass that writes
-   the automaton's arrays itself. *)
+   ε-elimination, canonical numbering and table in one pass. *)
 let finish b ~start =
   let n = b.next and lt = b.labels in
   let e = b.edges.a and m = b.edges.len / 3 in
@@ -334,27 +332,23 @@ let finish b ~start =
      (symbol, target) order. Per state, [Epsilon.eliminate]'s rule:
      final when its closure meets a final state, annotated with the
      [F.and_] fold of the closure's annotations in ascending member
-     order, simplified once. The BFS order is the new numbering, so
-     each state's row is written as it is numbered: keys
-     [symbol id * n + new target], re-sorted since a symbol's targets
-     may be numbered out of compiled order. *)
+     order, simplified once. *)
   let newid = Array.make n (-1) and order = Array.make n start in
   newid.(start) <- 0;
   let count = ref 1 and i = ref 0 in
-  let row = Array.make lab_off.(n) 0 (* one fused row *) and out = ints () in
-  let row_off = Array.make (n + 1) 0 in
-  let fin = Bitset.create n and fann = Array.make n F.True in
+  let row = Array.make lab_off.(n) 0 (* one fused row *) in
+  let edges = ref [] and finals = ref [] and anns = ref [] in
   while !i < !count do
-    let q = order.(!i) and len = ref 0 and f = ref F.True in
+    let q = order.(!i) and len = ref 0 and fin = ref false in
+    let f = ref F.True in
     for k = cl_off.(q) to cl_off.(q + 1) - 1 do
       let mb = cl_tgt.(k) in
-      if final.(mb) then Bitset.add fin !i;
+      if final.(mb) then fin := true;
       f := F.and_ ann.(mb) !f;
       let lo = lab_off.(mb) and hi = lab_off.(mb + 1) in
       Array.blit lab_key lo row !len (hi - lo);
       len := !len + hi - lo
     done;
-    let lo = out.len in
     for k = 0 to Afsa.sort_uniq_into row ~dst:0 0 !len - 1 do
       let key = row.(k) in
       let t = key mod n in
@@ -363,23 +357,18 @@ let finish b ~start =
         order.(!count) <- t;
         incr count
       end;
-      push out (key - t + newid.(t))
+      edges := (!i, syms.(key / n), newid.(t)) :: !edges
     done;
-    out.len <- Afsa.sort_uniq_into out.a ~dst:lo lo out.len;
-    row_off.(!i + 1) <- out.len;
+    if !fin then finals := !i :: !finals;
     let f = Chorev_formula.Simplify.simplify !f in
-    if not (F.equal f F.True) then fann.(!i) <- f;
+    if not (F.equal f F.True) then anns := (!i, f) :: !anns;
     incr i
   done;
   let count = !count in
-  let finals = Bitset.create count in
-  Bitset.iter (fun i -> Bitset.add finals i) fin;
   let public =
-    Afsa.of_rows ~syms
-      ~row_off:(Array.sub row_off 0 (count + 1))
-      ~row_sym:(Array.init out.len (fun k -> out.a.(k) / n))
-      ~row_tgt:(Array.init out.len (fun k -> out.a.(k) mod n))
-      ~finals ~ann:(Array.sub fann 0 count)
+    Afsa.make
+      ~alphabet:(Array.to_list (Array.map (fun c -> lt.by_id.(c)) by_rank))
+      ~start:0 ~finals:!finals ~edges:!edges ~ann:!anns ()
   in
   (* Table provenance, fusing each state with its closure in ascending
      order: its own entries first, then each other member's as the

@@ -290,8 +290,8 @@ let test_dot () =
 
 (* [Afsa.make]'s arguments in every shape its callers use and more: an
    alphabet left out, unsorted or with repeats, edge labels missing
-   from it; duplicate edges and finals; ε-edges; a hub state whose rows
-   outgrow the in-place sort's cutoff (16 entries); dense, sparse,
+   from it; duplicate edges and finals; ε-edges; a hub state whose row
+   of 17 to 46 entries is longer than any workload's; dense, sparse,
    negative and 10-digit state ids; annotations, some on states nothing
    else mentions. *)
 let random_make_input seed =

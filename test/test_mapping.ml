@@ -438,22 +438,12 @@ let test_generation_corpus () =
 (* --------------------------- differential vs the ref --------------- *)
 
 (* Each input is also printed by both process printers, which must
-   write the same bytes (test/sexp_ref.ml keeps the tree printer), and
-   its public, which generation writes through [Afsa.of_rows], must
-   equal [Afsa.make] over the same parts. *)
+   write the same bytes (test/sexp_ref.ml keeps the tree printer). *)
 let agrees name p =
   if not (Public_gen_ref.agrees p) then
     Alcotest.failf "%s: automaton or table differs from the ref" name;
   if not (Sexp_ref.agrees p) then
-    Alcotest.failf "%s: printed process differs from the tree printer" name;
-  let a = C.Public_gen.public p in
-  let made =
-    A.make ~alphabet:(A.alphabet a) ~start:(A.start a) ~finals:(A.finals a)
-      ~edges:(A.edges a) ~ann:(A.annotations a) ()
-  in
-  if not (A.structurally_equal a made) then
-    Alcotest.failf "%s: canonical rows differ from make over the same parts"
-      name
+    Alcotest.failf "%s: printed process differs from the tree printer" name
 
 let test_differential_corpus () =
   let deeper =
