@@ -332,7 +332,7 @@ let finish b ~start =
      (symbol, target) order. Per state, [Epsilon.eliminate]'s rule:
      final when its closure meets a final state, annotated with the
      [F.and_] fold of the closure's annotations in ascending member
-     order, simplified once. *)
+     order, which [make] simplifies once. *)
   let newid = Array.make n (-1) and order = Array.make n start in
   newid.(start) <- 0;
   let count = ref 1 and i = ref 0 in
@@ -360,8 +360,7 @@ let finish b ~start =
       edges := (!i, syms.(key / n), newid.(t)) :: !edges
     done;
     if !fin then finals := !i :: !finals;
-    let f = Chorev_formula.Simplify.simplify !f in
-    if not (F.equal f F.True) then anns := (!i, f) :: !anns;
+    if not (F.equal !f F.True) then anns := (!i, !f) :: !anns;
     incr i
   done;
   let count = !count in
