@@ -12,6 +12,19 @@ type spec = {
     Chorev_formula.Syntax.t;
 }
 
+(** {1 Pair keys}
+
+    A pair of dense indexes [(i, j)] packed into one int,
+    [(i lsl 32) lor j], and a hash table over such keys that mixes the
+    whole word (the polymorphic hash folds the halves together, so
+    every diagonal pair [(i, i)] would land in one bucket). *)
+
+val key : int -> int -> int
+val key_fst : int -> int
+val key_snd : int -> int
+
+module PairTbl : Hashtbl.S with type key = int
+
 val sink_of : Afsa.t -> int
 (** A state id outside the automaton's state space, for use as a
     virtual completion sink in {!run}. *)

@@ -21,12 +21,18 @@
     numbered edges become the public aFSA through one
     {!Chorev_afsa.Afsa.make} over the sorted alphabet. Each state's
     table entries absorb those of its closure, so they survive;
-    unreached states (after a [terminate]) are dropped. *)
+    unreached states (after a [terminate]) are dropped.
+
+    {!meets} compiles a process the same way and, instead of finishing
+    it, walks its product with a view on the fly: the retry loop's
+    plain test, decided before a candidate is generated. *)
 
 module F = Chorev_formula.Syntax
 module Afsa = Chorev_afsa.Afsa
 module Sym = Chorev_afsa.Sym
 module Label = Chorev_afsa.Label
+module Product = Chorev_afsa.Product
+module Budget = Chorev_guard.Budget
 open Chorev_bpel
 
 (* The labels a compilation meets, numbered in order of first
@@ -278,22 +284,11 @@ let rec compile (p : Process.t) b ~ctx ~path ~entry ~exit act =
           edge b entry eps (emb (Afsa.start prod));
           List.iter (fun q -> edge b (emb q) eps exit) (Afsa.finals prod))
 
-(* The public aFSA and table of a compiled builder, from [start]: its
-   ε-elimination, canonical numbering and table in one pass. *)
-let finish b ~start =
-  let n = b.next and lt = b.labels in
-  let e = b.edges.a and m = b.edges.len / 3 in
-  (* The alphabet: every label compiled, ascending; [rank] gives a label
-     number its symbol id. The labels are distinct, so a merge sort
-     ([stable_sort]) gives the same order as a heap sort with about half
-     the label comparisons. *)
-  let by_rank = Array.init (Hashtbl.length lt.ids) Fun.id in
-  Array.stable_sort (fun i j -> Label.compare lt.by_id.(i) lt.by_id.(j)) by_rank;
-  let rank = Array.make (Array.length by_rank) 0 in
-  Array.iteri (fun r c -> rank.(c) <- r) by_rank;
-  let syms = Array.map (fun c -> Sym.L lt.by_id.(c)) by_rank in
-  (* The compiled edges as two CSRs: labeled rows of keys
-     [symbol id * n + target], and ε rows. *)
+(* The compiled edges as two by-source CSRs over states [0..n-1]:
+   labeled rows of keys [code.(label number) * n + target], in edge
+   order, and ε rows of targets. *)
+let rows b code =
+  let n = b.next and e = b.edges.a and m = b.edges.len / 3 in
   let lab_off = Array.make (n + 1) 0 and eps_off = Array.make (n + 1) 0 in
   for i = 0 to m - 1 do
     let off = if e.((3 * i) + 1) = eps then eps_off else lab_off in
@@ -313,10 +308,26 @@ let finish b ~start =
       eps_cur.(s) <- eps_cur.(s) + 1
     end
     else begin
-      lab_key.(lab_cur.(s)) <- (rank.(c) * n) + t;
+      lab_key.(lab_cur.(s)) <- (code.(c) * n) + t;
       lab_cur.(s) <- lab_cur.(s) + 1
     end
   done;
+  (lab_off, lab_key, eps_off, eps_tgt)
+
+(* The public aFSA and table of a compiled builder, from [start]: its
+   ε-elimination, canonical numbering and table in one pass. *)
+let finish b ~start =
+  let n = b.next and lt = b.labels in
+  (* The alphabet: every label compiled, ascending; [rank] gives a label
+     number its symbol id. The labels are distinct, so a merge sort
+     ([stable_sort]) gives the same order as a heap sort with about half
+     the label comparisons. *)
+  let by_rank = Array.init (Hashtbl.length lt.ids) Fun.id in
+  Array.stable_sort (fun i j -> Label.compare lt.by_id.(i) lt.by_id.(j)) by_rank;
+  let rank = Array.make (Array.length by_rank) 0 in
+  Array.iteri (fun r c -> rank.(c) <- r) by_rank;
+  let syms = Array.map (fun c -> Sym.L lt.by_id.(c)) by_rank in
+  let lab_off, lab_key, eps_off, eps_tgt = rows b rank in
   let cl_off, cl_tgt = Afsa.closure_csr n eps_off eps_tgt in
   let final = Array.make n false and ann = Array.make n F.True in
   List.iter (fun q -> final.(q) <- true) b.finals;
@@ -389,6 +400,18 @@ let finish b ~start =
       (Array.init count (fun i ->
            List.map (fun id -> blocks.(id)) merged.(order.(i)))) )
 
+(* [p] compiled into a fresh builder, with its start: the root block's
+   entry. *)
+let compile_process (p : Process.t) =
+  let b = new_builder { ids = Hashtbl.create 16; by_id = [||] } in
+  let root_entry = fresh b ~ctx:None in
+  ignore (record b ~state:root_entry { Table.block = "BPELProcess"; path = [] });
+  let root_exit = fresh b ~ctx:None in
+  mark_final b root_exit;
+  compile p b ~ctx:None ~path:[] ~entry:root_entry ~exit:root_exit
+    (Process.body p);
+  (b, root_entry)
+
 let c_runs = Chorev_obs.Metrics.counter "mapping.public_gen.runs"
 
 (** [generate p] compiles private process [p] to its public aFSA and
@@ -403,14 +426,79 @@ let generate (p : Process.t) : Afsa.t * Table.t =
         ("party", Chorev_obs.Sink.Str (Process.party p));
       ]
   @@ fun () ->
-  let b = new_builder { ids = Hashtbl.create 16; by_id = [||] } in
-  let root_entry = fresh b ~ctx:None in
-  ignore (record b ~state:root_entry { Table.block = "BPELProcess"; path = [] });
-  let root_exit = fresh b ~ctx:None in
-  mark_final b root_exit;
-  compile p b ~ctx:None ~path:[] ~entry:root_entry ~exit:root_exit
-    (Process.body p);
-  finish b ~start:root_entry
+  let b, start = compile_process p in
+  finish b ~start
 
 (** Just the public aFSA. *)
 let public p = fst (generate p)
+
+(* The symbol id of [l] in the ascending table [syms]; -1 when absent. *)
+let sym_index syms l =
+  let s = Sym.L l in
+  let rec go lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) / 2 in
+      let c = Sym.compare s syms.(mid) in
+      if c = 0 then mid else if c < 0 then go lo mid else go (mid + 1) hi
+  in
+  go 0 (Array.length syms)
+
+(** [meets p v]: do [public p] and [v] accept a common word? Decided on
+    the compiled ε-automaton, whose plain language [finish] keeps, by
+    an explicit worklist over (compiled state, dense state of [v])
+    pairs: either side takes its ε-moves alone, a label moves both
+    sides when [v] has an edge on it (a label missing from [v]'s
+    alphabet blocks), and the walk stops at the first pair that is
+    final on both sides. Ticks the ambient budget once per popped
+    pair; builds no automaton, annotation or table. *)
+let meets (p : Process.t) (v : Afsa.t) =
+  Chorev_obs.Obs.span "meets"
+    ~attrs:[ ("party", Chorev_obs.Sink.Str (Process.party p)) ]
+  @@ fun () ->
+  let b, start = compile_process p in
+  let lt = b.labels in
+  let code =
+    Array.init (Hashtbl.length lt.ids) (fun c ->
+        sym_index v.Afsa.syms lt.by_id.(c))
+  in
+  let lab_off, lab_key, eps_off, eps_tgt = rows b code in
+  let n = b.next in
+  let final = Array.make n false in
+  List.iter (fun q -> final.(q) <- true) b.finals;
+  let budget = Budget.ambient () in
+  let seen = Product.PairTbl.create 64 and work = ints () in
+  let visit q w =
+    let k = Product.key q w in
+    if not (Product.PairTbl.mem seen k) then begin
+      Product.PairTbl.add seen k ();
+      push work k
+    end
+  in
+  visit start v.Afsa.start;
+  let found = ref false in
+  while (not !found) && work.len > 0 do
+    Budget.tick budget;
+    work.len <- work.len - 1;
+    let k = work.a.(work.len) in
+    let q = Product.key_fst k and w = Product.key_snd k in
+    if final.(q) && Chorev_afsa.Bitset.mem v.Afsa.finals w then found := true
+    else begin
+      for e = eps_off.(q) to eps_off.(q + 1) - 1 do
+        visit eps_tgt.(e) w
+      done;
+      for e = v.Afsa.eps_off.(w) to v.Afsa.eps_off.(w + 1) - 1 do
+        visit q v.Afsa.eps_tgt.(e)
+      done;
+      for e = lab_off.(q) to lab_off.(q + 1) - 1 do
+        let key = lab_key.(e) in
+        if key >= 0 then begin
+          let s = key / n and t = key mod n in
+          for f = v.Afsa.row_off.(w) to v.Afsa.row_off.(w + 1) - 1 do
+            if v.Afsa.row_sym.(f) = s then visit t v.Afsa.row_tgt.(f)
+          done
+        end
+      done
+    end
+  done;
+  !found

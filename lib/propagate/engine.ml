@@ -17,7 +17,10 @@
     4. derives adaptation suggestions and (optionally) auto-applies
        them to the partner's private process;
     5. regenerates the partner's public process and re-checks bilateral
-       consistency against [τ_B(A')].
+       consistency against [τ_B(A')]. A candidate whose compiled public
+       process shares no word with [τ_B(A')]
+       ({!Chorev_mapping.Public_gen.meets}) would fail the re-check, so
+       it is rejected before it is generated.
 
     When the re-check fails the engine retries with the remaining
     applicable suggestion subsets (the paper's "go back to the previous
@@ -25,8 +28,9 @@
 
     Every pipeline step runs inside a trace span named after the
     corresponding Fig. 4 step ([view], [delta], [localize], [suggest],
-    [apply] with its last-resort [resynthesize], [re-check]); see
-    DESIGN.md §7. *)
+    [apply] with its last-resort [resynthesize], [re-check]), and each
+    candidate's plain test opens [meets] under [apply]; see DESIGN.md
+    §7. *)
 
 module Afsa = Chorev_afsa.Afsa
 module Obs = Chorev_obs.Obs
@@ -69,6 +73,7 @@ let c_suggestions = Metrics.counter "propagate.suggestions.generated"
 let c_applied = Metrics.counter "propagate.suggestions.applied"
 let c_retries = Metrics.counter "propagate.retries"
 let c_resynthesized = Metrics.counter "propagate.resynthesized"
+let c_rejected_plain = Metrics.counter "propagate.rejected_plain"
 
 let str s = Chorev_obs.Sink.Str s
 let int i = Chorev_obs.Sink.Int i
@@ -235,6 +240,25 @@ let run ?(config = Config.default) ~direction ~a' ~partner_private () =
             Degrade.Unknown_verdict { step = "re-check"; info } :: !late_deg;
           false
     in
+    (* The re-check's necessary condition, decided on a candidate before
+       it is generated: consistency needs a final pair reachable in the
+       intersection, so a candidate whose public shares no word with
+       the view is one [consistent_with] would reject. A trip rejects
+       as a re-check trip does. *)
+    let meets p' =
+      match
+        op_run ~round ~op_spec (fun () ->
+            Chorev_mapping.Public_gen.meets p' analysis.view_new)
+      with
+      | `Done true -> true
+      | `Done false ->
+          Metrics.incr c_rejected_plain;
+          false
+      | `Exceeded info ->
+          late_deg :=
+            Degrade.Unknown_verdict { step = "re-check"; info } :: !late_deg;
+          false
+    in
     let finish ~adapted ~adapted_public ~consistent_after =
       (* On failure, extract the shortest distinguishing witness from
          the delta so the report carries a concrete trace. The BFS does
@@ -271,10 +295,10 @@ let run ?(config = Config.default) ~direction ~a' ~partner_private () =
       let attempt set =
         Metrics.incr c_retries;
         match apply_all set partner_private with
-        | Error _ -> None
-        | Ok p' ->
+        | Ok p' when meets p' ->
             let pub' = Memo.public p' in
             if consistent_with pub' then Some (p', pub') else None
+        | Ok _ | Error _ -> None
       in
       (* last resort: re-synthesize the whole private process from the
          computed target public process (Skeleton), at the price of
@@ -296,14 +320,14 @@ let run ?(config = Config.default) ~direction ~a' ~partner_private () =
             late_deg :=
               Degrade.Aborted_step { step = "resynthesize"; info } :: !late_deg;
             None
-        | `Done (Error _) -> None
-        | `Done (Ok p') ->
+        | `Done (Ok p') when meets p' ->
             let pub' = Memo.public p' in
             if consistent_with pub' then begin
               Metrics.incr c_resynthesized;
               Some (p', pub')
             end
             else None
+        | `Done _ -> None
       in
       let result =
         Obs.span "apply"

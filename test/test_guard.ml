@@ -133,15 +133,26 @@ let degraded_signature report =
           r.Ev.partners ))
     report.Ev.rounds
 
-let run_with ~jobs ~fuel t changed =
-  let config =
-    { C.Config.default with op_budget = { B.fuel; timeout_s = None } }
-  in
+let evolve_with ~jobs config t changed =
   match
     Harness.with_jobs jobs (fun () -> Ev.run ~config t ~owner:"A" ~changed)
   with
   | Ok rep -> rep
   | Error (`Unknown_party p) -> Alcotest.failf "unknown party %s" p
+
+let run_with ~jobs ~fuel t changed =
+  evolve_with ~jobs
+    { C.Config.default with op_budget = { B.fuel; timeout_s = None } }
+    t changed
+
+(* Each budget trip as (marker, reason, units spent): everything in it
+   but the elapsed time. *)
+let trips =
+  List.map (function
+    | C.Guard.Degrade.Skipped_minimization i ->
+        ("skipped-minimization", i.B.reason, i.B.spent)
+    | Unknown_verdict { step; info } -> ("unknown:" ^ step, info.reason, info.spent)
+    | Aborted_step { step; info } -> ("aborted:" ^ step, info.reason, info.spent))
 
 let test_pool_size_determinism () =
   let t = procurement () in
@@ -156,7 +167,32 @@ let test_pool_size_determinism () =
       check_bool "same verdict" true
         (r1.Ev.consistent = r2.Ev.consistent
         && r2.Ev.consistent = r8.Ev.consistent))
-    [ Some 50; Some 5_000; Some 500_000; None ]
+    [ Some 50; Some 5_000; Some 500_000; None ];
+  (* Round fuel 35 runs out two units into B's plain test of its first
+     retry candidate (step 5): the partner's trips, spends included, are
+     the same at every pool size. *)
+  let engine_trips jobs =
+    let config =
+      { C.Config.default with round_budget = { B.fuel = Some 35; timeout_s = None } }
+    in
+    List.concat_map
+      (fun (r : Ev.round) ->
+        List.map
+          (fun (pr : Ev.partner_report) ->
+            ( pr.Ev.partner,
+              match pr.Ev.outcome with
+              | None -> []
+              | Some o -> trips o.C.Propagate.Engine.degraded ))
+          r.Ev.partners)
+      (evolve_with ~jobs config t P.accounting_cancel).Ev.rounds
+  in
+  let s1 = engine_trips 1 in
+  check_bool "B's plain test trips first" true
+    (match List.assoc_opt "B" s1 with
+    | Some (("unknown:re-check", `Fuel, 2) :: _) -> true
+    | _ -> false);
+  check_bool "round trips, pool 1 = pool 2" true (s1 = engine_trips 2);
+  check_bool "round trips, pool 1 = pool 8" true (s1 = engine_trips 8)
 
 (* ------------------------- adversarial blowup ----------------------- *)
 
@@ -249,15 +285,7 @@ let resynthesize_sweep () =
   let owner, _ = C.Workload.Gen_process.pair ~seed:(42 + (7919 * 17)) () in
   let a' = C.Public_gen.public owner in
   let signature (o : C.Propagate.Engine.outcome) =
-    ( Option.map C.Bpel.Process.name o.adapted,
-      o.consistent_after,
-      List.map
-        (function
-          | C.Guard.Degrade.Skipped_minimization i ->
-              ("skipped-minimization", i.B.reason, i.B.spent)
-          | Unknown_verdict { step; info } -> ("unknown:" ^ step, info.reason, info.spent)
-          | Aborted_step { step; info } -> ("aborted:" ^ step, info.reason, info.spent))
-        o.degraded )
+    (Option.map C.Bpel.Process.name o.adapted, o.consistent_after, trips o.degraded)
   in
   let rec sweep fuel acc =
     if fuel > 4096 then List.rev acc
@@ -291,6 +319,63 @@ let test_resynthesis_degrades () =
       check_bool "not consistent" false consistent
   | [] -> Alcotest.fail "empty sweep");
   check_bool "sweep is deterministic" true (first = resynthesize_sweep ())
+
+(* The plain test of step 5 runs under the re-check's op budget, drawn
+   from the round. Seed 82 of the generator corpus, an additive edit,
+   leaves the partner one applicable suggestion, whose candidate passes
+   the plain test and adapts the partner under no budget. A round fuel
+   that covers steps 1-4 and all but one unit of that test trips inside
+   it: the trip is reported as a re-check that could not be decided,
+   and the partner is kept. *)
+let test_plain_test_trips () =
+  let module E = C.Propagate.Engine in
+  let module S = C.Propagate.Suggest in
+  let seed = 82 and direction = E.Additive in
+  let owner, partner = C.Workload.Gen_process.pair ~seed () in
+  let a' =
+    match
+      Option.map
+        (fun op -> C.Change.Ops.apply op owner)
+        (C.Workload.Gen_change.additive ~seed owner)
+    with
+    | Some (Ok p) -> C.Public_gen.public p
+    | None | Some (Error _) -> Alcotest.fail "no additive edit applies"
+  in
+  let public_b, table_b = C.Public_gen.generate partner in
+  let round = B.create ~fuel:max_int () in
+  let an =
+    E.analyze ~round ~direction ~a' ~partner_private:partner ~public_b ~table_b ()
+  in
+  check_bool "steps 1-4 undegraded" true (an.E.degraded = []);
+  let candidate =
+    match List.filter (fun s -> not (S.is_manual s)) an.E.suggestions with
+    | [ s ] -> (
+        match S.apply s partner with
+        | Ok p -> p
+        | Error _ -> Alcotest.fail "the suggestion does not apply")
+    | l -> Alcotest.failf "%d applicable suggestions, want 1" (List.length l)
+  in
+  let plain = B.create ~fuel:max_int () in
+  (match B.run plain (fun () -> C.Public_gen.meets candidate an.E.view_new) with
+  | `Done true -> ()
+  | _ -> Alcotest.fail "the candidate fails the plain test");
+  let run fuel =
+    E.run
+      ~config:
+        { C.Config.default with round_budget = { B.fuel; timeout_s = None } }
+      ~direction ~a' ~partner_private:partner ()
+  in
+  check_bool "adapted under no budget" true
+    (Option.is_some (run None).E.adapted);
+  let o = run (Some (B.spent round + B.spent plain - 1)) in
+  (match trips o.E.degraded with
+  | (marker, reason, spent) :: _ ->
+      Alcotest.(check string) "first trip" "unknown:re-check" marker;
+      check_bool "fuel trip" true (reason = `Fuel);
+      check_int "one unit short of the plain test" (B.spent plain - 1) spent
+  | [] -> Alcotest.fail "no trip");
+  check_bool "partner kept" true (o.E.adapted = None);
+  check_bool "not consistent" false o.E.consistent_after
 
 (* ----------------------------- protocol ----------------------------- *)
 
@@ -341,6 +426,11 @@ let () =
         [
           Alcotest.test_case "op fuel aborts it, deterministically" `Quick
             test_resynthesis_degrades;
+        ] );
+      ( "re-check",
+        [
+          Alcotest.test_case "a trip in the plain test is a re-check trip"
+            `Quick test_plain_test_trips;
         ] );
       ( "blowup",
         [

@@ -591,8 +591,9 @@ let test_differential_random_atoms () =
 
 (* Every [Suggest.apply] result of the retry sets [Engine.analyze]'s
    suggestions make (all applicable ones together, and each alone) for
-   the partner of a [Gen_change] edit. *)
-let test_differential_suggestions () =
+   the partner of a [Gen_change] edit, named, with the view
+   [τ_partner(A')] the engine re-checks it against. *)
+let iter_retry_candidates f =
   let module E = C.Propagate.Engine in
   let module S = C.Propagate.Suggest in
   for seed = 0 to 499 do
@@ -622,7 +623,8 @@ let test_differential_suggestions () =
                     (Ok b) set
                 with
                 | Ok p ->
-                    agrees (Printf.sprintf "seed %d %s set %d" seed kind i) p
+                    f (Printf.sprintf "seed %d %s set %d" seed kind i) p
+                      an.E.view_new
                 | Error _ -> ())
               sets)
       [
@@ -634,6 +636,116 @@ let test_differential_suggestions () =
           E.Subtractive );
       ]
   done
+
+let test_differential_suggestions () =
+  iter_retry_candidates (fun name p _ -> agrees name p)
+
+(* [Public_gen.meets] is the plain non-emptiness of the product it
+   stands for; where it is false, the annotated re-check it guards
+   rejects the candidate too. Returns its verdict. *)
+let meets_agrees name p v =
+  let public = C.Public_gen.public p in
+  let plain = not (C.Emptiness.is_empty_plain (C.Ops.intersect public v)) in
+  let got = C.Public_gen.meets p v in
+  if got <> plain then
+    Alcotest.failf "%s: meets %b, plain product non-empty %b" name got plain;
+  if (not got) && C.Consistency.consistent public v then
+    Alcotest.failf "%s: rejected by meets but consistent" name;
+  got
+
+(* Every retry candidate against its own view. The counts pin how many
+   of them the plain test rejects before generation. *)
+let test_meets_suggestions () =
+  let total = ref 0 and rejected = ref 0 in
+  iter_retry_candidates (fun name p v ->
+      incr total;
+      if not (meets_agrees name p v) then incr rejected);
+  check_int "candidates" 1343 !total;
+  check_int "rejected" 288 !rejected
+
+(* Random block structures, each also compiled with a synchronous
+   [inOp] (its pick triggers chain two labels), against views of a
+   random partner public: the process's own public with edges dropped,
+   random edges added over its labels and two foreign ones, and random
+   finals. [View.relabel] turns the foreign edges into ε-edges; the
+   last view lacks one of the process's labels altogether. *)
+let test_meets_random () =
+  let sync_registry =
+    B.Types.registry
+      [
+        ( "P",
+          {
+            B.Types.pt_name = "pPort";
+            ops =
+              [
+                B.Types.async "aOp"; B.Types.async "bOp"; B.Types.async "cOp";
+                B.Types.sync "sOp";
+              ];
+          } );
+        ( "me",
+          {
+            B.Types.pt_name = "mePort";
+            ops = [ B.Types.sync "inOp"; B.Types.async "in2Op" ];
+          } );
+      ]
+  in
+  let foreign = word [ "P#Q#xOp"; "Q#P#yOp" ] in
+  let met = ref 0 and missed = ref 0 in
+  for seed = 0 to 1_999 do
+    let rng = Random.State.make [| seed; 2 |] in
+    let async = random_process seed in
+    let sync =
+      B.Process.make ~name:"t" ~party:"me" ~registry:sync_registry
+        (B.Process.body async)
+    in
+    List.iter
+      (fun (variant, p) ->
+        let public = C.Public_gen.public p in
+        let n = A.num_states public in
+        let labels = A.alphabet public in
+        let pool = Array.of_list (labels @ foreign) in
+        let partner ~without =
+          let keep (_, sym, _) =
+            Random.State.int rng 10 < 7
+            && match (sym, without) with
+               | C.Sym.L x, Some y -> not (C.Label.equal x y)
+               | _ -> true
+          in
+          let extra =
+            List.init (Random.State.int rng 5) (fun _ ->
+                let lab = pool.(Random.State.int rng (Array.length pool)) in
+                ( Random.State.int rng n,
+                  C.Sym.L lab,
+                  Random.State.int rng n ))
+            |> List.filter keep
+          in
+          A.make ~start:(A.start public)
+            ~finals:(List.filter (fun _ -> Random.State.int rng 3 = 0) (A.states public))
+            ~edges:(List.filter keep (A.edges public) @ extra)
+            ()
+        in
+        let other = partner ~without:None in
+        let views =
+          [
+            ("tau", C.View.tau ~observer:"me" other);
+            ("tau_raw", C.View.tau_raw ~observer:"me" other);
+            ("relabel", C.View.relabel ~observer:"me" other);
+          ]
+          @
+          match labels with
+          | [] -> []
+          | l :: _ ->
+              [ ("lacking", C.View.relabel ~observer:"me" (partner ~without:(Some l))) ]
+        in
+        List.iter
+          (fun (view, v) ->
+            let name = Printf.sprintf "random %d %s %s" seed variant view in
+            if meets_agrees name p v then incr met else incr missed)
+          views)
+      [ ("async", async); ("sync", sync) ]
+  done;
+  check_bool "some pairs meet" true (!met > 0);
+  check_bool "some pairs do not" true (!missed > 0)
 
 (* --------------------------- firsts analysis ----------------------- *)
 
@@ -731,5 +843,9 @@ let () =
             test_differential_random;
           Alcotest.test_case "random block structures, random atoms" `Quick
             test_differential_random_atoms;
+          Alcotest.test_case "meets, suggestion results, seeds 0-499" `Quick
+            test_meets_suggestions;
+          Alcotest.test_case "meets, random block structures" `Quick
+            test_meets_random;
         ] );
     ]
